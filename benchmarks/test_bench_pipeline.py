@@ -265,33 +265,26 @@ def test_bench_sweep_cold_vs_warm(benchmark, bench_json, tmp_path):
                **warm_stages)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware) — what the
-    speedup floor must be keyed on, not the box's nominal core count."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def test_bench_cv_parallel_folds(benchmark, bench_json):
     from repro.runtime import pool as pool_mod
 
     matrix, y = wide_dataset()
     config = AnalysisConfig(k_max=50, folds=10, seed=3)
-    cpus = _usable_cpus()
+    # CPUs this process may actually run on (affinity-aware): what the
+    # speedup floor must be keyed on, not the box's nominal core count.
+    cpus = pool_mod.usable_cpus()
 
     serial_start = time.perf_counter()
     serial = cross_validated_sse(matrix, y, config=config, jobs=1)
     serial_wall = time.perf_counter() - serial_start
 
-    pool_mod.reset_default()
+    pool_mod.shutdown_default()
     run = {}
     try:
         def _parallel_cold():
             start = time.perf_counter()
             run["sse"] = cross_validated_sse(matrix, y, config=config,
-                                             jobs=4, dispatch="parallel")
+                                             jobs=4)
             run["wall"] = time.perf_counter() - start
 
         benchmark.pedantic(_parallel_cold, rounds=1, iterations=1)
@@ -300,26 +293,14 @@ def test_bench_cv_parallel_folds(benchmark, bench_json):
         # arena, cached worker-side attach — this is the steady state a
         # k-sweep or daemon sees, and what the speedup floor applies to.
         warm_start = time.perf_counter()
-        warm_sse = cross_validated_sse(matrix, y, config=config, jobs=4,
-                                       dispatch="parallel")
+        warm_sse = cross_validated_sse(matrix, y, config=config, jobs=4)
         warm_wall = time.perf_counter() - warm_start
-
-        # Adaptive: the dispatcher picks serial or parallel from the
-        # fold costs the runs above measured.
-        model = pool_mod.dispatcher()
-        bookmark = model.seq
-        adaptive_start = time.perf_counter()
-        adaptive_sse = cross_validated_sse(matrix, y, config=config,
-                                           jobs=4, dispatch="adaptive")
-        adaptive_wall = time.perf_counter() - adaptive_start
-        decisions = model.decisions(since=bookmark)
     finally:
-        pool_mod.reset_default()
+        pool_mod.shutdown_default()
 
     # Fold fan-out is a performance knob, never a correctness one.
     np.testing.assert_array_equal(run["sse"], serial)
     np.testing.assert_array_equal(warm_sse, serial)
-    np.testing.assert_array_equal(adaptive_sse, serial)
 
     warm_speedup = serial_wall / warm_wall
     floor_asserted = cpus >= 4
@@ -337,18 +318,7 @@ def test_bench_cv_parallel_folds(benchmark, bench_json):
                **({} if floor_asserted else
                   {"floor_skipped": f"only {cpus} usable cpu(s); the "
                                     ">1.5x floor needs >= 4"}))
-    assert len(decisions) == 1
-    decision = decisions[0]
-    bench_json("cv_jobs4_adaptive", adaptive_wall,
-               serial_wall_s=round(serial_wall, 4),
-               speedup=round(serial_wall / adaptive_wall, 2),
-               cpus=cpus, mode=decision.mode, reason=decision.reason,
-               decision=decision.to_dict())
 
-    if cpus < 2:
-        # On a 1-core box parallel can only lose (the seed recorded the
-        # 4-way CV at 0.79x serial); adaptive must refuse to fork.
-        assert decision.mode == "serial"
     if floor_asserted:
         # The tentpole's success criterion: warm-pool 4-way CV beats
         # serial by more than 1.5x on a real multi-core machine.

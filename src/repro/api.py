@@ -29,9 +29,11 @@ a content-hashed stage graph when the active
 :class:`~repro.runtime.cache.ResultCache` has a disk root — simulated
 traces and EIPV datasets persist in its artifact tier and later calls
 reuse them zero-copy instead of re-simulating.  This is invisible in
-the results (staged and monolithic runs are byte-identical) and
-controlled by the ``artifact_cache`` runtime option
-(:func:`repro.runtime.options.configure`).
+the results: staged and monolithic runs are byte-identical.
+
+Every knob is an argument: ``jobs``, ``cache`` and ``timeout`` default
+to serial, uncached and unbounded, and no call reads process-wide
+settings.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def analyze_store(store, *, workload: str | None = None,
                   config: AnalysisConfig | None = None,
                   interval_instructions: int = INTERVAL,
                   sparse: bool = False,
-                  jobs: int | None = None) -> PredictabilityResult:
+                  jobs: int = 1) -> PredictabilityResult:
     """The Section-4 analysis over an on-disk trace store.
 
     ``store`` is a :class:`~repro.trace.storage.TraceStore` or a path to
@@ -179,7 +181,7 @@ def analyze_store(store, *, workload: str | None = None,
 
 def analyze_dataset(dataset: EIPVDataset, *,
                     config: AnalysisConfig | None = None,
-                    jobs: int | None = None) -> PredictabilityResult:
+                    jobs: int = 1) -> PredictabilityResult:
     """The full Section-4 analysis on an EIPV dataset you already have.
 
     ``jobs > 1`` fans the cross-validation folds across worker processes;
@@ -192,7 +194,7 @@ def analyze_dataset(dataset: EIPVDataset, *,
 def analyze(workload: str, *, config: AnalysisConfig | None = None,
             n_intervals: int | None = None, machine: str = "itanium2",
             scale: str = "default",
-            jobs: int | None = None) -> PredictabilityResult:
+            jobs: int = 1) -> PredictabilityResult:
     """Collect one workload and analyze its EIP-CPI predictability.
 
     The analysis seed (``config.seed``) also seeds the simulation, so one
@@ -206,13 +208,12 @@ def analyze(workload: str, *, config: AnalysisConfig | None = None,
 
 
 def census(workloads=None, *, config: AnalysisConfig | None = None,
-           n_intervals: int | None = None, jobs: int | None = None,
+           n_intervals: int | None = None, jobs: int = 1,
            cache=None, timeout: float | None = None):
     """The Table 2 / Figure 13 quadrant census; returns a
     :class:`~repro.experiments.table2_quadrants.Table2Result`.
 
-    ``workloads`` defaults to the paper's full 50; ``jobs``/``cache``/
-    ``timeout`` fall back to the process-wide runtime options.
+    ``workloads`` defaults to the paper's full 50.
     """
     from repro.experiments import table2_quadrants
     config = config or AnalysisConfig(seed=11)
@@ -290,7 +291,7 @@ def profile(workloads, *, config: AnalysisConfig | None = None,
 
 
 def sweep(space: SweepSpace | None = None, sweep_dir=None, *,
-          jobs: int | None = None, shards: int | None = None,
+          jobs: int = 1, shards: int | None = None,
           cache=None, timeout: float | None = None,
           stop_after: int | None = None) -> SweepOutcome:
     """Run (or resume) a generated sweep; returns a
@@ -299,9 +300,8 @@ def sweep(space: SweepSpace | None = None, sweep_dir=None, *,
     ``space`` defaults to the stock space (every workload × every
     machine × three interval sizes × three seeds at tiny scale);
     ``sweep_dir`` is the sweep's durable state directory and defaults to
-    ``sweeps/<space-key-prefix>`` under the working directory.  ``jobs``
-    /``cache``/``timeout`` fall back to the process-wide runtime
-    options.  A killed sweep rerun with the same arguments resumes:
+    ``sweeps/<space-key-prefix>`` under the working directory.  A killed
+    sweep rerun with the same arguments resumes:
     completed shards are skipped outright and completed points of
     incomplete shards come back as cache hits.
 
@@ -313,14 +313,9 @@ def sweep(space: SweepSpace | None = None, sweep_dir=None, *,
     """
     from pathlib import Path
 
-    from repro.runtime import options as runtime_options
     from repro.sweep import DEFAULT_SHARDS, default_space, run_sweep
 
     space = space or default_space()
-    opts = runtime_options.current()
-    jobs = opts.jobs if jobs is None else jobs
-    cache = opts.build_cache() if cache is None else cache
-    timeout = opts.timeout if timeout is None else timeout
     if sweep_dir is None:
         sweep_dir = Path("sweeps") / space.key[:16]
     return run_sweep(space, sweep_dir, jobs=jobs,

@@ -37,22 +37,16 @@ surfaces cannot drift): ``--jobs N`` to
 fan work out across worker processes (census/experiment/sweep
 parallelize whole workloads; analyze parallelizes the cross-validation
 folds of its single run), ``--cache-dir PATH`` to
-relocate the content-addressed result cache, ``--no-cache`` to
-bypass it, and ``--artifact-cache/--no-artifact-cache`` to control the
-cache's stage-artifact tier (persisted traces and EIPV datasets that
-later runs reuse instead of re-simulating — a pure performance knob;
-the output bytes never change).  Results are deterministic: the same
-seed produces the same
+relocate the content-addressed result cache (and its stage-artifact
+tier: persisted traces and EIPV datasets that later runs reuse instead
+of re-simulating), ``--no-cache`` to bypass it, ``--timeout S`` to
+bound each pooled job, and ``--trace-out PATH`` to record a JSONL span
+trace of the run (observability never touches stdout).  Results are
+deterministic: the same seed produces the same
 bytes on stdout whether computed serially, in parallel, or from a warm
 cache (scheduling details go to stderr and the run manifest instead).
-They also accept ``--trace-out PATH`` to record a JSONL span trace of
-the run (observability never touches stdout), ``--shm/--no-shm`` to
-choose how parallel-fold datasets reach workers (shared-memory views vs
-pickling — identical results either way), and ``--dispatch
-adaptive|parallel|serial`` to pick the serial-vs-parallel policy —
-``adaptive`` (the default) consults the runtime's measured cost model
-and records its decisions in the run manifest; results are identical
-under every mode.  ``analyze --trace-store DIR``
+The flags are arguments of this one invocation; nothing outlives it.
+``analyze --trace-store DIR``
 runs the out-of-core pipeline: the trace is collected into (or reused
 from) a columnar on-disk store and EIPVs stream from it in bounded
 memory, with byte-identical stdout.
@@ -66,12 +60,10 @@ from contextlib import contextmanager
 
 from repro import obs
 from repro.analysis.report import format_curve, format_table
-from repro.core.cross_validation import set_default_cv_jobs
 from repro.experiments.common import default_intervals
 from repro.experiments.runner import experiment_ids, run_all
-from repro.runtime import options as runtime_options
 from repro.runtime import stages
-from repro.runtime.cache import ResultCache, default_cache_dir
+from repro.runtime.cache import NullCache, ResultCache, default_cache_dir
 from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobSpec
 from repro.runtime.manifest import RunManifest
@@ -80,17 +72,11 @@ from repro.workloads.registry import get_workload, workload_names
 from repro.workloads.scale import DEFAULT
 
 
-def _configure_runtime(args) -> runtime_options.RuntimeOptions:
-    """Install the process-wide runtime defaults from parsed flags."""
-    return runtime_options.configure(
-        jobs=getattr(args, "jobs", 1),
-        cache_dir=getattr(args, "cache_dir", None),
-        no_cache=getattr(args, "no_cache", False),
-        timeout=getattr(args, "timeout", None),
-        shm=getattr(args, "shm", True),
-        dispatch=getattr(args, "dispatch", "adaptive"),
-        artifact_cache=getattr(args, "artifact_cache", True),
-    )
+def _cache_for(args):
+    """The result cache the ``--cache-dir``/``--no-cache`` flags name."""
+    if args.no_cache:
+        return NullCache()
+    return ResultCache(args.cache_dir or default_cache_dir())
 
 
 @contextmanager
@@ -189,31 +175,25 @@ def _cmd_analyze(args) -> int:
 
 
 def _run_analyze(args) -> int:
-    opts = _configure_runtime(args)
     n_intervals = args.intervals or default_intervals(args.workload)
     print(analyze_preamble(args.workload, n_intervals, args.scale,
                            args.seed))
     if getattr(args, "trace_store", None):
-        return _run_analyze_store(args, opts, n_intervals)
+        return _run_analyze_store(args, n_intervals)
     spec = JobSpec(workload=args.workload, n_intervals=n_intervals,
                    seed=args.seed, machine=args.machine, scale=args.scale,
                    k_max=args.k_max)
-    cache = opts.build_cache()
+    cache = _cache_for(args)
     # One analyze is a (collect → eipv → analysis) chain when an
-    # artifact store is available, a one-node graph otherwise; --jobs N
-    # instead parallelizes its cross-validation folds (deterministic
-    # merge — same bytes out).
+    # artifact store is available, a one-node graph otherwise.  Each
+    # wave holds one node, so it runs in this process and --jobs N
+    # reaches the analysis job, which parallelizes its cross-validation
+    # folds (deterministic merge — same bytes out).
     artifacts = stages.artifact_store_for(cache)
     graph = stages.analysis_graph([spec], cache=cache, artifacts=artifacts)
-    from repro.runtime import pool as pool_mod
-    bookmark = pool_mod.dispatcher().seq
-    previous_cv_jobs = set_default_cv_jobs(opts.jobs)
-    try:
-        with stages.artifact_context(artifacts):
-            outcomes = submit_graph(graph, jobs=1, cache=cache,
-                                    timeout=opts.timeout)
-    finally:
-        set_default_cv_jobs(previous_cv_jobs)
+    with stages.artifact_context(artifacts):
+        outcomes = submit_graph(graph, jobs=args.jobs, cache=cache,
+                                timeout=args.timeout)
     # Insertion order puts the analysis node last; stage outcomes stay
     # off stdout and out of the manifest (same records as the monolith).
     outcome = outcomes[-1]
@@ -221,18 +201,15 @@ def _run_analyze(args) -> int:
         print(f"analysis failed:\n{outcome.error}", file=sys.stderr)
         return 1
     print(render_analysis(outcome.result.to_result()))
-    decisions = tuple(d.to_dict() for d in
-                      pool_mod.dispatcher().decisions(since=bookmark))
     _report_manifest(
         RunManifest.from_outcomes([outcome], command="analyze",
-                                  jobs=opts.jobs,
-                                  cache_root=getattr(cache, "root", None),
-                                  dispatch=decisions),
+                                  jobs=args.jobs,
+                                  cache_root=getattr(cache, "root", None)),
         cache)
     return 0
 
 
-def _run_analyze_store(args, opts, n_intervals: int) -> int:
+def _run_analyze_store(args, n_intervals: int) -> int:
     """``analyze --trace-store DIR``: the out-of-core pipeline.
 
     The trace lives on disk (collected into DIR first if DIR is not
@@ -256,12 +233,8 @@ def _run_analyze_store(args, opts, n_intervals: int) -> int:
         print(f"trace store: {args.trace_store} ({len(store)} samples, "
               "collected)", file=sys.stderr)
     config = api.AnalysisConfig(k_max=args.k_max, seed=args.seed)
-    previous_cv_jobs = set_default_cv_jobs(opts.jobs)
-    try:
-        result = api.analyze_store(store, workload=args.workload,
-                                   config=config)
-    finally:
-        set_default_cv_jobs(previous_cv_jobs)
+    result = api.analyze_store(store, workload=args.workload, config=config,
+                               jobs=args.jobs)
     print(render_analysis(result))
     return 0
 
@@ -279,13 +252,12 @@ def _run_census(args) -> int:
         args.subparser.error(
             f"unknown workload(s): {', '.join(unknown)} "
             f"(see 'repro list')")
-    opts = _configure_runtime(args)
-    cache = opts.build_cache()
+    cache = _cache_for(args)
     try:
         result = table2_quadrants.run(workloads=args.workloads or None,
                                       seed=args.seed, k_max=args.k_max,
-                                      jobs=opts.jobs, cache=cache,
-                                      timeout=opts.timeout)
+                                      jobs=args.jobs, cache=cache,
+                                      timeout=args.timeout)
     except RuntimeError as exc:
         print(f"census failed: {exc}", file=sys.stderr)
         return 1
@@ -301,9 +273,9 @@ def _cmd_experiment(args) -> int:
         args.subparser.error(
             f"unknown experiment id(s): {', '.join(unknown)} "
             f"(choose from {', '.join(known)})")
-    _configure_runtime(args)
     with _maybe_trace(args, "experiment"):
-        print(run_all(args.ids))
+        print(run_all(args.ids, jobs=args.jobs, cache=_cache_for(args),
+                      timeout=args.timeout))
     return 0
 
 
@@ -315,13 +287,12 @@ def _cmd_profile(args) -> int:
         args.subparser.error(
             f"unknown workload(s): {', '.join(unknown)} "
             f"(see 'repro list')")
-    opts = _configure_runtime(args)
     config = api.AnalysisConfig(k_max=args.k_max, seed=args.seed)
     try:
         result = api.profile(args.workloads, config=config,
                              n_intervals=args.intervals,
                              machine=args.machine, scale=args.scale,
-                             jobs=opts.jobs, timeout=opts.timeout)
+                             jobs=args.jobs, timeout=args.timeout)
     except RuntimeError as exc:
         print(f"profile failed: {exc}", file=sys.stderr)
         return 1
@@ -344,7 +315,6 @@ def _cmd_sweep(args) -> int:
         args.subparser.error(
             f"unknown workload(s): {', '.join(unknown)} "
             f"(see 'repro list')")
-    opts = _configure_runtime(args)
     try:
         space = SweepSpace(
             workloads=tuple(args.workloads or workload_names()),
@@ -362,16 +332,16 @@ def _cmd_sweep(args) -> int:
         args.subparser.error(str(exc))
     sweep_dir = Path(args.sweep_dir) if args.sweep_dir \
         else Path("sweeps") / space.key[:16]
-    cache = opts.build_cache()
+    cache = _cache_for(args)
     print(f"sweep {space.key[:16]}: {space.size} points -> {sweep_dir}",
           file=sys.stderr)
     with _maybe_trace(args, "sweep"):
         try:
             outcome = run_sweep(
-                space, sweep_dir, jobs=opts.jobs,
+                space, sweep_dir, jobs=args.jobs,
                 shards=DEFAULT_SHARDS if args.shards is None
                 else args.shards,
-                cache=cache, timeout=opts.timeout,
+                cache=cache, timeout=args.timeout,
                 stop_after=args.stop_after)
         except SweepInterrupted as exc:
             print(f"sweep interrupted: {exc}", file=sys.stderr)
@@ -403,7 +373,6 @@ def _cmd_serve(args) -> int:
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         no_cache=args.no_cache,
         cache_max_entries=args.cache_max_entries,
-        artifact_cache=args.artifact_cache,
         census_jobs=args.census_jobs,
         sweep_jobs=args.sweep_jobs,
         sweep_dir=Path(args.serve_sweep_dir) if args.serve_sweep_dir
@@ -459,29 +428,6 @@ def runtime_parent() -> argparse.ArgumentParser:
                        help="bypass the on-disk result cache")
     group.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-job timeout in seconds (default: none)")
-    group.add_argument("--shm", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="publish parallel-fold datasets via shared "
-                            "memory instead of pickling them into each "
-                            "worker (results identical either way; "
-                            "default: --shm)")
-    group.add_argument("--artifact-cache",
-                       action=argparse.BooleanOptionalAction, default=True,
-                       help="persist intermediate stage artifacts (traces, "
-                            "EIPV datasets) beside the result cache so "
-                            "later runs reuse them instead of "
-                            "re-simulating (byte-identical output either "
-                            "way; no effect with --no-cache; "
-                            "default: --artifact-cache)")
-    group.add_argument("--dispatch", default="adaptive",
-                       choices=list(runtime_options.DISPATCH_MODES),
-                       help="serial-vs-parallel policy for multi-job "
-                            "dispatches: 'adaptive' (default) consults a "
-                            "measured cost model per dataset/wave and "
-                            "refuses to parallelize when the pool could "
-                            "only add overhead (e.g. 1 usable CPU), "
-                            "'parallel' always trusts --jobs, 'serial' "
-                            "never forks; identical results either way")
     group.add_argument("--trace-out", default=None, metavar="PATH",
                        help="record a JSONL span trace of the run to PATH")
     return parent
@@ -612,12 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="prune the cache beyond N entries "
                             "(0 = unbounded; default: 4096)")
-    serve.add_argument("--artifact-cache",
-                       action=argparse.BooleanOptionalAction, default=True,
-                       help="persist stage artifacts (traces, EIPV "
-                            "datasets) beside the result cache so "
-                            "requests over the same measured execution "
-                            "reuse it (default: --artifact-cache)")
     serve.add_argument("--sweep-jobs", type=int, default=1, metavar="N",
                        help="worker processes per served sweep "
                             "(default: %(default)s, in-process)")
@@ -648,17 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Commands install process-wide runtime options (jobs, cache,
-    # dispatch policy); restore the caller's on the way out so an
-    # in-process invocation — tests, notebooks embedding the CLI —
-    # doesn't leak this command's policy into later library calls.
-    before = runtime_options.current()
-    try:
-        return args.func(args)
-    finally:
-        runtime_options.restore(before)
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

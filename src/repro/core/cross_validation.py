@@ -18,7 +18,6 @@ follow the paper in reporting ``k_opt``, the smallest k whose RE is within
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,24 +35,6 @@ DEFAULT_K_MAX = 50
 
 #: The paper's fold count.
 DEFAULT_FOLDS = 10
-
-#: Process-wide default for fold fan-out (1 = the serial loop).  Set by
-#: the CLI's ``--jobs`` so a single ``analyze`` parallelizes its folds
-#: without threading a knob through every analysis signature.
-_DEFAULT_CV_JOBS = 1
-
-
-def set_default_cv_jobs(jobs: int | None) -> int:
-    """Set the process-wide fold-parallelism default; returns the old one.
-
-    Fold results merge deterministically, so this is a performance knob,
-    never a correctness one.  Callers should restore the previous value
-    (try/finally) to keep the setting scoped.
-    """
-    global _DEFAULT_CV_JOBS
-    previous = _DEFAULT_CV_JOBS
-    _DEFAULT_CV_JOBS = max(1, int(jobs or 1))
-    return previous
 
 
 @dataclass(frozen=True)
@@ -100,25 +81,16 @@ def fold_indices(n: int, folds: int,
 def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
                         k_max=UNSET, folds=UNSET, seed=UNSET, min_leaf=UNSET,
                         *, config: AnalysisConfig | None = None,
-                        jobs: int | None = None,
-                        dispatch: str | None = None) -> np.ndarray:
+                        jobs: int = 1) -> np.ndarray:
     """Summed held-out squared error E_k for k = 1..k_max.
 
     Builds one tree family per fold and evaluates every member tree on the
     held-out part, exactly the procedure of Section 4.4.  Pass
     ``config=AnalysisConfig(...)``; the loose kwargs are deprecated.
     ``jobs > 1`` fans the folds across worker processes with a
-    deterministic merge — the result is bit-identical to the serial loop
-    (``jobs=None`` uses the process default, see
-    :func:`set_default_cv_jobs`).
-
-    ``dispatch`` picks the serial-vs-parallel policy when ``jobs > 1``
-    (``None`` follows :func:`repro.runtime.options.current`):
-    ``"adaptive"`` asks the runtime's cost-model dispatcher whether this
-    dataset's measured per-fold cost justifies the worker pool, keyed by
-    the content-hashed dataset token — on a 1-core box, or for folds
-    cheaper than the dispatch overhead, it runs the serial loop instead.
-    Never a correctness knob: the fold floats are identical either way.
+    deterministic merge — the result is bit-identical to the serial loop.
+    The serial-vs-parallel rule (:func:`repro.runtime.pool.use_pool`) is
+    checked before the dataset is published to any worker.
     """
     config = resolve_config(config, k_max, folds, seed, min_leaf,
                             caller="cross_validated_sse")
@@ -127,44 +99,20 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(config.seed)
     k_max = config.k_max
-    effective_jobs = (_DEFAULT_CV_JOBS if jobs is None
-                      else max(1, int(jobs)))
-    observe_keys: tuple[str, ...] = ()
-    token: str | None = None
-    if effective_jobs > 1:
-        from repro.runtime import options as runtime_options
-        mode = (dispatch if dispatch is not None
-                else runtime_options.current().dispatch)
-        if mode == "serial":
-            effective_jobs = 1
-        elif mode == "adaptive":
-            from repro.runtime import pool as pool_mod
-            from repro.runtime.folds import dataset_token
-            token = dataset_token(matrix, y)
-            observe_keys = (f"cv:{token}", "kind:cv_fold")
-            decision = pool_mod.dispatcher().decide(
-                key=f"cv:{token}", fallback_key="kind:cv_fold",
-                n_jobs=config.folds, jobs=effective_jobs)
-            if decision.mode == "serial":
-                # The serial loop below still times each fold so the
-                # model can revisit this choice as costs change.
-                effective_jobs = 1
-    if effective_jobs > 1:
-        from repro.runtime.folds import run_parallel_folds
-        with span("cv", folds=config.folds, k_max=k_max) as cv_span:
-            # ``token`` (when the adaptive path hashed the dataset for
-            # its dispatch key) rides along so it isn't hashed twice.
-            sse = run_parallel_folds(matrix, y, config, effective_jobs,
-                                     token=token)
-            cv_span.inc("points", len(y))
-        return sse
-    if observe_keys:
+    if jobs > 1:
         from repro.runtime import pool as pool_mod
-        model = pool_mod.dispatcher()
+        if pool_mod.use_pool(jobs, config.folds):
+            from repro.runtime.folds import run_parallel_folds
+            with span("cv", folds=config.folds, k_max=k_max) as cv_span:
+                sse = run_parallel_folds(matrix, y, config, jobs)
+                cv_span.inc("points", len(y))
+            return sse
+        # The folds never reach run_jobs, so count the choice here.
+        from repro.runtime.metrics import METRICS
+        METRICS.inc("dispatch.serial_chosen")
     sse = np.zeros(k_max)
     with span("cv", folds=config.folds, k_max=k_max) as cv_span:
         for held_out in fold_indices(len(y), config.folds, rng):
-            fold_start = time.perf_counter() if observe_keys else 0.0
             with span("cv.fold") as fold_span:
                 train_mask = np.ones(len(y), dtype=bool)
                 train_mask[held_out] = False
@@ -183,10 +131,6 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
                 if reached < k_max:
                     sse[reached:] += errors[-1]
                 fold_span.inc("held_out", len(held_out))
-            if observe_keys:
-                elapsed = time.perf_counter() - fold_start
-                for observe_key in observe_keys:
-                    model.observe_job(observe_key, elapsed)
         cv_span.inc("points", len(y))
     return sse
 
@@ -194,13 +138,11 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
 def relative_error_curve(matrix: np.ndarray, y: np.ndarray,
                          k_max=UNSET, folds=UNSET, seed=UNSET, min_leaf=UNSET,
                          *, config: AnalysisConfig | None = None,
-                         jobs: int | None = None,
-                         dispatch: str | None = None) -> RECurve:
+                         jobs: int = 1) -> RECurve:
     """The paper's RE_k curve with k_opt and RE_inf.
 
     Pass ``config=AnalysisConfig(...)``; loose kwargs are deprecated.
-    ``jobs`` parallelizes the folds (bit-identical merge); ``dispatch``
-    is the serial-vs-parallel policy (see :func:`cross_validated_sse`).
+    ``jobs`` parallelizes the folds (bit-identical merge).
     """
     config = resolve_config(config, k_max, folds, seed, min_leaf,
                             caller="relative_error_curve")
@@ -208,8 +150,7 @@ def relative_error_curve(matrix: np.ndarray, y: np.ndarray,
     total_variance = float(np.var(y))
     baseline = total_variance * len(y)
     k_max = config.k_max
-    sse = cross_validated_sse(matrix, y, config=config, jobs=jobs,
-                              dispatch=dispatch)
+    sse = cross_validated_sse(matrix, y, config=config, jobs=jobs)
     if baseline <= 0:
         # Constant CPI: any model is exact; RE is defined as 0.
         re = np.zeros(k_max)

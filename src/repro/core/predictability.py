@@ -56,8 +56,7 @@ def analyze_predictability(dataset: EIPVDataset,
                            k_max=UNSET, folds=UNSET, seed=UNSET,
                            min_leaf=UNSET, *,
                            config: AnalysisConfig | None = None,
-                           jobs: int | None = None,
-                           ) -> PredictabilityResult:
+                           jobs: int = 1) -> PredictabilityResult:
     """Run the full Section-4 analysis on one EIPV dataset.
 
     Pass ``config=AnalysisConfig(...)``; the loose ``k_max``/``folds``/

@@ -65,25 +65,35 @@ def get_experiment(experiment_id: str) -> Experiment:
     return EXPERIMENTS[key]
 
 
-def run_experiment(experiment_id: str) -> str:
-    """Render one experiment by id (e.g. ``"e2"``)."""
+def run_experiment(experiment_id: str, *, jobs: int = 1, cache=None,
+                   timeout: float | None = None) -> str:
+    """Render one experiment by id (e.g. ``"e2"``).
+
+    ``jobs``/``cache``/``timeout`` reach e8, the only experiment that
+    schedules jobs; the others compute in-process.
+    """
     experiment = get_experiment(experiment_id)
     key = experiment.id
     with METRICS.time(f"experiment.{key}_s"):
         with span(f"experiment.{key}", title=experiment.title):
+            if experiment is table2_quadrants.EXPERIMENT:
+                return experiment.render(table2_quadrants.run(
+                    jobs=jobs, cache=cache, timeout=timeout))
             return experiment.render()
 
 
-def run_all(ids=None) -> str:
+def run_all(ids=None, *, jobs: int = 1, cache=None,
+            timeout: float | None = None) -> str:
     """Render several experiments, separated by banners."""
     ids = list(ids) if ids else sorted(EXPERIMENTS)
     sections = []
     for experiment_id in ids:
         experiment = get_experiment(experiment_id)
         banner = "=" * 72
+        text = run_experiment(experiment_id, jobs=jobs, cache=cache,
+                              timeout=timeout)
         sections.append(f"{banner}\n{experiment_id.upper()}: "
-                        f"{experiment.title}"
-                        f"\n{banner}\n{run_experiment(experiment_id)}")
+                        f"{experiment.title}\n{banner}\n{text}")
     return "\n\n".join(sections)
 
 

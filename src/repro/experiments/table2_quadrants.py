@@ -24,8 +24,6 @@ from repro.core.predictability import PredictabilityResult
 from repro.core.quadrant import Quadrant
 from repro.experiments.base import Experiment
 from repro.experiments.common import default_intervals
-from repro.runtime import options as runtime_options
-from repro.runtime import pool as pool_mod
 from repro.runtime import stages
 from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobSpec
@@ -68,20 +66,14 @@ def census_specs(workloads=None, seed: int = 11, k_max: int = 50,
 
 
 def run(workloads=None, seed: int = 11, k_max: int = 50,
-        n_intervals: int | None = None, jobs: int | None = None,
+        n_intervals: int | None = None, jobs: int = 1,
         cache=None, timeout: float | None = None) -> Table2Result:
     """Run the census.  ``workloads`` defaults to the full 50.
 
-    ``jobs``/``cache``/``timeout`` default to the process-wide runtime
-    options (serial, uncached, unbounded unless the CLI configured
-    otherwise).  Pass a :class:`~repro.runtime.cache.ResultCache` to
-    reuse results across processes.
+    Serial, uncached and unbounded by default.  Pass a
+    :class:`~repro.runtime.cache.ResultCache` to reuse results across
+    processes.
     """
-    opts = runtime_options.current()
-    jobs = opts.jobs if jobs is None else jobs
-    cache = opts.build_cache() if cache is None else cache
-    timeout = opts.timeout if timeout is None else timeout
-
     specs = census_specs(workloads, seed=seed, k_max=k_max,
                          n_intervals=n_intervals)
     # The census rides the same staged submit_graph surface sweeps use:
@@ -93,7 +85,6 @@ def run(workloads=None, seed: int = 11, k_max: int = 50,
     artifacts = stages.artifact_store_for(cache)
     graph = stages.analysis_graph(specs, cache=cache, artifacts=artifacts)
     setup = stages.stage_setup(artifacts) if artifacts is not None else None
-    bookmark = pool_mod.dispatcher().seq
     with stages.artifact_context(artifacts):
         graph_outcomes = submit_graph(graph, jobs=jobs, cache=cache,
                                       timeout=timeout, setup=setup)
@@ -103,9 +94,7 @@ def run(workloads=None, seed: int = 11, k_max: int = 50,
     outcomes = [by_key[spec.key] for spec in specs]
     manifest = RunManifest.from_outcomes(
         outcomes, command="census", jobs=jobs,
-        cache_root=getattr(cache, "root", None),
-        dispatch=tuple(d.to_dict() for d in
-                       pool_mod.dispatcher().decisions(since=bookmark)))
+        cache_root=getattr(cache, "root", None))
 
     failed = [outcome for outcome in outcomes if not outcome.ok]
     if failed:

@@ -20,14 +20,14 @@ a run manifest:
   record (wall times, cache hits, worker ids, failure tracebacks);
 - :mod:`repro.runtime.metrics` — lightweight counters/timers aggregated
   across workers;
-- :mod:`repro.runtime.options` — process-wide defaults the CLI
-  configures (``--jobs``, ``--cache-dir``, ``--no-cache``);
 - :mod:`repro.runtime.coalesce` — in-flight dedup of identical jobs
   (a thundering herd of equal specs computes once), keyed by the same
   ``spec.key`` the cache and manifests use.
 
 Determinism is the core contract: a job's result is identical whether it
 was computed serially, in a worker process, or loaded from a warm cache.
+There are no process-wide runtime settings: parallelism, cache and
+timeout are arguments, and pool workers run their jobs with ``jobs=1``.
 """
 
 from repro.runtime.cache import CacheStats, NullCache, ResultCache
@@ -37,7 +37,6 @@ from repro.runtime.graph import GraphError, JobGraph, JobNode, submit_graph
 from repro.runtime.jobs import CODE_VERSION, JobResult, JobSpec, execute_job
 from repro.runtime.manifest import JobRecord, RunManifest
 from repro.runtime.metrics import METRICS, MetricsRegistry
-from repro.runtime.options import RuntimeOptions, configure, current
 from repro.runtime.scheduler import JobOutcome, run_jobs
 
 __all__ = [
@@ -58,9 +57,6 @@ __all__ = [
     "NullCache",
     "ResultCache",
     "RunManifest",
-    "RuntimeOptions",
-    "configure",
-    "current",
     "execute_job",
     "run_jobs",
     "submit_graph",

@@ -190,11 +190,12 @@ class FoldResult:
         return cls(**data)
 
 
-def execute_fold(spec: FoldSpec) -> FoldResult:
+def execute_fold(spec: FoldSpec, jobs: int = 1) -> FoldResult:
     """Fit on the fold's training part, score every T_k on the rest.
 
     This is the serial loop body of ``cross_validated_sse``, verbatim, so
     the floats coming back are the ones the serial path would produce.
+    A fold has no inner fan-out, so ``jobs`` is unused.
     """
     from repro.core.cross_validation import fold_indices
 
@@ -231,8 +232,7 @@ def execute_fold(spec: FoldSpec) -> FoldResult:
 
 def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
                        timeout: float | None = None,
-                       shm: bool | None = None,
-                       token: str | None = None) -> np.ndarray:
+                       shm: bool = True) -> np.ndarray:
     """Fan the folds of one cross-validation across worker processes.
 
     Returns the summed held-out squared-error vector E_k — bit-identical
@@ -241,10 +241,9 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
 
     ``shm`` selects the dataset transport: ``True`` publishes (matrix, y)
     once into a shared-memory arena and workers attach zero-copy views,
-    ``False`` pickles the arrays into each worker, ``None`` follows the
-    process-wide :func:`repro.runtime.options.current` default.  Shared
-    memory silently degrades to the pickled transport when unavailable;
-    either way the fold floats are the same.
+    ``False`` pickles the arrays into each worker.  Shared memory
+    silently degrades to the pickled transport when unavailable; either
+    way the fold floats are the same.
 
     The shm path rides the persistent warm pool: the published arena is
     cached parent-side in :func:`repro.runtime.pool.arena_cache` keyed
@@ -253,19 +252,11 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
     cached by the same key (a warm worker re-attaches nothing).  The
     pickled transport keeps the legacy per-call pool — its initializer
     must run at worker spawn, so a persistent pool cannot serve it.
-
-    ``token`` is the dataset's content token; callers that already paid
-    for :func:`dataset_token` (the adaptive dispatch path keys its
-    decision by it) pass it through so the dataset is hashed only once.
     """
-    from repro.runtime import options as runtime_options
     from repro.runtime import pool as pool_mod
     from repro.runtime.graph import JobGraph, submit_graph
 
-    if shm is None:
-        shm = runtime_options.current().shm
-    if token is None:
-        token = dataset_token(matrix, y)
+    token = dataset_token(matrix, y)
     publish_dataset(token, matrix, y)
     initializer, initargs, setup = None, (), None
     if shm and jobs > 1:
@@ -285,13 +276,9 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
                  for i in range(config.folds)]
         for spec in specs:
             graph.add(spec)
-        # The fold fan-out *is* the parallel path — the serial-vs-parallel
-        # decision was made by the caller (cross_validated_sse), so the
-        # waves must not second-guess it.
         outcomes = submit_graph(graph, jobs=jobs, cache=NullCache(),
                                 timeout=timeout, initializer=initializer,
-                                initargs=initargs, setup=setup,
-                                dispatch="parallel")
+                                initargs=initargs, setup=setup)
     except BaseException:
         # A crash mid-dispatch may implicate the published segment;
         # evict it so nothing leaks past the failed analysis.
@@ -302,16 +289,11 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
         _DATASETS.pop(token, None)
 
     sse = np.zeros(config.k_max)
-    model = pool_mod.dispatcher()
     for outcome in outcomes:
         if not outcome.ok:
             raise RuntimeError(
                 f"cross-validation fold {outcome.spec.fold_index} failed:\n"
                 f"{outcome.error}")
-        if not outcome.cache_hit:
-            # Feed the adaptive dispatcher's per-dataset cost model.
-            model.observe_job(f"cv:{token}", outcome.wall_time)
-            model.observe_job("kind:cv_fold", outcome.wall_time)
         errors = np.asarray(outcome.result.errors, dtype=np.float64)
         reached = outcome.result.reached
         sse[:reached] += errors

@@ -117,23 +117,16 @@ class JobGraph:
 def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
                  timeout: float | None = None, metrics=METRICS,
                  initializer=None, initargs=(), setup=None,
-                 on_outcome: Callable[[JobOutcome], None] | None = None,
-                 dispatch: str | None = None) -> list[JobOutcome]:
+                 on_outcome: Callable[[JobOutcome], None] | None = None
+                 ) -> list[JobOutcome]:
     """Run every node of ``graph``; outcomes in node-insertion order.
 
     Each ready set dispatches as one :func:`run_jobs` wave: cached nodes
     are served from ``cache``, the rest fan out across ``jobs`` worker
-    processes (with the scheduler's serial fallback).  A node whose
-    dependency failed is *skipped* — it gets a failure outcome naming
-    the dependency and never executes.
-
-    ``dispatch`` chooses the serial-vs-parallel policy per wave
-    (``None`` follows :func:`repro.runtime.options.current`):
-    ``"adaptive"`` asks :func:`repro.runtime.pool.dispatcher` whether
-    this wave's measured per-job cost justifies the pool at all, keyed
-    by the wave's job kinds, and feeds the executed wall times back into
-    the cost model.  The wave's *results* are identical either way —
-    only where they are computed changes.
+    processes (the scheduler applies the serial-vs-parallel rule and
+    keeps its serial fallback).  A node whose dependency failed is
+    *skipped* — it gets a failure outcome naming the dependency and
+    never executes.
 
     ``on_outcome`` is the streaming hook: it fires once per node as its
     outcome becomes available (cache hits during the wave's probe pass,
@@ -141,10 +134,6 @@ def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
     Callers that aggregate thousands of nodes use it to fold results
     away incrementally instead of holding the whole outcome list.
     """
-    from repro.runtime import options as runtime_options
-    from repro.runtime import pool as pool_mod
-
-    mode = dispatch if dispatch is not None else runtime_options.current().dispatch
     done: dict[str, JobOutcome] = {}
     for wave in graph.waves():
         runnable: list[str] = []
@@ -168,34 +157,11 @@ def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
                 done[outcome.key] = outcome
                 if on_outcome is not None:
                     on_outcome(outcome)
-            wave_jobs = jobs
-            wave_key = None
-            if mode != "parallel" and jobs > 1 and len(runnable) > 1:
-                kinds = ",".join(sorted(
-                    {graph.node(key).spec.kind for key in runnable}))
-                wave_key = f"kind:{kinds}"
-                if mode == "serial":
-                    wave_jobs = 1
-                else:
-                    decision = pool_mod.dispatcher().decide(
-                        key=wave_key, n_jobs=len(runnable), jobs=jobs)
-                    if decision.mode == "serial":
-                        wave_jobs = 1
             # Called through the module so tests (and tools) that patch
             # scheduler.run_jobs intercept graph dispatch too.
             scheduler.run_jobs([graph.node(key).spec for key in runnable],
-                               jobs=wave_jobs, cache=cache, timeout=timeout,
+                               jobs=jobs, cache=cache, timeout=timeout,
                                metrics=metrics, initializer=initializer,
                                initargs=initargs, setup=setup,
                                on_outcome=record)
-            if mode == "adaptive":
-                if wave_key is None:
-                    kinds = ",".join(sorted(
-                        {graph.node(key).spec.kind for key in runnable}))
-                    wave_key = f"kind:{kinds}"
-                model = pool_mod.dispatcher()
-                for key in runnable:
-                    outcome = done[key]
-                    if outcome.ok and not outcome.cache_hit:
-                        model.observe_job(wave_key, outcome.wall_time)
     return [done[key] for key in graph.keys()]

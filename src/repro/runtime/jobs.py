@@ -55,6 +55,8 @@ class JobKind:
     The scheduler is kind-agnostic: given a spec with a ``kind`` class
     attribute it looks up the execute function and the dict round-trip
     codecs here, both in this process and inside pool workers.
+    ``execute(spec, jobs=...)`` receives the parallelism its own fan-out
+    may use (always 1 in a pool worker).
     """
 
     name: str
@@ -263,8 +265,11 @@ def _staged_dataset(spec: JobSpec):
     return dataset
 
 
-def execute_job(spec: JobSpec) -> JobResult:
+def execute_job(spec: JobSpec, jobs: int = 1) -> JobResult:
     """Run the full pipeline for one spec (pure; safe in any worker).
+
+    ``jobs`` fans the cross-validation folds out (bit-identical merge);
+    the scheduler passes 1 inside pool workers.
 
     Prefers a staged dataset (see :func:`_staged_dataset`); a process
     without an artifact store — or a store without this spec's artifact
@@ -282,7 +287,8 @@ def execute_job(spec: JobSpec) -> JobResult:
             _, dataset = collect_cached(spec.to_run_config())
         collected = time.perf_counter()
         analysis = analyze_predictability(dataset,
-                                          config=spec.analysis_config())
+                                          config=spec.analysis_config(),
+                                          jobs=jobs)
         done = time.perf_counter()
     snapshot = job_span.snapshot()
     return JobResult(

@@ -64,16 +64,11 @@ class RunManifest:
     started_at: str
     finished_at: str
     records: tuple = field(default_factory=tuple)
-    #: Serial-vs-parallel decisions the adaptive dispatcher made during
-    #: this run (dicts of :meth:`repro.runtime.pool.DispatchDecision.
-    #: to_dict`); empty under ``--dispatch parallel``/``serial``.
-    dispatch: tuple = field(default_factory=tuple)
 
     @classmethod
     def from_outcomes(cls, outcomes, command: str = "", jobs: int = 1,
                       cache_root: str | None = None,
-                      started_at: str | None = None,
-                      dispatch: tuple = ()) -> "RunManifest":
+                      started_at: str | None = None) -> "RunManifest":
         finished = _utc_now()
         started = started_at or finished
         digest = hashlib.sha256(
@@ -86,7 +81,6 @@ class RunManifest:
             started_at=started,
             finished_at=finished,
             records=tuple(JobRecord.from_outcome(o) for o in outcomes),
-            dispatch=tuple(dict(d) for d in dispatch),
         )
 
     # -- aggregates -------------------------------------------------------
@@ -143,8 +137,7 @@ class RunManifest:
             r = dict(r)
             r["spans"] = tuple(r.get("spans", ()))
             records.append(JobRecord(**r))
-        dispatch = tuple(dict(d) for d in data.pop("dispatch", ()))
-        return cls(records=tuple(records), dispatch=dispatch, **data)
+        return cls(records=tuple(records), **data)
 
     def summary(self) -> str:
         """One line per aggregate, for the CLI's post-run report."""

@@ -1,11 +1,11 @@
-"""Persistent worker pool, shared-arena cache, and adaptive dispatch.
+"""Persistent worker pool, shared-arena cache, and the dispatch rule.
 
 Before this module every ``run_jobs`` call built a fresh
 :class:`~concurrent.futures.ProcessPoolExecutor`, forked workers, ran its
 batch, and tore everything down — and every parallel cross-validation
 re-published its dataset into a fresh shared-memory arena.  For the
 paper-scale fold fits that overhead *dominated*: ``BENCH_pipeline``
-recorded the 4-way parallel CV at 0.79× serial.  Three pieces close the
+recorded the 4-way parallel CV at 0.79× serial.  Two pieces close the
 gap:
 
 * :class:`WorkerPool` — one process pool that outlives individual
@@ -24,18 +24,15 @@ gap:
   :class:`WorkerSetup` hook that is cached worker-side by key, so a warm
   worker re-attaches nothing either.
 
-* :class:`AdaptiveDispatcher` — an EWMA cost model of measured per-job
-  wall time vs. dispatch overhead that picks serial vs. parallel per
-  dataset (``cross_validated_sse``) and per wave (``submit_graph``)
-  instead of blindly trusting ``--jobs``.  On a 1-core box it refuses to
-  parallelize at all; decisions land in ``dispatch.*`` metrics and the
-  run manifest.
+:func:`use_pool` is the one serial-vs-parallel rule.  Pool workers are
+leaves: they run jobs with ``jobs=1`` and never reach a pool, and a
+forked child forgets the parent's singletons (:func:`_forget_inherited`).
 
 Everything here is a performance tier, never a correctness one: results
-are byte-identical across serial, cold-pool, warm-pool and adaptive
-paths (the scheduler's outcome ordering and the folds' deterministic
-merge are unchanged), and a pool that cannot be built or breaks degrades
-to the scheduler's in-process fallback exactly as before.
+are byte-identical across serial, cold-pool and warm-pool paths (the
+scheduler's outcome ordering and the folds' deterministic merge are
+unchanged), and a pool that cannot be built or breaks degrades to the
+scheduler's in-process fallback exactly as before.
 
 Lint: this file and ``scheduler.py`` are the only sanctioned pool
 construction sites (RL005); constructing executors anywhere else fails
@@ -49,7 +46,7 @@ import os
 import threading
 import time
 import traceback
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -425,160 +422,25 @@ class ArenaCache:
             return len(self._entries)
 
 
-@dataclass(frozen=True)
-class DispatchDecision:
-    """One serial-vs-parallel call, with the estimates that made it."""
-
-    seq: int
-    key: str
-    mode: str  # "serial" | "parallel"
-    reason: str
-    n_jobs: int
-    jobs: int
-    cpus: int
-    est_job_s: float | None
-    est_overhead_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq, "key": self.key, "mode": self.mode,
-            "reason": self.reason, "n_jobs": self.n_jobs,
-            "jobs": self.jobs, "cpus": self.cpus,
-            "est_job_s": self.est_job_s,
-            "est_overhead_s": round(self.est_overhead_s, 6),
-        }
+def usable_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
-class AdaptiveDispatcher:
-    """EWMA cost model choosing serial vs. parallel per dispatch.
-
-    Parallel wins only when the modeled pool run — per-job cost spread
-    over the usable workers, plus the measured dispatch overhead (cold
-    fork vs. warm reuse) — beats the modeled serial run by a margin.
-    With no cost data yet it trusts ``--jobs`` (the caller asked for
-    parallel; the first batch is also how costs get measured), except on
-    a box with fewer than two usable CPUs, where parallel process pools
-    can only lose.  Decisions are counted in ``dispatch.serial_chosen``
-    / ``dispatch.parallel_chosen`` and kept in a bounded log that the
-    CLI snapshots into the run manifest.
-    """
-
-    #: Parallel must beat serial by this factor to be chosen.
-    MARGIN = 0.9
-    #: EWMA smoothing for job-cost and overhead observations.
-    ALPHA = 0.3
-    #: Decision-log bound.
-    LOG_BOUND = 256
-
-    def __init__(self, metrics=METRICS, cpus: int | None = None) -> None:
-        self._lock = threading.Lock()
-        self._metrics = metrics
-        self._cpus = cpus
-        self._job_s: dict[str, float] = {}
-        #: Measured per-batch dispatch overhead, by pool temperature.
-        #: Priors: a fork is expensive, a warm hit nearly free.
-        self._overhead_s = {"cold": 0.25, "warm": 0.02}
-        self._log: deque = deque(maxlen=self.LOG_BOUND)
-        self._seq = 0
-
-    def usable_cpus(self) -> int:
-        """CPUs this process may actually run on (affinity-aware)."""
-        if self._cpus is not None:
-            return self._cpus
-        try:
-            return len(os.sched_getaffinity(0)) or 1
-        except (AttributeError, OSError):
-            return os.cpu_count() or 1
-
-    # -- observation -------------------------------------------------------
-
-    def observe_job(self, key: str, seconds: float) -> None:
-        """Fold one measured per-job wall time into the model."""
-        seconds = max(0.0, float(seconds))
-        with self._lock:
-            prev = self._job_s.get(key)
-            self._job_s[key] = (seconds if prev is None
-                                else prev + self.ALPHA * (seconds - prev))
-
-    def observe_overhead(self, temperature: str, seconds: float) -> None:
-        """Fold one measured batch-dispatch overhead into the model."""
-        seconds = max(0.0, float(seconds))
-        with self._lock:
-            prev = self._overhead_s.get(temperature)
-            if prev is None:
-                self._overhead_s[temperature] = seconds
-            else:
-                self._overhead_s[temperature] = (
-                    prev + self.ALPHA * (seconds - prev))
-
-    def estimate_job_s(self, *keys: str | None) -> float | None:
-        """The first key with cost data (specific first, kind fallback)."""
-        with self._lock:
-            for key in keys:
-                if key is not None and key in self._job_s:
-                    return self._job_s[key]
-        return None
-
-    # -- decisions ---------------------------------------------------------
-
-    def decide(self, key: str, n_jobs: int, jobs: int,
-               fallback_key: str | None = None,
-               warm: bool | None = None) -> DispatchDecision:
-        """Choose how to run ``n_jobs`` jobs the caller wants at ``jobs``
-        parallelism; returns (and logs) the decision."""
-        cpus = self.usable_cpus()
-        if warm is None:
-            pool = _DEFAULT_POOL
-            warm = pool is not None and pool.is_warm
-        with self._lock:
-            overhead = self._overhead_s["warm" if warm else "cold"]
-        est = self.estimate_job_s(key, fallback_key)
-        workers = max(1, min(jobs, n_jobs, cpus))
-        if cpus < 2:
-            mode = "serial"
-            reason = (f"{cpus} usable cpu(s): a process pool can only "
-                      "add overhead")
-        elif est is None:
-            mode = "parallel"
-            reason = f"no cost data for {key!r} yet; trusting jobs={jobs}"
-        else:
-            serial_s = est * n_jobs
-            parallel_s = est * n_jobs / workers + overhead
-            if parallel_s < serial_s * self.MARGIN:
-                mode = "parallel"
-                reason = (f"est {parallel_s:.4f}s on {workers} workers "
-                          f"vs {serial_s:.4f}s serial")
-            else:
-                mode = "serial"
-                reason = (f"est {parallel_s:.4f}s on {workers} workers "
-                          f"≥ {self.MARGIN:.2f}×{serial_s:.4f}s serial")
-        with self._lock:
-            self._seq += 1
-            decision = DispatchDecision(
-                seq=self._seq, key=key, mode=mode, reason=reason,
-                n_jobs=n_jobs, jobs=jobs, cpus=cpus, est_job_s=est,
-                est_overhead_s=overhead)
-            self._log.append(decision)
-        self._metrics.inc(f"dispatch.{mode}_chosen")
-        return decision
-
-    @property
-    def seq(self) -> int:
-        """Sequence number of the latest decision (manifest bookmark)."""
-        with self._lock:
-            return self._seq
-
-    def decisions(self, since: int = 0) -> list[DispatchDecision]:
-        """Logged decisions with ``seq > since``, oldest first."""
-        with self._lock:
-            return [d for d in self._log if d.seq > since]
+def use_pool(jobs: int, pending: int) -> bool:
+    """The serial-vs-parallel rule: a process pool only for ``jobs >= 2``,
+    at least two pending specs and at least two usable CPUs.  Anything
+    less can only add fork and transport overhead."""
+    return jobs >= 2 and pending >= 2 and usable_cpus() >= 2
 
 
 # -- module singletons -----------------------------------------------------
 
 _DEFAULT_POOL: WorkerPool | None = None
 _DEFAULT_ARENAS: ArenaCache | None = None
-_DISPATCHER = AdaptiveDispatcher()
 _SINGLETON_LOCK = threading.Lock()
 
 
@@ -600,11 +462,6 @@ def arena_cache() -> ArenaCache:
         return _DEFAULT_ARENAS
 
 
-def dispatcher() -> AdaptiveDispatcher:
-    """The process-wide adaptive dispatcher."""
-    return _DISPATCHER
-
-
 def shutdown_default() -> None:
     """Shut down the warm pool and destroy cached arenas (atexit hook).
 
@@ -620,11 +477,20 @@ def shutdown_default() -> None:
         arenas.destroy_all()
 
 
-def reset_default() -> None:
-    """Shut everything down *and* forget learned costs (test hygiene)."""
-    global _DISPATCHER
-    shutdown_default()
-    _DISPATCHER = AdaptiveDispatcher()
+def _forget_inherited() -> None:
+    """Fork child: drop the parent's pool, arenas and singleton lock.
+
+    A forked child holds copies of objects whose threads and processes
+    belong to the parent: the pool's executor has no manager thread
+    here, the arenas are the parent's to unlink, and the lock may have
+    been held by a parent thread at fork time.  Forgetting them (never
+    shutting them down) leaves the parent's pool untouched.
+    """
+    global _DEFAULT_POOL, _DEFAULT_ARENAS, _SINGLETON_LOCK
+    _DEFAULT_POOL = None
+    _DEFAULT_ARENAS = None
+    _SINGLETON_LOCK = threading.Lock()
 
 
 atexit.register(shutdown_default)
+os.register_at_fork(after_in_child=_forget_inherited)

@@ -1,8 +1,9 @@
 """Job scheduling: cache lookup, process-pool fan-out, serial fallback.
 
 :func:`run_jobs` is the one entry point.  For every spec it first
-consults the result cache; only misses are executed — serially in this
-process when ``jobs <= 1``, otherwise on worker processes.  Parallel
+consults the result cache; only misses are executed — on worker
+processes when :func:`repro.runtime.pool.use_pool` allows it, otherwise
+serially in this process.  Parallel
 batches without a per-call ``initializer`` ride the **persistent warm
 pool** (:mod:`repro.runtime.pool`): workers forked once survive across
 batches, and per-batch worker state ships through the cached
@@ -15,7 +16,8 @@ workers) degrades gracefully to the in-process path, so ``--jobs`` is a
 performance knob, never a correctness one.  Outcomes come back in
 submission order regardless of completion order, which keeps downstream
 rendering byte-identical across serial, cold-pool, warm-pool and
-warm-cache runs.
+warm-cache runs.  No wait on a pool is unbounded: a pool whose manager
+thread or workers are gone is treated like a broken one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import os
 import time
 import traceback
 from concurrent.futures import (CancelledError, ProcessPoolExecutor,
-                                TimeoutError as FuturesTimeout)
+                                TimeoutError as FuturesTimeout,
+                                wait as futures_wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -33,6 +36,9 @@ from repro.runtime import pool as pool_mod
 from repro.runtime.cache import NullCache
 from repro.runtime.jobs import JobResult, JobSpec, resolve_kind
 from repro.runtime.metrics import METRICS
+
+#: Seconds between liveness checks while waiting on a pool future.
+POOL_POLL_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,11 @@ class JobOutcome:
 
 def _worker_execute(kind_name: str, spec_dict: dict,
                     tracing: bool = False) -> tuple[dict, int, float]:
-    """Module-level worker body (must be picklable by the pool)."""
+    """Module-level worker body (must be picklable by the pool).
+
+    Pool workers are leaves: the job runs with ``jobs=1``, so nothing it
+    calls can reach ``run_jobs`` with parallelism or touch a pool.
+    """
     kind = resolve_kind(kind_name)
     spec = kind.spec_from_dict(spec_dict)
     if tracing:
@@ -64,16 +74,17 @@ def _worker_execute(kind_name: str, spec_dict: dict,
         obs.enable_tracing()
     start = time.perf_counter()
     try:
-        result = kind.execute(spec)
+        result = kind.execute(spec, jobs=1)
     finally:
         if tracing:
             obs.disable_tracing()
     return result.to_dict(), os.getpid(), time.perf_counter() - start
 
 
-def _run_serial(spec: JobSpec, key: str,
+def _run_serial(spec: JobSpec, key: str, jobs: int = 1,
                 pool_error: str | None = None) -> JobOutcome:
-    """Execute one spec in-process.
+    """Execute one spec in-process, handing it ``jobs`` for its own
+    fan-out (an analysis spreads its CV folds).
 
     ``pool_error`` carries the traceback of the pool failure that forced
     this fallback (a broken pool, a pool that could not be built).  If
@@ -83,7 +94,7 @@ def _run_serial(spec: JobSpec, key: str,
     """
     start = time.perf_counter()
     try:
-        result = resolve_kind(spec.kind).execute(spec)
+        result = resolve_kind(spec.kind).execute(spec, jobs=jobs)
         error = None
     except Exception:
         result = None
@@ -95,6 +106,37 @@ def _run_serial(spec: JobSpec, key: str,
     return JobOutcome(spec=spec, key=key, result=result, cache_hit=False,
                       wall_time=time.perf_counter() - start,
                       worker=f"pid-{os.getpid()}", error=error)
+
+
+def _pool_alive(executor) -> bool:
+    """False once the executor's manager thread or all its workers are
+    gone — an executor inherited across fork has neither, and its
+    futures would never resolve."""
+    thread = getattr(executor, "_executor_manager_thread", None)
+    if thread is not None and not thread.is_alive():
+        return False
+    procs = (getattr(executor, "_processes", None) or {}).values()
+    return not procs or any(proc.exitcode is None for proc in procs)
+
+
+def _await_result(future, timeout: float | None, executor):
+    """``future.result(timeout)`` as a bounded poll.
+
+    Raises ``BrokenProcessPool`` when the executor can no longer resolve
+    the future, so callers recompute in-process instead of hanging.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while True:
+        step = POOL_POLL_S
+        if deadline is not None:
+            step = min(step, max(0.0, deadline - time.monotonic()))
+        if futures_wait([future], timeout=step).done:
+            return future.result()
+        if deadline is not None and time.monotonic() >= deadline:
+            raise FuturesTimeout()
+        if not _pool_alive(executor) and not future.done():
+            raise BrokenProcessPool(
+                "the pool's manager thread or worker processes are gone")
 
 
 def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
@@ -111,9 +153,8 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
     tearing the healthy pool down.
     """
     tracing = obs.tracing_enabled()
-    batch_start = time.perf_counter()
     try:
-        executor, fresh = worker_pool.acquire(min(jobs, len(specs)))
+        executor, _ = worker_pool.acquire(min(jobs, len(specs)))
     except pool_mod.POOL_BUILD_ERRORS:
         return None, traceback.format_exc()
     try:
@@ -128,8 +169,6 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
         worker_pool.note_tasks(len(specs))
         outcomes: list[JobOutcome] = []
         timed_out = False
-        busy_s = 0.0
-        executed = 0
         respawns_left = 2
         dead_pool_error = ""
         try:
@@ -146,7 +185,8 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                         on_ready(outcome)
                     continue
                 try:
-                    result_dict, pid, elapsed = future.result(timeout=timeout)
+                    result_dict, pid, elapsed = _await_result(
+                        future, timeout, executor)
                     result = resolve_kind(spec.kind).result_from_dict(
                         result_dict)
                     obs.graft(result.spans)
@@ -154,8 +194,6 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                         spec=spec, key=key, result=result,
                         cache_hit=False, wall_time=elapsed,
                         worker=f"pid-{pid}")
-                    busy_s += elapsed
-                    executed += 1
                 except FuturesTimeout:
                     future.cancel()
                     timed_out = True
@@ -173,13 +211,15 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                         pool_error="".join(traceback.format_exception(exc)))
                 except (BrokenProcessPool, CancelledError) as exc:
                     # BrokenProcessPool: the workers died under this
-                    # batch.  CancelledError: another thread discarded
-                    # the shared executor (timeout, poisoned batch) and
-                    # our pending futures were cancelled — it is a
-                    # BaseException since 3.8, so without this clause it
-                    # would skip the per-job handler below and abort the
-                    # whole batch.  Either way the job recomputes
-                    # in-process and the rest resubmits on a fresh pool.
+                    # batch, or the executor can no longer resolve its
+                    # futures (see _await_result).  CancelledError:
+                    # another thread discarded the shared executor
+                    # (timeout, poisoned batch) and our pending futures
+                    # were cancelled — it is a BaseException since 3.8,
+                    # so without this clause it would skip the per-job
+                    # handler below and abort the whole batch.  Either
+                    # way the job recomputes in-process and the rest
+                    # resubmits on a fresh pool.
                     pool_error = "".join(traceback.format_exception(exc))
                     outcome = _run_serial(spec, key, pool_error=pool_error)
                     rest = specs[i + 1:]
@@ -233,14 +273,6 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
             # A timed-out job may still occupy its worker; hand the
             # executor back to the OS rather than to the next batch.
             worker_pool.discard(wait=False)
-        elif executed:
-            # Feed the dispatcher's cost model: what this batch paid
-            # beyond the workers' own compute is the dispatch overhead.
-            workers = max(1, min(jobs, len(specs)))
-            overhead = max(0.0, (time.perf_counter() - batch_start)
-                           - busy_s / workers)
-            pool_mod.dispatcher().observe_overhead(
-                "cold" if fresh else "warm", overhead)
         return outcomes, ""
     finally:
         worker_pool.release()
@@ -276,7 +308,8 @@ def _execute_parallel(specs: list[JobSpec], keys: list[str], jobs: int,
         for spec, key, future in zip(specs, keys, futures):
             start = time.perf_counter()
             try:
-                result_dict, pid, elapsed = future.result(timeout=timeout)
+                result_dict, pid, elapsed = _await_result(future, timeout,
+                                                          pool)
                 result = resolve_kind(spec.kind).result_from_dict(result_dict)
                 # Merge the worker's span subtree into this process's
                 # trace, in submission order — same shape as a serial run.
@@ -324,6 +357,13 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
              setup=None, worker_pool=None, on_outcome=None,
              ) -> list[JobOutcome]:
     """Schedule every spec; return outcomes in submission order.
+
+    Cache misses go to a process pool only when :func:`repro.runtime.
+    pool.use_pool` allows it (``jobs >= 2``, two pending specs, two
+    usable CPUs); each such choice with ``jobs >= 2`` is counted in
+    ``dispatch.parallel_chosen`` or ``dispatch.serial_chosen``.  The
+    in-process path hands every job the caller's ``jobs`` for its own
+    fan-out; pool workers run jobs with ``jobs=1``.
 
     Parallel batches run on the persistent warm pool
     (:func:`repro.runtime.pool.default_pool`, or ``worker_pool`` when
@@ -397,7 +437,11 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
         todo = [specs[i] for i in pending]
         todo_keys = [keys[i] for i in pending]
         executed, pool_error = None, ""
-        if jobs > 1 and len(todo) > 1:
+        parallel = pool_mod.use_pool(jobs, len(todo))
+        if jobs > 1:
+            metrics.inc("dispatch.parallel_chosen" if parallel
+                        else "dispatch.serial_chosen")
+        if parallel:
             if initializer is None:
                 if worker_pool is None:
                     worker_pool = pool_mod.default_pool()
@@ -412,7 +456,7 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
         if executed is None:
             executed = []
             for spec, key in zip(todo, todo_keys):
-                outcome = _run_serial(spec, key,
+                outcome = _run_serial(spec, key, jobs,
                                       pool_error=pool_error or None)
                 executed.append(outcome)
                 store(outcome)

@@ -107,23 +107,16 @@ def artifact_context(store: ArtifactStore | None):
         install_artifact_store(previous)
 
 
-def artifact_store_for(cache, enabled: bool | None = None
-                       ) -> ArtifactStore | None:
+def artifact_store_for(cache) -> ArtifactStore | None:
     """The cache's artifact tier, or ``None`` when unavailable.
 
     A disk-less cache (``NullCache`` or ``None``) has nowhere to put
-    artifacts; ``enabled=None`` follows the process-wide
-    ``artifact_cache`` runtime option.  An unusable root (the cache dir
-    is a regular file, permissions, a full disk) degrades to ``None``
-    — the store is a performance tier, never a correctness dependency,
-    so the pipeline falls back to the monolithic path.
+    artifacts.  An unusable root (the cache dir is a regular file,
+    permissions, a full disk) degrades to ``None`` — the store is a
+    performance tier, never a correctness dependency, so the pipeline
+    falls back to the monolithic path.
     """
     if cache is None or getattr(cache, "root", None) is None:
-        return None
-    if enabled is None:
-        from repro.runtime import options as runtime_options
-        enabled = runtime_options.current().artifact_cache
-    if not enabled:
         return None
     store = cache.artifacts
     try:
@@ -310,8 +303,9 @@ def _publish(publisher, store, key, payload) -> None:
         pass
 
 
-def execute_collect(spec: CollectSpec) -> StageResult:
-    """Simulate and persist one trace (idempotent on a warm store)."""
+def execute_collect(spec: CollectSpec, jobs: int = 1) -> StageResult:
+    """Simulate and persist one trace (idempotent on a warm store);
+    ``jobs`` is unused."""
     store = current_artifact_store()
     start = time.perf_counter()
     with span("stage.collect", workload=spec.workload,
@@ -418,8 +412,9 @@ def load_eipv_dataset(store: ArtifactStore | None,
     return dataset
 
 
-def execute_eipv(spec: EipvSpec) -> StageResult:
-    """Build and persist one EIPV dataset, healing a lost trace."""
+def execute_eipv(spec: EipvSpec, jobs: int = 1) -> StageResult:
+    """Build and persist one EIPV dataset, healing a lost trace;
+    ``jobs`` is unused."""
     store = current_artifact_store()
     start = time.perf_counter()
     with span("stage.eipv", workload=spec.workload,

@@ -92,13 +92,6 @@ class ServeConfig:
     #: request stream (the memo is a pure accelerator — results are
     #: identical with or without it).
     memo_max_entries: int = 32
-    #: Persist stage artifacts (traces, EIPV datasets) beside the result
-    #: cache so distinct requests over the same measured execution —
-    #: different ``k_max``, different interval size — reuse it instead
-    #: of re-simulating.  Purely a performance knob (staged responses
-    #: are byte-identical to monolithic ones); ignored with
-    #: ``no_cache``.
-    artifact_cache: bool = True
 
     def build_cache(self):
         if self.no_cache:
@@ -128,8 +121,7 @@ class AnalysisService:
         # The artifact tier outlives any one request: installing it once
         # at startup lets every in-process stage execution (analyze,
         # census, sweep) publish and reuse traces across requests.
-        self.artifacts = stages.artifact_store_for(
-            self.cache, enabled=self.config.artifact_cache)
+        self.artifacts = stages.artifact_store_for(self.cache)
         if self.artifacts is not None:
             stages.install_artifact_store(self.artifacts)
         self.stage_counters = stages.StageCounters()

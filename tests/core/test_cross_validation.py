@@ -138,22 +138,3 @@ class TestParallelFolds:
         np.testing.assert_array_equal(one.re, four.re)
         assert one.k_opt == four.k_opt
         assert one.re_kopt == four.re_kopt
-
-    def test_default_cv_jobs_is_scoped(self):
-        from repro.core.cross_validation import set_default_cv_jobs
-        matrix, y = phased_dataset(m=40, n=6, noise=0.1)
-        serial = cross_validated_sse(matrix, y, k_max=6)
-        previous = set_default_cv_jobs(2)
-        try:
-            assert previous == 1
-            fanned = cross_validated_sse(matrix, y, k_max=6)
-        finally:
-            set_default_cv_jobs(previous)
-        np.testing.assert_array_equal(serial, fanned)
-        # An explicit jobs=1 overrides the process default.
-        previous = set_default_cv_jobs(4)
-        try:
-            explicit = cross_validated_sse(matrix, y, k_max=6, jobs=1)
-        finally:
-            set_default_cv_jobs(previous)
-        np.testing.assert_array_equal(serial, explicit)

@@ -5,11 +5,13 @@ are reused across batches, a worker death mid-batch respawns the pool
 and finishes the batch, task-count recycling retires long-lived workers,
 the published-arena cache makes repeat analyses publish nothing, the
 idle reaper and ``shutdown_default`` leave zero worker processes and
-zero shm segments behind, and the adaptive dispatcher's cost model picks
-serial exactly when parallel could only lose.
+zero shm segments behind, a forked child inherits no pool, and the
+serial-vs-parallel rule uses the pool only where it can pay off.
 """
 
 import os
+import select
+import signal
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -19,6 +21,8 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
+from repro.core.config import AnalysisConfig
+from repro.core.cross_validation import cross_validated_sse
 from repro.runtime import pool as pool_mod
 from repro.runtime import shm
 from repro.runtime.cache import NullCache
@@ -30,12 +34,15 @@ from tests.runtime.test_folds import small_dataset
 
 
 @pytest.fixture(autouse=True)
-def _fresh_pool():
+def _fresh_pool(monkeypatch):
     """Each test forks its own workers (so they inherit this module's
-    job kind) and leaves nothing warm behind."""
-    pool_mod.reset_default()
+    job kind) and leaves nothing warm behind.  Two usable CPUs are
+    assumed, so the dispatch rule sends ``jobs=2`` batches to the pool
+    on any box."""
+    monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+    pool_mod.shutdown_default()
     yield
-    pool_mod.reset_default()
+    pool_mod.shutdown_default()
 
 
 # -- a minimal job kind whose workers can be told to die --------------------
@@ -74,7 +81,7 @@ class ProbeResult:
         return cls(key=data["key"], pid=data["pid"])
 
 
-def _execute_probe(spec: ProbeSpec) -> ProbeResult:
+def _execute_probe(spec: ProbeSpec, jobs: int = 1) -> ProbeResult:
     if spec.mode == "die" and os.getpid() != spec.parent_pid:
         os._exit(1)
     if spec.mode == "sleep" and os.getpid() != spec.parent_pid:
@@ -100,22 +107,22 @@ class TestWarmReuse:
     def test_second_batch_reuses_forked_workers(self):
         before = _counts("pool.spawns", "pool.warm_hits")
         first = run_jobs(probes(4), jobs=2, cache=NullCache())
+        forked = set(pool_mod.default_pool().worker_pids())
         second = run_jobs(probes(4, start=10), jobs=2, cache=NullCache())
         pids = {o.result.pid for batch in (first, second) for o in batch}
         workers = {p for p in pids if p != os.getpid()}
         assert workers, "jobs never reached a pool worker"
         assert METRICS.count("pool.spawns") - before["pool.spawns"] == 1
         assert METRICS.count("pool.warm_hits") - before["pool.warm_hits"] == 1
-        # Warm reuse means the second batch ran on the same forks.
-        first_pids = {o.result.pid for o in first} - {os.getpid()}
+        # Warm reuse means the second batch ran on the workers forked
+        # for the first (one fast worker may have served all of it).
         second_pids = {o.result.pid for o in second} - {os.getpid()}
-        assert second_pids <= first_pids
+        assert second_pids <= forked
 
     def test_arena_published_once_across_two_analyses(self):
         pytest.importorskip("multiprocessing.shared_memory")
         if not shm.shm_available():
             pytest.skip("POSIX shared memory unavailable")
-        from repro.core.config import AnalysisConfig
         matrix, y = small_dataset()
         config = AnalysisConfig(k_max=5, folds=4, seed=3)
         before = _counts("pool.arena_published", "pool.arena_reused")
@@ -270,66 +277,72 @@ class TestShutdown:
         assert shm.live_segments() == ()
 
 
-class TestAdaptiveDispatcher:
-    def test_single_cpu_always_serial(self):
-        d = pool_mod.AdaptiveDispatcher(metrics=MetricsRegistry(), cpus=1)
-        decision = d.decide(key="cv:x", n_jobs=10, jobs=4)
-        assert decision.mode == "serial"
-        assert "1 usable cpu" in decision.reason
+class TestForkedChild:
+    def test_forked_child_inherits_no_pool(self):
+        run_jobs(probes(2), jobs=2, cache=NullCache())
+        pool_mod.arena_cache()
+        assert pool_mod.default_pool().is_warm
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                inherited = (pool_mod._DEFAULT_POOL is not None
+                             or pool_mod._DEFAULT_ARENAS is not None)
+                # Takes the singleton lock: must not deadlock either.
+                warm = pool_mod.default_pool().is_warm
+                os.write(write_fd, b"inherited" if inherited or warm
+                         else b"clean")
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        ready = []
+        try:
+            ready, _, _ = select.select([read_fd], [], [], 30.0)
+            report = os.read(read_fd, 64) if ready else b"no answer"
+        finally:
+            os.close(read_fd)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert report == b"clean"
+        assert pool_mod.default_pool().is_warm  # the parent's is intact
 
-    def test_no_cost_data_trusts_jobs(self):
-        d = pool_mod.AdaptiveDispatcher(metrics=MetricsRegistry(), cpus=4)
-        decision = d.decide(key="cv:x", n_jobs=10, jobs=4)
-        assert decision.mode == "parallel"
-        assert decision.est_job_s is None
 
-    def test_cheap_jobs_go_serial_expensive_parallel(self):
-        d = pool_mod.AdaptiveDispatcher(metrics=MetricsRegistry(), cpus=4)
-        d.observe_job("cv:cheap", 0.0005)
-        d.observe_job("cv:costly", 2.0)
-        assert d.decide(key="cv:cheap", n_jobs=10, jobs=4).mode == "serial"
-        assert d.decide(key="cv:costly", n_jobs=10, jobs=4).mode == "parallel"
+class TestDispatchRule:
+    def test_pool_needs_two_jobs_two_specs_two_cpus(self, monkeypatch):
+        assert pool_mod.use_pool(jobs=2, pending=2)
+        assert not pool_mod.use_pool(jobs=1, pending=8)
+        assert not pool_mod.use_pool(jobs=4, pending=1)
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 1)
+        assert not pool_mod.use_pool(jobs=4, pending=8)
 
-    def test_fallback_key_supplies_cost_data(self):
-        d = pool_mod.AdaptiveDispatcher(metrics=MetricsRegistry(), cpus=4)
-        d.observe_job("kind:cv_fold", 0.0005)
-        decision = d.decide(key="cv:unseen", n_jobs=10, jobs=4,
-                            fallback_key="kind:cv_fold")
-        assert decision.mode == "serial"
-        assert decision.est_job_s == pytest.approx(0.0005)
-
-    def test_counters_and_decision_log(self):
+    def test_each_choice_counted_once(self, monkeypatch):
         metrics = MetricsRegistry()
-        d = pool_mod.AdaptiveDispatcher(metrics=metrics, cpus=4)
-        bookmark = d.seq
-        d.observe_job("cv:cheap", 0.0005)
-        d.decide(key="cv:cheap", n_jobs=8, jobs=4, warm=True)
-        d.decide(key="cv:fresh", n_jobs=8, jobs=4, warm=True)
-        assert metrics.count("dispatch.serial_chosen") == 1
+        run_jobs(probes(2), jobs=2, cache=NullCache(), metrics=metrics)
+        run_jobs(probes(2, start=10), jobs=1, cache=NullCache(),
+                 metrics=metrics)
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 1)
+        serial = run_jobs(probes(2, start=20), jobs=2, cache=NullCache(),
+                          metrics=metrics)
+        assert {o.result.pid for o in serial} == {os.getpid()}
         assert metrics.count("dispatch.parallel_chosen") == 1
-        logged = d.decisions(since=bookmark)
-        assert [entry.mode for entry in logged] == ["serial", "parallel"]
-        assert [entry.seq for entry in logged] == [bookmark + 1, bookmark + 2]
-        as_dict = logged[0].to_dict()
-        assert as_dict["key"] == "cv:cheap"
-        assert as_dict["cpus"] == 4
-        assert d.decisions(since=d.seq) == []
+        assert metrics.count("dispatch.serial_chosen") == 1
 
-    def test_ewma_converges_toward_new_costs(self):
-        d = pool_mod.AdaptiveDispatcher(metrics=MetricsRegistry(), cpus=4)
-        d.observe_job("k", 1.0)
-        for _ in range(30):
-            d.observe_job("k", 0.001)
-        assert d.estimate_job_s("k") < 0.01
-
-    def test_observed_overhead_tips_the_balance(self):
-        d = pool_mod.AdaptiveDispatcher(metrics=MetricsRegistry(), cpus=4)
-        d.observe_job("cv:mid", 0.05)
-        # With the warm prior (0.02s) 10×50ms folds parallelize...
-        assert d.decide(key="cv:mid", n_jobs=10, jobs=4,
-                        warm=True).mode == "parallel"
-        # ...but a measured dispatch overhead dwarfing the work flips it.
-        for _ in range(30):
-            d.observe_overhead("warm", 5.0)
-        assert d.decide(key="cv:mid", n_jobs=10, jobs=4,
-                        warm=True).mode == "serial"
+    def test_cv_checks_the_rule_before_publishing(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 1)
+        matrix, y = small_dataset()
+        config = AnalysisConfig(k_max=5, folds=4, seed=3)
+        names = ("dispatch.serial_chosen", "pool.arena_published",
+                 "pool.arena_reused")
+        before = _counts(*names)
+        fanned = cross_validated_sse(matrix, y, config=config, jobs=4)
+        after = _counts(*names)
+        np.testing.assert_array_equal(
+            fanned, cross_validated_sse(matrix, y, config=config))
+        assert after["dispatch.serial_chosen"] == \
+            before["dispatch.serial_chosen"] + 1
+        assert after["pool.arena_published"] == \
+            before["pool.arena_published"]
+        assert after["pool.arena_reused"] == before["pool.arena_reused"]
+        assert not pool_mod.default_pool().is_warm

@@ -1,9 +1,13 @@
 """Scheduler determinism, fallback, manifests, and metrics."""
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures import Future
+
 import pytest
 
 from repro.experiments import table2_quadrants
-from repro.runtime import options as runtime_options
 from repro.runtime import pool as pool_mod
 from repro.runtime import scheduler
 from repro.runtime.cache import ResultCache
@@ -89,13 +93,15 @@ class TestCacheIntegration:
 
 class TestFailureHandling:
     @pytest.fixture(autouse=True)
-    def _cold_pool(self):
+    def _cold_pool(self, monkeypatch):
         """Monkeypatched pool constructors only bite when no warm
         executor survives from an earlier test (acquire would reuse it
-        and never call ``scheduler.ProcessPoolExecutor``)."""
-        pool_mod.reset_default()
+        and never call ``scheduler.ProcessPoolExecutor``), and when the
+        dispatch rule sends the batch to a pool (two CPUs assumed)."""
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+        pool_mod.shutdown_default()
         yield
-        pool_mod.reset_default()
+        pool_mod.shutdown_default()
 
     def test_unknown_workload_yields_error_outcome(self):
         bad = JobSpec(workload="no.such.workload", n_intervals=12,
@@ -174,16 +180,30 @@ class TestFailureHandling:
         outcomes = run_jobs(SPECS, jobs=2)
         assert all(o.ok and o.error is None for o in outcomes)
 
+    def test_orphaned_pool_recomputes_in_process(self, monkeypatch):
+        # Futures that never resolve on a pool whose workers are gone —
+        # what a forked child holds of its parent's executor — must end
+        # in the in-process fallback within a bound, never a hang.
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _OrphanedPool)
+        bad = JobSpec(workload="no.such.workload", n_intervals=12,
+                      scale="tiny", k_max=5)
+        done = {}
+        waiter = threading.Thread(
+            target=lambda: done.update(outcomes=run_jobs([SPECS[0], bad],
+                                                         jobs=2)),
+            daemon=True)
+        waiter.start()
+        waiter.join(timeout=30.0)
+        assert not waiter.is_alive(), "run_jobs blocked on a dead pool"
+        good, failed = done["outcomes"]
+        assert good.ok and good.worker == f"pid-{os.getpid()}"
+        assert not failed.ok
+        assert "BrokenProcessPool" in failed.error
+        assert "worker processes are gone" in failed.error
+
 
 def _fake_pool(exc_type):
     """A pool whose every future fails with ``exc_type`` on result()."""
-
-    class FakeFuture:
-        def result(self, timeout=None):
-            raise exc_type("simulated")
-
-        def cancel(self):
-            return False
 
     class FakePool:
         def __init__(self, max_workers=None, initializer=None,
@@ -191,12 +211,31 @@ def _fake_pool(exc_type):
             pass
 
         def submit(self, fn, *args):
-            return FakeFuture()
+            future = Future()
+            future.set_exception(exc_type("simulated"))
+            return future
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
     return FakePool
+
+
+class _OrphanedPool:
+    """A pool whose futures never resolve and whose one worker has
+    exited."""
+
+    def __init__(self, max_workers=None, initializer=None, initargs=()):
+        worker = multiprocessing.get_context("fork").Process(target=int)
+        worker.start()
+        worker.join(10.0)
+        self._processes = {worker.pid: worker}
+
+    def submit(self, fn, *args):
+        return Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 class TestManifest:
@@ -225,21 +264,7 @@ class TestManifest:
         assert manifest.n_failed == 1
 
 
-class TestOptionsAndMetrics:
-    def test_options_configure_and_reset(self, tmp_path):
-        try:
-            opts = runtime_options.configure(jobs=3, cache_dir=tmp_path,
-                                             no_cache=False, timeout=9.0)
-            assert runtime_options.current() == opts
-            assert opts.jobs == 3
-            cache = opts.build_cache()
-            assert cache.root == tmp_path
-        finally:
-            runtime_options.reset()
-        defaults = runtime_options.current()
-        assert defaults.jobs == 1
-        assert defaults.build_cache().root is None  # NullCache
-
+class TestMetrics:
     def test_metrics_counters_timers_merge_render(self):
         a = MetricsRegistry()
         a.inc("cache.hit", 2)

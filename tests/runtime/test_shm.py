@@ -29,15 +29,17 @@ pytestmark = pytest.mark.skipif(not shm.shm_available(),
 
 
 @pytest.fixture(autouse=True)
-def _no_leaks():
+def _no_leaks(monkeypatch):
     """Every test must end with zero live segments once the warm pool's
     arena cache is torn down (the ``atexit`` contract, exercised per
     test).  Segments held by the cache *during* a test are owned, not
-    leaked."""
-    pool_mod.reset_default()
+    leaked.  Two usable CPUs are assumed, so parallel folds reach the
+    pool on any box."""
+    monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+    pool_mod.shutdown_default()
     assert shm.live_segments() == ()
     yield
-    pool_mod.reset_default()
+    pool_mod.shutdown_default()
     leaked = shm.live_segments()
     shm.reap()
     shm.detach_all()

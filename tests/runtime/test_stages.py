@@ -104,14 +104,12 @@ class TestArtifactPlumbing:
             assert stages.current_artifact_store() is cache.artifacts
         assert stages.current_artifact_store() is before
 
-    def test_store_for_nullcache_and_disabled_option(self, tmp_path):
+    def test_store_for_nullcache_and_disk_cache(self, tmp_path):
         from repro.runtime.cache import NullCache
         cache = ResultCache(tmp_path)
         assert stages.artifact_store_for(NullCache()) is None
         assert stages.artifact_store_for(None) is None
-        assert stages.artifact_store_for(cache, enabled=False) is None
-        assert stages.artifact_store_for(cache, enabled=True) \
-            is cache.artifacts
+        assert stages.artifact_store_for(cache) is cache.artifacts
 
     def test_stage_setup_is_keyed_by_store_root(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -125,7 +123,7 @@ class TestArtifactPlumbing:
         target = tmp_path / "not-a-dir"
         target.write_text("plain file")
         cache = ResultCache(target)
-        assert stages.artifact_store_for(cache, enabled=True) is None
+        assert stages.artifact_store_for(cache) is None
 
     def test_publish_failure_never_fails_the_stage(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -226,9 +226,9 @@ class TestHousekeeping:
     def test_memo_growth_is_bounded(self, tmp_path):
         # The monolithic path is the one that feeds the in-process
         # collect memo; staged requests persist through the artifact
-        # store instead and never touch it.
-        service = _make(tmp_path, memo_max_entries=0,
-                        artifact_cache=False)
+        # store instead and never touch it.  Without a disk cache there
+        # is no artifact store, so requests run monolithically.
+        service = _make(tmp_path, memo_max_entries=0, no_cache=True)
         service.handle("/analyze", dict(TINY))
         assert memo_size() == 0
         assert service.metrics.count("serve.memo_cleared") >= 1

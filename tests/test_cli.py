@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -40,14 +47,7 @@ class TestParser:
         assert args.cache_dir is None
         assert args.no_cache is False
         assert args.timeout is None
-        assert args.shm is True
         assert args.trace_store is None
-
-    def test_no_shm_flag(self):
-        args = build_parser().parse_args(["analyze", "odbc", "--no-shm"])
-        assert args.shm is False
-        args = build_parser().parse_args(["census", "odbc", "--shm"])
-        assert args.shm is True
 
     def test_trace_store_flag(self):
         args = build_parser().parse_args(
@@ -135,8 +135,6 @@ class TestRuntimeCommands:
 
     def test_analyze_jobs_output_identical(self, capsys):
         """--jobs fans out the CV folds; stdout stays byte-identical."""
-        from repro.core import cross_validation
-
         argv = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",
                 "--scale", "tiny", "--no-cache"]
         assert main(argv + ["--jobs", "1"]) == 0
@@ -144,29 +142,39 @@ class TestRuntimeCommands:
         assert main(argv + ["--jobs", "4"]) == 0
         fanned = capsys.readouterr().out
         assert serial == fanned
-        # The CLI restores the process-wide fold-parallelism default.
-        assert cross_validation._DEFAULT_CV_JOBS == 1
 
-    def test_analyze_shm_output_identical(self, capsys):
-        """The zero-copy shm transport changes no output byte at jobs=4."""
+    def test_analyze_shm_output_identical(self, capsys, monkeypatch):
+        """At jobs=4 the fold dataset reaches the workers through shared
+        memory, and no output byte changes."""
+        from repro.runtime import pool as pool_mod
+        from repro.runtime import shm
+        from repro.runtime.metrics import METRICS
+        if not shm.shm_available():
+            pytest.skip("POSIX shared memory unavailable")
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 4)
+
+        def arenas() -> int:
+            return (METRICS.count("pool.arena_published")
+                    + METRICS.count("pool.arena_reused"))
+
         argv = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",
                 "--scale", "tiny", "--no-cache"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "4", "--shm"]) == 0
+        before = arenas()
+        assert main(argv + ["--jobs", "4"]) == 0
         via_shm = capsys.readouterr().out
-        assert main(argv + ["--jobs", "4", "--no-shm"]) == 0
-        via_pickle = capsys.readouterr().out
-        assert serial == via_shm == via_pickle
+        assert serial == via_shm
+        assert arenas() > before
 
     def test_census_shm_output_identical(self, capsys):
         argv = ["census", "spec.gzip", "spec.art", "--k-max", "5",
                 "--no-cache"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "4", "--shm"]) == 0
-        via_shm = capsys.readouterr().out
-        assert serial == via_shm
+        assert main(argv + ["--jobs", "4"]) == 0
+        pooled = capsys.readouterr().out
+        assert serial == pooled
 
     def test_analyze_trace_store_output_identical(self, capsys, tmp_path):
         """--trace-store streams collection to disk; the analysis output
@@ -306,8 +314,7 @@ class TestSharedRuntimeSurface:
             assert section == reference, f"{name} drifted from analyze"
 
     def test_runtime_defaults_identical_across_subcommands(self):
-        flags = ("jobs", "cache_dir", "no_cache", "timeout", "shm",
-                 "dispatch", "trace_out")
+        flags = ("jobs", "cache_dir", "no_cache", "timeout", "trace_out")
         positional = {"analyze": ["odbc"], "census": [],
                       "experiment": ["e1"], "profile": ["odbc"],
                       "sweep": []}
@@ -317,19 +324,65 @@ class TestSharedRuntimeSurface:
             seen[name] = {flag: getattr(args, flag) for flag in flags}
         assert all(values == seen["analyze"] for values in seen.values())
 
-    def test_main_restores_runtime_options(self, tmp_path, capsys):
-        """An in-process ``main()`` must not leak its runtime policy
-        (notably the CLI's adaptive dispatch default) into later
-        library calls — the library default stays ``parallel``."""
-        from repro.runtime import options as runtime_options
-        before = runtime_options.current()
-        assert before.dispatch == "parallel"
-        rc = main(["analyze", "spec.gzip", "--intervals", "12",
-                   "--k-max", "3", "--scale", "tiny",
-                   "--cache-dir", str(tmp_path / "cache")])
-        assert rc == 0
-        capsys.readouterr()
-        assert runtime_options.current() == before
+
+#: One fresh interpreter runs every argv through ``repro.cli.main``.
+_ONE_PROCESS = """
+import sys
+from repro.cli import main
+for argv in {argvs!r}:
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def _main_in_one_process(*argvs, timeout: float = 120.0) -> str:
+    """Run several ``main`` calls in one subprocess; return its stdout.
+
+    The subprocess gets its own process group, killed on timeout with
+    every pool worker it forked, so a hang fails the test instead of
+    stalling the suite.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_PROCESS.format(argvs=list(argvs))],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{len(argvs)} main() calls hung past {timeout}s "
+                    "in one process")
+    assert proc.returncode == 0, err
+    return out
+
+
+class TestLongLivedProcess:
+    """Commands run one after another in one process, as in the daemon
+    and the test suite: workers forked by one command must not carry
+    its parallelism into the next."""
+
+    ANALYZE = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",
+               "--scale", "tiny", "--no-cache", "--jobs", "4"]
+    CENSUS = ["census", "spec.gzip", "spec.art", "--k-max", "5",
+              "--no-cache"]
+
+    def test_analyze_jobs4_then_census_jobs4(self):
+        out = _main_in_one_process(self.ANALYZE,
+                                   self.CENSUS + ["--jobs", "4"])
+        assert "Table 2: quadrant classification" in out
+
+    def test_analyze_jobs4_then_traced_census_jobs2(self, tmp_path):
+        trace = tmp_path / "census.jsonl"
+        out = _main_in_one_process(
+            self.ANALYZE,
+            self.CENSUS + ["--jobs", "2", "--trace-out", str(trace)])
+        assert "Table 2: quadrant classification" in out
+        assert trace.is_file()
 
 
 class TestSweepCommand:

@@ -6,8 +6,9 @@ concurrent client threads with a mixed request stream (hot repeats of
 one spec to provoke coalescing, a rotating tail of distinct specs to
 provoke cache churn), then asserts the daemon's long-run invariants:
 
-* **No leaked shared memory** — ``live_segments()`` is empty when the
-  load stops.
+* **No leaked shared memory** — when the load stops, every live
+  segment is one the warm pool's arena cache owns, and
+  ``live_segments()`` is empty once the pool shuts down.
 * **No leaked worker processes** — the daemon's warm worker pool
   (census requests fan out across it) shuts down with every forked
   worker joined and dead; ``leaked_workers()`` reports nothing.
@@ -20,6 +21,10 @@ provoke cache churn), then asserts the daemon's long-run invariants:
   rendered report equals the stdout of a one-shot CLI run of the same
   parameters, byte for byte (profile asserts its deterministic stage
   structure instead; its measured timings are real and therefore vary).
+* **Commands share one process safely** — an in-process
+  ``repro.cli.main(["analyze", ..., "--jobs", "2"])`` forks warm workers
+  in the daemon's own process before the census identity check runs
+  its ``census_jobs=2`` fan-out on them.
 * **Coalescing works** — with concurrent identical requests in flight,
   ``coalesce.follower`` is non-zero while every response stays
   identical.
@@ -36,6 +41,8 @@ slow for the tier-1 suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -50,6 +57,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
+from repro import cli  # noqa: E402
 from repro.runtime import pool as pool_mod  # noqa: E402
 from repro.runtime.metrics import MetricsRegistry  # noqa: E402
 from repro.runtime.shm import live_segments  # noqa: E402
@@ -58,6 +66,10 @@ from repro.serve import ServeConfig, create_server  # noqa: E402
 #: The hot spec: every thread repeats it, so identical requests overlap.
 HOT = {"workload": "spec.gzip", "intervals": 12, "seed": 7,
        "scale": "tiny", "k_max": 5}
+#: The hot spec as uncached ``repro analyze`` arguments.
+HOT_ARGS = ["analyze", HOT["workload"], "--intervals", str(HOT["intervals"]),
+            "--seed", str(HOT["seed"]), "--scale", HOT["scale"],
+            "--k-max", str(HOT["k_max"]), "--no-cache"]
 #: Distinct-spec tail for cache churn (seed rotates per request).
 CHURN_WORKLOADS = ("spec.art", "spec.mcf", "spec.gcc", "odbc", "sjas")
 
@@ -210,14 +222,21 @@ class BurnIn:
     def check_invariants(self, report: dict) -> None:
         stats = report["stats"]
 
-        leaked = live_segments()
-        self._check(not leaked, "shm", f"leaked segments: {leaked}")
+        # Datasets the arena cache keeps warm (one segment each, from
+        # the in-process analyze --jobs 2) are owned, not leaked.
+        owned = len(pool_mod.arena_cache())
+        live = live_segments()
+        self._check(len(live) <= owned, "shm",
+                    f"leaked segments: {live} (arena cache owns {owned})")
 
         # Worker-process leak: shut the warm pool down and prove every
         # forked worker is gone (the daemon shares this process's pool).
         pool = pool_mod.default_pool()
         worker_pids = list(pool.worker_pids())
         pool_mod.shutdown_default()
+        leaked = live_segments()
+        self._check(not leaked, "shm-shutdown",
+                    f"segments survived pool shutdown: {leaked}")
         still_alive = []
         for pid in worker_pids:
             try:
@@ -294,15 +313,26 @@ class BurnIn:
                     and body.get("n_points") == 2, "sweep-endpoint",
                     f"status {status}, body keys {sorted(body)}")
 
+    def check_in_process_cli(self) -> None:
+        """``analyze --jobs 2`` run through ``repro.cli.main`` in this
+        process: its fold fan-out forks the pool the daemon shares, so
+        the census identity check after it runs on those workers."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(HOT_ARGS + ["--jobs", "2"])
+        status, body, _ = post(self.base, "/analyze", dict(HOT))
+        self._check(code == 0 and status == 200
+                    and out.getvalue() == body["report"] + "\n",
+                    "in-process-cli",
+                    f"exit {code}, status {status}: in-process "
+                    "analyze --jobs 2 != daemon report")
+
     def check_cli_identity(self) -> None:
         """Every request kind answers byte-identically to a one-shot CLI."""
         status, body, _ = post(self.base, "/analyze", dict(HOT))
         self._check(status == 200, "identity-analyze", f"status {status}")
-        expected = cli_stdout(["analyze", HOT["workload"],
-                               "--intervals", str(HOT["intervals"]),
-                               "--seed", str(HOT["seed"]),
-                               "--scale", HOT["scale"],
-                               "--k-max", str(HOT["k_max"]), "--no-cache"])
+        expected = cli_stdout(HOT_ARGS)
         self._check(expected == body["report"] + "\n", "identity-analyze",
                     "daemon analyze report != CLI stdout")
 
@@ -345,6 +375,7 @@ class BurnIn:
               f"({report['shed']} shed) in {report['elapsed_s']}s")
         print("invariants:")
         self.check_versioning()
+        self.check_in_process_cli()
         self.check_cli_identity()
         report["stats"] = self.stop()
         self.check_invariants(report)
