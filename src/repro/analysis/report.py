@@ -71,11 +71,12 @@ def format_curve(k_values, re_values, title: str,
     """Render an RE-vs-k curve: sparkline plus selected rows."""
     k_values = list(k_values)
     re_values = list(re_values)
+    last = k_values[-1]
     lines = [title,
-             f"  k=1..{k_values[-1]}: |{sparkline(re_values)}|  "
+             f"  k=1..{last}: |{sparkline(re_values)}|  "
              f"(min={min(re_values):.3f}, max={max(re_values):.3f})"]
-    picks = sorted({1, 2, 3, *range(step, k_values[-1] + 1, step),
-                    k_values[-1]})
+    picks = sorted(k for k in {1, 2, 3, *range(step, last + 1, step), last}
+                   if k <= last)
     if mark_k is not None:
         picks = sorted(set(picks) | {mark_k})
     for k in picks:

@@ -149,25 +149,35 @@ def relative_error_curve(matrix: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     total_variance = float(np.var(y))
     baseline = total_variance * len(y)
-    k_max = config.k_max
     sse = cross_validated_sse(matrix, y, config=config, jobs=jobs)
     if baseline <= 0:
         # Constant CPI: any model is exact; RE is defined as 0.
-        re = np.zeros(k_max)
+        re = np.zeros(config.k_max)
     else:
         re = sse / baseline
+    return summarize_curve(re, total_variance, len(y))
 
+
+def summarize_curve(re: np.ndarray, total_variance: float,
+                    n_points: int) -> RECurve:
+    """An :class:`RECurve` from RE_1..RE_k: the paper's k_opt and RE_inf.
+
+    The one place those rules live.  A curve's first k entries are the
+    curve at ``k_max=k`` (best-first growth, seed-only folds), so this
+    also summarizes a prefix of a longer curve exactly as a fresh
+    computation at ``k_max=k`` would.
+    """
     re_min = float(re.min())
     within = np.nonzero(re <= re_min + KOPT_TOLERANCE)[0]
     k_opt = int(within[0]) + 1
     # The tail value: average of the last quarter of the curve, a stable
     # stand-in for RE at k -> infinity.
-    tail = re[-max(1, k_max // 4):]
+    tail = re[-max(1, len(re) // 4):]
     return RECurve(
         re=re,
         k_opt=k_opt,
         re_kopt=float(re[k_opt - 1]),
         re_inf=float(tail.mean()),
         total_variance=total_variance,
-        n_points=len(y),
+        n_points=n_points,
     )

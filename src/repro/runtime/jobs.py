@@ -23,14 +23,14 @@ import hashlib
 import importlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
 
 from repro.core.config import AnalysisConfig
-from repro.core.cross_validation import RECurve
+from repro.core.cross_validation import RECurve, summarize_curve
 from repro.core.predictability import (
     PredictabilityResult,
     analyze_predictability,
@@ -168,6 +168,19 @@ class JobSpec:
         """
         return spec_key(self.canonical())
 
+    @cached_property
+    def curve_key(self) -> str:
+        """Content hash of the spec without ``k_max``: the execution and
+        its fold partition.
+
+        Specs sharing it have RE curves that are prefixes of one
+        another: trees grow best-first, so T_1..T_k do not depend on
+        ``k_max``, and the folds depend only on the seed.
+        """
+        canonical = self.canonical()
+        del canonical["k_max"]
+        return spec_key(canonical)
+
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
         return cls(**data)
@@ -217,6 +230,23 @@ class JobResult:
         data["re"] = tuple(float(v) for v in data["re"])
         data["spans"] = tuple(data.get("spans", ()))
         return cls(**data)
+
+    def truncated(self, spec: JobSpec) -> "JobResult":
+        """This result cut down to ``spec`` (same ``curve_key``, smaller
+        ``k_max``): the RE prefix, with k_opt, RE_kopt and RE_inf
+        recomputed by the rules a fresh ``k_max`` computation applies.
+
+        Bit-identical to executing ``spec`` for ``k_max >= 2``.  At
+        ``k_max=1`` every held-out error vector is one column, which
+        numpy sums pairwise instead of row by row, so RE_1 may differ in
+        its last bit.
+        """
+        curve = summarize_curve(
+            np.asarray(self.re[:spec.k_max], dtype=np.float64),
+            self.total_variance, self.n_points)
+        return replace(self, key=spec.key, re=self.re[:spec.k_max],
+                       k_opt=curve.k_opt, re_kopt=curve.re_kopt,
+                       re_inf=curve.re_inf, timings={}, spans=())
 
     def to_result(self) -> PredictabilityResult:
         """Reconstruct the rich analysis object renderers consume."""

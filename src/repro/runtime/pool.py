@@ -62,6 +62,10 @@ DEFAULT_MAX_TASKS_PER_CHILD = 256
 #: Seconds of pool idleness before the reaper shuts the workers down.
 DEFAULT_IDLE_TTL_S = 120.0
 
+#: Bound on how long ``WorkerPool.shutdown`` waits for retired workers
+#: still exiting (a wedged one is left to ``leaked_workers``).
+SHUTDOWN_GRACE_S = 5.0
+
 #: Published datasets kept warm (LRU); each entry is one shm segment.
 ARENA_CACHE_BOUND = 8
 
@@ -254,8 +258,16 @@ class WorkerPool:
         self._shutdown_detached(stale, wait=wait)
 
     def shutdown(self) -> None:
-        """Shut the pool down, waiting for workers to exit."""
+        """Shut the pool down, waiting for workers to exit.
+
+        Also waits, up to :data:`SHUTDOWN_GRACE_S`, for workers retired
+        just before: an idle reap joins its workers outside the lock,
+        after :attr:`is_warm` already reads False.
+        """
         self.discard(wait=True)
+        deadline = time.monotonic() + SHUTDOWN_GRACE_S
+        while self.leaked_workers() and time.monotonic() < deadline:
+            time.sleep(0.01)
 
     def _detach_locked(self):
         """Swap the executor out under the lock; returns it (or ``None``).

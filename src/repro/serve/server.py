@@ -58,6 +58,10 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body go out as two writes, and with
+    # Nagle the second waits for the client's delayed ACK (~40 ms on
+    # every keep-alive response).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnalysisService:
@@ -87,7 +91,13 @@ class ServeHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._send(400, {"error": "bad Content-Length"})
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up, and
+            # with no usable length the next request can't be found in
+            # the stream: answer, then close.
+            self._send(400, {"error": "bad Content-Length"},
+                       headers={"Connection": "close"})
             return
         if length > MAX_BODY_BYTES:
             self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} "

@@ -2,7 +2,7 @@
 
 :class:`AnalysisService` is the HTTP-free heart of ``repro serve`` (the
 server in :mod:`repro.serve.server` is a thin transport over it, and the
-tests drive it directly with threads).  One request flows through four
+tests drive it directly with threads).  One request flows through five
 stages, each reusing an existing runtime piece rather than inventing a
 parallel one:
 
@@ -15,10 +15,15 @@ parallel one:
 3. **Coalesce** — cold requests join the
    :class:`~repro.runtime.coalesce.JobCoalescer`; concurrent identical
    requests elect one leader, everyone else waits for its flight.
-4. **Admit + schedule** — the leader takes an admission slot (bounded
-   in-flight + bounded queue, shed beyond that) and runs the job through
-   the normal :func:`~repro.runtime.scheduler.run_jobs` path, so cache
-   stores, manifest records and metrics look exactly like a CLI run's.
+4. **Derive** — an analyze leader whose execution (``JobSpec.curve_key``)
+   already has a cached result at a larger ``k_max`` cuts that result's
+   RE curve to its own k (:meth:`JobResult.truncated`) and stores it,
+   with no admission slot and no CV.
+5. **Admit + schedule** — otherwise the leader takes an admission slot
+   (bounded in-flight + bounded queue, shed beyond that) and runs the
+   job through the normal :func:`~repro.runtime.scheduler.run_jobs`
+   path, so cache stores, manifest records and metrics look exactly
+   like a CLI run's.
 
 Determinism contract: every response carries a ``body`` whose fields
 are pure functions of the request parameters (the ``report`` field is
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +54,7 @@ from repro.runtime.coalesce import (CoalescedFailure, CoalesceTimeout,
 from repro.runtime import pool as pool_mod
 from repro.runtime import stages
 from repro.runtime.graph import submit_graph
-from repro.runtime.jobs import JobResult
+from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import METRICS
 from repro.runtime.scheduler import run_jobs
 from repro.runtime.shm import live_segments
@@ -128,6 +134,10 @@ class AnalysisService:
         self._started_monotonic = time.monotonic()
         self._memo_lock = threading.Lock()
         self._stage_lock = threading.Lock()
+        # curve_key -> (k_max, key) of the longest analysis returned for
+        # that execution; keys only, LRU-bounded like the disk cache.
+        self._curves: OrderedDict[str, tuple[int, str]] = OrderedDict()
+        self._curves_lock = threading.Lock()
 
     # -- GET endpoints ----------------------------------------------------
     def healthz(self) -> dict:
@@ -170,6 +180,7 @@ class AnalysisService:
                 "stores": snap.get("cache.store", 0),
                 "pruned": snap.get("cache.pruned", 0),
                 "warm_responses": snap.get("serve.warm_hit", 0),
+                "derived": snap.get("serve.curve_derived", 0),
                 "entries": cache_stats.entries,
                 "total_bytes": cache_stats.total_bytes,
                 "max_entries": self.config.cache_max_entries,
@@ -273,13 +284,17 @@ class AnalysisService:
                         deadline: float | None) -> tuple[int, dict]:
         spec = req.to_spec()
         key = spec.key
-        warm = self._warm_analyze_body(req, key)
+        warm = self._cached_result(key)
         if warm is not None:
             self.metrics.inc("serve.warm_hit")
-            return 200, self._respond(req, warm, cache_hit=True,
-                                      coalesced=False)
+            self._note_curve(spec)
+            return 200, self._respond(req, self._analyze_body(req, key, warm),
+                                      cache_hit=True, coalesced=False)
 
         def compute() -> tuple[int, dict]:
+            derived = self._derive_analysis(spec)
+            if derived is not None:
+                return 200, self._analyze_body(req, key, derived)
             with self.admission.admit(deadline):
                 outcome = self._run_analysis(spec, deadline)
             if not outcome.ok:
@@ -287,6 +302,7 @@ class AnalysisService:
                 return status, self._error_body(
                     "analyze", "analysis failed", key=key,
                     traceback=outcome.error)
+            self._note_curve(spec)
             self._after_store()
             return 200, self._analyze_body(req, key, outcome.result)
 
@@ -325,9 +341,8 @@ class AnalysisService:
                     final = outcome
         return final
 
-    def _warm_analyze_body(self, req: AnalyzeRequest,
-                           key: str) -> dict | None:
-        """A response body straight from the cache, or None on miss.
+    def _cached_result(self, key: str) -> JobResult | None:
+        """The cached :class:`JobResult` under ``key``, or None.
 
         Mirrors the scheduler's own validation (payload must round-trip
         into a :class:`JobResult` whose key matches); anything less than
@@ -340,9 +355,54 @@ class AnalysisService:
             result = JobResult.from_dict(payload)
         except (TypeError, ValueError, KeyError):
             return None
-        if result.key != key:
+        return result if result.key == key else None
+
+    def _note_curve(self, spec: JobSpec) -> None:
+        """Record ``spec`` as its execution's longest analysis if it is.
+
+        Called once ``spec``'s result is in the cache (computed, or read
+        warm).  Without a disk cache the result can't be read back, so
+        nothing is recorded.
+        """
+        if self.config.no_cache:
+            return
+        with self._curves_lock:
+            longest = self._curves.get(spec.curve_key)
+            if longest is None or spec.k_max > longest[0]:
+                self._curves[spec.curve_key] = (spec.k_max, spec.key)
+            self._curves.move_to_end(spec.curve_key)
+            bound = self.config.cache_max_entries
+            while bound and len(self._curves) > bound:
+                self._curves.popitem(last=False)
+
+    def _derive_analysis(self, spec: JobSpec) -> JobResult | None:
+        """``spec``'s result cut from a longer cached curve, or None.
+
+        The RE curve at ``k_max=k`` is the first k entries of the curve
+        at any larger ``k_max`` over the same execution (see
+        :meth:`JobResult.truncated`, which also says why k = 1 is
+        excluded).  The derived result is stored under ``spec.key`` like
+        a computed one; a longer entry that has been pruned from the
+        cache drops out of the index and the request computes.
+        """
+        with self._curves_lock:
+            longest = self._curves.get(spec.curve_key)
+        if longest is None or not 2 <= spec.k_max <= longest[0]:
             return None
-        return self._analyze_body(req, key, result)
+        source = self._cached_result(longest[1])
+        if source is None:
+            with self._curves_lock:
+                if self._curves.get(spec.curve_key) == longest:
+                    del self._curves[spec.curve_key]
+            return None
+        result = source.truncated(spec)
+        try:
+            self.cache.put(spec.key, result.to_dict(), spec=spec.canonical())
+        except OSError:
+            self.metrics.inc("cache.store_failed")
+        self.metrics.inc("serve.curve_derived")
+        self._after_store()
+        return result
 
     def _analyze_body(self, req: AnalyzeRequest, key: str,
                       result: JobResult) -> dict:

@@ -160,6 +160,13 @@ class TestReport:
         assert "<- k_opt" in text
         assert "k=  7" in text
 
+    def test_format_curve_shorter_than_three(self):
+        # A k_max=1 or 2 curve used to index past its end.
+        assert format_curve([1], [1.0], "c", mark_k=1).splitlines()[2:] \
+            == ["  k=  1  RE=1.0000  <- k_opt"]
+        assert format_curve([1, 2], [1.0, 0.5], "c").splitlines()[2:] \
+            == ["  k=  1  RE=1.0000", "  k=  2  RE=0.5000"]
+
     def test_format_breakdown_runs(self):
         trace = synthetic_trace(100)
         series = breakdown_series(trace, bins=10)

@@ -1,14 +1,21 @@
 """Tests for the 10-fold cross-validation and RE curve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import (
     RECurve,
     cross_validated_sse,
     fold_indices,
     relative_error_curve,
 )
+from repro.runtime.jobs import JobSpec, execute_job
+from repro.sparse import CSRMatrix
 
 
 def phased_dataset(m=80, n=10, noise=0.0, seed=0):
@@ -138,3 +145,45 @@ class TestParallelFolds:
         np.testing.assert_array_equal(one.re, four.re)
         assert one.k_opt == four.k_opt
         assert one.re_kopt == four.re_kopt
+
+
+class TestPrefixInvariant:
+    """The curve at ``k_max=k`` is the first k entries of the curve at
+    any larger ``k_max``: what lets the daemon derive analyses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), m=st.integers(10, 60),
+           n=st.integers(1, 6), folds=st.integers(2, 10),
+           min_leaf=st.integers(1, 6), k=st.integers(2, 12),
+           extra=st.integers(0, 15), sparse=st.booleans())
+    # One feature with three values: every tree stops at <= 3 chambers.
+    @example(seed=0, m=40, n=1, folds=4, min_leaf=1, k=6, extra=10,
+             sparse=False)
+    def test_sse_at_k_is_a_prefix_bit_for_bit(self, seed, m, n, folds,
+                                              min_leaf, k, extra, sparse):
+        rng = np.random.default_rng(seed)
+        matrix = ((rng.random((m, n)) < 0.5)
+                  * rng.integers(1, 4, (m, n))).astype(float)
+        y = np.round(rng.random(m) * 3, 2)
+        if sparse:
+            matrix = CSRMatrix.from_dense(matrix)
+
+        def sse(k_max):
+            return cross_validated_sse(matrix, y, config=AnalysisConfig(
+                k_max=k_max, folds=folds, seed=seed, min_leaf=min_leaf))
+
+        assert sse(k).tobytes() == sse(k + extra)[:k].tobytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(workload=st.sampled_from(["spec.gzip", "spec.mcf", "odbh.q13"]),
+           seed=st.integers(1, 3), k=st.integers(2, 14),
+           extra=st.integers(0, 12))
+    def test_truncated_result_equals_fresh_execution(self, workload, seed,
+                                                     k, extra):
+        def spec(k_max):
+            return JobSpec(workload=workload, n_intervals=12, seed=seed,
+                           scale="tiny", k_max=k_max)
+
+        truncated = execute_job(spec(k + extra)).truncated(spec(k))
+        fresh = execute_job(spec(k))
+        assert truncated == replace(fresh, timings={}, spans=())

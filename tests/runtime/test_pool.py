@@ -243,6 +243,28 @@ class TestSelfHealing:
             pool.shutdown()
         assert pool.leaked_workers() == []
 
+    def test_shutdown_waits_for_a_reap_in_progress(self):
+        # The reaper detaches the executor (is_warm turns False) and
+        # joins its workers outside the lock; a shutdown() in between
+        # used to return while those workers were still alive.
+        pool = pool_mod.WorkerPool(max_workers=2, idle_ttl_s=0.05,
+                                   metrics=MetricsRegistry())
+        run_jobs(probes(2), jobs=2, cache=NullCache(), worker_pool=pool)
+        executor = pool._executor
+        join = executor.shutdown
+
+        def slow_join(*args, **kwargs):
+            time.sleep(0.5)
+            join(*args, **kwargs)
+
+        executor.shutdown = slow_join
+        deadline = time.monotonic() + 5.0
+        while pool.is_warm and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not pool.is_warm
+        pool.shutdown()
+        assert pool.leaked_workers() == []
+
 
 class TestShutdown:
     def test_shutdown_default_leaves_no_workers_or_segments(self):

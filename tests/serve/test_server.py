@@ -1,7 +1,10 @@
 """HTTP round-trip tests, including the byte-identical-to-CLI contract."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -79,6 +82,48 @@ class TestFraming:
         status, body = _post(server, "/analyze", {"workload": "nope"})
         assert status == 400
         assert "unknown workload" in body["error"]
+
+
+    @pytest.mark.parametrize("length", ["-1", "-5"])
+    def test_negative_content_length_is_400(self, server, length):
+        # -1 used to block the handler in rfile.read(-1) until the
+        # client hung up; -5 raised and dropped the connection.
+        conn = http.client.HTTPConnection(server.server_address[0],
+                                          server.server_address[1],
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/analyze")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert body["error"] == "bad Content-Length"
+        assert response.getheader("Connection") == "close"
+
+
+class TestKeepAlive:
+    def test_sequential_requests_do_not_stall(self, server):
+        # Headers and body are two writes; with Nagle on, each
+        # keep-alive response waited ~40 ms for the client's delayed ACK.
+        conn = http.client.HTTPConnection(server.server_address[0],
+                                          server.server_address[1],
+                                          timeout=10)
+        elapsed = []
+        try:
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/v1/healthz")
+                response = conn.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
 
 
 class TestByteIdentity:

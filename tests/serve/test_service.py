@@ -1,6 +1,8 @@
 """Tests for the service layer: warm path, coalescing, error mapping."""
 
 import json
+import random
+import sys
 import threading
 import time
 
@@ -142,6 +144,110 @@ class TestAnalyze:
                             timing_out_submit_graph)
         status, _ = service.handle("/analyze", dict(TINY))
         assert status == 504
+
+
+class TestDerivedAnalyses:
+    """Smaller k_max requests are cut from the longest cached curve."""
+
+    def test_smaller_k_is_derived_and_identical_to_computing_it(
+            self, tmp_path):
+        service = _make(tmp_path / "a")
+        direct = _make(tmp_path / "b")
+        status, _ = service.handle("/analyze", dict(TINY, k_max=12))
+        assert status == 200
+        executed = service.metrics.count("jobs.executed")
+        for k in range(11, 1, -1):
+            status, derived = service.handle("/analyze", dict(TINY, k_max=k))
+            _, computed = direct.handle("/analyze", dict(TINY, k_max=k))
+            assert status == 200
+            assert derived["served"] == {"cache_hit": False,
+                                         "coalesced": False}
+            assert json.dumps(_without_served(derived), sort_keys=True) == \
+                json.dumps(_without_served(computed), sort_keys=True)
+        assert service.metrics.count("jobs.executed") == executed
+        assert service.stats()["cache"]["derived"] == 10
+        # Stored under its own key: a repeat is a plain warm hit.
+        _, again = service.handle("/analyze", dict(TINY, k_max=7))
+        assert again["served"]["cache_hit"] is True
+        # k_max=1 sums one-column error vectors differently, so it runs.
+        status, _ = service.handle("/analyze", dict(TINY, k_max=1))
+        assert status == 200
+        assert service.metrics.count("jobs.executed") > executed
+
+    def test_pruned_longest_entry_falls_back_to_computing(self, tmp_path):
+        service = _make(tmp_path)
+        service.handle("/analyze", dict(TINY, k_max=9))
+        longest = JobSpec(workload="spec.gzip", n_intervals=12, seed=7,
+                          scale="tiny", k_max=9)
+        service.cache.entry_path(longest.key).unlink()
+        executed = service.metrics.count("jobs.executed")
+        status, body = service.handle("/analyze", dict(TINY, k_max=4))
+        assert status == 200 and body["report"]
+        assert service.metrics.count("jobs.executed") > executed
+        assert service.metrics.count("serve.curve_derived") == 0
+        assert service._curves[longest.curve_key][0] == 4
+
+    def test_no_cache_keeps_no_index(self, tmp_path):
+        service = _make(tmp_path, no_cache=True)
+        service.handle("/analyze", dict(TINY, k_max=9))
+        service.handle("/analyze", dict(TINY, k_max=4))
+        assert service._curves == {}
+        assert service.metrics.count("serve.curve_derived") == 0
+
+    def test_index_is_lru_bounded_by_cache_max_entries(self, tmp_path):
+        service = _make(tmp_path, cache_max_entries=2)
+        specs = [JobSpec(workload="spec.gzip", seed=seed, k_max=5)
+                 for seed in (1, 2, 3)]
+        service._note_curve(specs[0])
+        service._note_curve(specs[1])
+        service._note_curve(specs[0])           # touch: now most recent
+        service._note_curve(specs[2])
+        assert list(service._curves) == [specs[0].curve_key,
+                                         specs[2].curve_key]
+
+    def test_concurrent_requests_leave_each_execution_at_its_max(
+            self, tmp_path):
+        service = _make(tmp_path)
+        executions = [dict(TINY), dict(TINY, workload="spec.art")]
+        for body in executions:   # collect once, outside the stress
+            service.handle("/analyze", dict(body, k_max=2))
+        pairs = [(i, k) for i in range(len(executions))
+                 for k in range(2, 9)]
+        random.Random(3).shuffle(pairs)
+        lock = threading.Lock()
+        responses = {}
+
+        def worker():
+            while True:
+                with lock:
+                    if not pairs:
+                        return
+                    i, k = pairs.pop()
+                status, body = service.handle(
+                    "/analyze", dict(executions[i], k_max=k))
+                with lock:
+                    responses[i, k] = (status, body)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, daemon=True)
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(status == 200 for status, _ in responses.values())
+        for i, body in enumerate(executions):
+            top = responses[i, 8][1]["result"]["re"]
+            for k in range(2, 8):
+                assert responses[i, k][1]["result"]["re"] == top[:k]
+            spec = JobSpec(workload=body["workload"], n_intervals=12,
+                           seed=7, scale="tiny", k_max=8)
+            assert service._curves[spec.curve_key] == (8, spec.key)
 
 
 class TestAdmissionIntegration:

@@ -28,6 +28,10 @@ provoke cache churn), then asserts the daemon's long-run invariants:
 * **Coalescing works** — with concurrent identical requests in flight,
   ``coalesce.follower`` is non-zero while every response stays
   identical.
+* **Smaller k_max is derived** — after one execution is analysed at a
+  larger ``k_max``, a smaller one is cut from that curve
+  (``cache.derived`` rises, ``jobs.executed`` does not) and still equals
+  the one-shot CLI stdout.
 
 Exit status 0 = all invariants held.  ``--json PATH`` writes the
 collected metrics for CI artifacts.  ``--quick`` shrinks the run to
@@ -328,6 +332,33 @@ class BurnIn:
                     f"exit {code}, status {status}: in-process "
                     "analyze --jobs 2 != daemon report")
 
+    def check_curve_derived(self) -> None:
+        """Descending k on one execution: the second answer is derived.
+
+        Runs before the load, while the cache is below its bound: the
+        sorted-path prune could otherwise evict the longer entry right
+        after it is stored, and the smaller request would compute.
+        """
+        body = dict(HOT, seed=3)
+        post(self.base, "/v1/analyze", dict(body, k_max=9))
+        _, before = get(self.base, "/v1/stats")
+        status, derived, _ = post(self.base, "/v1/analyze",
+                                  dict(body, k_max=6))
+        _, after = get(self.base, "/v1/stats")
+        derived_delta = after["cache"]["derived"] - before["cache"]["derived"]
+        executed_delta = (after["jobs"]["executed"]
+                          - before["jobs"]["executed"])
+        self._check(status == 200 and derived_delta == 1
+                    and executed_delta == 0, "curve-derived",
+                    f"status {status}, cache.derived +{derived_delta}, "
+                    f"jobs.executed +{executed_delta}")
+        expected = cli_stdout(
+            ["analyze", body["workload"], "--intervals",
+             str(body["intervals"]), "--seed", str(body["seed"]),
+             "--scale", body["scale"], "--k-max", "6", "--no-cache"])
+        self._check(expected == derived.get("report", "") + "\n",
+                    "curve-derived", "derived report != CLI stdout")
+
     def check_cli_identity(self) -> None:
         """Every request kind answers byte-identically to a one-shot CLI."""
         status, body, _ = post(self.base, "/analyze", dict(HOT))
@@ -370,6 +401,7 @@ class BurnIn:
         self.start()
         print(f"burn-in: {self.threads} clients for {self.seconds:.0f}s "
               f"against {self.base}")
+        self.check_curve_derived()
         report = self.run_load()
         print(f"load done: {report['responses']} responses "
               f"({report['shed']} shed) in {report['elapsed_s']}s")
