@@ -10,8 +10,8 @@ Machine-readable timings additionally accumulate in
 stage: wall seconds, throughput, speedup over the reference
 implementation), so the perf trajectory is trackable across PRs and CI
 can upload them as artifacts.  ``BENCH_pipeline.json`` holds the
-pipeline-stage timings; ``BENCH_shm.json`` the shared-memory transport
-and out-of-core collection numbers.
+pipeline-stage timings; ``BENCH_shm.json`` the out-of-core collection
+numbers.
 """
 
 import json
@@ -67,7 +67,7 @@ def bench_json():
 
 @pytest.fixture(scope="session")
 def bench_shm_json():
-    """Record shm/out-of-core timings into ``BENCH_shm.json``."""
+    """Record out-of-core collection timings into ``BENCH_shm.json``."""
     return json_recorder(RESULTS_DIR / "BENCH_shm.json")
 
 

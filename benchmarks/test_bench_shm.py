@@ -1,92 +1,20 @@
-"""Shared-memory fan-out vs pickled initargs, and out-of-core RSS.
+"""Out-of-core collection: bounded RSS while streaming to disk.
 
-Two claims are measured, both recorded in ``BENCH_shm.json``:
-
-* publishing a wide (6000-EIP) dataset to four workers through the
-  :class:`~repro.runtime.shm.SharedArena` is at least 2x cheaper per
-  worker than pickling the arrays into each worker's initializer;
-* streaming a billion-instruction collection through
-  ``collect_to_store`` keeps peak RSS roughly flat while the in-memory
-  ``collect`` grows linearly with the run length.
+One claim is measured and recorded in ``BENCH_shm.json``: streaming a
+billion-instruction collection through ``collect_to_store`` keeps peak
+RSS roughly flat while the in-memory ``collect`` grows linearly with
+the run length.
 """
 
 import os
-import pickle
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.runtime import shm
-from repro.runtime.folds import dataset_token
-
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-#: The fan-out width the acceptance numbers are quoted at.
-N_WORKERS = 4
-
-
-def _min_time(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _pickle_round(token, matrix, y) -> None:
-    # What ProcessPoolExecutor initargs cost under the spawn start method:
-    # each worker's Process pickles its args independently and the worker
-    # unpickles its own private copy of the arrays.
-    for _ in range(N_WORKERS):
-        pickle.loads(pickle.dumps((token, matrix, y),
-                                  protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def _shm_round(token, matrix, y) -> None:
-    # The arena path: copy into the segment once, then every worker maps
-    # read-only views over the same physical pages.
-    with shm.SharedArena() as arena:
-        handle = arena.publish(token, matrix, y)
-        assert handle is not None
-        for _ in range(N_WORKERS):
-            view_m, view_y = shm.attach_dataset(handle)
-            del view_m, view_y
-            shm.detach_all()  # forget the mapping so each attach is cold
-
-
-@pytest.mark.skipif(not shm.shm_available(),
-                    reason="POSIX shared memory unavailable")
-def test_bench_transport_publish(benchmark, bench_shm_json):
-    rng = np.random.default_rng(0)
-    matrix = rng.integers(0, 50, size=(600, 6000), dtype=np.int32)
-    y = rng.random(600)
-    token = dataset_token(matrix, y)
-    timings = {}
-
-    def measure():
-        timings["pickle_s"] = _min_time(lambda: _pickle_round(token, matrix,
-                                                              y))
-        timings["shm_s"] = _min_time(lambda: _shm_round(token, matrix, y))
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    per_worker_pickle = timings["pickle_s"] / N_WORKERS
-    per_worker_shm = timings["shm_s"] / N_WORKERS
-    speedup = per_worker_pickle / per_worker_shm
-    bench_shm_json(
-        "transport_publish", timings["shm_s"],
-        intervals=600, eips=6000, workers=N_WORKERS,
-        payload_mb=round((matrix.nbytes + y.nbytes) / 2**20, 1),
-        pickle_s=round(timings["pickle_s"], 4),
-        per_worker_pickle_ms=round(per_worker_pickle * 1e3, 3),
-        per_worker_shm_ms=round(per_worker_shm * 1e3, 3),
-        speedup=round(speedup, 2))
-    assert speedup >= 2.0
-    assert shm.live_segments() == ()
 
 
 # One subprocess per (mode, run length): peak RSS is a whole-process

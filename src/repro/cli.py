@@ -28,7 +28,7 @@ Commands
     Inspect (``stats``) or empty (``clear``) the on-disk result cache.
 ``lint``
     Run the repo-specific AST invariant checker (see :mod:`repro.lint`):
-    determinism, shared-memory write-safety and pool-hygiene rules that
+    determinism, shared-view write-safety and pool-hygiene rules that
     generic linters cannot express.
 
 ``analyze``, ``census``, ``experiment``, ``profile`` and ``sweep`` all
@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.lint import add_arguments as add_lint_arguments
     lint = sub.add_parser(
-        "lint", help="AST invariant lint (determinism, shm, pools)")
+        "lint", help="AST invariant lint (determinism, mmap views, pools)")
     add_lint_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
     return parser

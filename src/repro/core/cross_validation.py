@@ -89,15 +89,18 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
     ``config=AnalysisConfig(...)``; the loose kwargs are deprecated.
     ``jobs > 1`` fans the folds across worker processes with a
     deterministic merge — the result is bit-identical to the serial loop.
-    The serial-vs-parallel rule (:func:`repro.runtime.pool.use_pool`) is
-    checked before the dataset is published to any worker.
+    The partition is drawn first, so an impossible one raises the same
+    ``ValueError`` at any ``jobs``, and the serial-vs-parallel rule
+    (:func:`repro.runtime.pool.use_pool`) is checked before the dataset
+    is written for any worker.
     """
     config = resolve_config(config, k_max, folds, seed, min_leaf,
                             caller="cross_validated_sse")
     if not is_sparse(matrix):
         matrix = np.asarray(matrix)
     y = np.asarray(y, dtype=np.float64)
-    rng = np.random.default_rng(config.seed)
+    partition = fold_indices(len(y), config.folds,
+                             np.random.default_rng(config.seed))
     k_max = config.k_max
     if jobs > 1:
         from repro.runtime import pool as pool_mod
@@ -112,7 +115,7 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
         METRICS.inc("dispatch.serial_chosen")
     sse = np.zeros(k_max)
     with span("cv", folds=config.folds, k_max=k_max) as cv_span:
-        for held_out in fold_indices(len(y), config.folds, rng):
+        for held_out in partition:
             with span("cv.fold") as fold_span:
                 train_mask = np.ones(len(y), dtype=bool)
                 train_mask[held_out] = False

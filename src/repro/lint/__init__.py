@@ -2,7 +2,7 @@
 
 Generic linters check style; this package checks the *invariants the
 test suite's byte-identical guarantees rest on*, statically, at the
-AST level, so a determinism or shared-memory-safety regression is
+AST level, so a determinism or shared-view-safety regression is
 caught at lint time instead of by an equality test three layers away.
 
 Rules (stable IDs, append-only):
@@ -12,9 +12,9 @@ RL001     nondeterministic iteration (unsorted glob/listdir, set loops)
 RL002     unseeded randomness (module-level RNG state, argless
           default_rng())
 RL003     wall clock inside hashed/cached runtime code paths
-RL004     writable ndarray views over shared-memory buffers escaping
-          their constructor
-RL005     pool hygiene (pool construction outside the scheduler,
+RL004     writable ndarray views over shared buffers or memmaps
+          escaping their constructor
+RL005     pool hygiene (pool construction outside the warm pool,
           closures submitted to pools)
 RL006     ambient I/O in hot-path files (print/open/logging outside
           repro.obs)

@@ -7,8 +7,7 @@ The linter is configured in the repo's ``pyproject.toml`` under
     paths = ["src/repro", "examples"]
     baseline = "lint-baseline.json"
     rl003-paths = ["src/repro/runtime/*.py"]
-    rl005-pool-sites = ["src/repro/runtime/scheduler.py",
-                        "src/repro/runtime/pool.py"]
+    rl005-pool-sites = ["src/repro/runtime/pool.py"]
     rl006-hot-paths = ["src/repro/trace/sampler.py"]
     scoped-allow = ["RL003:src/repro/serve/server.py"]
 
@@ -50,8 +49,7 @@ class LintConfig:
     #: Hashed/cached code paths where wall-clock reads are forbidden.
     rl003_paths: tuple = ("src/repro/runtime/*.py",)
     #: The only files allowed to construct process pools.
-    rl005_pool_sites: tuple = ("src/repro/runtime/scheduler.py",
-                               "src/repro/runtime/pool.py")
+    rl005_pool_sites: tuple = ("src/repro/runtime/pool.py",)
     #: Hot-path files where ambient I/O is forbidden.
     rl006_hot_paths: tuple = ("src/repro/trace/sampler.py",
                               "src/repro/core/regression_tree.py",

@@ -2,7 +2,7 @@
 RL003 (wall clock in hashed/cached code paths).
 
 These guard the pipeline's load-bearing promise — byte-identical output
-across serial / parallel / warm-cache / shm / trace-store runs — at the
+across serial / parallel / warm-cache / trace-store runs — at the
 three places it historically leaks: filesystem enumeration order, global
 RNG state, and clock reads inside content-addressed code.
 """

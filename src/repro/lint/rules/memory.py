@@ -1,21 +1,23 @@
-"""Memory-safety rules: RL004 (shm write-safety), RL005 (pool hygiene).
+"""Memory-safety rules: RL004 (shared-view write-safety), RL005 (pool
+hygiene).
 
-RL004 mirrors the discipline established in ``runtime/shm.py``: a NumPy
-array built over a ``SharedMemory`` buffer is a window onto pages other
-processes can see, so it must be frozen (``flags.writeable = False``)
-before it escapes the constructing function — an escaped writable view
-lets any caller silently corrupt every attached worker's data.  The
-same applies to memmapped artifact loads (``np.load(...,
-mmap_mode=...)``): those pages back an on-disk artifact shared by every
-process that opens it, so the view must be frozen before escape, and
+RL004: a NumPy array built over a shared buffer (``np.ndarray(...,
+buffer=...)``) is a window onto pages other code can see, so it must be
+frozen (``flags.writeable = False``) before it escapes the constructing
+function — an escaped writable view lets any caller silently corrupt
+every other reader's data.  The same applies to memmapped artifact
+loads (``np.load(..., mmap_mode=...)``): those pages back an on-disk
+artifact shared by every process that opens it, so the view must be
+frozen before escape (``ArtifactStore.load_array`` is the model), and
 returning/yielding the load call directly — with no chance to freeze —
 is flagged outright.
 
-RL005 keeps process-pool construction confined to the scheduler (the one
-place with the fallback/timeout/broken-pool machinery) and keeps big
-array payloads out of pool submissions: closures and lambdas pickle
-their captures into every job, which is exactly the copy-per-worker
-cost ``SharedArena``/``dataset_token`` publication exists to avoid.
+RL005 keeps process-pool construction confined to the warm pool (the
+one place with the fallback/timeout/broken-pool machinery behind it)
+and keeps big array payloads out of pool submissions: closures and
+lambdas pickle their captures into every job, which is exactly the
+copy-per-worker cost a ``WorkerSetup`` keyed by ``dataset_token``
+exists to avoid.
 """
 
 from __future__ import annotations
@@ -113,11 +115,11 @@ class ShmWriteSafety(Rule):
     """RL004: buffer-backed ndarray views must be frozen before escape."""
 
     rule_id = "RL004"
-    title = "writable shared-memory view escapes"
+    title = "writable shared-buffer view escapes"
     invariant = ("np.ndarray(..., buffer=...) and np.load(..., "
                  "mmap_mode=...) views set flags.writeable = False "
-                 "before being returned or stored (see runtime/shm.py "
-                 "attach_dataset)")
+                 "before being returned or stored (see "
+                 "ArtifactStore.load_array)")
 
     def check(self, ctx, config):
         for function in _function_nodes(ctx.tree):
@@ -173,11 +175,11 @@ class PoolHygiene(Rule):
     """RL005: pools are built in one place; submissions stay small."""
 
     rule_id = "RL005"
-    title = "pool constructed or fed outside the scheduler"
+    title = "pool constructed or fed outside the warm pool"
     invariant = ("process pools are constructed only in "
-                 "runtime/scheduler.py; submissions never pickle "
-                 "closures/lambdas (large payloads travel via "
-                 "SharedArena / dataset_token)")
+                 "runtime/pool.py; submissions never pickle "
+                 "closures/lambdas (large payloads travel as a "
+                 "WorkerSetup keyed by dataset_token)")
 
     def check(self, ctx, config):
         allowed_here = config.matches(ctx.relpath, config.rl005_pool_sites)
@@ -190,7 +192,7 @@ class PoolHygiene(Rule):
                     and self._is_pool_module(name):
                 yield self.finding(
                     ctx, node,
-                    f"{name} constructed outside runtime/scheduler.py; "
+                    f"{name} constructed outside runtime/pool.py; "
                     f"go through repro.runtime.run_jobs so fan-out "
                     f"keeps its fallback, timeout and cache behavior")
             if isinstance(node.func, ast.Attribute) \
@@ -210,15 +212,16 @@ class PoolHygiene(Rule):
                     ctx, arg,
                     "lambda submitted to a pool pickles its captured "
                     "environment into every job; submit a module-level "
-                    "function and ship arrays via SharedArena/"
-                    "dataset_token")
+                    "function and ship arrays through a WorkerSetup "
+                    "keyed by dataset_token")
             elif isinstance(arg, ast.Name) and arg.id in nested:
                 yield self.finding(
                     ctx, arg,
                     f"nested function '{arg.id}' submitted to a pool is "
                     f"a closure — its captures (possibly whole arrays) "
                     f"pickle into every job; hoist it to module level "
-                    f"and pass data via SharedArena/dataset_token")
+                    f"and ship data through a WorkerSetup keyed by "
+                    f"dataset_token")
 
     def _enclosing_nested_defs(self, ctx, node) -> set:
         """Names of functions defined inside the function containing

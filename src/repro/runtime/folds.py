@@ -19,19 +19,23 @@ Three properties keep a parallel run bit-identical to the serial loop:
   fold submission order with the same ``sse[:reached] += errors`` /
   tail-extension operations the serial loop performs.
 
-The (matrix, y) dataset is published to each pool worker once —
-through a cached :class:`~repro.runtime.pool.WorkerSetup` shm attach on
-the warm-pool path, or the legacy pool initializer on the pickled
-transport (:func:`publish_dataset` keyed by a content token either
-way) — instead of being pickled into all ``folds`` job payloads.  Fold
-jobs are
-never cached: a fold is an internal slice of one analysis, cheap relative
-to its dataset hash and meaningless outside it.
+The (matrix, y) dataset reaches each pool worker once, as a file: the
+parent writes it as one ``folds`` artifact (the layout ``put_eipv``
+uses) into a temporary :class:`~repro.runtime.cache.ArtifactStore`, and
+a :class:`~repro.runtime.pool.WorkerSetup` keyed by the dataset's
+content token maps it read-only in each worker (a warm worker that
+already holds the token maps nothing) and publishes it with
+:func:`publish_dataset`.  The page cache shares the mapped bytes across
+workers.  Fold jobs are never cached: a fold is an internal slice of
+one analysis, cheap relative to its dataset hash and meaningless
+outside it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import tempfile
 import time
 import weakref
 from dataclasses import asdict, dataclass, field
@@ -42,9 +46,18 @@ import numpy as np
 
 from repro.core.regression_tree import RegressionTreeSequence
 from repro.obs import span
-from repro.runtime.cache import NullCache
+from repro.runtime.cache import ArtifactStore, NullCache
 from repro.runtime.jobs import CODE_VERSION, register_job_kind, spec_key
+from repro.runtime.metrics import METRICS, MetricsRegistry
+from repro.runtime.stages import load_matrix, save_matrix
 from repro.sparse import is_sparse
+
+#: Artifact kind of a fold dataset in its temporary store.
+FOLDS_KIND = "folds"
+
+#: Prefix of the temporary directory each parallel CV writes its
+#: dataset into (removed before ``run_parallel_folds`` returns).
+FOLDS_DIR_PREFIX = "repro-folds-"
 
 #: Datasets available to fold jobs in this process, keyed by token.
 _DATASETS: dict[str, tuple] = {}
@@ -91,51 +104,37 @@ def dataset_token(matrix, y: np.ndarray) -> str:
     return token
 
 
-def register_dataset_token(matrix, y: np.ndarray, token: str) -> None:
-    """Pre-register a known content token for a live (matrix, y) pair.
-
-    Callers that already own a content-addressed identity for a dataset
-    — the artifact store's ``eipv`` stage key covers exactly the bytes
-    :func:`dataset_token` would hash — register it so the fold fan-out
-    and the shared-memory arena never re-hash a memmapped dataset.
-    Registration needs weak references to evict on object death; plain
-    dense ``ndarray``s don't support them, in which case this silently
-    does nothing and :func:`dataset_token` hashes as usual.
-    """
-    memo_key = (id(matrix), id(y))
-    if memo_key in _TOKEN_MEMO:
-        return
-    try:
-        for obj in (matrix, y):
-            weakref.finalize(obj, _TOKEN_MEMO.pop, memo_key, None)
-    except TypeError:
-        return
-    _TOKEN_MEMO[memo_key] = token
-
-
 def publish_dataset(token: str, matrix, y: np.ndarray) -> None:
     """Make a dataset visible to fold jobs executing in this process."""
     _DATASETS[token] = (matrix, y)
 
 
-def _init_worker(token: str, matrix, y: np.ndarray) -> None:
-    """Pool initializer: ship the dataset to a worker once (pickled)."""
-    publish_dataset(token, matrix, y)
+def _put_dataset(store: ArtifactStore, token: str, matrix,
+                 y: np.ndarray) -> None:
+    """Write (matrix, y) once as a ``folds`` artifact keyed by token, in
+    the EIPV artifact's matrix layout."""
+    meta = {"sparse": is_sparse(matrix),
+            "shape": [int(dim) for dim in matrix.shape]}
+    with store.put(FOLDS_KIND, token, meta) as staging:
+        np.save(staging / "y.npy", y)
+        save_matrix(staging, matrix)
 
 
-def _init_worker_shm(handle) -> None:
-    """Pool initializer: attach the shared-memory dataset (zero-copy).
+def _attach_dataset(root: str, token: str) -> None:
+    """Pool-worker setup hook: map the fold dataset and publish it.
 
-    Only the small :class:`~repro.runtime.shm.ArenaHandle` is pickled;
-    the arrays are read-only views over the parent's segment.  If the
-    attach fails the pool breaks and the scheduler's serial fallback
-    recomputes the folds in the parent, where the dataset is still
-    published in-process.
+    The arrays are the store's read-only memmap views.  A missing or
+    unreadable artifact raises; the scheduler then recomputes the folds
+    in the parent, where the dataset is still published in-process.
     """
-    from repro.runtime.shm import attach_dataset
-
-    matrix, y = attach_dataset(handle)
-    publish_dataset(handle.token, matrix, y)
+    store = ArtifactStore(root, metrics=MetricsRegistry())
+    meta = store.open_meta(FOLDS_KIND, token)
+    y = store.load_array(FOLDS_KIND, token, "y") if meta else None
+    matrix = (load_matrix(store, FOLDS_KIND, token, meta)
+              if y is not None else None)
+    if matrix is None:
+        raise RuntimeError(f"fold dataset {token!r} in {root} is unreadable")
+    publish_dataset(token, matrix, np.asarray(y))
 
 
 @dataclass(frozen=True)
@@ -204,8 +203,8 @@ def execute_fold(spec: FoldSpec, jobs: int = 1) -> FoldResult:
     except KeyError:
         raise RuntimeError(
             f"dataset {spec.dataset_token!r} was not published to this "
-            "process (fold jobs need publish_dataset or the pool "
-            "initializer)") from None
+            "process (fold jobs need publish_dataset or the fold "
+            "dataset setup)") from None
     start = time.perf_counter()
     held_out = fold_indices(spec.n_points, spec.folds,
                             np.random.default_rng(spec.seed))[spec.fold_index]
@@ -231,60 +230,52 @@ def execute_fold(spec: FoldSpec, jobs: int = 1) -> FoldResult:
 
 
 def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
-                       timeout: float | None = None,
-                       shm: bool = True) -> np.ndarray:
+                       timeout: float | None = None) -> np.ndarray:
     """Fan the folds of one cross-validation across worker processes.
 
     Returns the summed held-out squared-error vector E_k — bit-identical
     to the serial loop at any ``jobs`` (including the scheduler's serial
     fallback when a pool cannot be built).
 
-    ``shm`` selects the dataset transport: ``True`` publishes (matrix, y)
-    once into a shared-memory arena and workers attach zero-copy views,
-    ``False`` pickles the arrays into each worker.  Shared memory
-    silently degrades to the pickled transport when unavailable; either
-    way the fold floats are the same.
-
-    The shm path rides the persistent warm pool: the published arena is
-    cached parent-side in :func:`repro.runtime.pool.arena_cache` keyed
-    by the dataset token (a k-sweep's repeated analyses publish once),
-    and workers attach through a :class:`~repro.runtime.pool.WorkerSetup`
-    cached by the same key (a warm worker re-attaches nothing).  The
-    pickled transport keeps the legacy per-call pool — its initializer
-    must run at worker spawn, so a persistent pool cannot serve it.
+    When the folds will reach the pool, the dataset is written once into
+    a temporary artifact store and workers map it through a
+    :class:`~repro.runtime.pool.WorkerSetup` keyed by the content token;
+    the directory is removed before this returns, whatever happens.  The
+    parent also publishes the dataset in-process for the scheduler's
+    fallback.  A store that cannot be written runs the folds here
+    (counted as ``folds.store_failed``).
     """
     from repro.runtime import pool as pool_mod
     from repro.runtime.graph import JobGraph, submit_graph
 
     token = dataset_token(matrix, y)
     publish_dataset(token, matrix, y)
-    initializer, initargs, setup = None, (), None
-    if shm and jobs > 1:
-        handle = pool_mod.arena_cache().handle_for(token, matrix, y)
-        if handle is not None:
-            setup = pool_mod.WorkerSetup(key=f"arena:{token}",
-                                         fn=_init_worker_shm,
-                                         args=(handle,))
-    if setup is None:
-        initializer, initargs = _init_worker, (token, matrix, y)
+    graph = JobGraph()
+    for i in range(config.folds):
+        graph.add(FoldSpec(dataset_token=token, fold_index=i,
+                           n_points=len(y), folds=config.folds,
+                           seed=config.seed, k_max=config.k_max,
+                           min_leaf=config.min_leaf))
     try:
-        graph = JobGraph()
-        specs = [FoldSpec(dataset_token=token, fold_index=i,
-                          n_points=len(y), folds=config.folds,
-                          seed=config.seed, k_max=config.k_max,
-                          min_leaf=config.min_leaf)
-                 for i in range(config.folds)]
-        for spec in specs:
-            graph.add(spec)
-        outcomes = submit_graph(graph, jobs=jobs, cache=NullCache(),
-                                timeout=timeout, initializer=initializer,
-                                initargs=initargs, setup=setup)
-    except BaseException:
-        # A crash mid-dispatch may implicate the published segment;
-        # evict it so nothing leaks past the failed analysis.
-        if setup is not None:
-            pool_mod.arena_cache().evict(token)
-        raise
+        with contextlib.ExitStack() as stack:
+            setup = None
+            if pool_mod.use_pool(jobs, config.folds):
+                try:
+                    root = stack.enter_context(tempfile.TemporaryDirectory(
+                        prefix=FOLDS_DIR_PREFIX, ignore_cleanup_errors=True))
+                    # A private registry keeps these writes out of the
+                    # pipeline's ``artifact.*`` counters.
+                    store = ArtifactStore(root, metrics=MetricsRegistry())
+                    _put_dataset(store, token, matrix, y)
+                except OSError:
+                    METRICS.inc("folds.store_failed")
+                    jobs = 1
+                else:
+                    setup = pool_mod.WorkerSetup(
+                        key=f"folds:{token}", fn=_attach_dataset,
+                        args=(root, token))
+            outcomes = submit_graph(graph, jobs=jobs, cache=NullCache(),
+                                    timeout=timeout, setup=setup)
     finally:
         _DATASETS.pop(token, None)
 

@@ -115,8 +115,7 @@ class JobGraph:
 
 
 def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
-                 timeout: float | None = None, metrics=METRICS,
-                 initializer=None, initargs=(), setup=None,
+                 timeout: float | None = None, metrics=METRICS, setup=None,
                  on_outcome: Callable[[JobOutcome], None] | None = None
                  ) -> list[JobOutcome]:
     """Run every node of ``graph``; outcomes in node-insertion order.
@@ -161,7 +160,6 @@ def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
             # scheduler.run_jobs intercept graph dispatch too.
             scheduler.run_jobs([graph.node(key).spec for key in runnable],
                                jobs=jobs, cache=cache, timeout=timeout,
-                               metrics=metrics, initializer=initializer,
-                               initargs=initargs, setup=setup,
+                               metrics=metrics, setup=setup,
                                on_outcome=record)
     return [done[key] for key in graph.keys()]

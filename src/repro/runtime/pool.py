@@ -1,42 +1,32 @@
-"""Persistent worker pool, shared-arena cache, and the dispatch rule.
+"""Persistent worker pool and the dispatch rule.
 
 Before this module every ``run_jobs`` call built a fresh
 :class:`~concurrent.futures.ProcessPoolExecutor`, forked workers, ran its
-batch, and tore everything down — and every parallel cross-validation
-re-published its dataset into a fresh shared-memory arena.  For the
-paper-scale fold fits that overhead *dominated*: ``BENCH_pipeline``
-recorded the 4-way parallel CV at 0.79× serial.  Two pieces close the
-gap:
-
-* :class:`WorkerPool` — one process pool that outlives individual
-  ``run_jobs``/``submit_graph`` calls.  Workers are forked once and
-  reused across batches (``pool.warm_hits``); the pool self-heals
-  (broken-pool respawn mid-batch, task-count recycling in lieu of
-  ``max_tasks_per_child`` — which needs 3.11+ and a non-fork start
-  method — an idle reaper, and an ``atexit`` shutdown that leaves zero
-  worker processes behind).
-
-* :class:`ArenaCache` — parent-side cache of published
-  :class:`~repro.runtime.shm.SharedArena` segments keyed by the
-  content-hashed ``dataset_token``, so a k-sweep's repeated analyses of
-  one dataset publish it **once** (``pool.arena_published`` vs
-  ``pool.arena_reused``).  Workers attach through a per-batch
-  :class:`WorkerSetup` hook that is cached worker-side by key, so a warm
-  worker re-attaches nothing either.
+batch, and tore everything down.  For the paper-scale fold fits that
+overhead *dominated*: ``BENCH_pipeline`` recorded the 4-way parallel CV
+at 0.79× serial.  :class:`WorkerPool` closes the gap: one process pool
+that outlives individual ``run_jobs``/``submit_graph`` calls.  Workers
+are forked once and reused across batches (``pool.warm_hits``); the
+pool self-heals (broken-pool respawn mid-batch, task-count recycling in
+lieu of ``max_tasks_per_child`` — which needs 3.11+ and a non-fork start
+method — an idle reaper, and an ``atexit`` shutdown that leaves zero
+worker processes behind).  Per-batch worker state (the artifact store
+of a sweep, the dataset of a parallel CV) ships through a
+:class:`WorkerSetup` hook that is cached worker-side by key, so a warm
+worker re-runs nothing.
 
 :func:`use_pool` is the one serial-vs-parallel rule.  Pool workers are
 leaves: they run jobs with ``jobs=1`` and never reach a pool, and a
 forked child forgets the parent's singletons (:func:`_forget_inherited`).
 
 Everything here is a performance tier, never a correctness one: results
-are byte-identical across serial, cold-pool and warm-pool paths (the
-scheduler's outcome ordering and the folds' deterministic merge are
-unchanged), and a pool that cannot be built or breaks degrades to the
-scheduler's in-process fallback exactly as before.
+are byte-identical across serial and pooled paths (the scheduler's
+outcome ordering and the folds' deterministic merge are unchanged), and
+a pool that cannot be built or breaks degrades to the scheduler's
+in-process fallback.
 
-Lint: this file and ``scheduler.py`` are the only sanctioned pool
-construction sites (RL005); constructing executors anywhere else fails
-``repro.lint``.
+Lint: this file is the only sanctioned pool construction site (RL005);
+constructing executors anywhere else fails ``repro.lint``.
 """
 
 from __future__ import annotations
@@ -46,17 +36,16 @@ import os
 import threading
 import time
 import traceback
-from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.runtime.metrics import METRICS
-from repro.runtime.shm import SharedArena
 
 #: Tasks a pool serves before its workers are recycled (``max_tasks ×
 #: workers`` pool-wide, a stand-in for ``max_tasks_per_child`` that
 #: works under fork and on 3.10).  Bounds any slow leak in worker-side
-#: caches (attached segments, published datasets, imported modules).
+#: caches (mapped fold datasets, installed stores, imported modules).
 DEFAULT_MAX_TASKS_PER_CHILD = 256
 
 #: Seconds of pool idleness before the reaper shuts the workers down.
@@ -65,9 +54,6 @@ DEFAULT_IDLE_TTL_S = 120.0
 #: Bound on how long ``WorkerPool.shutdown`` waits for retired workers
 #: still exiting (a wedged one is left to ``leaked_workers``).
 SHUTDOWN_GRACE_S = 5.0
-
-#: Published datasets kept warm (LRU); each entry is one shm segment.
-ARENA_CACHE_BOUND = 8
 
 #: Exceptions a pool build/submit can raise in restricted environments —
 #: the scheduler degrades to its in-process path on any of these.
@@ -94,7 +80,7 @@ class WorkerSetup:
     this descriptor with every job instead: the first job of a batch to
     reach a given worker runs ``fn(*args)``, and the key is remembered
     so every later job — and every later *batch* with the same key —
-    skips it.  Keys must identify content (e.g. ``arena:<dataset
+    skips it.  Keys must identify content (e.g. ``folds:<dataset
     token>``), making re-runs no-ops by construction.
     """
 
@@ -167,11 +153,7 @@ class WorkerPool:
     # -- executor lifecycle ----------------------------------------------
 
     def _build(self, workers: int):
-        # Resolved through the scheduler module so tests (and tools) that
-        # monkeypatch ``scheduler.ProcessPoolExecutor`` reach the warm
-        # pool's construction too.
-        from repro.runtime import scheduler
-        return scheduler.ProcessPoolExecutor(max_workers=workers)
+        return ProcessPoolExecutor(max_workers=workers)
 
     def acquire(self, jobs: int):
         """A ready executor sized for ``jobs``; returns ``(executor,
@@ -360,80 +342,6 @@ class WorkerPool:
             return alive
 
 
-class ArenaCache:
-    """Published shared-memory datasets kept warm across analyses.
-
-    Keyed by the content-hashed ``dataset_token`` — the same bytes hash
-    to the same token, so replaying a cached handle to a worker is
-    correct by construction.  LRU-bounded; evicted (and all) segments
-    are destroyed through their owning arena, and the whole cache is
-    torn down with the default pool at exit, so ``/dev/shm`` ends every
-    process empty.
-    """
-
-    def __init__(self, bound: int = ARENA_CACHE_BOUND,
-                 metrics=METRICS) -> None:
-        self._lock = threading.Lock()
-        self._bound = max(1, int(bound))
-        self._metrics = metrics
-        self._entries: OrderedDict[str, tuple] = OrderedDict()
-
-    def handle_for(self, token: str, matrix, y):
-        """The (possibly cached) handle of a published dataset.
-
-        Publishes at most once per token; returns ``None`` when shared
-        memory is unavailable (callers fall back to pickling).
-        """
-        with self._lock:
-            entry = self._entries.get(token)
-            if entry is not None:
-                self._entries.move_to_end(token)
-                self._metrics.inc("pool.arena_reused")
-                return entry[1]
-        arena = SharedArena()
-        handle = arena.publish(token, matrix, y)
-        if handle is None:
-            return None
-        with self._lock:
-            raced = self._entries.get(token)
-            if raced is not None:
-                # Another thread published the same bytes first; keep
-                # theirs, drop ours.
-                self._entries.move_to_end(token)
-                self._metrics.inc("pool.arena_reused")
-            else:
-                self._entries[token] = (arena, handle)
-                self._metrics.inc("pool.arena_published")
-                while len(self._entries) > self._bound:
-                    _, (old_arena, _) = self._entries.popitem(last=False)
-                    old_arena.destroy()
-                    self._metrics.inc("pool.arena_evicted")
-                return handle
-        arena.destroy()
-        return raced[1]
-
-    def evict(self, token: str) -> None:
-        """Destroy one dataset's segments (crash-path hygiene)."""
-        with self._lock:
-            entry = self._entries.pop(token, None)
-        if entry is not None:
-            entry[0].destroy()
-
-    def destroy_all(self) -> None:
-        with self._lock:
-            entries, self._entries = self._entries, OrderedDict()
-        for arena, _ in entries.values():
-            arena.destroy()
-
-    def tokens(self) -> tuple:
-        with self._lock:
-            return tuple(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 def usable_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware)."""
     try:
@@ -452,7 +360,6 @@ def use_pool(jobs: int, pending: int) -> bool:
 # -- module singletons -----------------------------------------------------
 
 _DEFAULT_POOL: WorkerPool | None = None
-_DEFAULT_ARENAS: ArenaCache | None = None
 _SINGLETON_LOCK = threading.Lock()
 
 
@@ -465,42 +372,29 @@ def default_pool() -> WorkerPool:
         return _DEFAULT_POOL
 
 
-def arena_cache() -> ArenaCache:
-    """The process-wide published-dataset cache (created on first use)."""
-    global _DEFAULT_ARENAS
-    with _SINGLETON_LOCK:
-        if _DEFAULT_ARENAS is None:
-            _DEFAULT_ARENAS = ArenaCache()
-        return _DEFAULT_ARENAS
-
-
 def shutdown_default() -> None:
-    """Shut down the warm pool and destroy cached arenas (atexit hook).
+    """Shut down the warm pool (atexit hook).
 
-    Safe to call repeatedly; the singletons rebuild lazily on next use.
+    Safe to call repeatedly; the singleton rebuilds lazily on next use.
     """
-    global _DEFAULT_POOL, _DEFAULT_ARENAS
+    global _DEFAULT_POOL
     with _SINGLETON_LOCK:
         pool, _DEFAULT_POOL = _DEFAULT_POOL, None
-        arenas, _DEFAULT_ARENAS = _DEFAULT_ARENAS, None
     if pool is not None:
         pool.shutdown()
-    if arenas is not None:
-        arenas.destroy_all()
 
 
 def _forget_inherited() -> None:
-    """Fork child: drop the parent's pool, arenas and singleton lock.
+    """Fork child: drop the parent's pool and singleton lock.
 
     A forked child holds copies of objects whose threads and processes
     belong to the parent: the pool's executor has no manager thread
-    here, the arenas are the parent's to unlink, and the lock may have
-    been held by a parent thread at fork time.  Forgetting them (never
-    shutting them down) leaves the parent's pool untouched.
+    here, and the lock may have been held by a parent thread at fork
+    time.  Forgetting them (never shutting them down) leaves the
+    parent's pool untouched.
     """
-    global _DEFAULT_POOL, _DEFAULT_ARENAS, _SINGLETON_LOCK
+    global _DEFAULT_POOL, _SINGLETON_LOCK
     _DEFAULT_POOL = None
-    _DEFAULT_ARENAS = None
     _SINGLETON_LOCK = threading.Lock()
 
 

@@ -1,23 +1,19 @@
 """Job scheduling: cache lookup, process-pool fan-out, serial fallback.
 
 :func:`run_jobs` is the one entry point.  For every spec it first
-consults the result cache; only misses are executed — on worker
-processes when :func:`repro.runtime.pool.use_pool` allows it, otherwise
-serially in this process.  Parallel
-batches without a per-call ``initializer`` ride the **persistent warm
-pool** (:mod:`repro.runtime.pool`): workers forked once survive across
-batches, and per-batch worker state ships through the cached
-:class:`~repro.runtime.pool.WorkerSetup` hook instead.  Batches *with*
-an initializer still get a dedicated cold
-:class:`concurrent.futures.ProcessPoolExecutor` (initializers only run
-at spawn, which is exactly once for a warm pool).  Pool construction or
+consults the result cache; only misses are executed — on the
+**persistent warm pool** (:mod:`repro.runtime.pool`) when
+:func:`repro.runtime.pool.use_pool` allows it, otherwise serially in
+this process.  Workers forked once survive across batches, and
+per-batch worker state ships through the cached
+:class:`~repro.runtime.pool.WorkerSetup` hook.  Pool construction or
 submission failing (restricted environments, missing semaphores, broken
 workers) degrades gracefully to the in-process path, so ``--jobs`` is a
 performance knob, never a correctness one.  Outcomes come back in
 submission order regardless of completion order, which keeps downstream
-rendering byte-identical across serial, cold-pool, warm-pool and
-warm-cache runs.  No wait on a pool is unbounded: a pool whose manager
-thread or workers are gone is treated like a broken one.
+rendering byte-identical across serial, pooled and warm-cache runs.  No
+wait on a pool is unbounded: a pool whose manager thread or workers are
+gone is treated like a broken one.
 """
 
 from __future__ import annotations
@@ -25,8 +21,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import (CancelledError, ProcessPoolExecutor,
-                                TimeoutError as FuturesTimeout,
+from concurrent.futures import (CancelledError, TimeoutError as FuturesTimeout,
                                 wait as futures_wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -144,13 +139,17 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                      worker_pool) -> tuple[list[JobOutcome] | None, str]:
     """Fan one batch out over the persistent warm pool.
 
-    Same contract as :func:`_execute_parallel` — ``(outcomes, "")`` on
-    success, ``(None, why)`` when no pool can be used at all — plus the
-    warm-pool life cycle: the executor is acquired from (and released
-    back to) ``worker_pool``, a broken pool is respawned mid-batch and
-    the remaining jobs resubmitted, and a failed per-worker ``setup``
-    hook sends just the affected jobs to the in-process fallback without
-    tearing the healthy pool down.
+    Returns ``(outcomes, "")`` on success, or ``(None, why)`` if the
+    pool cannot be used at all — ``why`` is the construction traceback,
+    which the caller chains into any serial-fallback failure so the
+    original error is never lost.  ``on_ready`` fires per outcome as it
+    is consumed (submission order), which is how the caller persists
+    results incrementally instead of after the whole wave.  The
+    executor is acquired from (and released back to) ``worker_pool``, a
+    broken pool is respawned mid-batch and the remaining jobs
+    resubmitted, and a failed per-worker ``setup`` hook sends just the
+    affected jobs to the in-process fallback without tearing the
+    healthy pool down.
     """
     tracing = obs.tracing_enabled()
     try:
@@ -203,7 +202,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                         worker="pool", timed_out=True,
                         error=f"job exceeded the {timeout}s timeout")
                 except pool_mod.WorkerSetupError as exc:
-                    # Setup (e.g. an shm attach) failed in the worker;
+                    # Setup (e.g. a fold-dataset map) failed in the worker;
                     # the pool itself is fine.  Recompute here, where the
                     # dataset is still published in-process.
                     outcome = _run_serial(
@@ -278,83 +277,8 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
         worker_pool.release()
 
 
-def _execute_parallel(specs: list[JobSpec], keys: list[str], jobs: int,
-                      timeout: float | None, initializer=None,
-                      initargs=(), on_ready=None,
-                      ) -> tuple[list[JobOutcome] | None, str]:
-    """Pool fan-out.
-
-    Returns ``(outcomes, "")`` on success, or ``(None, why)`` if the
-    pool cannot be used at all — ``why`` is the construction traceback,
-    which the caller chains into any serial-fallback failure so the
-    original error is never lost.  ``on_ready`` fires per outcome as it
-    is consumed (submission order), which is how the caller persists
-    results incrementally instead of after the whole wave.
-    """
-    tracing = obs.tracing_enabled()
-    try:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(specs)),
-                                   initializer=initializer,
-                                   initargs=initargs)
-        futures = [pool.submit(_worker_execute, spec.kind, spec.canonical(),
-                               tracing)
-                   for spec in specs]
-    except (OSError, PermissionError, ImportError, NotImplementedError,
-            ValueError, RuntimeError):
-        return None, traceback.format_exc()
-    outcomes: list[JobOutcome] = []
-    timed_out = False
-    try:
-        for spec, key, future in zip(specs, keys, futures):
-            start = time.perf_counter()
-            try:
-                result_dict, pid, elapsed = _await_result(future, timeout,
-                                                          pool)
-                result = resolve_kind(spec.kind).result_from_dict(result_dict)
-                # Merge the worker's span subtree into this process's
-                # trace, in submission order — same shape as a serial run.
-                obs.graft(result.spans)
-                outcome = JobOutcome(
-                    spec=spec, key=key, result=result,
-                    cache_hit=False, wall_time=elapsed,
-                    worker=f"pid-{pid}")
-            except FuturesTimeout:
-                future.cancel()
-                timed_out = True
-                outcome = JobOutcome(
-                    spec=spec, key=key, result=None, cache_hit=False,
-                    wall_time=time.perf_counter() - start,
-                    worker="pool", timed_out=True,
-                    error=f"job exceeded the {timeout}s timeout")
-            except BrokenProcessPool as exc:
-                # The pool died under us; compute this job in-process
-                # instead, carrying the pool failure along in case the
-                # retry fails too.
-                outcome = _run_serial(
-                    spec, key,
-                    pool_error="".join(traceback.format_exception(exc)))
-            except Exception as exc:
-                outcome = JobOutcome(
-                    spec=spec, key=key, result=None, cache_hit=False,
-                    wall_time=time.perf_counter() - start,
-                    worker="pool",
-                    error="".join(traceback.format_exception(exc)))
-            outcomes.append(outcome)
-            if on_ready is not None:
-                on_ready(outcome)
-    except BaseException:
-        # on_ready raised (e.g. a crash-simulation abort): don't leak
-        # the pool's worker processes past the exception.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    # A timed-out job may still occupy its worker; don't block on it.
-    pool.shutdown(wait=not timed_out, cancel_futures=True)
-    return outcomes, ""
-
-
 def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
-             metrics=METRICS, initializer=None, initargs=(),
-             setup=None, worker_pool=None, on_outcome=None,
+             metrics=METRICS, setup=None, worker_pool=None, on_outcome=None,
              ) -> list[JobOutcome]:
     """Schedule every spec; return outcomes in submission order.
 
@@ -369,14 +293,8 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
     (:func:`repro.runtime.pool.default_pool`, or ``worker_pool`` when
     given); ``setup`` is an optional
     :class:`~repro.runtime.pool.WorkerSetup` that ships per-batch worker
-    state (e.g. a shared-memory attach), cached worker-side by key so
-    warm workers skip it.
-
-    ``initializer``/``initargs`` run once per pool worker (ignored on the
-    serial path) — the legacy hook job kinds used to ship shared
-    read-only state to workers.  A batch with an initializer bypasses
-    the warm pool and gets a dedicated cold one, because initializers
-    only run at spawn time.
+    state (e.g. mapping a fold dataset), cached worker-side by key so
+    warm workers skip it; the serial path ignores it.
 
     Executed results are stored to ``cache`` *incrementally*, as each
     outcome is consumed — a run killed mid-batch leaves every already
@@ -442,17 +360,9 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
             metrics.inc("dispatch.parallel_chosen" if parallel
                         else "dispatch.serial_chosen")
         if parallel:
-            if initializer is None:
-                if worker_pool is None:
-                    worker_pool = pool_mod.default_pool()
-                executed, pool_error = _execute_on_pool(
-                    todo, todo_keys, jobs, timeout, setup,
-                    on_ready=store, worker_pool=worker_pool)
-            else:
-                executed, pool_error = _execute_parallel(
-                    todo, todo_keys, jobs, timeout,
-                    initializer=initializer, initargs=initargs,
-                    on_ready=store)
+            executed, pool_error = _execute_on_pool(
+                todo, todo_keys, jobs, timeout, setup, on_ready=store,
+                worker_pool=worker_pool or pool_mod.default_pool())
         if executed is None:
             executed = []
             for spec, key in zip(todo, todo_keys):

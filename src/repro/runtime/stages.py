@@ -61,6 +61,7 @@ from repro.runtime.jobs import (
     register_job_kind,
     spec_key,
 )
+from repro.sparse import CSRMatrix, is_sparse
 from repro.trace.eipv import EIPVDataset, build_eipvs
 from repro.trace.storage import TraceStore
 
@@ -330,6 +331,50 @@ def execute_collect(spec: CollectSpec, jobs: int = 1) -> StageResult:
     )
 
 
+def save_matrix(staging: Path, matrix) -> None:
+    """Write a dense or CSR matrix into an artifact's staging directory.
+
+    The one place the matrix layout lives: ``matrix.npy``, or the
+    ``matrix_indptr``/``matrix_indices``/``matrix_data`` triplet.  The
+    artifact's meta must carry ``sparse`` and ``shape`` for
+    :func:`load_matrix`.
+    """
+    if is_sparse(matrix):
+        np.save(staging / "matrix_indptr.npy", matrix.indptr)
+        np.save(staging / "matrix_indices.npy", matrix.indices)
+        np.save(staging / "matrix_data.npy", matrix.data)
+    else:
+        np.save(staging / "matrix.npy", matrix)
+
+
+def _load_arrays(store: ArtifactStore, kind: str, key: str, names):
+    """Read-only memmap views of the named arrays, with the
+    ``np.memmap`` subclass dropped, or ``None`` when one cannot be read
+    (the store quarantines the artifact)."""
+    views = []
+    for name in names:
+        view = store.load_array(kind, key, name)
+        if view is None:
+            return None
+        views.append(np.asarray(view))
+    return views
+
+
+def load_matrix(store: ArtifactStore, kind: str, key: str, meta: dict):
+    """The matrix :func:`save_matrix` wrote, as read-only views, or
+    ``None`` when an array cannot be read."""
+    sparse = meta.get("sparse")
+    views = _load_arrays(store, kind, key,
+                         ("matrix_indptr", "matrix_indices", "matrix_data")
+                         if sparse else ("matrix",))
+    if views is None:
+        return None
+    if sparse:
+        return CSRMatrix(indptr=views[0], indices=views[1], data=views[2],
+                         shape=tuple(meta["shape"]))
+    return views[0]
+
+
 def put_eipv(store: ArtifactStore, key: str, dataset: EIPVDataset) -> None:
     """Publish an EIPV artifact (raw arrays, dense or CSR-native)."""
     meta = {
@@ -344,12 +389,7 @@ def put_eipv(store: ArtifactStore, key: str, dataset: EIPVDataset) -> None:
         np.save(staging / "cpis.npy", dataset.cpis)
         np.save(staging / "eip_index.npy", dataset.eip_index)
         np.save(staging / "thread_ids.npy", dataset.thread_ids)
-        if dataset.is_sparse:
-            np.save(staging / "matrix_indptr.npy", dataset.matrix.indptr)
-            np.save(staging / "matrix_indices.npy", dataset.matrix.indices)
-            np.save(staging / "matrix_data.npy", dataset.matrix.data)
-        else:
-            np.save(staging / "matrix.npy", dataset.matrix)
+        save_matrix(staging, dataset.matrix)
 
 
 def load_eipv_dataset(store: ArtifactStore | None,
@@ -359,47 +399,19 @@ def load_eipv_dataset(store: ArtifactStore | None,
     Every array is a read-only memmap view over the stored ``.npy``
     bytes — identical bits to the arrays that were saved, which is why
     an analysis over a loaded dataset equals one over a fresh build.
-    The dataset's content token is pre-registered with the fold runner,
-    so a parallel CV can publish it into a ``SharedArena`` straight from
-    the mapped buffer without re-hashing it first (effective for CSR
-    matrices; dense ndarrays don't support the weakref registration and
-    fall back to hashing, producing the same token bits).
     """
-    from repro.runtime.folds import register_dataset_token
-    from repro.sparse import CSRMatrix
-
     if store is None:
         return None
     meta = store.open_meta("eipv", key)
     if meta is None:
         return None
-
-    def arrays(*names):
-        views = []
-        for name in names:
-            view = store.load_array("eipv", key, name)
-            if view is None:
-                return None
-            views.append(np.asarray(view))
-        return views
-
     try:
-        base = arrays("cpis", "eip_index", "thread_ids")
-        if base is None:
+        base = _load_arrays(store, "eipv", key,
+                            ("cpis", "eip_index", "thread_ids"))
+        matrix = load_matrix(store, "eipv", key, meta) if base else None
+        if matrix is None:
             return None
         cpis, eip_index, thread_ids = base
-        if meta.get("sparse"):
-            parts = arrays("matrix_indptr", "matrix_indices", "matrix_data")
-            if parts is None:
-                return None
-            matrix = CSRMatrix(indptr=parts[0], indices=parts[1],
-                               data=parts[2],
-                               shape=tuple(meta["shape"]))
-        else:
-            dense = arrays("matrix")
-            if dense is None:
-                return None
-            matrix = dense[0]
         dataset = EIPVDataset(
             matrix=matrix, cpis=cpis, eip_index=eip_index,
             interval_instructions=int(meta["interval_instructions"]),
@@ -408,7 +420,6 @@ def load_eipv_dataset(store: ArtifactStore | None,
     except (ValueError, KeyError, TypeError):
         store.quarantine("eipv", key)
         return None
-    register_dataset_token(dataset.matrix, dataset.cpis, key[:16])
     return dataset
 
 

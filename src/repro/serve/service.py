@@ -57,7 +57,6 @@ from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import METRICS
 from repro.runtime.scheduler import run_jobs
-from repro.runtime.shm import live_segments
 from repro.serve.admission import (AdmissionController, DeadlineExceeded,
                                    ShedLoad)
 from repro.serve.protocol import (PROTOCOL_VERSION, AnalyzeRequest,
@@ -149,8 +148,7 @@ class AnalysisService:
         """The daemon's runtime contract, observable.
 
         Everything the burn-in harness asserts lives here: coalesce
-        counts prove the dedup, ``shm.live_segments`` proves the leak
-        discipline, ``cache.entries`` proves bounded growth.
+        counts prove the dedup, ``cache.entries`` proves bounded growth.
         """
         snap = self.metrics.snapshot()["counters"]
         cache_stats = self.cache.stats()
@@ -201,16 +199,12 @@ class AnalysisService:
                 "failed": snap.get("jobs.failed", 0),
                 "timeout": snap.get("jobs.timeout", 0),
             },
-            "shm": {"live_segments": sorted(live_segments())},
             "pool": {
                 "warm_hits": snap.get("pool.warm_hits", 0),
                 "spawns": snap.get("pool.spawns", 0),
                 "respawns": snap.get("pool.respawns", 0),
                 "recycled": snap.get("pool.recycled", 0),
                 "idle_reaped": snap.get("pool.idle_reaped", 0),
-                "arena_published": snap.get("pool.arena_published", 0),
-                "arena_reused": snap.get("pool.arena_reused", 0),
-                "arena_evicted": snap.get("pool.arena_evicted", 0),
                 "workers": list(pool_mod.default_pool().worker_pids()),
             },
             "dispatch": {

@@ -146,6 +146,27 @@ class TestParallelFolds:
         assert one.k_opt == four.k_opt
         assert one.re_kopt == four.re_kopt
 
+    def test_impossible_partition_raises_the_same_error_at_any_jobs(
+            self, monkeypatch):
+        """Too few points for the folds is a ValueError before any pool
+        is touched, whatever ``jobs`` says (it used to fork a pool, fail
+        every fold job and raise a RuntimeError at jobs=2)."""
+        from repro.runtime import pool as pool_mod
+        from repro.runtime.metrics import METRICS
+
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+        pool_mod.shutdown_default()
+        matrix, y = phased_dataset(m=6)
+        config = AnalysisConfig(k_max=3, folds=10)
+        spawns = METRICS.count("pool.spawns")
+        messages = []
+        for jobs in (1, 2):
+            with pytest.raises(ValueError) as excinfo:
+                cross_validated_sse(matrix, y, config=config, jobs=jobs)
+            messages.append(str(excinfo.value))
+        assert messages == ["cannot make 10 folds from 6 points"] * 2
+        assert METRICS.count("pool.spawns") == spawns
+
 
 class TestPrefixInvariant:
     """The curve at ``k_max=k`` is the first k entries of the curve at

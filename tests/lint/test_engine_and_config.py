@@ -306,14 +306,11 @@ class TestScopedAllow:
             == {"RL003"}
         assert config.scoped_rules("src/repro/serve/service.py") == set()
 
-    def test_real_repo_sanctions_exactly_two_pool_sites(self):
+    def test_real_repo_sanctions_exactly_one_pool_site(self):
         from pathlib import Path
         root = Path(__file__).resolve().parents[2]
         config = load_config(root=root)
-        assert sorted(config.rl005_pool_sites) == [
-            "src/repro/runtime/pool.py",
-            "src/repro/runtime/scheduler.py",
-        ]
+        assert config.rl005_pool_sites == ("src/repro/runtime/pool.py",)
 
 
 class TestRegistry:

@@ -171,7 +171,7 @@ class TestRL003:
         assert lint_project.rules_hit() == []
 
 
-# -- RL004: shm write-safety ---------------------------------------------
+# -- RL004: shared-view write-safety -------------------------------------
 
 class TestRL004:
     def test_escaping_writable_view_flagged(self, lint_project):
@@ -208,8 +208,9 @@ class TestRL004:
         assert lint_project.rules_hit() == []
 
     def test_publish_pattern_ok(self, lint_project):
-        # Writing *into* a local view that never escapes (the shm.py
-        # publish loop) is the intended use of a writable view.
+        # Writing *into* a local view that never escapes (a publish
+        # loop into a shared buffer) is the intended use of a writable
+        # view.
         lint_project.write("pkg/mod.py", """\
             import numpy as np
 

@@ -3,10 +3,9 @@
 Everything the warm pool promises is covered here: workers forked once
 are reused across batches, a worker death mid-batch respawns the pool
 and finishes the batch, task-count recycling retires long-lived workers,
-the published-arena cache makes repeat analyses publish nothing, the
-idle reaper and ``shutdown_default`` leave zero worker processes and
-zero shm segments behind, a forked child inherits no pool, and the
-serial-vs-parallel rule uses the pool only where it can pay off.
+the idle reaper and ``shutdown_default`` leave zero worker processes
+behind, a forked child inherits no pool, and the serial-vs-parallel rule
+uses the pool only where it can pay off.
 """
 
 import os
@@ -23,10 +22,9 @@ import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import cross_validated_sse
+from repro.runtime import folds as folds_mod
 from repro.runtime import pool as pool_mod
-from repro.runtime import shm
 from repro.runtime.cache import NullCache
-from repro.runtime.folds import run_parallel_folds, dataset_token
 from repro.runtime.jobs import register_job_kind, spec_key
 from repro.runtime.metrics import METRICS, MetricsRegistry
 from repro.runtime.scheduler import run_jobs
@@ -118,21 +116,6 @@ class TestWarmReuse:
         # for the first (one fast worker may have served all of it).
         second_pids = {o.result.pid for o in second} - {os.getpid()}
         assert second_pids <= forked
-
-    def test_arena_published_once_across_two_analyses(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        if not shm.shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        matrix, y = small_dataset()
-        config = AnalysisConfig(k_max=5, folds=4, seed=3)
-        before = _counts("pool.arena_published", "pool.arena_reused")
-        first = run_parallel_folds(matrix, y, config, jobs=2, shm=True)
-        second = run_parallel_folds(matrix, y, config, jobs=2, shm=True)
-        np.testing.assert_array_equal(first, second)
-        assert (METRICS.count("pool.arena_published")
-                - before["pool.arena_published"]) == 1
-        assert (METRICS.count("pool.arena_reused")
-                - before["pool.arena_reused"]) >= 1
 
 
 class TestSelfHealing:
@@ -278,39 +261,18 @@ class TestShutdown:
         for pid in pids:
             with pytest.raises(OSError):
                 os.kill(pid, 0)
-        assert shm.live_segments() == ()
-
-    def test_arena_cache_lru_evicts_and_destroys(self):
-        if not shm.shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        metrics = MetricsRegistry()
-        cache = pool_mod.ArenaCache(bound=2, metrics=metrics)
-        datasets = [small_dataset(seed=s) for s in (1, 2, 3)]
-        tokens = [dataset_token(m, y) for m, y in datasets]
-        try:
-            for (m, y), token in zip(datasets, tokens):
-                assert cache.handle_for(token, m, y) is not None
-            assert len(cache) == 2
-            assert tokens[0] not in cache.tokens()
-            assert metrics.count("pool.arena_evicted") == 1
-            assert len(shm.live_segments()) == 2
-        finally:
-            cache.destroy_all()
-        assert shm.live_segments() == ()
 
 
 class TestForkedChild:
     def test_forked_child_inherits_no_pool(self):
         run_jobs(probes(2), jobs=2, cache=NullCache())
-        pool_mod.arena_cache()
         assert pool_mod.default_pool().is_warm
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
             try:
                 os.close(read_fd)
-                inherited = (pool_mod._DEFAULT_POOL is not None
-                             or pool_mod._DEFAULT_ARENAS is not None)
+                inherited = pool_mod._DEFAULT_POOL is not None
                 # Takes the singleton lock: must not deadlock either.
                 warm = pool_mod.default_pool().is_warm
                 os.write(write_fd, b"inherited" if inherited or warm
@@ -353,18 +315,15 @@ class TestDispatchRule:
 
     def test_cv_checks_the_rule_before_publishing(self, monkeypatch):
         monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 1)
+        written = []
+        monkeypatch.setattr(folds_mod, "_put_dataset",
+                            lambda *args: written.append(args))
         matrix, y = small_dataset()
         config = AnalysisConfig(k_max=5, folds=4, seed=3)
-        names = ("dispatch.serial_chosen", "pool.arena_published",
-                 "pool.arena_reused")
-        before = _counts(*names)
+        before = METRICS.count("dispatch.serial_chosen")
         fanned = cross_validated_sse(matrix, y, config=config, jobs=4)
-        after = _counts(*names)
         np.testing.assert_array_equal(
             fanned, cross_validated_sse(matrix, y, config=config))
-        assert after["dispatch.serial_chosen"] == \
-            before["dispatch.serial_chosen"] + 1
-        assert after["pool.arena_published"] == \
-            before["pool.arena_published"]
-        assert after["pool.arena_reused"] == before["pool.arena_reused"]
+        assert METRICS.count("dispatch.serial_chosen") == before + 1
+        assert written == []
         assert not pool_mod.default_pool().is_warm

@@ -96,7 +96,7 @@ class TestFailureHandling:
     def _cold_pool(self, monkeypatch):
         """Monkeypatched pool constructors only bite when no warm
         executor survives from an earlier test (acquire would reuse it
-        and never call ``scheduler.ProcessPoolExecutor``), and when the
+        and never call ``pool.ProcessPoolExecutor``), and when the
         dispatch rule sends the batch to a pool (two CPUs assumed)."""
         monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
         pool_mod.shutdown_default()
@@ -119,13 +119,13 @@ class TestFailureHandling:
     def test_pool_unavailable_falls_back_to_serial(self, monkeypatch):
         def broken_pool(*args, **kwargs):
             raise OSError("no semaphores here")
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", broken_pool)
         outcomes = run_jobs(SPECS, jobs=4)
         assert all(o.ok for o in outcomes)
         assert all(o.worker.startswith("pid-") for o in outcomes)
 
     def test_per_job_timeout_records_timeout_outcome(self, monkeypatch):
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor",
                             _fake_pool(scheduler.FuturesTimeout))
         outcomes = run_jobs(SPECS, jobs=2, timeout=0.5)
         assert all(o.timed_out and not o.ok for o in outcomes)
@@ -133,7 +133,7 @@ class TestFailureHandling:
 
     def test_broken_pool_mid_flight_finishes_serially(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor",
                             _fake_pool(BrokenProcessPool))
         outcomes = run_jobs(SPECS, jobs=2)
         assert all(o.ok for o in outcomes)
@@ -147,7 +147,7 @@ class TestFailureHandling:
         # used to be silently discarded).
         def broken_pool(*args, **kwargs):
             raise OSError("sandbox forbids semaphores")
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", broken_pool)
         bad = [JobSpec(workload="no.such.workload", n_intervals=12,
                        scale="tiny", k_max=5, seed=s) for s in (1, 2)]
         outcomes = run_jobs(bad, jobs=2)
@@ -159,7 +159,7 @@ class TestFailureHandling:
 
     def test_fallback_failure_chains_broken_pool_error(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor",
                             _fake_pool(BrokenProcessPool))
         bad = [JobSpec(workload="no.such.workload", n_intervals=12,
                        scale="tiny", k_max=5, seed=s) for s in (1, 2)]
@@ -176,7 +176,7 @@ class TestFailureHandling:
         # into the outcome: the run recovered, the error slot stays None.
         def broken_pool(*args, **kwargs):
             raise OSError("no semaphores here")
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", broken_pool)
         outcomes = run_jobs(SPECS, jobs=2)
         assert all(o.ok and o.error is None for o in outcomes)
 
@@ -184,7 +184,7 @@ class TestFailureHandling:
         # Futures that never resolve on a pool whose workers are gone —
         # what a forked child holds of its parent's executor — must end
         # in the in-process fallback within a bound, never a hang.
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _OrphanedPool)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", _OrphanedPool)
         bad = JobSpec(workload="no.such.workload", n_intervals=12,
                       scale="tiny", k_max=5)
         done = {}
@@ -206,8 +206,7 @@ def _fake_pool(exc_type):
     """A pool whose every future fails with ``exc_type`` on result()."""
 
     class FakePool:
-        def __init__(self, max_workers=None, initializer=None,
-                     initargs=()):
+        def __init__(self, max_workers=None):
             pass
 
         def submit(self, fn, *args):
@@ -225,7 +224,7 @@ class _OrphanedPool:
     """A pool whose futures never resolve and whose one worker has
     exited."""
 
-    def __init__(self, max_workers=None, initializer=None, initargs=()):
+    def __init__(self, max_workers=None):
         worker = multiprocessing.get_context("fork").Process(target=int)
         worker.start()
         worker.join(10.0)

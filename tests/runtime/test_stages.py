@@ -119,7 +119,8 @@ class TestArtifactPlumbing:
     def test_unusable_root_degrades_to_no_store(self, tmp_path):
         # --cache-dir pointing at a regular file must not fail the run:
         # the artifact tier silently disables and the monolithic path
-        # carries on (mirrors the shm fallback contract).
+        # carries on (a fold-dataset store that cannot be written
+        # degrades to in-process folds the same way).
         target = tmp_path / "not-a-dir"
         target.write_text("plain file")
         cache = ResultCache(target)

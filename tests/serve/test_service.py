@@ -350,7 +350,6 @@ class TestHousekeeping:
         assert stats["cache"]["entries"] == 3
         assert stats["coalesce"]["leaders"] == 1
         assert stats["jobs"]["executed"] == 3
-        assert stats["shm"]["live_segments"] == []
         assert stats["admission"]["running"] == 0
         assert stats["artifacts"]["enabled"] is True
         assert stats["artifacts"]["by_kind"] == {"eipv": 1, "trace": 1}

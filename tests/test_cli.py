@@ -144,28 +144,21 @@ class TestRuntimeCommands:
         assert serial == fanned
 
     def test_analyze_shm_output_identical(self, capsys, monkeypatch):
-        """At jobs=4 the fold dataset reaches the workers through shared
-        memory, and no output byte changes."""
+        """At jobs=4 the folds reach pool workers, which map the dataset
+        from a temporary fold artifact, and no output byte changes."""
         from repro.runtime import pool as pool_mod
-        from repro.runtime import shm
         from repro.runtime.metrics import METRICS
-        if not shm.shm_available():
-            pytest.skip("POSIX shared memory unavailable")
         monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 4)
-
-        def arenas() -> int:
-            return (METRICS.count("pool.arena_published")
-                    + METRICS.count("pool.arena_reused"))
 
         argv = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",
                 "--scale", "tiny", "--no-cache"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        before = arenas()
+        before = METRICS.count("dispatch.parallel_chosen")
         assert main(argv + ["--jobs", "4"]) == 0
-        via_shm = capsys.readouterr().out
-        assert serial == via_shm
-        assert arenas() > before
+        fanned = capsys.readouterr().out
+        assert serial == fanned
+        assert METRICS.count("dispatch.parallel_chosen") > before
 
     def test_census_shm_output_identical(self, capsys):
         argv = ["census", "spec.gzip", "spec.art", "--k-max", "5",

@@ -6,9 +6,10 @@ concurrent client threads with a mixed request stream (hot repeats of
 one spec to provoke coalescing, a rotating tail of distinct specs to
 provoke cache churn), then asserts the daemon's long-run invariants:
 
-* **No leaked shared memory** — when the load stops, every live
-  segment is one the warm pool's arena cache owns, and
-  ``live_segments()`` is empty once the pool shuts down.
+* **No leaked fold files** — the in-process ``analyze --jobs 2``
+  writes its fold dataset into a temporary ``repro-folds-*`` directory;
+  no such directory that was not there before the run survives it, or
+  the pool shutdown.
 * **No leaked worker processes** — the daemon's warm worker pool
   (census requests fan out across it) shuts down with every forked
   worker joined and dead; ``leaked_workers()`` reports nothing.
@@ -63,8 +64,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro import cli  # noqa: E402
 from repro.runtime import pool as pool_mod  # noqa: E402
+from repro.runtime.folds import FOLDS_DIR_PREFIX  # noqa: E402
 from repro.runtime.metrics import MetricsRegistry  # noqa: E402
-from repro.runtime.shm import live_segments  # noqa: E402
 from repro.serve import ServeConfig, create_server  # noqa: E402
 
 #: The hot spec: every thread repeats it, so identical requests overlap.
@@ -76,6 +77,12 @@ HOT_ARGS = ["analyze", HOT["workload"], "--intervals", str(HOT["intervals"]),
             "--k-max", str(HOT["k_max"]), "--no-cache"]
 #: Distinct-spec tail for cache churn (seed rotates per request).
 CHURN_WORKLOADS = ("spec.art", "spec.mcf", "spec.gcc", "odbc", "sjas")
+
+
+def fold_dirs() -> set:
+    """``repro-folds-*`` directories in the temp dir right now."""
+    root = Path(tempfile.gettempdir())
+    return {p.name for p in root.glob(f"{FOLDS_DIR_PREFIX}*")}
 
 
 def rss_kib() -> int:
@@ -141,6 +148,8 @@ class BurnIn:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._hot_reports: set = set()
+        #: Fold directories other processes own; never blamed on us.
+        self._fold_dirs_before = fold_dirs()
 
     # -- load -------------------------------------------------------------
     def client(self, client_id: int) -> None:
@@ -226,21 +235,12 @@ class BurnIn:
     def check_invariants(self, report: dict) -> None:
         stats = report["stats"]
 
-        # Datasets the arena cache keeps warm (one segment each, from
-        # the in-process analyze --jobs 2) are owned, not leaked.
-        owned = len(pool_mod.arena_cache())
-        live = live_segments()
-        self._check(len(live) <= owned, "shm",
-                    f"leaked segments: {live} (arena cache owns {owned})")
-
         # Worker-process leak: shut the warm pool down and prove every
         # forked worker is gone (the daemon shares this process's pool).
         pool = pool_mod.default_pool()
         worker_pids = list(pool.worker_pids())
         pool_mod.shutdown_default()
-        leaked = live_segments()
-        self._check(not leaked, "shm-shutdown",
-                    f"segments survived pool shutdown: {leaked}")
+        self.check_fold_files("after pool shutdown")
         still_alive = []
         for pid in worker_pids:
             try:
@@ -281,6 +281,12 @@ class BurnIn:
         self._check(not self.failures, "requests",
                     f"{len(self.failures)} failed requests; first: "
                     f"{self.failures[:1]}")
+
+    def check_fold_files(self, when: str) -> None:
+        """No ``repro-folds-*`` directory outlives its analysis."""
+        leaked = sorted(fold_dirs() - self._fold_dirs_before)
+        self._check(not leaked, "fold-files",
+                    f"fold directories left {when}: {leaked}")
 
     def check_versioning(self) -> None:
         """Both endpoint spellings answer; only the legacy one deprecates.
@@ -325,6 +331,7 @@ class BurnIn:
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(HOT_ARGS + ["--jobs", "2"])
+        self.check_fold_files("after analyze --jobs 2")
         status, body, _ = post(self.base, "/analyze", dict(HOT))
         self._check(code == 0 and status == 200
                     and out.getvalue() == body["report"] + "\n",
