@@ -81,3 +81,13 @@ def bench_serve_json():
 def bench_lint_json():
     """Record lint-engine timings into ``BENCH_lint.json``."""
     return json_recorder(RESULTS_DIR / "BENCH_lint.json")
+
+
+@pytest.fixture(scope="session")
+def store():
+    """One artifact store shared by the session's benchmarks, so those
+    over the same run (ODB-C at 60 intervals, seed 11, feeds five of
+    them) simulate it once.  A temporary store, removed at the end."""
+    from repro.runtime.stages import store_scope
+    with store_scope(None) as shared:
+        yield shared

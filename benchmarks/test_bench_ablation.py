@@ -12,7 +12,7 @@ import dataclasses
 
 from repro.core.cross_validation import relative_error_curve
 from repro.core.predictability import analyze_predictability
-from repro.experiments.common import RunConfig, collect, collect_cached
+from repro.experiments.common import RunConfig, collect
 from repro.uarch.machine import CacheConfig, itanium2
 
 KB = 1024
@@ -57,11 +57,11 @@ def test_bench_l3_capacity_ablation(benchmark, record):
            f"RE={small.re_kopt:.3f}")
 
 
-def test_bench_feature_pruning_ablation(benchmark, record):
-    _, predictable = collect_cached(RunConfig("spec.art", n_intervals=60,
-                                              seed=11))
-    _, unpredictable = collect_cached(RunConfig("odbc", n_intervals=60,
-                                                seed=11))
+def test_bench_feature_pruning_ablation(benchmark, record, store):
+    _, predictable = collect(RunConfig("spec.art", n_intervals=60,
+                                       seed=11), store=store)
+    _, unpredictable = collect(RunConfig("odbc", n_intervals=60, seed=11),
+                               store=store)
 
     lines = ["feature-pruning ablation (RE_kopt)"]
     for name, dataset in (("spec.art", predictable),

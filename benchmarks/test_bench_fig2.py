@@ -7,11 +7,12 @@ small k (EIPVs explain only ~20% of its CPI variance).
 
 from repro.core.cross_validation import relative_error_curve
 from repro.experiments import fig2_odbc_sjas
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 
 
-def test_bench_fig2(benchmark, record):
-    result = fig2_odbc_sjas.run(n_intervals=60, seed=11, k_max=50)
+def test_bench_fig2(benchmark, record, store):
+    result = fig2_odbc_sjas.run(n_intervals=60, seed=11, k_max=50,
+                                store=store)
 
     record("e2_fig2", fig2_odbc_sjas.render(result))
 
@@ -24,7 +25,8 @@ def test_bench_fig2(benchmark, record):
     assert result.sjas.re_kopt > 0.15
 
     # Time the core analysis step (tree CV on the ODB-C dataset).
-    _, dataset = collect_cached(RunConfig("odbc", n_intervals=60, seed=11))
+    _, dataset = collect(RunConfig("odbc", n_intervals=60, seed=11),
+                         store=store)
     benchmark.pedantic(
         lambda: relative_error_curve(dataset.matrix, dataset.cpis,
                                      k_max=20, seed=11),

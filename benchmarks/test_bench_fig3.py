@@ -7,11 +7,11 @@ ODB-C's CPI variance is tiny.
 
 from repro.analysis.spread import spread_series
 from repro.experiments import fig3_spread
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 
 
-def test_bench_fig3(benchmark, record):
-    result = fig3_spread.run(n_intervals=60, seed=11)
+def test_bench_fig3(benchmark, record, store):
+    result = fig3_spread.run(n_intervals=60, seed=11, store=store)
 
     record("e3_fig3", fig3_spread.render(result))
 
@@ -26,6 +26,7 @@ def test_bench_fig3(benchmark, record):
     # ODB-C CPI variance is tiny (paper: 0.01).
     assert result.odbc.cpi_variance <= 0.02
 
-    trace, _ = collect_cached(RunConfig("odbc", n_intervals=60, seed=11))
+    trace, _ = collect(RunConfig("odbc", n_intervals=60, seed=11),
+                       store=store)
     benchmark.pedantic(lambda: spread_series(trace), rounds=3,
                        iterations=1)

@@ -6,11 +6,11 @@ sit in the 30-40% band for SjAS, uniformly through the run.
 
 from repro.analysis.breakdown import breakdown_series
 from repro.experiments import fig45_breakdown
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 
 
-def test_bench_fig45(benchmark, record):
-    result = fig45_breakdown.run(n_intervals=60, seed=11)
+def test_bench_fig45(benchmark, record, store):
+    result = fig45_breakdown.run(n_intervals=60, seed=11, store=store)
 
     record("e4_fig45", fig45_breakdown.render(result))
 
@@ -23,6 +23,7 @@ def test_bench_fig45(benchmark, record):
     # ODB-C is more memory-bound than SjAS.
     assert result.odbc.exe_share > result.sjas.exe_share
 
-    trace, _ = collect_cached(RunConfig("odbc", n_intervals=60, seed=11))
+    trace, _ = collect(RunConfig("odbc", n_intervals=60, seed=11),
+                       store=store)
     benchmark.pedantic(lambda: breakdown_series(trace, bins=100),
                        rounds=3, iterations=1)

@@ -7,12 +7,13 @@ Section 5.2 numbers.
 """
 
 from repro.experiments import fig67_threads
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 from repro.trace.eipv import build_per_thread_eipvs
 
 
-def test_bench_fig67(benchmark, record):
-    result = fig67_threads.run(n_intervals=60, seed=11, k_max=50)
+def test_bench_fig67(benchmark, record, store):
+    result = fig67_threads.run(n_intervals=60, seed=11, k_max=50,
+                               store=store)
 
     record("e5_fig67", fig67_threads.render(result))
 
@@ -31,8 +32,8 @@ def test_bench_fig67(benchmark, record):
     assert 0.08 <= stats["odbc"].os_time_share <= 0.25
     assert stats["spec.gzip"].os_time_share < 0.02
 
-    trace, dataset = collect_cached(RunConfig("odbc", n_intervals=60,
-                                              seed=11))
+    trace, dataset = collect(RunConfig("odbc", n_intervals=60, seed=11),
+                             store=store)
     benchmark.pedantic(
         lambda: build_per_thread_eipvs(trace,
                                        dataset.interval_instructions),

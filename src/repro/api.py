@@ -24,12 +24,14 @@ The report helpers (:func:`format_table`, :func:`format_curve`,
 :func:`sparkline`) are re-exported so example scripts need only this
 module.
 
-Caching: the scheduled surfaces (:func:`census`, :func:`sweep`) run as
-a content-hashed stage graph when the active
-:class:`~repro.runtime.cache.ResultCache` has a disk root — simulated
+Caching: every surface reaches its dataset through the pipeline's
+content-hashed stages (:mod:`repro.runtime.stages`).  The scheduled
+surfaces (:func:`census`, :func:`sweep`) run as a stage graph; when the
+:class:`~repro.runtime.cache.ResultCache` has a disk root, simulated
 traces and EIPV datasets persist in its artifact tier and later calls
-reuse them zero-copy instead of re-simulating.  This is invisible in
-the results: staged and monolithic runs are byte-identical.
+reuse them zero-copy instead of re-simulating.  Without one, a call
+keeps its artifacts in a temporary store removed when it returns.  This
+is invisible in the results: every path yields the same bytes.
 
 Every knob is an argument: ``jobs``, ``cache`` and ``timeout`` default
 to serial, uncached and unbounded, and no call reads process-wide
@@ -47,14 +49,10 @@ from repro.core.predictability import (
     PredictabilityResult,
     analyze_predictability,
 )
-from repro.experiments.common import (
-    INTERVAL,
-    RunConfig,
-    clear_memo,
-    collect_cached,
-    default_intervals,
-)
+from repro.experiments import common
+from repro.experiments.common import INTERVAL, RunConfig, default_intervals
 from repro.obs.profile import StageStats, aggregate_spans, render_profile
+from repro.runtime import stages
 from repro.runtime.cache import NullCache
 from repro.runtime.graph import JobGraph, submit_graph
 from repro.runtime.jobs import JobSpec
@@ -102,13 +100,15 @@ def collect(workload, *, n_intervals: int | None = None,
     ``workload`` is a registry name (``"odbc"``, ``"spec.mcf"``…) or a
     :class:`~repro.workloads.system.Workload` you built yourself.
     ``n_intervals`` defaults to the experiment-appropriate run length for
-    the workload's class (DSS queries get longer runs).
+    the workload's class (DSS queries get longer runs).  A registry name
+    goes through the pipeline's collect and eipv stages, in a temporary
+    store.
     """
     if isinstance(workload, str):
-        return collect_cached(_run_config(workload, n_intervals, seed,
+        return common.collect(_run_config(workload, n_intervals, seed,
                                           machine, scale))
-    # A user-built Workload object: run the same pipeline directly
-    # (no memoization — the object carries no stable identity to key on).
+    # A user-built Workload object: run the same pipeline directly (the
+    # object carries no stable identity for a stage to key on).
     from repro.trace.eipv import build_eipvs
     from repro.trace.sampler import collect_trace
     from repro.uarch.machine import get_machine
@@ -257,10 +257,11 @@ def profile(workloads, *, config: AnalysisConfig | None = None,
     ``workloads`` may be one name or a sequence of names (duplicates
     coalesce to one job — they are the same content-hashed spec).  Jobs
     always execute (never served from the result cache — a profile
-    measures real work), serially or fanned out across ``jobs`` worker
-    processes; the merged span forest has the same stage structure
-    either way.  Tracing state is restored on exit, so profiling never
-    leaks into the caller.
+    measures real work) against one fresh temporary store, so each job
+    builds its dataset inside its own ``job`` span; serially or fanned
+    out across ``jobs`` worker processes, the merged span forest has the
+    same stage structure.  Tracing state is restored on exit, so
+    profiling never leaks into the caller.
     """
     names = [workloads] if isinstance(workloads, str) else list(workloads)
     config = config or AnalysisConfig(seed=11)
@@ -269,12 +270,9 @@ def profile(workloads, *, config: AnalysisConfig | None = None,
         graph.add(JobSpec.from_configs(
             _run_config(name, n_intervals, config.seed, machine, scale),
             config))
-    # Memoized datasets would skip the collect stage and under-report it;
-    # a profile measures the real pipeline, so start cold.
-    clear_memo()
-    with obs.capture() as tracer:
+    with stages.store_scope(None) as store, obs.capture() as tracer:
         outcomes = submit_graph(graph, jobs=jobs, cache=NullCache(),
-                                timeout=timeout)
+                                timeout=timeout, store=store)
         roots = tracer.snapshot()
     failed = [outcome for outcome in outcomes if not outcome.ok]
     if failed:
@@ -305,11 +303,11 @@ def sweep(space: SweepSpace | None = None, sweep_dir=None, *,
     completed shards are skipped outright and completed points of
     incomplete shards come back as cache hits.
 
-    With a disk cache the sweep executes as a staged graph: all
-    interval-size variants of one (workload, machine, seed) cell share
-    a single simulated trace through the cache's artifact tier, and a
-    rerun whose artifacts survive recomputes no collect stage at all
-    (``SweepOutcome.stage_stats`` reports the reuse).
+    The sweep executes as a staged graph: all interval-size variants of
+    one (workload, machine, seed) cell share a single simulated trace
+    (through the cache's artifact tier, or a temporary store without
+    one), and a rerun whose artifacts survive recomputes no collect
+    stage at all (``SweepOutcome.stage_stats`` reports the reuse).
     """
     from pathlib import Path
 

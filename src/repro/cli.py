@@ -184,18 +184,17 @@ def _run_analyze(args) -> int:
                    seed=args.seed, machine=args.machine, scale=args.scale,
                    k_max=args.k_max)
     cache = _cache_for(args)
-    # One analyze is a (collect → eipv → analysis) chain when an
-    # artifact store is available, a one-node graph otherwise.  Each
-    # wave holds one node, so it runs in this process and --jobs N
-    # reaches the analysis job, which parallelizes its cross-validation
-    # folds (deterministic merge — same bytes out).
-    artifacts = stages.artifact_store_for(cache)
-    graph = stages.analysis_graph([spec], cache=cache, artifacts=artifacts)
-    with stages.artifact_context(artifacts):
+    # One analyze is a (collect → eipv → analysis) chain, or one node
+    # when the analysis is cached.  Each wave holds one node, so it runs
+    # in this process and --jobs N reaches the analysis job, which
+    # parallelizes its cross-validation folds (deterministic merge —
+    # same bytes out).
+    graph = stages.analysis_graph([spec], cache=cache)
+    with stages.store_scope(cache) as store:
         outcomes = submit_graph(graph, jobs=args.jobs, cache=cache,
-                                timeout=args.timeout)
+                                timeout=args.timeout, store=store)
     # Insertion order puts the analysis node last; stage outcomes stay
-    # off stdout and out of the manifest (same records as the monolith).
+    # off stdout and out of the manifest, which records analyses only.
     outcome = outcomes[-1]
     if not outcome.ok:
         print(f"analysis failed:\n{outcome.error}", file=sys.stderr)

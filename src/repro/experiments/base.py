@@ -35,7 +35,7 @@ class Experiment:
 
     id: str
     title: str
-    runner: Callable[[], Any]
+    runner: Callable[..., Any]
     renderer: Callable[[Any], str]
 
     def run(self) -> Any:

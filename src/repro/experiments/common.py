@@ -1,28 +1,23 @@
 """Shared plumbing for experiment modules.
 
 Every experiment needs the same pipeline: build workload -> simulate ->
-sample -> EIPVs -> analysis.  :func:`collect` runs it once;
-:func:`collect_cached` memoizes per (workload, machine, intervals, seed,
-scale) within the process so benchmarks that share inputs don't re-simulate.
+sample -> EIPVs -> analysis.  :func:`collect` gets one run's trace and
+EIPV dataset through the pipeline's collect and eipv stages
+(:mod:`repro.runtime.stages`), so experiments that share an artifact
+store share their simulations: a store that already holds a run's
+artifacts simulates nothing.
 
-Stage timings and memo hit/miss counts feed the :mod:`repro.runtime`
-metrics registry, and :meth:`RunConfig.fingerprint` is the canonical
-identity the runtime's content-addressed job cache hashes.
+:meth:`RunConfig.fingerprint` is the canonical identity the runtime's
+content-addressed job cache hashes.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro.obs import span
-from repro.trace.eipv import EIPVDataset, build_eipvs
+from repro.trace.eipv import EIPVDataset
 from repro.trace.events import SampleTrace
-from repro.trace.sampler import collect_trace
-from repro.uarch.machine import MachineConfig, get_machine
-from repro.workloads.registry import get_workload
 from repro.workloads.scale import DEFAULT, WorkloadScale
-from repro.workloads.system import SimulatedSystem
 
 #: Instructions per EIPV interval (the paper's 100M).
 INTERVAL = 100_000_000
@@ -54,92 +49,30 @@ class RunConfig:
         }
 
 
-def _metrics():
+def collect(config: RunConfig,
+            store=None) -> tuple[SampleTrace, EIPVDataset]:
+    """One run's ``(trace, dataset)`` through ``store``'s artifacts.
+
+    The trace is the trace artifact materialized in memory and the
+    dataset the EIPV artifact's read-only views; whichever is missing
+    is computed, published and returned as built, so a second call on
+    the same store simulates nothing.  Without a store the call gets a
+    temporary one of its own.
+    """
     # Imported lazily: repro.runtime.jobs imports this module at its top
-    # level, so a top-level import here would be circular.
-    from repro.runtime.metrics import METRICS
-    return METRICS
+    # level, so a top-level import of the stages would be circular.
+    from repro.runtime import stages
 
-
-def collect(config: RunConfig) -> tuple[SampleTrace, EIPVDataset]:
-    """Simulate, sample, and build EIPVs for one run."""
-    metrics = _metrics()
-    with span("pipeline.collect", workload=config.workload,
-              machine=config.machine, intervals=config.n_intervals):
-        machine: MachineConfig = get_machine(config.machine)
-        workload = get_workload(config.workload, config.scale)
-        system = SimulatedSystem(machine, workload, seed=config.seed)
-        start = time.perf_counter()
-        trace = collect_trace(system, config.total_instructions())
-        metrics.observe("pipeline.simulate_s", time.perf_counter() - start)
-        start = time.perf_counter()
-        dataset = build_eipvs(trace, config.interval_instructions)
-        metrics.observe("pipeline.build_eipvs_s",
-                        time.perf_counter() - start)
-        dataset.workload_name = config.workload
-        metrics.inc("pipeline.collect")
-    return trace, dataset
-
-
-_CACHE: dict[RunConfig, tuple[SampleTrace, EIPVDataset]] = {}
-
-#: Collect-memo entry bound (None = unbounded, the library default).
-#: Sweeps over thousands of distinct configs set a small bound in every
-#: worker so a long run's RSS stays flat; the memo is a pure
-#: accelerator, so eviction can never change a result.
-_MEMO_LIMIT: int | None = None
-
-
-def set_memo_limit(limit: int | None) -> int | None:
-    """Bound the collect memo to ``limit`` entries; returns the old bound.
-
-    Enforced on insert: the *oldest* entries (dict insertion order, so
-    deterministic) are evicted until the memo fits.  ``None`` removes
-    the bound.
-    """
-    global _MEMO_LIMIT
-    previous = _MEMO_LIMIT
-    _MEMO_LIMIT = None if limit is None else max(1, int(limit))
-    if _MEMO_LIMIT is not None:
-        while len(_CACHE) > _MEMO_LIMIT:
-            _CACHE.pop(next(iter(_CACHE)))
-    return previous
-
-
-def collect_cached(config: RunConfig) -> tuple[SampleTrace, EIPVDataset]:
-    """Memoized :func:`collect` (per process, optionally bounded)."""
-    if config not in _CACHE:
-        _metrics().inc("pipeline.memo_miss")
-        _CACHE[config] = collect(config)
-        if _MEMO_LIMIT is not None:
-            while len(_CACHE) > _MEMO_LIMIT:
-                _CACHE.pop(next(iter(_CACHE)))
-                _metrics().inc("pipeline.memo_evicted")
-    else:
-        _metrics().inc("pipeline.memo_hit")
-    return _CACHE[config]
-
-
-def memo_size() -> int:
-    """Datasets currently held by the in-process collect memo.
-
-    The daemon watches this to keep a long-lived process's RSS flat: the
-    memo is a pure accelerator, so bounding it (via :func:`clear_memo`)
-    can never change a result, only recompute one.
-    """
-    return len(_CACHE)
-
-
-def clear_memo() -> int:
-    """Drop the in-process collect memo; returns how many entries it held.
-
-    Used by :func:`repro.api.profile`: a profile must measure the real
-    pipeline, so memoized datasets from earlier calls in the same process
-    would silently skip the collect stage.
-    """
-    n = len(_CACHE)
-    _CACHE.clear()
-    return n
+    if store is None:
+        with stages.store_scope(None) as scoped:
+            return collect(config, store=scoped)
+    spec = stages.EipvSpec(
+        workload=config.workload, machine=config.machine, seed=config.seed,
+        scale=config.scale.name,
+        total_instructions=config.total_instructions(),
+        interval_instructions=config.interval_instructions)
+    trace = stages.stored_trace(store, spec.collect_spec())
+    return trace, stages.eipv_dataset(store, spec)
 
 
 def default_intervals(workload: str) -> int:

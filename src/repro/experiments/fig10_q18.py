@@ -21,7 +21,7 @@ from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import RECurve
 from repro.core.predictability import analyze_predictability
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached, default_intervals
+from repro.experiments.common import RunConfig, collect, default_intervals
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,10 @@ class Q18Result:
 
 
 def run(n_intervals: int | None = None, seed: int = 11,
-        k_max: int = 50) -> Q18Result:
+        k_max: int = 50, store=None) -> Q18Result:
     n_intervals = n_intervals or default_intervals("odbh.q18")
-    trace, dataset = collect_cached(RunConfig("odbh.q18",
-                                              n_intervals=n_intervals,
-                                              seed=seed))
+    trace, dataset = collect(RunConfig("odbh.q18", n_intervals=n_intervals,
+                                       seed=seed), store=store)
     analysis = analyze_predictability(
         dataset, config=AnalysisConfig(k_max=k_max, seed=seed))
     breakdown = breakdown_series(trace, bins=80)

@@ -16,7 +16,7 @@ from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import RECurve
 from repro.core.predictability import analyze_predictability
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,13 @@ class Fig2Result:
     sjas_shallow_minimum: bool
 
 
-def run(n_intervals: int = 60, seed: int = 11, k_max: int = 50) -> Fig2Result:
+def run(n_intervals: int = 60, seed: int = 11, k_max: int = 50,
+        store=None) -> Fig2Result:
     """Collect both workloads and compute their RE curves."""
     curves = {}
     for name in ("odbc", "sjas"):
-        _, dataset = collect_cached(RunConfig(name, n_intervals=n_intervals,
-                                              seed=seed))
+        _, dataset = collect(RunConfig(name, n_intervals=n_intervals,
+                                       seed=seed), store=store)
         curves[name] = analyze_predictability(
             dataset, config=AnalysisConfig(k_max=k_max, seed=seed)).curve
     odbc, sjas = curves["odbc"], curves["sjas"]

@@ -15,7 +15,7 @@ from repro.analysis.report import sparkline
 from repro.analysis.spread import SpreadSeries, spread_series
 from repro.analysis.variance import interval_cpi_summary
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 from repro.workloads.appserver import PAPER_UNIQUE_EIPS as SJAS_PAPER_EIPS
 from repro.workloads.oltp import PAPER_UNIQUE_EIPS as ODBC_PAPER_EIPS
 from repro.workloads.scale import DEFAULT
@@ -42,10 +42,10 @@ class Fig3Result:
 
 
 def _panel(workload: str, paper_eips: int, n_intervals: int,
-           seed: int, window_seconds: float | None) -> SpreadResult:
-    trace, dataset = collect_cached(RunConfig(workload,
-                                              n_intervals=n_intervals,
-                                              seed=seed))
+           seed: int, window_seconds: float | None,
+           store) -> SpreadResult:
+    trace, dataset = collect(RunConfig(workload, n_intervals=n_intervals,
+                                       seed=seed), store=store)
     series = spread_series(trace, window_seconds=window_seconds)
     return SpreadResult(
         workload=workload,
@@ -56,14 +56,14 @@ def _panel(workload: str, paper_eips: int, n_intervals: int,
     )
 
 
-def run(n_intervals: int = 60, seed: int = 11) -> Fig3Result:
+def run(n_intervals: int = 60, seed: int = 11, store=None) -> Fig3Result:
     """Build all three Figure-3 panels."""
     odbc = _panel("odbc", ODBC_PAPER_EIPS, n_intervals, seed,
-                  window_seconds=None)
+                  window_seconds=None, store=store)
     sjas = _panel("sjas", SJAS_PAPER_EIPS, n_intervals, seed,
-                  window_seconds=None)
+                  window_seconds=None, store=store)
     mcf = _panel("spec.mcf", PAPER_MCF_UNIQUE_EIPS, n_intervals, seed,
-                 window_seconds=None)
+                 window_seconds=None, store=store)
     ordering = mcf.unique_eips < odbc.unique_eips < sjas.unique_eips
     return Fig3Result(odbc=odbc, sjas=sjas, mcf=mcf,
                       ordering_matches_paper=bool(ordering))

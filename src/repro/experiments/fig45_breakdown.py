@@ -15,7 +15,7 @@ import numpy as np
 from repro.analysis.breakdown import BreakdownSeries, breakdown_series
 from repro.analysis.report import format_breakdown
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,10 @@ class Fig45Result:
     sjas_exe_share_in_band: bool
 
 
-def _analyze(workload: str, n_intervals: int, seed: int) -> BreakdownResult:
-    trace, _ = collect_cached(RunConfig(workload, n_intervals=n_intervals,
-                                        seed=seed))
+def _analyze(workload: str, n_intervals: int, seed: int,
+             store) -> BreakdownResult:
+    trace, _ = collect(RunConfig(workload, n_intervals=n_intervals,
+                                 seed=seed), store=store)
     series = breakdown_series(trace, bins=100)
     exe_timeline = series.share_timeline("exe")
     return BreakdownResult(
@@ -53,9 +54,9 @@ def _analyze(workload: str, n_intervals: int, seed: int) -> BreakdownResult:
     )
 
 
-def run(n_intervals: int = 60, seed: int = 11) -> Fig45Result:
-    odbc = _analyze("odbc", n_intervals, seed)
-    sjas = _analyze("sjas", n_intervals, seed)
+def run(n_intervals: int = 60, seed: int = 11, store=None) -> Fig45Result:
+    odbc = _analyze("odbc", n_intervals, seed, store)
+    sjas = _analyze("sjas", n_intervals, seed, store)
     return Fig45Result(
         odbc=odbc,
         sjas=sjas,

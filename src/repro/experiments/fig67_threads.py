@@ -15,7 +15,7 @@ from repro.analysis.report import format_curve, format_table
 from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import RECurve, relative_error_curve
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached
+from repro.experiments.common import RunConfig, collect
 from repro.trace.eipv import build_per_thread_eipvs
 from repro.trace.threads import ThreadingStats, slice_level_stats
 from repro.uarch.machine import get_machine
@@ -41,10 +41,9 @@ class Fig67Result:
 
 
 def _separate(workload: str, n_intervals: int, seed: int,
-              k_max: int) -> ThreadSeparationResult:
-    trace, dataset = collect_cached(RunConfig(workload,
-                                              n_intervals=n_intervals,
-                                              seed=seed))
+              k_max: int, store) -> ThreadSeparationResult:
+    trace, dataset = collect(RunConfig(workload, n_intervals=n_intervals,
+                                       seed=seed), store=store)
     config = AnalysisConfig(k_max=k_max, seed=seed)
     merged = relative_error_curve(dataset.matrix, dataset.cpis,
                                   config=config)
@@ -75,10 +74,10 @@ def measure_stats(workloads=("odbc", "sjas", "odbh.q13", "spec.gzip"),
 
 
 def run(n_intervals: int = 60, seed: int = 11,
-        k_max: int = 50) -> Fig67Result:
+        k_max: int = 50, store=None) -> Fig67Result:
     return Fig67Result(
-        odbc=_separate("odbc", n_intervals, seed, k_max),
-        sjas=_separate("sjas", n_intervals, seed, k_max),
+        odbc=_separate("odbc", n_intervals, seed, k_max, store),
+        sjas=_separate("sjas", n_intervals, seed, k_max, store),
         threading_stats=measure_stats(),
     )
 

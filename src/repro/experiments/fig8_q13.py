@@ -16,7 +16,7 @@ from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import RECurve
 from repro.core.predictability import analyze_predictability
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached, default_intervals
+from repro.experiments.common import RunConfig, collect, default_intervals
 from repro.workloads.dss import PAPER_Q13_UNIQUE_EIPS
 
 
@@ -31,11 +31,10 @@ class Q13Result:
 
 
 def run(n_intervals: int | None = None, seed: int = 11,
-        k_max: int = 50) -> Q13Result:
+        k_max: int = 50, store=None) -> Q13Result:
     n_intervals = n_intervals or default_intervals("odbh.q13")
-    trace, dataset = collect_cached(RunConfig("odbh.q13",
-                                              n_intervals=n_intervals,
-                                              seed=seed))
+    trace, dataset = collect(RunConfig("odbh.q13", n_intervals=n_intervals,
+                                       seed=seed), store=store)
     analysis = analyze_predictability(
         dataset, config=AnalysisConfig(k_max=k_max, seed=seed))
     spread = spread_series(trace)

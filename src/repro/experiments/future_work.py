@@ -25,7 +25,7 @@ from repro.analysis.report import format_table
 from repro.core.config import AnalysisConfig
 from repro.core.predictability import analyze_predictability
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached, default_intervals
+from repro.experiments.common import RunConfig, collect, default_intervals
 from repro.trace.bbv import build_bbvs
 from repro.trace.eipv import build_eipvs
 from repro.trace.sampler import collect_trace
@@ -93,13 +93,15 @@ class BBVComparisonResult:
 
 def bbv_comparison(workloads=("odbh.q13", "odbh.q18", "spec.art", "odbc"),
                    seed: int = 11, k_max: int = 30,
-                   block_bytes: int = 128) -> BBVComparisonResult:
+                   block_bytes: int = 128,
+                   store=None) -> BBVComparisonResult:
     """RE with EIP vectors vs basic-block vectors, same traces."""
     rows = []
     agree = True
     for name in workloads:
-        trace, eipv_dataset = collect_cached(RunConfig(
-            name, n_intervals=default_intervals(name), seed=seed))
+        trace, eipv_dataset = collect(RunConfig(
+            name, n_intervals=default_intervals(name), seed=seed),
+            store=store)
         bbv_dataset = build_bbvs(trace, eipv_dataset.interval_instructions,
                                  block_bytes=block_bytes)
         config = AnalysisConfig(k_max=k_max, seed=seed)
@@ -125,10 +127,11 @@ class FutureWorkResult:
     bbv: BBVComparisonResult
 
 
-def run(seed: int = 11, k_max: int = 30) -> FutureWorkResult:
+def run(seed: int = 11, k_max: int = 30, store=None) -> FutureWorkResult:
     """Run both future-work studies."""
-    return FutureWorkResult(rate=sampling_rate_sweep(seed=seed, k_max=k_max),
-                            bbv=bbv_comparison(seed=seed, k_max=k_max))
+    return FutureWorkResult(
+        rate=sampling_rate_sweep(seed=seed, k_max=k_max),
+        bbv=bbv_comparison(seed=seed, k_max=k_max, store=store))
 
 
 def render(result: FutureWorkResult | None = None) -> str:

@@ -26,7 +26,7 @@ import numpy as np
 from repro.analysis.report import format_table
 from repro.core.comparison import MethodComparison, compare_methods
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached, default_intervals
+from repro.experiments.common import RunConfig, collect, default_intervals
 from repro.workloads.scale import PAPER
 
 #: The default panel follows the paper's focus: the commercial workloads
@@ -53,12 +53,12 @@ class KMeansComparisonResult:
 
 
 def run(workloads=DEFAULT_WORKLOADS, seed: int = 11,
-        k_max: int = 50) -> KMeansComparisonResult:
+        k_max: int = 50, store=None) -> KMeansComparisonResult:
     comparisons: list[MethodComparison] = []
     for name in workloads:
-        _, dataset = collect_cached(RunConfig(
+        _, dataset = collect(RunConfig(
             name, n_intervals=default_intervals(name), seed=seed,
-            scale=PAPER))
+            scale=PAPER), store=store)
         comparisons.append(compare_methods(dataset, k_max=k_max, seed=seed))
     fuzzy = [c for c in comparisons
              if max(c.tree_re, c.kmeans_re) >= FUZZY_RE_FLOOR]

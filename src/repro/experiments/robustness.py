@@ -21,11 +21,7 @@ from repro.analysis.report import format_table
 from repro.core.config import AnalysisConfig
 from repro.core.predictability import analyze_predictability
 from repro.experiments.base import Experiment
-from repro.experiments.common import (
-    RunConfig,
-    collect_cached,
-    default_intervals,
-)
+from repro.experiments.common import RunConfig, collect, default_intervals
 from repro.trace.eipv import build_eipvs
 
 #: The interval sizes of Section 7.1, in instructions.
@@ -52,10 +48,11 @@ class EIPVSizeResult:
 
 
 def eipv_size_sweep(workload: str = "odbh.q4", seed: int = 11,
-                    k_max: int = 30) -> EIPVSizeResult:
+                    k_max: int = 30, store=None) -> EIPVSizeResult:
     """Rebuild EIPVs from one trace at each Section-7.1 interval size."""
-    trace, _ = collect_cached(RunConfig(
-        workload, n_intervals=default_intervals(workload), seed=seed))
+    trace, _ = collect(RunConfig(
+        workload, n_intervals=default_intervals(workload), seed=seed),
+        store=store)
     rows = []
     for size in EIPV_SIZES:
         dataset = build_eipvs(trace, size)
@@ -94,14 +91,14 @@ class MachineSweepResult:
 
 
 def machine_sweep(workloads=MACHINE_SWEEP_WORKLOADS, seed: int = 11,
-                  k_max: int = 30) -> MachineSweepResult:
+                  k_max: int = 30, store=None) -> MachineSweepResult:
     """Re-run a SPEC subset on all three machine models."""
     rows: list[MachineRow] = []
     for name in workloads:
         for machine in ("itanium2", "pentium4", "xeon"):
-            _, dataset = collect_cached(RunConfig(
+            _, dataset = collect(RunConfig(
                 name, n_intervals=default_intervals(name), seed=seed,
-                machine=machine))
+                machine=machine), store=store)
             analysis = analyze_predictability(
                 dataset, config=AnalysisConfig(k_max=k_max, seed=seed))
             rows.append(MachineRow(
@@ -134,10 +131,11 @@ class RobustnessResult:
     machine: MachineSweepResult
 
 
-def run(seed: int = 11, k_max: int = 30) -> RobustnessResult:
+def run(seed: int = 11, k_max: int = 30, store=None) -> RobustnessResult:
     """Run both robustness sweeps."""
-    return RobustnessResult(size=eipv_size_sweep(seed=seed, k_max=k_max),
-                            machine=machine_sweep(seed=seed, k_max=k_max))
+    return RobustnessResult(
+        size=eipv_size_sweep(seed=seed, k_max=k_max, store=store),
+        machine=machine_sweep(seed=seed, k_max=k_max, store=store))
 
 
 def render(result: RobustnessResult | None = None) -> str:

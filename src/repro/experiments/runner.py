@@ -14,6 +14,7 @@ import sys
 from repro.experiments.base import Experiment
 from repro.obs import span
 from repro.runtime.metrics import METRICS
+from repro.runtime.stages import store_scope
 from repro.experiments import (
     example_tree,
     future_work,
@@ -66,34 +67,47 @@ def get_experiment(experiment_id: str) -> Experiment:
 
 
 def run_experiment(experiment_id: str, *, jobs: int = 1, cache=None,
-                   timeout: float | None = None) -> str:
+                   timeout: float | None = None, store=None) -> str:
     """Render one experiment by id (e.g. ``"e2"``).
 
     ``jobs``/``cache``/``timeout`` reach e8, the only experiment that
-    schedules jobs; the others compute in-process.
+    schedules jobs (it opens its own store from ``cache``).  The others
+    compute in-process and collect their runs through ``store``, the
+    artifact store they share (a temporary one per collect when
+    omitted); e1's hand-built dataset needs none.
     """
     experiment = get_experiment(experiment_id)
     key = experiment.id
     with METRICS.time(f"experiment.{key}_s"):
         with span(f"experiment.{key}", title=experiment.title):
             if experiment is table2_quadrants.EXPERIMENT:
-                return experiment.render(table2_quadrants.run(
-                    jobs=jobs, cache=cache, timeout=timeout))
-            return experiment.render()
+                result = table2_quadrants.run(jobs=jobs, cache=cache,
+                                              timeout=timeout)
+            elif experiment is example_tree.EXPERIMENT:
+                result = None
+            else:
+                result = experiment.runner(store=store)
+            return experiment.render(result)
 
 
 def run_all(ids=None, *, jobs: int = 1, cache=None,
             timeout: float | None = None) -> str:
-    """Render several experiments, separated by banners."""
+    """Render several experiments, separated by banners.
+
+    Every id shares one artifact store — ``cache``'s tier, or a
+    temporary one — so experiments over the same run simulate it once,
+    and a rerun on a warm cache simulates nothing.
+    """
     ids = list(ids) if ids else sorted(EXPERIMENTS)
     sections = []
-    for experiment_id in ids:
-        experiment = get_experiment(experiment_id)
-        banner = "=" * 72
-        text = run_experiment(experiment_id, jobs=jobs, cache=cache,
-                              timeout=timeout)
-        sections.append(f"{banner}\n{experiment_id.upper()}: "
-                        f"{experiment.title}\n{banner}\n{text}")
+    with store_scope(cache) as store:
+        for experiment_id in ids:
+            experiment = get_experiment(experiment_id)
+            banner = "=" * 72
+            text = run_experiment(experiment_id, jobs=jobs, cache=cache,
+                                  timeout=timeout, store=store)
+            sections.append(f"{banner}\n{experiment_id.upper()}: "
+                            f"{experiment.title}\n{banner}\n{text}")
     return "\n\n".join(sections)
 
 

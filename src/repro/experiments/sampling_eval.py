@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table
 from repro.core.config import AnalysisConfig
 from repro.experiments.base import Experiment
-from repro.experiments.common import RunConfig, collect_cached, default_intervals
+from repro.experiments.common import RunConfig, collect, default_intervals
 from repro.sampling.evaluation import compare_techniques
 from repro.sampling.selector import select_technique
 
@@ -48,11 +48,13 @@ class SamplingEvalResult:
     uniform_sufficient_q1: bool
 
 
-def run(budget: int = 6, trials: int = 15, seed: int = 11) -> SamplingEvalResult:
+def run(budget: int = 6, trials: int = 15, seed: int = 11,
+        store=None) -> SamplingEvalResult:
     evaluations = []
     for quadrant, workload in REPRESENTATIVES.items():
-        _, dataset = collect_cached(RunConfig(
-            workload, n_intervals=default_intervals(workload), seed=seed))
+        _, dataset = collect(RunConfig(
+            workload, n_intervals=default_intervals(workload), seed=seed),
+            store=store)
         recommendation = select_technique(dataset,
                                           config=AnalysisConfig(seed=seed))
         results = tuple(compare_techniques(dataset, budget, trials=trials,

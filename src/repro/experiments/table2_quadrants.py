@@ -79,15 +79,13 @@ def run(workloads=None, seed: int = 11, k_max: int = 50,
     # The census rides the same staged submit_graph surface sweeps use:
     # uncached workloads expand into collect → eipv → analysis nodes so
     # their traces and datasets persist in the artifact tier for later
-    # runs (a cache-less census degenerates to one node per workload).
-    # The graph dedups identical specs, so a duplicated workload name is
-    # computed once and rendered per requested spec below.
-    artifacts = stages.artifact_store_for(cache)
-    graph = stages.analysis_graph(specs, cache=cache, artifacts=artifacts)
-    setup = stages.stage_setup(artifacts) if artifacts is not None else None
-    with stages.artifact_context(artifacts):
+    # runs (a temporary store when there is no disk cache).  The graph
+    # dedups identical specs, so a duplicated workload name is computed
+    # once and rendered per requested spec below.
+    graph = stages.analysis_graph(specs, cache=cache)
+    with stages.store_scope(cache) as store:
         graph_outcomes = submit_graph(graph, jobs=jobs, cache=cache,
-                                      timeout=timeout, setup=setup)
+                                      timeout=timeout, store=store)
     # Stage outcomes stay internal: the census result and its manifest
     # describe analyses, exactly as before the pipeline split.
     by_key = {outcome.key: outcome for outcome in graph_outcomes}

@@ -8,7 +8,7 @@ reconfigure joined worker processes under the very lock every dispatch
 needs — teardown now swaps state under the lock and joins outside it,
 and RL007 keeps it that way.  RL008 guards against the classic AB/BA
 deadlock as the runtime grows more locks (pool, coalescer, service
-memo/stage): any two locks acquired in opposite orders on two call
+stage/curves): any two locks acquired in opposite orders on two call
 paths get reported with both witness paths.
 """
 

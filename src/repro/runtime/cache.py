@@ -340,7 +340,8 @@ class ResultCache:
 
         Used by graph builders deciding whether a final job still needs
         its upstream stage nodes; a stale or corrupt entry just means
-        the job recomputes monolithically, which is still correct.
+        the job rebuilds its dataset inside itself, which is still
+        correct.
         """
         return self.entry_path(key).is_file()
 

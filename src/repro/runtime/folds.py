@@ -189,12 +189,13 @@ class FoldResult:
         return cls(**data)
 
 
-def execute_fold(spec: FoldSpec, jobs: int = 1) -> FoldResult:
+def execute_fold(spec: FoldSpec, jobs: int = 1, store=None) -> FoldResult:
     """Fit on the fold's training part, score every T_k on the rest.
 
     This is the serial loop body of ``cross_validated_sse``, verbatim, so
     the floats coming back are the ones the serial path would produce.
-    A fold has no inner fan-out, so ``jobs`` is unused.
+    A fold has no inner fan-out and reads its dataset from the fold
+    setup, so ``jobs`` and ``store`` are unused.
     """
     from repro.core.cross_validation import fold_indices
 

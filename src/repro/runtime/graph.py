@@ -116,14 +116,15 @@ class JobGraph:
 
 def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
                  timeout: float | None = None, metrics=METRICS, setup=None,
-                 on_outcome: Callable[[JobOutcome], None] | None = None
-                 ) -> list[JobOutcome]:
+                 on_outcome: Callable[[JobOutcome], None] | None = None,
+                 store=None) -> list[JobOutcome]:
     """Run every node of ``graph``; outcomes in node-insertion order.
 
     Each ready set dispatches as one :func:`run_jobs` wave: cached nodes
     are served from ``cache``, the rest fan out across ``jobs`` worker
     processes (the scheduler applies the serial-vs-parallel rule and
-    keeps its serial fallback).  A node whose dependency failed is
+    keeps its serial fallback), every job receiving ``store``, the
+    run's artifact store.  A node whose dependency failed is
     *skipped* — it gets a failure outcome naming the dependency and
     never executes.
 
@@ -161,5 +162,5 @@ def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
             scheduler.run_jobs([graph.node(key).spec for key in runnable],
                                jobs=jobs, cache=cache, timeout=timeout,
                                metrics=metrics, setup=setup,
-                               on_outcome=record)
+                               on_outcome=record, store=store)
     return [done[key] for key in graph.keys()]

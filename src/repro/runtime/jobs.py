@@ -10,8 +10,10 @@ identity everywhere a spec travels: the result cache, the run manifest,
 and the daemon's request coalescer all use ``spec.key`` rather than
 recomputing ad-hoc tokens.
 
-:func:`execute_job` is the pure worker function: spec in, JSON-ready
-:class:`JobResult` out.  A result round-trips through
+:func:`execute_job` is the pure worker function: spec and the run's
+artifact store in, JSON-ready :class:`JobResult` out.  It reads its
+dataset through the eipv stage (:mod:`repro.runtime.stages`), so there
+is one path from an execution to its dataset.  A result round-trips through
 ``to_dict``/``from_dict`` without loss (JSON preserves finite floats
 exactly), which is what makes warm-cache output byte-identical to a
 fresh computation.
@@ -36,7 +38,7 @@ from repro.core.predictability import (
     analyze_predictability,
 )
 from repro.core.quadrant import classify_result
-from repro.experiments.common import INTERVAL, RunConfig, collect_cached
+from repro.experiments.common import INTERVAL, RunConfig
 from repro.obs import span
 from repro.workloads.scale import get_scale
 
@@ -55,8 +57,10 @@ class JobKind:
     The scheduler is kind-agnostic: given a spec with a ``kind`` class
     attribute it looks up the execute function and the dict round-trip
     codecs here, both in this process and inside pool workers.
-    ``execute(spec, jobs=...)`` receives the parallelism its own fan-out
-    may use (always 1 in a pool worker).
+    ``execute(spec, jobs=..., store=...)`` receives the parallelism its
+    own fan-out may use (always 1 in a pool worker) and the run's
+    :class:`~repro.runtime.cache.ArtifactStore`; a kind ignores what it
+    does not use.
     """
 
     name: str
@@ -274,47 +278,31 @@ class JobResult:
         )
 
 
-def _staged_dataset(spec: JobSpec):
-    """The spec's EIPV dataset from the artifact store, or ``None``.
-
-    The staged fast path: when the upstream ``eipv`` stage already
-    published this spec's dataset, load it zero-copy (read-only memmap
-    views) instead of re-simulating.  Identical bytes either way — the
-    artifact holds exactly the arrays ``collect_cached`` would build —
-    so this is purely a performance decision.
-    """
-    from repro.runtime import stages
-
-    store = stages.current_artifact_store()
-    if store is None:
-        return None
-    dataset = stages.load_eipv_dataset(store,
-                                       stages.eipv_spec_for(spec).key)
-    if dataset is not None:
-        dataset.workload_name = spec.workload
-    return dataset
-
-
-def execute_job(spec: JobSpec, jobs: int = 1) -> JobResult:
-    """Run the full pipeline for one spec (pure; safe in any worker).
+def execute_job(spec: JobSpec, jobs: int = 1, store=None) -> JobResult:
+    """Run the analysis for one spec (pure; safe in any worker).
 
     ``jobs`` fans the cross-validation folds out (bit-identical merge);
     the scheduler passes 1 inside pool workers.
 
-    Prefers a staged dataset (see :func:`_staged_dataset`); a process
-    without an artifact store — or a store without this spec's artifact
-    — runs the monolithic collect, so correctness never depends on the
-    store's contents.
+    The dataset comes from ``store`` through
+    :func:`repro.runtime.stages.eipv_dataset`: the EIPV artifact, or on
+    a miss the eipv stage's own build (which also heals a lost trace),
+    published for the next job.  Without a store — direct library calls
+    only; every entry point passes one — the call gets a temporary store
+    of its own.
 
     When tracing is enabled the job's span subtree is snapshotted into
     ``JobResult.spans``, which is how worker-process spans travel back to
     the scheduling process.
     """
+    from repro.runtime import stages
+
+    if store is None:
+        with stages.store_scope(None) as scoped:
+            return execute_job(spec, jobs=jobs, store=scoped)
     start = time.perf_counter()
     with span("job", workload=spec.workload, seed=spec.seed) as job_span:
-        dataset = _staged_dataset(spec)
-        if dataset is None:
-            _, dataset = collect_cached(spec.to_run_config())
+        dataset = stages.eipv_dataset(store, stages.eipv_spec_for(spec))
         collected = time.perf_counter()
         analysis = analyze_predictability(dataset,
                                           config=spec.analysis_config(),

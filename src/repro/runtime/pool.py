@@ -10,10 +10,10 @@ are forked once and reused across batches (``pool.warm_hits``); the
 pool self-heals (broken-pool respawn mid-batch, task-count recycling in
 lieu of ``max_tasks_per_child`` — which needs 3.11+ and a non-fork start
 method — an idle reaper, and an ``atexit`` shutdown that leaves zero
-worker processes behind).  Per-batch worker state (the artifact store
-of a sweep, the dataset of a parallel CV) ships through a
-:class:`WorkerSetup` hook that is cached worker-side by key, so a warm
-worker re-runs nothing.
+worker processes behind).  Per-batch worker state (the dataset of a
+parallel CV) ships through a :class:`WorkerSetup` hook that is cached
+worker-side by key, so a warm worker re-runs nothing; the artifact store
+is not worker state but an argument each job carries.
 
 :func:`use_pool` is the one serial-vs-parallel rule.  Pool workers are
 leaves: they run jobs with ``jobs=1`` and never reach a pool, and a
@@ -45,7 +45,7 @@ from repro.runtime.metrics import METRICS
 #: Tasks a pool serves before its workers are recycled (``max_tasks ×
 #: workers`` pool-wide, a stand-in for ``max_tasks_per_child`` that
 #: works under fork and on 3.10).  Bounds any slow leak in worker-side
-#: caches (mapped fold datasets, installed stores, imported modules).
+#: caches (mapped fold datasets, imported modules).
 DEFAULT_MAX_TASKS_PER_CHILD = 256
 
 #: Seconds of pool idleness before the reaper shuts the workers down.
@@ -109,11 +109,14 @@ def _run_setup(setup: WorkerSetup | None) -> None:
 
 
 def _pool_worker_execute(kind_name: str, spec_dict: dict, tracing: bool,
-                         setup: WorkerSetup | None) -> tuple[dict, int, float]:
-    """Worker body for the persistent pool: cached setup, then the job."""
+                         setup: WorkerSetup | None,
+                         store_root: str | None) -> tuple[dict, int, float]:
+    """Worker body for the persistent pool: cached setup, then the job
+    against the artifact store rooted at ``store_root``."""
     _run_setup(setup)
     from repro.runtime import scheduler
-    return scheduler._worker_execute(kind_name, spec_dict, tracing)
+    return scheduler._worker_execute(kind_name, spec_dict, tracing,
+                                     store_root)
 
 
 class WorkerPool:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.runtime import pool as pool_mod
-from repro.runtime.cache import NullCache
+from repro.runtime.cache import ArtifactStore, NullCache
 from repro.runtime.jobs import JobResult, JobSpec, resolve_kind
 from repro.runtime.metrics import METRICS
 
@@ -54,14 +54,17 @@ class JobOutcome:
         return self.result is not None
 
 
-def _worker_execute(kind_name: str, spec_dict: dict,
-                    tracing: bool = False) -> tuple[dict, int, float]:
+def _worker_execute(kind_name: str, spec_dict: dict, tracing: bool = False,
+                    store_root: str | None = None) -> tuple[dict, int, float]:
     """Module-level worker body (must be picklable by the pool).
 
     Pool workers are leaves: the job runs with ``jobs=1``, so nothing it
-    calls can reach ``run_jobs`` with parallelism or touch a pool.
+    calls can reach ``run_jobs`` with parallelism or touch a pool.  The
+    artifact store arrives as a root path with each job and is built for
+    that job only, so no store outlives the job in a warm worker.
     """
     kind = resolve_kind(kind_name)
+    store = ArtifactStore(store_root) if store_root is not None else None
     spec = kind.spec_from_dict(spec_dict)
     if tracing:
         # Fresh tracer per job: the span subtree rides back inside the
@@ -69,17 +72,17 @@ def _worker_execute(kind_name: str, spec_dict: dict,
         obs.enable_tracing()
     start = time.perf_counter()
     try:
-        result = kind.execute(spec, jobs=1)
+        result = kind.execute(spec, jobs=1, store=store)
     finally:
         if tracing:
             obs.disable_tracing()
     return result.to_dict(), os.getpid(), time.perf_counter() - start
 
 
-def _run_serial(spec: JobSpec, key: str, jobs: int = 1,
+def _run_serial(spec: JobSpec, key: str, jobs: int = 1, store=None,
                 pool_error: str | None = None) -> JobOutcome:
     """Execute one spec in-process, handing it ``jobs`` for its own
-    fan-out (an analysis spreads its CV folds).
+    fan-out (an analysis spreads its CV folds) and the run's ``store``.
 
     ``pool_error`` carries the traceback of the pool failure that forced
     this fallback (a broken pool, a pool that could not be built).  If
@@ -89,7 +92,8 @@ def _run_serial(spec: JobSpec, key: str, jobs: int = 1,
     """
     start = time.perf_counter()
     try:
-        result = resolve_kind(spec.kind).execute(spec, jobs=jobs)
+        result = resolve_kind(spec.kind).execute(spec, jobs=jobs,
+                                                 store=store)
         error = None
     except Exception:
         result = None
@@ -135,7 +139,7 @@ def _await_result(future, timeout: float | None, executor):
 
 
 def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
-                     timeout: float | None, setup, on_ready,
+                     timeout: float | None, setup, store, on_ready,
                      worker_pool) -> tuple[list[JobOutcome] | None, str]:
     """Fan one batch out over the persistent warm pool.
 
@@ -149,9 +153,11 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
     broken pool is respawned mid-batch and the remaining jobs
     resubmitted, and a failed per-worker ``setup`` hook sends just the
     affected jobs to the in-process fallback without tearing the
-    healthy pool down.
+    healthy pool down.  Every job carries the root of ``store`` (or
+    ``None``).
     """
     tracing = obs.tracing_enabled()
+    root = str(store.root) if store is not None else None
     try:
         executor, _ = worker_pool.acquire(min(jobs, len(specs)))
     except pool_mod.POOL_BUILD_ERRORS:
@@ -160,7 +166,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
         try:
             futures: list = [
                 executor.submit(pool_mod._pool_worker_execute, spec.kind,
-                                spec.canonical(), tracing, setup)
+                                spec.canonical(), tracing, setup, root)
                 for spec in specs]
         except pool_mod.POOL_BUILD_ERRORS:
             worker_pool.discard(wait=False)
@@ -177,7 +183,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                 if future is None:
                     # The pool died and could not be respawned; finish
                     # the batch in-process.
-                    outcome = _run_serial(spec, key,
+                    outcome = _run_serial(spec, key, store=store,
                                           pool_error=dead_pool_error or None)
                     outcomes.append(outcome)
                     if on_ready is not None:
@@ -206,7 +212,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                     # the pool itself is fine.  Recompute here, where the
                     # dataset is still published in-process.
                     outcome = _run_serial(
-                        spec, key,
+                        spec, key, store=store,
                         pool_error="".join(traceback.format_exception(exc)))
                 except (BrokenProcessPool, CancelledError) as exc:
                     # BrokenProcessPool: the workers died under this
@@ -220,7 +226,8 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                     # way the job recomputes in-process and the rest
                     # resubmits on a fresh pool.
                     pool_error = "".join(traceback.format_exception(exc))
-                    outcome = _run_serial(spec, key, pool_error=pool_error)
+                    outcome = _run_serial(spec, key, store=store,
+                                          pool_error=pool_error)
                     rest = specs[i + 1:]
                     respawned = False
                     if rest and futures[i + 1] is not None:
@@ -236,7 +243,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                                     executor.submit(
                                         pool_mod._pool_worker_execute,
                                         s.kind, s.canonical(), tracing,
-                                        setup)
+                                        setup, root)
                                     for s in rest]
                                 worker_pool.note_tasks(len(rest))
                                 respawned = True
@@ -279,7 +286,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
 
 def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
              metrics=METRICS, setup=None, worker_pool=None, on_outcome=None,
-             ) -> list[JobOutcome]:
+             store=None) -> list[JobOutcome]:
     """Schedule every spec; return outcomes in submission order.
 
     Cache misses go to a process pool only when :func:`repro.runtime.
@@ -287,7 +294,10 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
     usable CPUs); each such choice with ``jobs >= 2`` is counted in
     ``dispatch.parallel_chosen`` or ``dispatch.serial_chosen``.  The
     in-process path hands every job the caller's ``jobs`` for its own
-    fan-out; pool workers run jobs with ``jobs=1``.
+    fan-out; pool workers run jobs with ``jobs=1``.  Every job receives
+    ``store``, the run's :class:`~repro.runtime.cache.ArtifactStore`
+    (pool workers get its root and open it per job); an analysis without
+    one opens a temporary store of its own.
 
     Parallel batches run on the persistent warm pool
     (:func:`repro.runtime.pool.default_pool`, or ``worker_pool`` when
@@ -308,7 +318,7 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
     jobs = max(1, int(jobs or 1))
     outcomes: list[JobOutcome | None] = [None] * len(specs)
 
-    def store(outcome: JobOutcome) -> None:
+    def persist(outcome: JobOutcome) -> None:
         """Persist one executed outcome, then stream it to the caller."""
         if outcome.ok and not outcome.cache_hit:
             # Spans are observability, not results: strip them so the
@@ -361,15 +371,16 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
                         else "dispatch.serial_chosen")
         if parallel:
             executed, pool_error = _execute_on_pool(
-                todo, todo_keys, jobs, timeout, setup, on_ready=store,
+                todo, todo_keys, jobs, timeout, setup, store,
+                on_ready=persist,
                 worker_pool=worker_pool or pool_mod.default_pool())
         if executed is None:
             executed = []
             for spec, key in zip(todo, todo_keys):
-                outcome = _run_serial(spec, key, jobs,
+                outcome = _run_serial(spec, key, jobs, store=store,
                                       pool_error=pool_error or None)
                 executed.append(outcome)
-                store(outcome)
+                persist(outcome)
         for i, outcome in zip(pending, executed):
             outcomes[i] = outcome
 

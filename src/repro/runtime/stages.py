@@ -1,7 +1,6 @@
 """The analysis pipeline as a content-hashed stage graph.
 
-One monolithic analysis job hides three stages with very different
-sharing behavior::
+One analysis has three stages with very different sharing behavior::
 
     collect(workload, machine, seed, total_instructions)
         -> eipv(trace, interval_instructions)
@@ -14,37 +13,38 @@ joints: :class:`CollectSpec` and :class:`EipvSpec` are frozen,
 content-hashed stage specs derived from a final :class:`JobSpec`
 (:func:`collect_spec_for` / :func:`eipv_spec_for`), executed through the
 ordinary scheduler as job kinds ``"collect"`` and ``"eipv"``, with their
-bulky products persisted in the cache's
-:class:`~repro.runtime.cache.ArtifactStore` tier — a trace artifact *is*
-a :class:`~repro.trace.storage.TraceStore` directory, an EIPV artifact
-is the dataset's raw arrays — and reloaded zero-copy via
+bulky products persisted in an
+:class:`~repro.runtime.cache.ArtifactStore` — a trace artifact *is* a
+:class:`~repro.trace.storage.TraceStore` directory, an EIPV artifact is
+the dataset's raw arrays — and reloaded zero-copy via
 ``np.load(mmap_mode="r")``.
 
-Two design rules keep the split byte-identical to the monolith:
+Every run has a store: :func:`store_scope` yields the cache's artifact
+tier, or a temporary store removed when the scope exits.  The store is
+an argument of every job (``execute(spec, jobs=..., store=...)``); pool
+workers receive its root with each job and keep nothing after it.
+
+Two design rules keep every path byte-identical:
 
 * **Stages are self-describing, not chained by reference.**  An
   :class:`EipvSpec` embeds every parameter needed to rebuild its input
   from scratch, so a missing or quarantined upstream artifact is healed
   by an in-stage recompute — correctness never depends on the artifact
   store's contents, only speed does.
-* **The final node is the unchanged ``"analysis"`` kind.**  Its key,
-  result schema and cache identity are exactly the monolith's;
-  :func:`repro.runtime.jobs.execute_job` merely *prefers* a staged
-  dataset when one is available.  ``EIPVDataset.from_store`` is
-  bit-identical to the in-memory ``build_eipvs`` (PR 4's invariant), and
-  raw ``.npy`` persistence preserves every float bit, so both paths feed
+* **The final node is the unchanged ``"analysis"`` kind.**  Its key and
+  result schema are independent of the stages;
+  :func:`repro.runtime.jobs.execute_job` reads its dataset through
+  :func:`eipv_dataset`, which falls back to the eipv stage's own build.
+  ``EIPVDataset.from_store`` is bit-identical to the in-memory
+  ``build_eipvs`` (the out-of-core tier's invariant), and raw ``.npy``
+  persistence preserves every float bit, so every path feeds
   ``analyze_predictability`` the same bytes.
-
-The artifact store travels to workers as process state: the scheduling
-process installs it (:func:`artifact_context`) before forking, and
-:func:`stage_setup` ships a :class:`~repro.runtime.pool.WorkerSetup` so
-pre-existing warm-pool workers install it too.  A process without a
-store simply computes monolithically.
 """
 
 from __future__ import annotations
 
 import contextlib
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -61,70 +61,42 @@ from repro.runtime.jobs import (
     register_job_kind,
     spec_key,
 )
+from repro.runtime.metrics import METRICS
 from repro.sparse import CSRMatrix, is_sparse
 from repro.trace.eipv import EIPVDataset, build_eipvs
+from repro.trace.events import SampleTrace
 from repro.trace.storage import TraceStore
 
-#: The artifact store visible to stage executions in this process.
-_ARTIFACT_STORE: ArtifactStore | None = None
-
-
-def install_artifact_store(store: ArtifactStore | None) -> None:
-    """Make ``store`` the process's artifact tier (``None`` disables)."""
-    global _ARTIFACT_STORE
-    _ARTIFACT_STORE = store
-
-
-def current_artifact_store() -> ArtifactStore | None:
-    """The installed artifact store, or ``None``."""
-    return _ARTIFACT_STORE
-
-
-def _worker_install(root: str) -> None:
-    """Pool-worker setup hook: install the store by path."""
-    install_artifact_store(ArtifactStore(Path(root)))
-
-
-def stage_setup(store: ArtifactStore):
-    """A :class:`~repro.runtime.pool.WorkerSetup` installing ``store``.
-
-    Keyed by the store root, so warm workers that already installed this
-    store skip the (already cheap) re-install.
-    """
-    from repro.runtime.pool import WorkerSetup
-
-    return WorkerSetup(key=f"artifacts:{store.root}", fn=_worker_install,
-                       args=(str(store.root),))
+#: Prefix of the temporary directory that holds the artifacts of a run
+#: without a usable disk cache (removed when its :func:`store_scope`
+#: exits).
+STAGES_DIR_PREFIX = "repro-stages-"
 
 
 @contextlib.contextmanager
-def artifact_context(store: ArtifactStore | None):
-    """Install ``store`` for the duration (parent-side serial paths)."""
-    previous = current_artifact_store()
-    install_artifact_store(store)
-    try:
-        yield
-    finally:
-        install_artifact_store(previous)
+def store_scope(cache, metrics=METRICS):
+    """The artifact store one run shares, for the duration.
 
-
-def artifact_store_for(cache) -> ArtifactStore | None:
-    """The cache's artifact tier, or ``None`` when unavailable.
-
-    A disk-less cache (``NullCache`` or ``None``) has nowhere to put
-    artifacts.  An unusable root (the cache dir is a regular file,
-    permissions, a full disk) degrades to ``None`` — the store is a
-    performance tier, never a correctness dependency, so the pipeline
-    falls back to the monolithic path.
+    ``cache``'s artifact tier when the cache has a usable disk root.
+    Otherwise — a ``NullCache``, ``None``, or a root that cannot be
+    created (the cache dir is a regular file, permissions, a full disk)
+    — a store in a fresh temporary directory, removed on exit whatever
+    happens, counting into ``metrics``.  The store is a performance
+    tier, never a correctness dependency, so the kind of store never
+    changes a result.
     """
-    if cache is None or getattr(cache, "root", None) is None:
-        return None
-    store = cache.artifacts
-    try:
-        store.root.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        return None
-    return store
+    if getattr(cache, "root", None) is not None:
+        store = cache.artifacts
+        try:
+            store.root.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            pass
+        else:
+            yield store
+            return
+    with tempfile.TemporaryDirectory(prefix=STAGES_DIR_PREFIX,
+                                     ignore_cleanup_errors=True) as root:
+        yield ArtifactStore(root, metrics=metrics)
 
 
 # -- stage specs ------------------------------------------------------------
@@ -261,7 +233,8 @@ class StageResult:
 # -- execution --------------------------------------------------------------
 
 def _simulate(spec: CollectSpec):
-    """The monolith's simulate+sample calls, verbatim (byte-identity)."""
+    """Simulate and sample one execution (lazy imports keep workers
+    that never collect from loading the simulator)."""
     from repro.trace.sampler import collect_trace
     from repro.uarch.machine import get_machine
     from repro.workloads.registry import get_workload
@@ -280,10 +253,8 @@ def put_trace(store: ArtifactStore, key: str, trace) -> None:
         TraceStore.from_trace(trace, staging)
 
 
-def open_trace(store: ArtifactStore | None, key: str) -> TraceStore | None:
+def open_trace(store: ArtifactStore, key: str) -> TraceStore | None:
     """The trace artifact as an open store, or ``None`` (quarantining)."""
-    if store is None:
-        return None
     meta = store.open_meta("trace", key)
     if meta is None:
         return None
@@ -304,24 +275,40 @@ def _publish(publisher, store, key, payload) -> None:
         pass
 
 
-def execute_collect(spec: CollectSpec, jobs: int = 1) -> StageResult:
+def _fresh_trace(store: ArtifactStore, spec: CollectSpec) -> SampleTrace:
+    """Simulate ``spec`` and publish its trace artifact."""
+    trace = _simulate(spec)
+    _publish(put_trace, store, spec.key, trace)
+    return trace
+
+
+def stored_trace(store: ArtifactStore, spec: CollectSpec) -> SampleTrace:
+    """``spec``'s trace, materialized from its artifact; a missing or
+    torn artifact is simulated and published, as the collect stage
+    does."""
+    trace_store = open_trace(store, spec.key)
+    if trace_store is not None:
+        try:
+            return trace_store.as_trace()
+        except (OSError, ValueError, EOFError):
+            store.quarantine("trace", spec.key)
+    with span("stage.collect", workload=spec.workload, seed=spec.seed):
+        return _fresh_trace(store, spec)
+
+
+def execute_collect(spec: CollectSpec, jobs: int = 1, *,
+                    store: ArtifactStore) -> StageResult:
     """Simulate and persist one trace (idempotent on a warm store);
     ``jobs`` is unused."""
-    store = current_artifact_store()
     start = time.perf_counter()
     with span("stage.collect", workload=spec.workload,
               seed=spec.seed) as stage_span:
-        source, n_samples = "computed", 0
         meta = (store.open_meta("trace", spec.key)
-                if store is not None and store.has("trace", spec.key)
-                else None)
+                if store.has("trace", spec.key) else None)
         if meta is not None:
             source, n_samples = "artifact", int(meta.get("n_samples", 0))
         else:
-            trace = _simulate(spec)
-            n_samples = len(trace)
-            if store is not None:
-                _publish(put_trace, store, spec.key, trace)
+            source, n_samples = "computed", len(_fresh_trace(store, spec))
         stage_span.inc("samples", n_samples)
     snapshot = stage_span.snapshot()
     return StageResult(
@@ -392,16 +379,13 @@ def put_eipv(store: ArtifactStore, key: str, dataset: EIPVDataset) -> None:
         save_matrix(staging, dataset.matrix)
 
 
-def load_eipv_dataset(store: ArtifactStore | None,
-                      key: str) -> EIPVDataset | None:
+def load_eipv_dataset(store: ArtifactStore, key: str) -> EIPVDataset | None:
     """Reconstruct an EIPV dataset zero-copy from its artifact.
 
     Every array is a read-only memmap view over the stored ``.npy``
     bytes — identical bits to the arrays that were saved, which is why
     an analysis over a loaded dataset equals one over a fresh build.
     """
-    if store is None:
-        return None
     meta = store.open_meta("eipv", key)
     if meta is None:
         return None
@@ -423,45 +407,57 @@ def load_eipv_dataset(store: ArtifactStore | None,
     return dataset
 
 
-def execute_eipv(spec: EipvSpec, jobs: int = 1) -> StageResult:
+def _build_dataset(store: ArtifactStore, spec: EipvSpec) -> EIPVDataset:
+    """The eipv stage's build: stream the dataset from the trace
+    artifact, healing a missing or torn one by simulating it again, then
+    publish both."""
+    collect = spec.collect_spec()
+    dataset = None
+    trace_store = open_trace(store, collect.key)
+    if trace_store is not None:
+        try:
+            dataset = EIPVDataset.from_store(
+                trace_store, interval_instructions=spec.interval_instructions,
+                sparse=spec.sparse)
+        except (OSError, ValueError, EOFError):
+            # Torn column file: quarantine the trace artifact and heal
+            # by recomputing it below.
+            store.quarantine("trace", collect.key)
+    if dataset is None:
+        dataset = build_eipvs(_fresh_trace(store, collect),
+                              spec.interval_instructions, sparse=spec.sparse)
+    dataset.workload_name = spec.workload
+    _publish(put_eipv, store, spec.key, dataset)
+    return dataset
+
+
+def eipv_dataset(store: ArtifactStore, spec: EipvSpec) -> EIPVDataset:
+    """``spec``'s dataset: its artifact, or — on a miss or after a
+    quarantine — the eipv stage's own build, published for next time."""
+    dataset = load_eipv_dataset(store, spec.key)
+    if dataset is None:
+        with span("stage.eipv", workload=spec.workload,
+                  interval=spec.interval_instructions):
+            dataset = _build_dataset(store, spec)
+    return dataset
+
+
+def execute_eipv(spec: EipvSpec, jobs: int = 1, *,
+                 store: ArtifactStore) -> StageResult:
     """Build and persist one EIPV dataset, healing a lost trace;
     ``jobs`` is unused."""
-    store = current_artifact_store()
     start = time.perf_counter()
     with span("stage.eipv", workload=spec.workload,
               interval=spec.interval_instructions) as stage_span:
-        source = "computed"
         summary = (store.open_meta("eipv", spec.key)
-                   if store is not None and store.has("eipv", spec.key)
-                   else None)
+                   if store.has("eipv", spec.key) else None)
         if summary is not None:
             source = "artifact"
             n_intervals = int(summary.get("n_intervals", 0))
             n_eips = int(summary.get("n_eips", 0))
         else:
-            collect = spec.collect_spec()
-            dataset = None
-            trace_store = open_trace(store, collect.key)
-            if trace_store is not None:
-                try:
-                    dataset = EIPVDataset.from_store(
-                        trace_store,
-                        interval_instructions=spec.interval_instructions,
-                        sparse=spec.sparse)
-                except (OSError, ValueError, EOFError):
-                    # Torn column file: quarantine the trace artifact and
-                    # heal by recomputing it below.
-                    store.quarantine("trace", collect.key)
-                    dataset = None
-            if dataset is None:
-                trace = _simulate(collect)
-                if store is not None:
-                    _publish(put_trace, store, collect.key, trace)
-                dataset = build_eipvs(trace, spec.interval_instructions,
-                                      sparse=spec.sparse)
-            dataset.workload_name = spec.workload
-            if store is not None:
-                _publish(put_eipv, store, spec.key, dataset)
+            source = "computed"
+            dataset = _build_dataset(store, spec)
             n_intervals, n_eips = dataset.n_intervals, dataset.n_eips
         stage_span.inc("intervals", n_intervals)
     snapshot = stage_span.snapshot()
@@ -475,24 +471,22 @@ def execute_eipv(spec: EipvSpec, jobs: int = 1) -> StageResult:
 
 # -- graph assembly ---------------------------------------------------------
 
-def analysis_graph(specs, cache=None, artifacts: ArtifactStore | None = None):
+def analysis_graph(specs, cache=None):
     """A :class:`~repro.runtime.graph.JobGraph` for the given analyses.
 
-    With a usable artifact store, every *uncached* final spec gets its
-    collect and EIPV stage nodes as dependencies; specs sharing a trace
-    or dataset share the stage node (``JobGraph.add`` dedups by key), so
-    a sweep's DAG collapses into a shared-prefix forest.  Final specs
-    already present in ``cache`` are added dep-less — the scheduler's
-    probe serves them, and a stale entry merely recomputes
-    monolithically.  Without an artifact store the graph degenerates to
-    the classic one node per analysis.
+    Every *uncached* final spec gets its collect and EIPV stage nodes as
+    dependencies; specs sharing a trace or dataset share the stage node
+    (``JobGraph.add`` dedups by key), so a sweep's DAG collapses into a
+    shared-prefix forest.  Final specs already present in ``cache`` are
+    added dep-less — the scheduler's probe serves them, and a stale
+    entry merely heals through the eipv stage's build inside the job.
     """
     from repro.runtime.graph import JobGraph
 
     graph = JobGraph()
     probe = getattr(cache, "contains", None)
     for spec in specs:
-        if artifacts is None or (probe is not None and probe(spec.key)):
+        if probe is not None and probe(spec.key):
             graph.add(spec)
             continue
         collect = collect_spec_for(spec)

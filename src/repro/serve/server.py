@@ -52,6 +52,11 @@ class ReproServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def server_close(self) -> None:
+        """Close the socket, then the service's artifact store."""
+        super().server_close()
+        self.service.close()
+
 
 class ServeHandler(BaseHTTPRequestHandler):
     """JSON framing only; every decision is the service's."""

@@ -21,9 +21,9 @@ parallel one:
    with no admission slot and no CV.
 5. **Admit + schedule** — otherwise the leader takes an admission slot
    (bounded in-flight + bounded queue, shed beyond that) and runs the
-   job through the normal :func:`~repro.runtime.scheduler.run_jobs`
-   path, so cache stores, manifest records and metrics look exactly
-   like a CLI run's.
+   job's stage graph through the normal
+   :func:`~repro.runtime.graph.submit_graph` path, so cache stores,
+   artifacts and metrics look exactly like a CLI run's.
 
 Determinism contract: every response carries a ``body`` whose fields
 are pure functions of the request parameters (the ``report`` field is
@@ -41,13 +41,13 @@ in-process job is never preempted, same as the CLI.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.common import clear_memo, memo_size
 from repro.runtime.cache import NullCache, ResultCache, default_cache_dir
 from repro.runtime.coalesce import (CoalescedFailure, CoalesceTimeout,
                                     JobCoalescer)
@@ -56,13 +56,12 @@ from repro.runtime import stages
 from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import METRICS
-from repro.runtime.scheduler import run_jobs
 from repro.serve.admission import (AdmissionController, DeadlineExceeded,
                                    ShedLoad)
 from repro.serve.protocol import (PROTOCOL_VERSION, AnalyzeRequest,
                                   CensusRequest, ProfileRequest,
                                   ProtocolError, SweepRequest,
-                                  normalize_endpoint, parse_request)
+                                  parse_request)
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,6 @@ class ServeConfig:
     #: Root for sweep state (manifest/partials/table per space); None =
     #: ``sweeps/`` beside the result cache.
     sweep_dir: Path | None = None
-    #: In-process collect memo bound: cleared once it exceeds this many
-    #: datasets, so a long-lived daemon's RSS stays flat under a diverse
-    #: request stream (the memo is a pure accelerator — results are
-    #: identical with or without it).
-    memo_max_entries: int = 32
 
     def build_cache(self):
         if self.no_cache:
@@ -123,15 +117,17 @@ class AnalysisService:
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             max_queue=self.config.max_queue, metrics=metrics)
-        # The artifact tier outlives any one request: installing it once
-        # at startup lets every in-process stage execution (analyze,
-        # census, sweep) publish and reuse traces across requests.
-        self.artifacts = stages.artifact_store_for(self.cache)
-        if self.artifacts is not None:
-            stages.install_artifact_store(self.artifacts)
+        # One artifact store for the daemon's lifetime (closed by
+        # :meth:`close`): every analyze request publishes and reuses
+        # traces and datasets across requests.  Without a usable disk
+        # cache it is a temporary store, bounded like the disk tier.
+        self._scope = contextlib.ExitStack()
+        self.store = self._scope.enter_context(
+            stages.store_scope(self.cache, metrics=metrics))
+        self._temporary_store = self.store is not getattr(
+            self.cache, "artifacts", None)
         self.stage_counters = stages.StageCounters()
         self._started_monotonic = time.monotonic()
-        self._memo_lock = threading.Lock()
         self._stage_lock = threading.Lock()
         # curve_key -> (k_max, key) of the longest analysis returned for
         # that execution; keys only, LRU-bounded like the disk cache.
@@ -211,8 +207,6 @@ class AnalysisService:
                 "serial_chosen": snap.get("dispatch.serial_chosen", 0),
                 "parallel_chosen": snap.get("dispatch.parallel_chosen", 0),
             },
-            "memo": {"entries": memo_size(),
-                     "max_entries": self.config.memo_max_entries},
         }
 
     def _artifact_section(self, snap: dict) -> dict:
@@ -223,25 +217,29 @@ class AnalysisService:
         metrics), so cross-process reuse is what ``stage_cache`` and
         ``stages`` — tallied from returned outcomes — record.
         """
+        store_stats = self.store.stats()
         section = {
-            "enabled": self.artifacts is not None,
+            "enabled": True,
             "hits": snap.get("artifact.hit", 0),
             "misses": snap.get("artifact.miss", 0),
             "stores": snap.get("artifact.store", 0),
             "pruned": snap.get("artifact.pruned", 0),
             "quarantined": snap.get("artifact.quarantined", 0),
+            "entries": store_stats.entries,
+            "total_bytes": store_stats.total_bytes,
+            "by_kind": dict(store_stats.by_kind),
         }
-        if self.artifacts is not None:
-            store_stats = self.artifacts.stats()
-            section["entries"] = store_stats.entries
-            section["total_bytes"] = store_stats.total_bytes
-            section["by_kind"] = dict(store_stats.by_kind)
         with self._stage_lock:
             section.update(self.stage_counters.to_dict())
         return section
 
     def uptime_s(self) -> float:
         return time.monotonic() - self._started_monotonic
+
+    def close(self) -> None:
+        """Release the daemon's artifact store (a temporary one is
+        removed); idempotent."""
+        self._scope.close()
 
     # -- POST endpoints ---------------------------------------------------
     def handle(self, path: str, body: dict) -> tuple[int, dict]:
@@ -311,23 +309,15 @@ class AnalysisService:
     def _run_analysis(self, spec, deadline: float | None):
         """One analysis through the staged graph; its final outcome.
 
-        With an artifact store the request runs as collect → eipv →
-        analysis stage nodes, so a later request over the same measured
-        execution (a different ``k_max``, a different interval size)
-        reuses the stored trace instead of re-simulating.  Responses are
-        byte-identical either way; without a store this is exactly the
-        classic single-job dispatch.
+        The request runs as collect → eipv → analysis stage nodes
+        against the daemon's store, so a later request over the same
+        measured execution (a different ``k_max``, a different interval
+        size) reuses the stored trace instead of re-simulating.
         """
-        if self.artifacts is None:
-            outcome, = run_jobs([spec], jobs=1, cache=self.cache,
-                                timeout=self._remaining(deadline),
-                                metrics=self.metrics)
-            return outcome
-        graph = stages.analysis_graph([spec], cache=self.cache,
-                                      artifacts=self.artifacts)
+        graph = stages.analysis_graph([spec], cache=self.cache)
         outcomes = submit_graph(graph, jobs=1, cache=self.cache,
                                 timeout=self._remaining(deadline),
-                                metrics=self.metrics)
+                                metrics=self.metrics, store=self.store)
         final = None
         with self._stage_lock:
             for outcome in outcomes:
@@ -586,10 +576,11 @@ class AnalysisService:
         return min(timeout, remaining)
 
     def _after_store(self) -> None:
-        """Post-store housekeeping: bound disk cache and collect memo."""
-        if self.config.cache_max_entries:
-            self.cache.prune(self.config.cache_max_entries)
-        with self._memo_lock:
-            if memo_size() > self.config.memo_max_entries:
-                cleared = clear_memo()
-                self.metrics.inc("serve.memo_cleared", cleared)
+        """Post-store housekeeping: bound the disk cache and the
+        artifact store (pruning the disk cache bounds its own artifact
+        tier; a temporary store is pruned to the same bound here)."""
+        bound = self.config.cache_max_entries
+        if bound:
+            self.cache.prune(bound)
+            if self._temporary_store:
+                self.store.prune(bound)

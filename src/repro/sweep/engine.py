@@ -94,8 +94,8 @@ class SweepOutcome:
     manifest_path: str
     notes: tuple = ()
     #: Stage-graph counters for *this* run (see
-    #: :class:`repro.runtime.stages.StageCounters`) — empty when the
-    #: sweep ran monolithically (no artifact store) or fully resumed.
+    #: :class:`repro.runtime.stages.StageCounters`) — all zero when the
+    #: sweep fully resumed.
     stage_stats: dict = field(default_factory=dict)
 
 
@@ -156,19 +156,24 @@ def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
 
     counters = {"cached": 0, "executed": 0, "failed": 0}
     stage_counters = stages.StageCounters()
-    artifacts = stages.artifact_store_for(cache)
-    try:
-        if pending:
-            _run_pending(specs, manifest, pending, sweep_dir, jobs=jobs,
-                         cache=cache, artifacts=artifacts, timeout=timeout,
-                         stop_after=stop_after, metrics=metrics,
-                         counters=counters, stage_counters=stage_counters)
-    finally:
-        # Persisted even for an interrupted run, so crash drills and CI
-        # can assert on what this run reused vs. recomputed.  Counters
-        # only — no wall times — so the file is deterministic.
-        _write_runtime_stats(sweep_dir, space, counters, stage_counters,
-                             artifacts)
+    with stages.store_scope(cache) as store:
+        try:
+            if pending:
+                _run_pending(specs, manifest, pending, sweep_dir,
+                             jobs=jobs, cache=cache, store=store,
+                             timeout=timeout, stop_after=stop_after,
+                             metrics=metrics, counters=counters,
+                             stage_counters=stage_counters)
+        finally:
+            # Persisted even for an interrupted run, so crash drills and
+            # CI can assert on what this run reused vs. recomputed.
+            # Counters only — no wall times — so the file is
+            # deterministic.  A temporary store is not described: its
+            # root is random and it is gone when the run ends.
+            tier = getattr(cache, "artifacts", None)
+            _write_runtime_stats(sweep_dir, space, counters,
+                                 stage_counters,
+                                 store if store is tier else None)
     if counters["failed"]:
         raise SweepError(
             f"{counters['failed']} of {total} sweep points failed; "
@@ -235,7 +240,7 @@ def _result_row(point_index: int, result) -> list:
 
 
 def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
-                 *, jobs, cache, artifacts, timeout, stop_after, metrics,
+                 *, jobs, cache, store, timeout, stop_after, metrics,
                  counters, stage_counters) -> None:
     """Submit every incomplete shard's points as one graph.
 
@@ -245,14 +250,13 @@ def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
     free.  Each shard's partial is written the moment its last point
     succeeds, and the manifest is re-saved atomically after each one.
 
-    With an artifact store the graph is *staged*: uncached points grow
-    collect/EIPV dependency nodes, deduplicated across the point space,
-    so the DAG collapses from one independent job per point into a
-    shared-prefix forest (every interval-size variant of a cell rides
-    one simulated trace).  Stage outcomes feed ``stage_counters`` and
-    are invisible to the per-point accounting — ``cached``/``executed``/
-    ``failed`` and ``stop_after`` count analysis points only, exactly as
-    in a monolithic sweep.
+    The graph is *staged*: uncached points grow collect/EIPV dependency
+    nodes, deduplicated across the point space, so the DAG collapses
+    from one independent job per point into a shared-prefix forest
+    (every interval-size variant of a cell rides one simulated trace in
+    ``store``).  Stage outcomes feed ``stage_counters`` and are
+    invisible to the per-point accounting — ``cached``/``executed``/
+    ``failed`` and ``stop_after`` count analysis points only.
     """
     # Pending shards ascend and bounds are contiguous, so adding
     # shard-by-shard inserts nodes in global point-index order — the
@@ -264,7 +268,7 @@ def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
         for index in range(lo, hi):
             shard_of[specs[index].key] = (shard, index)
             ordered.append(specs[index])
-    graph = stages.analysis_graph(ordered, cache=cache, artifacts=artifacts)
+    graph = stages.analysis_graph(ordered, cache=cache)
 
     rows_by_shard: dict[int, dict[int, list]] = {s: {} for s in pending}
     failed_shards: set[int] = set()
@@ -297,10 +301,8 @@ def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
         if stop_after is not None and counters["executed"] >= stop_after:
             raise SweepInterrupted(counters["executed"], stop_after)
 
-    setup = stages.stage_setup(artifacts) if artifacts is not None else None
-    with stages.artifact_context(artifacts):
-        submit_graph(graph, jobs=jobs, cache=cache, timeout=timeout,
-                     metrics=metrics, setup=setup, on_outcome=consume)
+    submit_graph(graph, jobs=jobs, cache=cache, timeout=timeout,
+                 metrics=metrics, on_outcome=consume, store=store)
 
 
 def _merge(space: SweepSpace, specs, manifest: SweepManifest,

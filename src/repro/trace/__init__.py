@@ -4,7 +4,6 @@ from repro.trace.bbv import build_bbvs
 from repro.trace.eipv import DEFAULT_INTERVAL, EIPVDataset, build_eipvs, build_per_thread_eipvs
 from repro.trace.events import COUNTER_FIELDS, Sample, SampleTrace
 from repro.trace.sampler import SamplingDriver, collect_trace
-from repro.trace.storage import load_eipvs, load_trace, save_eipvs, save_trace
 from repro.trace.threads import ThreadingStats, sample_level_stats, slice_level_stats
 
 __all__ = [
@@ -19,10 +18,6 @@ __all__ = [
     "build_eipvs",
     "build_per_thread_eipvs",
     "collect_trace",
-    "load_eipvs",
-    "load_trace",
     "sample_level_stats",
-    "save_eipvs",
-    "save_trace",
     "slice_level_stats",
 ]

@@ -1,21 +1,16 @@
-"""Trace and dataset persistence.
+"""Columnar on-disk trace storage.
 
 Collected traces are expensive relative to the analyses run on them, so
-both :class:`~repro.trace.events.SampleTrace` and
-:class:`~repro.trace.eipv.EIPVDataset` round-trip to ``.npz`` files (numpy
-archive + a JSON sidecar string for metadata).  Sparse datasets persist
-their CSR triplets natively — nothing is pickled or densified on the way
-to disk.
-
-For runs too large to hold in memory there is a second tier:
-:class:`TraceStore`, a columnar on-disk layout (one ``.npy`` file per
-trace column plus a ``header.json``) written incrementally by
+they persist as a :class:`TraceStore`: a columnar on-disk layout (one
+``.npy`` file per trace column plus a ``header.json``) written
+incrementally by
 :meth:`~repro.trace.sampler.SamplingDriver.collect_to_store` and read
 back as ``np.memmap`` views, so a multi-billion-instruction trace is
 consumed chunk-by-chunk without ever being resident.  The column files
 are plain ``.npy`` (readable by ``np.load``); the store reserves a
 fixed-size header in each so the final sample count can be patched in
-when the stream ends.
+when the stream ends.  A trace artifact of the stage pipeline
+(:mod:`repro.runtime.stages`) is one such directory.
 """
 
 from __future__ import annotations
@@ -26,9 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.sparse import CSRMatrix, is_sparse
 from repro.trace.events import SampleTrace
-from repro.trace.eipv import EIPVDataset
 
 _TRACE_COLUMNS = ("eips", "thread_ids", "process_ids", "instructions",
                   "cycles", "work_cycles", "fe_cycles", "exe_cycles",
@@ -48,10 +41,6 @@ _COLUMN_DTYPES = {
     "other_cycles": "<f8",
 }
 
-#: Version of the ``save_eipvs`` npz layout.  1 = dense-only (implicit,
-#: no field in the header); 2 = adds native CSR triplets + this field.
-EIPV_FORMAT = 2
-
 #: Version of the :class:`TraceStore` directory layout.
 STORE_FORMAT = 1
 
@@ -61,100 +50,6 @@ _STORE_HEADER = "header.json"
 #: + npy v1 header padded with spaces), so the shape can be rewritten in
 #: place once the final length is known.
 _NPY_PREAMBLE = 128
-
-
-def save_trace(trace: SampleTrace, path) -> Path:
-    """Write ``trace`` to ``path`` (``.npz`` appended if missing)."""
-    path = Path(path)
-    header = {
-        "processes": list(trace.processes),
-        "sample_period": trace.sample_period,
-        "frequency_mhz": trace.frequency_mhz,
-        "workload_name": trace.workload_name,
-        "metadata": trace.metadata,
-    }
-    arrays = {name: getattr(trace, name) for name in _TRACE_COLUMNS}
-    np.savez_compressed(path, header=np.bytes_(json.dumps(header)), **arrays)
-    return path if path.suffix == ".npz" else path.with_suffix(
-        path.suffix + ".npz")
-
-
-def load_trace(path) -> SampleTrace:
-    """Read a trace written by :func:`save_trace`."""
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["header"]).decode())
-        columns = {name: archive[name] for name in _TRACE_COLUMNS}
-    return SampleTrace(
-        processes=tuple(header["processes"]),
-        sample_period=header["sample_period"],
-        frequency_mhz=header["frequency_mhz"],
-        workload_name=header["workload_name"],
-        metadata=header["metadata"],
-        **columns,
-    )
-
-
-def save_eipvs(dataset: EIPVDataset, path) -> Path:
-    """Write an EIPV dataset to ``path``.
-
-    CSR-backed datasets persist their ``indptr``/``indices``/``data``
-    triplets as first-class arrays — no object pickling, no densifying —
-    and round-trip back as CSR.
-    """
-    path = Path(path)
-    header = {
-        "format": EIPV_FORMAT,
-        "interval_instructions": dataset.interval_instructions,
-        "workload_name": dataset.workload_name,
-        "sparse": dataset.is_sparse,
-        "shape": [int(dim) for dim in dataset.matrix.shape],
-    }
-    arrays = {
-        "cpis": dataset.cpis,
-        "eip_index": dataset.eip_index,
-        "thread_ids": dataset.thread_ids,
-    }
-    if dataset.is_sparse:
-        arrays["matrix_indptr"] = dataset.matrix.indptr
-        arrays["matrix_indices"] = dataset.matrix.indices
-        arrays["matrix_data"] = dataset.matrix.data
-    else:
-        arrays["matrix"] = dataset.matrix
-    np.savez_compressed(path, header=np.bytes_(json.dumps(header)), **arrays)
-    return path if path.suffix == ".npz" else path.with_suffix(
-        path.suffix + ".npz")
-
-
-def load_eipvs(path) -> EIPVDataset:
-    """Read an EIPV dataset written by :func:`save_eipvs`.
-
-    Understands both the original dense-only layout (format 1, no
-    ``format`` field) and the CSR-native format 2.
-    """
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["header"]).decode())
-        version = int(header.get("format", 1))
-        if version > EIPV_FORMAT:
-            raise ValueError(
-                f"EIPV file {path} uses format {version}; this build "
-                f"reads up to format {EIPV_FORMAT}")
-        if header.get("sparse", False):
-            matrix = CSRMatrix(
-                indptr=archive["matrix_indptr"],
-                indices=archive["matrix_indices"],
-                data=archive["matrix_data"],
-                shape=tuple(header["shape"]),
-            )
-        else:
-            matrix = archive["matrix"]
-        return EIPVDataset(
-            matrix=matrix,
-            cpis=archive["cpis"],
-            eip_index=archive["eip_index"],
-            thread_ids=archive["thread_ids"],
-            interval_instructions=header["interval_instructions"],
-            workload_name=header["workload_name"],
-        )
 
 
 def _npy_preamble(dtype: str, n: int) -> bytes:
@@ -324,7 +219,8 @@ class TraceStore(ColumnStore):
     The columns, dtypes and metadata mirror
     :class:`~repro.trace.events.SampleTrace` exactly; :meth:`as_trace`
     materializes one (small stores only) and :meth:`from_trace` spills
-    one to disk.
+    one to disk, an exact round trip of every column, dtype and
+    metadata field.
     """
 
     KIND = "trace-store"
@@ -333,7 +229,7 @@ class TraceStore(ColumnStore):
     DTYPES = _COLUMN_DTYPES
 
     def finalize(self, *, processes, sample_period: int,
-                 frequency_mhz: float, workload_name: str,
+                 frequency_mhz: int, workload_name: str,
                  metadata: dict) -> "TraceStore":
         """Patch final lengths into the column files; write the header."""
         return self._finalize({
@@ -353,8 +249,8 @@ class TraceStore(ColumnStore):
         return int(self._meta("sample_period"))
 
     @property
-    def frequency_mhz(self) -> float:
-        return float(self._meta("frequency_mhz"))
+    def frequency_mhz(self) -> int:
+        return int(self._meta("frequency_mhz"))
 
     @property
     def workload_name(self) -> str:

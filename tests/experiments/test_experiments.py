@@ -1,5 +1,6 @@
 """Tests for the experiment modules (fast variants of each)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -8,7 +9,7 @@ from repro.experiments import (
     robustness,
     table2_quadrants,
 )
-from repro.experiments.common import RunConfig, collect, collect_cached
+from repro.experiments.common import RunConfig, collect
 from repro.experiments.paper_targets import (
     ALL_TARGETS,
     TABLE2_COUNTS,
@@ -37,11 +38,26 @@ class TestCommon:
         assert dataset.workload_name == "spec.gzip"
         assert len(trace) == 1000  # 10 intervals x 100 samples
 
-    def test_collect_cached_memoizes(self):
+    def test_second_collect_on_one_store_simulates_nothing(
+            self, tmp_path, monkeypatch):
+        from repro.runtime import stages
+        from repro.runtime.cache import ArtifactStore
         config = RunConfig("spec.gzip", n_intervals=5, seed=1, scale=TINY)
-        first = collect_cached(config)
-        second = collect_cached(config)
-        assert first[0] is second[0]
+        store = ArtifactStore(tmp_path)
+        first = collect(config, store=store)
+        assert store.stats().by_kind == {"eipv": 1, "trace": 1}
+
+        def no_simulation(spec):
+            raise AssertionError("simulated a stored run")
+
+        monkeypatch.setattr(stages, "_simulate", no_simulation)
+        second = collect(config, store=store)
+        for name in ("eips", "cycles", "instructions"):
+            np.testing.assert_array_equal(getattr(second[0], name),
+                                          getattr(first[0], name))
+        np.testing.assert_array_equal(second[1].matrix, first[1].matrix)
+        np.testing.assert_array_equal(second[1].cpis, first[1].cpis)
+        assert not second[1].cpis.flags.writeable
 
     def test_unknown_machine_rejected(self):
         with pytest.raises(KeyError):

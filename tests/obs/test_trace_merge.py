@@ -23,9 +23,9 @@ WORKLOADS = ["spec.gzip", "spec.art"]
 #: Every stage path one pipeline job goes through, in breakdown order.
 JOB_STAGES = (
     "job",
-    "job/pipeline.collect",
-    "job/pipeline.collect/trace.sample",
-    "job/pipeline.collect/trace.build_eipvs",
+    "job/stage.eipv",
+    "job/stage.eipv/trace.sample",
+    "job/stage.eipv/trace.build_eipvs",
     "job/analyze",
     "job/analyze/cv",
     "job/analyze/cv/cv.fold",

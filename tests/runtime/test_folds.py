@@ -242,9 +242,10 @@ class TestFailurePaths:
         fallbacks = []
         run_serial = scheduler._run_serial
 
-        def spy(spec, key, jobs=1, pool_error=None):
+        def spy(spec, key, jobs=1, store=None, pool_error=None):
             fallbacks.append(pool_error or "")
-            return run_serial(spec, key, jobs, pool_error=pool_error)
+            return run_serial(spec, key, jobs, store=store,
+                              pool_error=pool_error)
 
         # Patched before the pool forks, so only the workers see it (the
         # parent never maps its own dataset).

@@ -79,7 +79,8 @@ class ProbeResult:
         return cls(key=data["key"], pid=data["pid"])
 
 
-def _execute_probe(spec: ProbeSpec, jobs: int = 1) -> ProbeResult:
+def _execute_probe(spec: ProbeSpec, jobs: int = 1,
+                   store=None) -> ProbeResult:
     if spec.mode == "die" and os.getpid() != spec.parent_pid:
         os._exit(1)
     if spec.mode == "sleep" and os.getpid() != spec.parent_pid:

@@ -2,19 +2,22 @@
 
 The invariant this file defends: splitting one analysis into
 collect → eipv → analysis stage nodes — with intermediates persisted in
-the artifact store and reloaded zero-copy — changes *nothing* about the
-results.  Cold, warm, artifact-warm and killed+resumed runs all produce
-the monolithic pipeline's exact bytes; only the work done differs.
+an artifact store and reloaded zero-copy — changes *nothing* about the
+results.  Cold, warm, artifact-warm and killed+resumed runs, on a disk
+cache's store or a temporary one, all produce the same bytes; only the
+work done differs.
 """
 
 import json
+import tempfile
 
 import pytest
 
+from repro.runtime import pool as pool_mod
 from repro.runtime import stages
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import NullCache, ResultCache
 from repro.runtime.graph import submit_graph
-from repro.runtime.jobs import JobSpec, execute_job
+from repro.runtime.jobs import JobSpec
 from repro.runtime.metrics import MetricsRegistry
 from repro.sweep import SweepInterrupted, SweepSpace, run_sweep
 from repro.sweep.engine import RUNTIME_STATS_NAME
@@ -74,57 +77,56 @@ class TestGraphShapes:
         cache = ResultCache(tmp_path)
         specs = [tiny_spec(interval=2_000_000, n_intervals=30),
                  tiny_spec(interval=5_000_000, n_intervals=12)]
-        graph = stages.analysis_graph(specs, cache=cache,
-                                      artifacts=cache.artifacts)
+        graph = stages.analysis_graph(specs, cache=cache)
         # 1 shared collect + 2 eipv + 2 analysis = 5 nodes, 3 waves.
         assert len(graph) == 5
         assert [len(wave) for wave in graph.waves()] == [1, 2, 2]
-
-    def test_without_artifacts_degenerates_to_flat_graph(self):
-        specs = [tiny_spec(), tiny_spec(workload="spec.art")]
-        graph = stages.analysis_graph(specs, cache=None, artifacts=None)
-        assert len(graph) == 2
-        assert [len(wave) for wave in graph.waves()] == [2]
 
     def test_cached_final_skips_its_stage_nodes(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
         cache.put(spec.key, {"anything": True})
-        graph = stages.analysis_graph([spec], cache=cache,
-                                      artifacts=cache.artifacts)
+        graph = stages.analysis_graph([spec], cache=cache)
         assert len(graph) == 1
         assert graph.node(spec.key).deps == ()
 
 
+@pytest.fixture
+def scratch_tmp(tmp_path, monkeypatch):
+    """A private temp dir for this test's temporary stores."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
+def stage_dirs(root) -> list:
+    return sorted(root.glob(f"{stages.STAGES_DIR_PREFIX}*"))
+
+
 class TestArtifactPlumbing:
-    def test_artifact_context_installs_and_restores(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        before = stages.current_artifact_store()
-        with stages.artifact_context(cache.artifacts):
-            assert stages.current_artifact_store() is cache.artifacts
-        assert stages.current_artifact_store() is before
+    def test_store_for_nullcache_and_disk_cache(self, tmp_path,
+                                                scratch_tmp):
+        cache = ResultCache(tmp_path / "cache")
+        with stages.store_scope(cache) as store:
+            assert store is cache.artifacts
+            assert store.root.is_dir()
+        assert store.root.is_dir()  # the disk tier outlives the scope
+        for disk_less in (NullCache(), None):
+            with stages.store_scope(disk_less) as store:
+                assert stage_dirs(scratch_tmp) == [store.root]
+            assert stage_dirs(scratch_tmp) == []
 
-    def test_store_for_nullcache_and_disk_cache(self, tmp_path):
-        from repro.runtime.cache import NullCache
-        cache = ResultCache(tmp_path)
-        assert stages.artifact_store_for(NullCache()) is None
-        assert stages.artifact_store_for(None) is None
-        assert stages.artifact_store_for(cache) is cache.artifacts
-
-    def test_stage_setup_is_keyed_by_store_root(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        setup = stages.stage_setup(cache.artifacts)
-        assert str(cache.artifacts.root) in setup.key
-
-    def test_unusable_root_degrades_to_no_store(self, tmp_path):
+    def test_unusable_root_degrades_to_temporary_store(self, tmp_path,
+                                                       scratch_tmp):
         # --cache-dir pointing at a regular file must not fail the run:
-        # the artifact tier silently disables and the monolithic path
-        # carries on (a fold-dataset store that cannot be written
-        # degrades to in-process folds the same way).
+        # the stages get a temporary store instead, removed on exit.
         target = tmp_path / "not-a-dir"
         target.write_text("plain file")
-        cache = ResultCache(target)
-        assert stages.artifact_store_for(cache) is None
+        with stages.store_scope(ResultCache(target)) as store:
+            assert stage_dirs(scratch_tmp) == [store.root]
+        assert stage_dirs(scratch_tmp) == []
+        assert target.read_text() == "plain file"
 
     def test_publish_failure_never_fails_the_stage(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -135,8 +137,7 @@ class TestArtifactPlumbing:
         # succeeds and the stage reports a computed (unpersisted)
         # result.
         store.root.write_text("squatter")
-        with stages.artifact_context(store):
-            result = stages.execute_collect(spec)
+        result = stages.execute_collect(spec, store=store)
         assert result.source == "computed"
         assert result.n_samples > 0
         assert store.entries() == []
@@ -144,16 +145,18 @@ class TestArtifactPlumbing:
 
 class TestStagedByteIdentity:
     def run_staged(self, cache, spec):
-        graph = stages.analysis_graph([spec], cache=cache,
-                                      artifacts=cache.artifacts)
-        with stages.artifact_context(cache.artifacts):
-            outcomes = submit_graph(graph, jobs=1, cache=cache)
+        graph = stages.analysis_graph([spec], cache=cache)
+        with stages.store_scope(cache) as store:
+            outcomes = submit_graph(graph, jobs=1, cache=cache, store=store)
         assert all(outcome.ok for outcome in outcomes)
         return outcomes
 
-    def test_staged_equals_monolithic_cold_and_artifact_warm(self, tmp_path):
+    def test_temporary_and_disk_stores_agree_cold_and_warm(
+            self, tmp_path):
         spec = tiny_spec()
-        reference = strip(execute_job(spec))
+        temporary = self.run_staged(NullCache(), spec)
+        assert len(temporary) == 3
+        reference = strip(temporary[-1].result)
 
         cache = ResultCache(tmp_path)
         cold = self.run_staged(cache, spec)
@@ -215,8 +218,7 @@ class TestStagedByteIdentity:
         column.write_bytes(b"\x93NUMPY garbage")
         import shutil
         shutil.rmtree(store.entry_dir("eipv", eipv_key))
-        with stages.artifact_context(store):
-            result = stages.execute_eipv(stages.eipv_spec_for(spec))
+        result = stages.execute_eipv(stages.eipv_spec_for(spec), store=store)
         assert result.source == "computed"
         assert len(store.quarantined()) == 1
         assert store.has("trace", collect_key)
@@ -234,23 +236,28 @@ SPACE = SweepSpace(workloads=("spec.gzip", "spec.art"),
 
 
 class TestStagedSweep:
-    def test_staged_sweep_matches_monolithic_and_shares_collects(
+    def test_cacheless_sweep_matches_cached_and_shares_collects(
             self, tmp_path):
-        # Without a cache there is no artifact store: the sweep runs
-        # monolithically.  With one, it runs staged.  Same bytes.
-        monolithic = run_sweep(SPACE, tmp_path / "mono", shards=2)
+        # Without a cache the sweep stages through a temporary store;
+        # with one, through the cache's artifact tier.  Same bytes, same
+        # sharing.
+        cacheless = run_sweep(SPACE, tmp_path / "bare", shards=2)
         cache = ResultCache(tmp_path / "cache")
         staged = run_sweep(SPACE, tmp_path / "staged", shards=2,
                            cache=cache)
-        assert staged.report == monolithic.report
-        assert monolithic.stage_stats["stages"]["collect_computed"] == 0
+        assert staged.report == cacheless.report
 
         # 4 points over 2 (workload, machine, seed) cells: each cell
         # simulated once, each interval-size variant built once.
-        assert staged.stage_stats["stages"] == {
-            "collect_computed": 2, "collect_artifact_hits": 0,
-            "eipv_computed": 4, "eipv_artifact_hits": 0}
+        for outcome in (cacheless, staged):
+            assert outcome.stage_stats["stages"] == {
+                "collect_computed": 2, "collect_artifact_hits": 0,
+                "eipv_computed": 4, "eipv_artifact_hits": 0}
         assert cache.artifacts.stats().by_kind == {"eipv": 4, "trace": 2}
+        # A temporary store's random root stays out of the stats file.
+        stats = json.loads(
+            (tmp_path / "bare" / RUNTIME_STATS_NAME).read_text())
+        assert stats["artifact_store"] is None
 
     def test_warm_sweep_recomputes_zero_collect_stages(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -316,3 +323,71 @@ class TestStagedSweep:
         assert stats["schema"] == 1
         assert stats["space_key"] == SPACE.key
         assert set(stats["points"]) == {"cached", "executed", "failed"}
+
+
+class TestWarmWorkersAndStores:
+    def test_each_batch_writes_to_the_store_it_was_given(self, tmp_path,
+                                                         monkeypatch):
+        # Regression: a warm worker kept the first store installed under
+        # a setup key it had already run, so a later batch against that
+        # store published its artifacts into whichever store the worker
+        # saw last.  One worker makes the reuse deterministic.
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+        metrics = MetricsRegistry()
+        worker_pool = pool_mod.WorkerPool(max_workers=1, metrics=metrics)
+        monkeypatch.setattr(pool_mod, "default_pool", lambda: worker_pool)
+        x = ResultCache(tmp_path / "x")
+        y = ResultCache(tmp_path / "y")
+        reseeded = SweepSpace(workloads=SPACE.workloads,
+                              interval_instructions=SPACE
+                              .interval_instructions,
+                              seeds=(8,), n_intervals=SPACE.n_intervals)
+        try:
+            run_sweep(SPACE, tmp_path / "one", jobs=2, shards=1, cache=x)
+            run_sweep(SPACE, tmp_path / "two", jobs=2, shards=1, cache=y)
+            run_sweep(reseeded, tmp_path / "three", jobs=2, shards=1,
+                      cache=x)
+        finally:
+            worker_pool.shutdown()
+        assert metrics.count("pool.spawns") == 1
+        assert metrics.count("pool.warm_hits") > 0
+        assert x.artifacts.stats().by_kind == {"eipv": 8, "trace": 4}
+        assert y.artifacts.stats().by_kind == {"eipv": 4, "trace": 2}
+
+
+class TestTemporaryStores:
+    """Runs without a disk cache stage through a temporary store, and no
+    way out of a run leaves one behind."""
+
+    def test_normal_run_leaves_no_store(self, tmp_path, scratch_tmp):
+        outcome = run_sweep(SPACE, tmp_path / "sweep", shards=2)
+        assert outcome.stage_stats["stages"]["collect_computed"] == 2
+        assert stage_dirs(scratch_tmp) == []
+
+    def test_storeless_job_gets_and_removes_its_own(self, scratch_tmp,
+                                                    monkeypatch):
+        from repro.runtime.jobs import execute_job
+        roots = []
+        real = stages.eipv_dataset
+
+        def spy(store, spec):
+            roots.append(store.root)
+            assert stage_dirs(scratch_tmp) == [store.root]
+            return real(store, spec)
+
+        monkeypatch.setattr(stages, "eipv_dataset", spy)
+        result = execute_job(tiny_spec())
+        assert result.n_intervals == 12 and len(roots) == 1
+        assert stage_dirs(scratch_tmp) == []
+
+    def test_failing_stage_leaves_no_store(self, scratch_tmp):
+        from repro.experiments import table2_quadrants
+        with pytest.raises(RuntimeError, match="census jobs failed"):
+            table2_quadrants.run(workloads=["no.such.workload"], k_max=5)
+        assert stage_dirs(scratch_tmp) == []
+
+    def test_scheduler_exception_leaves_no_store(self, tmp_path,
+                                                 scratch_tmp):
+        with pytest.raises(SweepInterrupted):
+            run_sweep(SPACE, tmp_path / "sweep", shards=2, stop_after=1)
+        assert stage_dirs(scratch_tmp) == []

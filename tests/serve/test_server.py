@@ -192,3 +192,27 @@ class TestCLIWiring:
         assert args.port == 8100
         assert args.no_cache is False
         assert args.census_jobs == 1
+
+
+class TestShutdown:
+    def test_no_cache_store_is_removed_at_server_close(self, tmp_path,
+                                                       monkeypatch):
+        import tempfile
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        instance = create_server(
+            ServeConfig(host="127.0.0.1", port=0, no_cache=True),
+            metrics=MetricsRegistry())
+        thread = threading.Thread(target=instance.serve_forever,
+                                  daemon=True)
+        thread.start()
+        root = instance.service.store.root
+        try:
+            status, _ = _post(instance, "/v1/analyze", TINY_ARGS)
+            assert status == 200
+            assert root.parent == tmp_path and root.is_dir()
+        finally:
+            instance.shutdown()
+            instance.server_close()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert not root.exists()

@@ -3,10 +3,11 @@
 import json
 import random
 import sys
+import tempfile
 import threading
 import time
 
-from repro.experiments.common import memo_size
+from repro.runtime import stages
 from repro.runtime.jobs import JobSpec
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.scheduler import JobOutcome
@@ -329,15 +330,23 @@ class TestHousekeeping:
         assert len(service.cache.entries()) <= 1
         assert service.metrics.count("cache.pruned") >= 1
 
-    def test_memo_growth_is_bounded(self, tmp_path):
-        # The monolithic path is the one that feeds the in-process
-        # collect memo; staged requests persist through the artifact
-        # store instead and never touch it.  Without a disk cache there
-        # is no artifact store, so requests run monolithically.
-        service = _make(tmp_path, memo_max_entries=0, no_cache=True)
+    def test_temporary_store_growth_is_bounded(self, tmp_path,
+                                               monkeypatch):
+        # Without a disk cache the daemon stages through a temporary
+        # store for its lifetime: bounded by cache_max_entries like a
+        # disk cache's artifact tier, and removed by close().
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        service = _make(tmp_path, cache_max_entries=1, no_cache=True)
+        root = service.store.root
+        assert root.name.startswith(stages.STAGES_DIR_PREFIX)
         service.handle("/analyze", dict(TINY))
-        assert memo_size() == 0
-        assert service.metrics.count("serve.memo_cleared") >= 1
+        service.handle("/analyze", dict(TINY, seed=8))
+        stats = service.stats()["artifacts"]
+        assert stats["enabled"] is True
+        assert stats["entries"] <= 1
+        assert stats["pruned"] >= 1
+        service.close()
+        assert not root.exists()
 
     def test_stats_exposes_the_contract(self, tmp_path):
         service = _make(tmp_path)
@@ -358,3 +367,27 @@ class TestHousekeeping:
             "collect_computed": 1, "collect_artifact_hits": 0,
             "eipv_computed": 1, "eipv_artifact_hits": 0}
         assert service.healthz()["status"] == "ok"
+
+
+class TestNoCacheIdentity:
+    def test_bodies_identical_with_and_without_disk_cache(self, tmp_path):
+        cached = _make(tmp_path / "disk")
+        bare = _make(tmp_path / "bare", no_cache=True)
+        requests = (
+            ("/v1/analyze", dict(TINY)),
+            ("/v1/census", {"workloads": ["spec.gzip"], "k_max": 5}),
+            ("/v1/sweep", {"workloads": ["spec.gzip", "spec.art"],
+                           "seeds": [7], "interval_sizes": [10_000_000],
+                           "machines": ["itanium2"]}),
+        )
+        try:
+            for path, body in requests:
+                status1, with_cache = cached.handle(path, dict(body))
+                status2, without = bare.handle(path, dict(body))
+                assert status1 == status2 == 200, path
+                assert json.dumps(_without_served(with_cache),
+                                  sort_keys=True) == \
+                    json.dumps(_without_served(without), sort_keys=True)
+        finally:
+            cached.close()
+            bare.close()

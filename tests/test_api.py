@@ -110,7 +110,7 @@ class TestFacade:
         assert result.workloads == ("spec.gzip",)
         assert result.jobs == 1
         assert "job/analyze/cv/cv.fold" in result.stage_names()
-        assert "job/pipeline.collect" in result.stage_names()
+        assert "job/stage.eipv" in result.stage_names()
         report = result.report(top=3)
         assert "per-stage breakdown" in report
         assert "top 3 slowest spans" in report

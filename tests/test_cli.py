@@ -220,7 +220,7 @@ class TestObservabilityCommands:
         assert code == 0
         captured = capsys.readouterr()
         assert "per-stage breakdown" in captured.out
-        assert "pipeline.collect" in captured.out
+        assert "stage.eipv" in captured.out
         assert "cv.fold" in captured.out
         assert "top 3 slowest spans" in captured.out
         assert captured.err == ""
@@ -258,7 +258,8 @@ class TestObservabilityCommands:
         assert events[0] == {"type": "trace_meta", "schema_version": 1,
                              "command": "analyze"}
         roots = [e for e in events if e.get("depth") == 0]
-        assert [r["path"] for r in roots] == ["job"]
+        assert [r["path"] for r in roots] == \
+            ["stage.collect", "stage.eipv", "job"]
 
     def test_census_parallel_stdout_identical_with_tracing(
             self, capsys, tmp_path):
@@ -271,9 +272,10 @@ class TestObservabilityCommands:
         assert main(argv + ["--trace-out", str(trace)]) == 0
         assert capsys.readouterr().out == plain
         roots = [e for e in read_trace(trace) if e.get("depth") == 0]
-        # One merged job tree per workload, in submission order.
-        assert [r["attrs"]["workload"] for r in roots] == \
-            ["spec.gzip", "spec.art"]
+        # One merged job tree per workload, in submission order, after
+        # the stage trees the jobs depend on.
+        assert [r["attrs"]["workload"] for r in roots
+                if r["path"] == "job"] == ["spec.gzip", "spec.art"]
 
 
 class TestSharedRuntimeSurface:

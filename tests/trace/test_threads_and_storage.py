@@ -1,11 +1,14 @@
-"""Tests for thread statistics and trace persistence."""
+"""Tests for thread statistics and trace/dataset persistence."""
 
 import numpy as np
 import pytest
 
+from repro.runtime.cache import ArtifactStore
+from repro.runtime.stages import load_eipv_dataset, put_eipv
 from repro.trace.eipv import build_eipvs
+from repro.trace.events import COUNTER_FIELDS
 from repro.trace.sampler import collect_trace
-from repro.trace.storage import load_eipvs, load_trace, save_eipvs, save_trace
+from repro.trace.storage import TraceStore
 from repro.trace.threads import sample_level_stats, slice_level_stats
 from repro.uarch.machine import itanium2
 from repro.workloads.registry import get_workload
@@ -51,34 +54,44 @@ class TestSliceLevelStats:
         assert stats.n_threads >= 2
 
 
+def _registry_trace(name: str = "spec.art"):
+    workload = get_workload(name, TINY)
+    system = SimulatedSystem(itanium2(), workload, seed=0)
+    return collect_trace(system, 20_000_000)
+
+
 class TestStorage:
     def test_trace_roundtrip(self, tmp_path):
-        trace = make_trace(25)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert (loaded.eips == trace.eips).all()
-        assert loaded.cycles == pytest.approx(trace.cycles)
-        assert loaded.processes == trace.processes
-        assert loaded.sample_period == trace.sample_period
-        assert loaded.workload_name == trace.workload_name
+        # Experiments read their traces back from trace artifacts, so
+        # the TraceStore round trip must be exact: every column's values
+        # and dtype, every metadata field's value *and type*.
+        trace = _registry_trace("odbc")
+        TraceStore.from_trace(trace, tmp_path / "store")
+        loaded = TraceStore.open(tmp_path / "store").as_trace()
+        for name in ("eips", "thread_ids", "process_ids",
+                     *COUNTER_FIELDS):
+            column, again = getattr(trace, name), getattr(loaded, name)
+            assert again.dtype == column.dtype, name
+            np.testing.assert_array_equal(again, column, err_msg=name)
+        for name in ("processes", "sample_period", "frequency_mhz",
+                     "workload_name", "metadata"):
+            value, again = getattr(trace, name), getattr(loaded, name)
+            assert type(again) is type(value), name
+            assert again == value, name
+        assert trace.metadata["paper_quadrant"] == "Q-I"
+        for key, value in trace.metadata.items():
+            assert type(loaded.metadata[key]) is type(value), key
 
     def test_eipv_roundtrip(self, tmp_path):
-        workload = get_workload("spec.art", TINY)
-        system = SimulatedSystem(itanium2(), workload, seed=0)
-        trace = collect_trace(system, 20_000_000)
-        dataset = build_eipvs(trace, 2_000_000)
-        path = tmp_path / "eipvs.npz"
-        save_eipvs(dataset, path)
-        loaded = load_eipvs(path)
-        assert (loaded.matrix == dataset.matrix).all()
-        assert loaded.cpis == pytest.approx(dataset.cpis)
-        assert (loaded.eip_index == dataset.eip_index).all()
+        dataset = build_eipvs(_registry_trace(), 2_000_000)
+        dataset.workload_name = "spec.art"
+        store = ArtifactStore(tmp_path)
+        put_eipv(store, "k" * 64, dataset)
+        loaded = load_eipv_dataset(store, "k" * 64)
+        for name in ("matrix", "cpis", "eip_index", "thread_ids"):
+            column, again = getattr(dataset, name), getattr(loaded, name)
+            assert again.dtype == column.dtype, name
+            np.testing.assert_array_equal(again, column, err_msg=name)
+            assert not again.flags.writeable, name
         assert loaded.interval_instructions == dataset.interval_instructions
-
-    def test_metadata_roundtrip(self, tmp_path):
-        trace = make_trace(5)
-        trace.metadata["paper_quadrant"] = "Q-I"
-        path = tmp_path / "t.npz"
-        save_trace(trace, path)
-        assert load_trace(path).metadata["paper_quadrant"] == "Q-I"
+        assert loaded.workload_name == "spec.art"

@@ -12,15 +12,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.runtime.cache import ArtifactStore
+from repro.runtime.stages import load_eipv_dataset, put_eipv
 from repro.sparse import CSRMatrix
 from repro.trace.eipv import EIPVDataset, build_eipvs
 from repro.trace.sampler import SamplingDriver
-from repro.trace.storage import (
-    _TRACE_COLUMNS,
-    TraceStore,
-    load_eipvs,
-    save_eipvs,
-)
+from repro.trace.storage import _TRACE_COLUMNS, TraceStore
 from tests.trace.test_sampler import (
     _assert_traces_identical,
     _randomized_system,
@@ -145,11 +142,15 @@ class TestFromStore:
 
 
 class TestEipvPersistenceFormats:
+    """EIPV datasets persist as stage artifacts (``put_eipv``), CSR-native
+    and pickle-free."""
+
     def test_sparse_round_trips_as_csr(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
         dataset = build_eipvs(trace, trace.sample_period * 5, sparse=True)
-        path = save_eipvs(dataset, tmp_path / "d.npz")
-        again = load_eipvs(path)
+        store = ArtifactStore(tmp_path)
+        put_eipv(store, "s" * 64, dataset)
+        again = load_eipv_dataset(store, "s" * 64)
         assert again.is_sparse
         assert isinstance(again.matrix, CSRMatrix)
         for part in ("indptr", "indices", "data"):
@@ -162,49 +163,12 @@ class TestEipvPersistenceFormats:
     def test_sparse_file_contains_no_pickled_objects(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
         dataset = build_eipvs(trace, trace.sample_period * 5, sparse=True)
-        path = save_eipvs(dataset, tmp_path / "d.npz")
-        # allow_pickle defaults to False: loading every member proves the
-        # archive holds only plain arrays.
-        with np.load(path, allow_pickle=False) as archive:
-            members = set(archive.files)
-            for name in members:
-                archive[name]
-        assert {"matrix_indptr", "matrix_indices",
-                "matrix_data"} <= members
-
-    def test_dense_round_trip_and_format_field(self, tmp_path):
-        trace = SamplingDriver(make_system()).collect(500_000)
-        dataset = build_eipvs(trace, trace.sample_period * 5)
-        path = save_eipvs(dataset, tmp_path / "d.npz")
-        with np.load(path) as archive:
-            header = json.loads(bytes(archive["header"]).decode())
-        assert header["format"] == 2
-        assert header["sparse"] is False
-        again = load_eipvs(path)
-        np.testing.assert_array_equal(again.matrix, dataset.matrix)
-
-    def test_format_1_files_still_load(self, tmp_path):
-        """Headers without a format field (the original layout) work."""
-        trace = SamplingDriver(make_system()).collect(500_000)
-        dataset = build_eipvs(trace, trace.sample_period * 5)
-        header = {"interval_instructions": dataset.interval_instructions,
-                  "workload_name": dataset.workload_name}
-        np.savez_compressed(tmp_path / "v1.npz",
-                            header=np.bytes_(json.dumps(header)),
-                            matrix=dataset.matrix, cpis=dataset.cpis,
-                            eip_index=dataset.eip_index,
-                            thread_ids=dataset.thread_ids)
-        again = load_eipvs(tmp_path / "v1.npz")
-        np.testing.assert_array_equal(again.matrix, dataset.matrix)
-        np.testing.assert_array_equal(again.cpis, dataset.cpis)
-
-    def test_future_format_refused(self, tmp_path):
-        header = {"format": 99, "interval_instructions": 1,
-                  "workload_name": "x"}
-        np.savez_compressed(tmp_path / "f.npz",
-                            header=np.bytes_(json.dumps(header)),
-                            matrix=np.zeros((1, 1)), cpis=np.zeros(1),
-                            eip_index=np.zeros(1, dtype=np.int64),
-                            thread_ids=np.zeros(1, dtype=np.int32))
-        with pytest.raises(ValueError, match="format 99"):
-            load_eipvs(tmp_path / "f.npz")
+        store = ArtifactStore(tmp_path)
+        put_eipv(store, "s" * 64, dataset)
+        # allow_pickle=False: loading every array proves the artifact
+        # holds only plain arrays.
+        files = sorted(store.entry_dir("eipv", "s" * 64).glob("*.npy"))
+        for path in files:
+            np.load(path, allow_pickle=False)
+        assert {"matrix_indptr.npy", "matrix_indices.npy",
+                "matrix_data.npy"} <= {path.name for path in files}

@@ -6,18 +6,21 @@ concurrent client threads with a mixed request stream (hot repeats of
 one spec to provoke coalescing, a rotating tail of distinct specs to
 provoke cache churn), then asserts the daemon's long-run invariants:
 
-* **No leaked fold files** — the in-process ``analyze --jobs 2``
-  writes its fold dataset into a temporary ``repro-folds-*`` directory;
-  no such directory that was not there before the run survives it, or
-  the pool shutdown.
+* **No leaked temporary stores** — the in-process ``analyze --jobs 2``
+  writes its fold dataset into a temporary ``repro-folds-*`` directory
+  and, run with ``--no-cache``, its stage artifacts into a temporary
+  ``repro-stages-*`` one; no such directory that was not there before
+  the run survives it, or the pool shutdown.
 * **No leaked worker processes** — the daemon's warm worker pool
   (census requests fan out across it) shuts down with every forked
   worker joined and dead; ``leaked_workers()`` reports nothing.
 * **Bounded cache growth** — the result cache holds at most the
   configured ``cache_max_entries``.
 * **Flat RSS** — resident memory after the run is within a tolerance of
-  the post-warm-up baseline (the in-process collect memo is bounded by
-  the daemon, so a diverse request stream must not grow the process).
+  the post-warm-up baseline.  The process keeps no dataset between
+  requests: jobs read memmapped artifacts from the daemon's store,
+  which pruning bounds like the result cache, and drop them when they
+  return — so a diverse request stream must not grow the process.
 * **Byte-identical responses** — for every request kind, the daemon's
   rendered report equals the stdout of a one-shot CLI run of the same
   parameters, byte for byte (profile asserts its deterministic stage
@@ -66,6 +69,7 @@ from repro import cli  # noqa: E402
 from repro.runtime import pool as pool_mod  # noqa: E402
 from repro.runtime.folds import FOLDS_DIR_PREFIX  # noqa: E402
 from repro.runtime.metrics import MetricsRegistry  # noqa: E402
+from repro.runtime.stages import STAGES_DIR_PREFIX  # noqa: E402
 from repro.serve import ServeConfig, create_server  # noqa: E402
 
 #: The hot spec: every thread repeats it, so identical requests overlap.
@@ -79,10 +83,12 @@ HOT_ARGS = ["analyze", HOT["workload"], "--intervals", str(HOT["intervals"]),
 CHURN_WORKLOADS = ("spec.art", "spec.mcf", "spec.gcc", "odbc", "sjas")
 
 
-def fold_dirs() -> set:
-    """``repro-folds-*`` directories in the temp dir right now."""
+def temporary_dirs() -> set:
+    """``repro-folds-*`` and ``repro-stages-*`` directories in the temp
+    dir right now."""
     root = Path(tempfile.gettempdir())
-    return {p.name for p in root.glob(f"{FOLDS_DIR_PREFIX}*")}
+    return {p.name for prefix in (FOLDS_DIR_PREFIX, STAGES_DIR_PREFIX)
+            for p in root.glob(f"{prefix}*")}
 
 
 def rss_kib() -> int:
@@ -137,8 +143,7 @@ class BurnIn:
                         max_inflight=2, max_queue=64,
                         default_deadline_s=120.0,
                         cache_max_entries=cache_max_entries,
-                        census_jobs=2,  # exercise the warm worker pool
-                        memo_max_entries=8),
+                        census_jobs=2),  # exercise the warm worker pool
             metrics=self.metrics)
         self.cache_max_entries = cache_max_entries
         self.base = self.server.address
@@ -148,8 +153,8 @@ class BurnIn:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._hot_reports: set = set()
-        #: Fold directories other processes own; never blamed on us.
-        self._fold_dirs_before = fold_dirs()
+        #: Temporary directories other processes own; never blamed on us.
+        self._temporary_dirs_before = temporary_dirs()
 
     # -- load -------------------------------------------------------------
     def client(self, client_id: int) -> None:
@@ -283,10 +288,11 @@ class BurnIn:
                     f"{self.failures[:1]}")
 
     def check_fold_files(self, when: str) -> None:
-        """No ``repro-folds-*`` directory outlives its analysis."""
-        leaked = sorted(fold_dirs() - self._fold_dirs_before)
+        """No ``repro-folds-*`` or ``repro-stages-*`` directory outlives
+        its run."""
+        leaked = sorted(temporary_dirs() - self._temporary_dirs_before)
         self._check(not leaked, "fold-files",
-                    f"fold directories left {when}: {leaked}")
+                    f"temporary directories left {when}: {leaked}")
 
     def check_versioning(self) -> None:
         """Both endpoint spellings answer; only the legacy one deprecates.
