@@ -85,9 +85,9 @@ def bench_lint_json():
 
 @pytest.fixture(scope="session")
 def store():
-    """One artifact store shared by the session's benchmarks, so those
+    """One store shared by the session's benchmarks, so those
     over the same run (ODB-C at 60 intervals, seed 11, feeds five of
     them) simulate it once.  A temporary store, removed at the end."""
-    from repro.runtime.stages import store_scope
+    from repro.runtime.cache import store_scope
     with store_scope(None) as shared:
         yield shared

@@ -209,12 +209,14 @@ def test_bench_sweep_cold_vs_warm(benchmark, bench_json, tmp_path):
 
     Cold: a 2-workload x 2-interval sweep computes one collect per
     (workload, machine, seed) cell and one EIPV re-cut per point.
-    Warm: the object tier is dropped (the shape of a config change that
-    invalidates final results but not the measured runs) and the sweep
+    Warm: the result entries are dropped (the shape of a config change
+    that invalidates final results but not the measured runs) and the sweep
     reruns in a fresh directory — every point must reattach to its
     cell's trace artifact, recomputing zero collect stages.
     """
-    from repro.runtime.cache import ResultCache
+    import shutil
+
+    from repro.runtime.cache import RESULT, ResultCache
     from repro.sweep.engine import run_sweep
     from repro.sweep.space import SweepSpace
 
@@ -228,7 +230,7 @@ def test_bench_sweep_cold_vs_warm(benchmark, bench_json, tmp_path):
     def _cold():
         start = time.perf_counter()
         run["outcome"] = run_sweep(space, tmp_path / "cold", jobs=1,
-                                   cache=cache)
+                                   store=cache)
         run["wall"] = time.perf_counter() - start
 
     benchmark.pedantic(_cold, rounds=1, iterations=1)
@@ -242,12 +244,13 @@ def test_bench_sweep_cold_vs_warm(benchmark, bench_json, tmp_path):
                points_per_s=round(cold.n_points / run["wall"], 2),
                **cold_stages)
 
-    # Invalidate final results only; stage artifacts survive.
-    for entry in cache.entries():
-        entry.unlink()
+    # Invalidate results only; stage artifacts survive.
+    for kind, key in cache.entries():
+        if kind == RESULT:
+            shutil.rmtree(cache.entry_dir(kind, key))
 
     warm_start = time.perf_counter()
-    warm = run_sweep(space, tmp_path / "warm", jobs=1, cache=cache)
+    warm = run_sweep(space, tmp_path / "warm", jobs=1, store=cache)
     warm_wall = time.perf_counter() - warm_start
 
     warm_stages = warm.stage_stats["stages"]

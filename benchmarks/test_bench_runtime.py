@@ -27,7 +27,7 @@ _renders: dict[str, str] = {}
 
 def _census(mode: str, jobs: int, cache) -> None:
     start = time.perf_counter()
-    result = table2_quadrants.run(jobs=jobs, cache=cache, **CENSUS_KWARGS)
+    result = table2_quadrants.run(jobs=jobs, store=cache, **CENSUS_KWARGS)
     _timings[mode] = time.perf_counter() - start
     _renders[mode] = table2_quadrants.render(result)
 

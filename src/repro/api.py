@@ -26,14 +26,14 @@ module.
 
 Caching: every surface reaches its dataset through the pipeline's
 content-hashed stages (:mod:`repro.runtime.stages`).  The scheduled
-surfaces (:func:`census`, :func:`sweep`) run as a stage graph; when the
-:class:`~repro.runtime.cache.ResultCache` has a disk root, simulated
-traces and EIPV datasets persist in its artifact tier and later calls
-reuse them zero-copy instead of re-simulating.  Without one, a call
-keeps its artifacts in a temporary store removed when it returns.  This
-is invisible in the results: every path yields the same bytes.
+surfaces (:func:`census`, :func:`sweep`) run as a stage graph against
+one store: pass a :class:`~repro.runtime.cache.ResultCache` and results,
+simulated traces and EIPV datasets persist in it, so later calls reuse
+them zero-copy instead of re-simulating.  Without one, a call keeps its
+entries in a temporary store removed when it returns.  This is
+invisible in the results: every path yields the same bytes.
 
-Every knob is an argument: ``jobs``, ``cache`` and ``timeout`` default
+Every knob is an argument: ``jobs``, ``store`` and ``timeout`` default
 to serial, uncached and unbounded, and no call reads process-wide
 settings.
 """
@@ -52,8 +52,7 @@ from repro.core.predictability import (
 from repro.experiments import common
 from repro.experiments.common import INTERVAL, RunConfig, default_intervals
 from repro.obs.profile import StageStats, aggregate_spans, render_profile
-from repro.runtime import stages
-from repro.runtime.cache import NullCache
+from repro.runtime.cache import store_scope
 from repro.runtime.graph import JobGraph, submit_graph
 from repro.runtime.jobs import JobSpec
 from repro.sampling.selector import SamplingRecommendation, recommend_for
@@ -209,7 +208,7 @@ def analyze(workload: str, *, config: AnalysisConfig | None = None,
 
 def census(workloads=None, *, config: AnalysisConfig | None = None,
            n_intervals: int | None = None, jobs: int = 1,
-           cache=None, timeout: float | None = None):
+           store=None, timeout: float | None = None):
     """The Table 2 / Figure 13 quadrant census; returns a
     :class:`~repro.experiments.table2_quadrants.Table2Result`.
 
@@ -220,7 +219,7 @@ def census(workloads=None, *, config: AnalysisConfig | None = None,
     return table2_quadrants.run(workloads=workloads, seed=config.seed,
                                 k_max=config.k_max,
                                 n_intervals=n_intervals, jobs=jobs,
-                                cache=cache, timeout=timeout)
+                                store=store, timeout=timeout)
 
 
 @dataclass(frozen=True)
@@ -256,9 +255,9 @@ def profile(workloads, *, config: AnalysisConfig | None = None,
 
     ``workloads`` may be one name or a sequence of names (duplicates
     coalesce to one job — they are the same content-hashed spec).  Jobs
-    always execute (never served from the result cache — a profile
-    measures real work) against one fresh temporary store, so each job
-    builds its dataset inside its own ``job`` span; serially or fanned
+    run against one fresh temporary store, so every job executes (a
+    profile measures real work) and builds its dataset inside its own
+    ``job`` span; serially or fanned
     out across ``jobs`` worker processes, the merged span forest has the
     same stage structure.  Tracing state is restored on exit, so
     profiling never leaks into the caller.
@@ -270,9 +269,9 @@ def profile(workloads, *, config: AnalysisConfig | None = None,
         graph.add(JobSpec.from_configs(
             _run_config(name, n_intervals, config.seed, machine, scale),
             config))
-    with stages.store_scope(None) as store, obs.capture() as tracer:
-        outcomes = submit_graph(graph, jobs=jobs, cache=NullCache(),
-                                timeout=timeout, store=store)
+    with store_scope(None) as store, obs.capture() as tracer:
+        outcomes = submit_graph(graph, jobs=jobs, store=store,
+                                timeout=timeout)
         roots = tracer.snapshot()
     failed = [outcome for outcome in outcomes if not outcome.ok]
     if failed:
@@ -290,7 +289,7 @@ def profile(workloads, *, config: AnalysisConfig | None = None,
 
 def sweep(space: SweepSpace | None = None, sweep_dir=None, *,
           jobs: int = 1, shards: int | None = None,
-          cache=None, timeout: float | None = None,
+          store=None, timeout: float | None = None,
           stop_after: int | None = None) -> SweepOutcome:
     """Run (or resume) a generated sweep; returns a
     :class:`~repro.sweep.engine.SweepOutcome`.
@@ -305,9 +304,9 @@ def sweep(space: SweepSpace | None = None, sweep_dir=None, *,
 
     The sweep executes as a staged graph: all interval-size variants of
     one (workload, machine, seed) cell share a single simulated trace
-    (through the cache's artifact tier, or a temporary store without
-    one), and a rerun whose artifacts survive recomputes no collect
-    stage at all (``SweepOutcome.stage_stats`` reports the reuse).
+    (through ``store``, or a temporary store without one), and a rerun
+    whose artifacts survive recomputes no collect stage at all
+    (``SweepOutcome.stage_stats`` reports the reuse).
     """
     from pathlib import Path
 
@@ -318,4 +317,4 @@ def sweep(space: SweepSpace | None = None, sweep_dir=None, *,
         sweep_dir = Path("sweeps") / space.key[:16]
     return run_sweep(space, sweep_dir, jobs=jobs,
                      shards=DEFAULT_SHARDS if shards is None else shards,
-                     cache=cache, timeout=timeout, stop_after=stop_after)
+                     store=store, timeout=timeout, stop_after=stop_after)

@@ -25,7 +25,7 @@ Commands
     ``profile`` as endpoints, with request coalescing, admission
     control and ``/healthz`` + ``/stats`` (see :mod:`repro.serve`).
 ``cache``
-    Inspect (``stats``) or empty (``clear``) the on-disk result cache.
+    Inspect (``stats``) or empty (``clear``) the on-disk store.
 ``lint``
     Run the repo-specific AST invariant checker (see :mod:`repro.lint`):
     determinism, shared-view write-safety and pool-hygiene rules that
@@ -37,9 +37,10 @@ surfaces cannot drift): ``--jobs N`` to
 fan work out across worker processes (census/experiment/sweep
 parallelize whole workloads; analyze parallelizes the cross-validation
 folds of its single run), ``--cache-dir PATH`` to
-relocate the content-addressed result cache (and its stage-artifact
-tier: persisted traces and EIPV datasets that later runs reuse instead
-of re-simulating), ``--no-cache`` to bypass it, ``--timeout S`` to
+relocate the content-addressed store (job results plus the persisted
+traces and EIPV datasets that later runs reuse instead of
+re-simulating), ``--no-cache`` to run against a temporary store removed
+when the run ends, ``--timeout S`` to
 bound each pooled job, and ``--trace-out PATH`` to record a JSONL span
 trace of the run (observability never touches stdout).  Results are
 deterministic: the same seed produces the same
@@ -63,7 +64,7 @@ from repro.analysis.report import format_curve, format_table
 from repro.experiments.common import default_intervals
 from repro.experiments.runner import experiment_ids, run_all
 from repro.runtime import stages
-from repro.runtime.cache import NullCache, ResultCache, default_cache_dir
+from repro.runtime.cache import ResultCache, default_cache_dir, store_scope
 from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobSpec
 from repro.runtime.manifest import RunManifest
@@ -72,10 +73,11 @@ from repro.workloads.registry import get_workload, workload_names
 from repro.workloads.scale import DEFAULT
 
 
-def _cache_for(args):
-    """The result cache the ``--cache-dir``/``--no-cache`` flags name."""
+def _store_for(args) -> ResultCache | None:
+    """The disk store ``--cache-dir`` names, or ``None`` under
+    ``--no-cache`` (the run then holds a temporary store)."""
     if args.no_cache:
-        return NullCache()
+        return None
     return ResultCache(args.cache_dir or default_cache_dir())
 
 
@@ -106,13 +108,15 @@ def _write_trace(path, roots, command: str) -> None:
         print(f"trace: {out} ({n_spans} spans)", file=sys.stderr)
 
 
-def _report_manifest(manifest: RunManifest | None, cache) -> None:
-    """Persist + summarize a run manifest on stderr (stdout stays pure)."""
+def _report_manifest(manifest: RunManifest | None,
+                     store: ResultCache | None) -> None:
+    """Persist + summarize a run manifest on stderr (stdout stays pure);
+    a run without a disk store saves none."""
     if manifest is None:
         return
-    if getattr(cache, "root", None) is not None:
+    if store is not None:
         try:
-            path = manifest.save(cache.manifest_dir)
+            path = manifest.save(store.manifest_dir)
         except OSError as exc:
             print(f"{manifest.summary()}\n  (manifest not saved: {exc})",
                   file=sys.stderr)
@@ -183,16 +187,16 @@ def _run_analyze(args) -> int:
     spec = JobSpec(workload=args.workload, n_intervals=n_intervals,
                    seed=args.seed, machine=args.machine, scale=args.scale,
                    k_max=args.k_max)
-    cache = _cache_for(args)
+    disk = _store_for(args)
     # One analyze is a (collect → eipv → analysis) chain, or one node
     # when the analysis is cached.  Each wave holds one node, so it runs
     # in this process and --jobs N reaches the analysis job, which
     # parallelizes its cross-validation folds (deterministic merge —
     # same bytes out).
-    graph = stages.analysis_graph([spec], cache=cache)
-    with stages.store_scope(cache) as store:
-        outcomes = submit_graph(graph, jobs=args.jobs, cache=cache,
-                                timeout=args.timeout, store=store)
+    with store_scope(disk) as store:
+        graph = stages.analysis_graph([spec], store=store)
+        outcomes = submit_graph(graph, jobs=args.jobs, store=store,
+                                timeout=args.timeout)
     # Insertion order puts the analysis node last; stage outcomes stay
     # off stdout and out of the manifest, which records analyses only.
     outcome = outcomes[-1]
@@ -203,8 +207,8 @@ def _run_analyze(args) -> int:
     _report_manifest(
         RunManifest.from_outcomes([outcome], command="analyze",
                                   jobs=args.jobs,
-                                  cache_root=getattr(cache, "root", None)),
-        cache)
+                                  cache_root=getattr(disk, "root", None)),
+        disk)
     return 0
 
 
@@ -251,17 +255,17 @@ def _run_census(args) -> int:
         args.subparser.error(
             f"unknown workload(s): {', '.join(unknown)} "
             f"(see 'repro list')")
-    cache = _cache_for(args)
+    disk = _store_for(args)
     try:
         result = table2_quadrants.run(workloads=args.workloads or None,
                                       seed=args.seed, k_max=args.k_max,
-                                      jobs=args.jobs, cache=cache,
+                                      jobs=args.jobs, store=disk,
                                       timeout=args.timeout)
     except RuntimeError as exc:
         print(f"census failed: {exc}", file=sys.stderr)
         return 1
     print(table2_quadrants.render(result))
-    _report_manifest(result.manifest, cache)
+    _report_manifest(result.manifest, disk)
     return 0
 
 
@@ -273,7 +277,7 @@ def _cmd_experiment(args) -> int:
             f"unknown experiment id(s): {', '.join(unknown)} "
             f"(choose from {', '.join(known)})")
     with _maybe_trace(args, "experiment"):
-        print(run_all(args.ids, jobs=args.jobs, cache=_cache_for(args),
+        print(run_all(args.ids, jobs=args.jobs, store=_store_for(args),
                       timeout=args.timeout))
     return 0
 
@@ -331,7 +335,6 @@ def _cmd_sweep(args) -> int:
         args.subparser.error(str(exc))
     sweep_dir = Path(args.sweep_dir) if args.sweep_dir \
         else Path("sweeps") / space.key[:16]
-    cache = _cache_for(args)
     print(f"sweep {space.key[:16]}: {space.size} points -> {sweep_dir}",
           file=sys.stderr)
     with _maybe_trace(args, "sweep"):
@@ -340,7 +343,7 @@ def _cmd_sweep(args) -> int:
                 space, sweep_dir, jobs=args.jobs,
                 shards=DEFAULT_SHARDS if args.shards is None
                 else args.shards,
-                cache=cache, timeout=args.timeout,
+                store=_store_for(args), timeout=args.timeout,
                 stop_after=args.stop_after)
         except SweepInterrupted as exc:
             print(f"sweep interrupted: {exc}", file=sys.stderr)
@@ -381,16 +384,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    cache = ResultCache(args.cache_dir or default_cache_dir())
+    store = ResultCache(args.cache_dir or default_cache_dir())
     if args.action == "stats":
-        print(cache.stats().render())
-        print()
-        print(cache.artifacts.stats().render())
+        print(store.stats().render())
     else:  # clear
-        n_artifacts = cache.artifacts.clear()
-        n_results = cache.clear()
-        print(f"removed {n_results} cached result(s) and {n_artifacts} "
-              f"stage artifact(s) from {cache.root}")
+        print(f"removed {store.clear()} entries from {store.root}")
     return 0
 
 
@@ -421,10 +419,13 @@ def runtime_parent() -> argparse.ArgumentParser:
                             "points, profiles) or the CV folds of a "
                             "single analyze (default: 1, in-process)")
     group.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="result cache directory "
+                       help="store directory for results and stage "
+                            "artifacts "
                             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
     group.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk result cache")
+                       help="run against a temporary store removed when "
+                            "the run ends (nothing is written under "
+                            "--cache-dir)")
     group.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-job timeout in seconds (default: none)")
     group.add_argument("--trace-out", default=None, metavar="PATH",
@@ -549,21 +550,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job timeout handed to the scheduler "
                             "(default: none)")
     serve.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="result cache directory "
+                       help="store directory for results and stage "
+                            "artifacts "
                             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
     serve.add_argument("--no-cache", action="store_true",
-                       help="serve without the on-disk result cache")
+                       help="keep the daemon's store in a temporary "
+                            "directory removed at shutdown (repeats "
+                            "still answer warm)")
     serve.add_argument("--cache-max-entries", type=int, default=4096,
                        metavar="N",
-                       help="prune the cache beyond N entries "
-                            "(0 = unbounded; default: 4096)")
+                       help="prune the store beyond N entries of all "
+                            "kinds (0 = unbounded; default: 4096)")
     serve.add_argument("--sweep-jobs", type=int, default=1, metavar="N",
                        help="worker processes per served sweep "
                             "(default: %(default)s, in-process)")
     serve.add_argument("--sweep-dir", dest="serve_sweep_dir", default=None,
                        metavar="PATH",
                        help="root for served sweep state (default: "
-                            "sweeps/ beside the result cache)")
+                            "sweeps/ under the cache directory)")
     serve.add_argument("--census-jobs", type=int, default=1, metavar="N",
                        help="worker processes for census requests "
                             "(default: 1, in-process)")
@@ -571,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="log one line per HTTP request to stderr")
     serve.set_defaults(func=_cmd_serve)
 
-    cache = sub.add_parser("cache", help="inspect or clear the result cache")
+    cache = sub.add_parser("cache", help="inspect or clear the store")
     cache.add_argument("action", choices=["stats", "clear"])
     cache.add_argument("--cache-dir", default=None, metavar="PATH",
                        help="cache directory (default: $REPRO_CACHE_DIR "

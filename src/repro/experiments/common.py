@@ -62,9 +62,10 @@ def collect(config: RunConfig,
     # Imported lazily: repro.runtime.jobs imports this module at its top
     # level, so a top-level import of the stages would be circular.
     from repro.runtime import stages
+    from repro.runtime.cache import store_scope
 
     if store is None:
-        with stages.store_scope(None) as scoped:
+        with store_scope(None) as scoped:
             return collect(config, store=scoped)
     spec = stages.EipvSpec(
         workload=config.workload, machine=config.machine, seed=config.seed,

@@ -14,7 +14,7 @@ import sys
 from repro.experiments.base import Experiment
 from repro.obs import span
 from repro.runtime.metrics import METRICS
-from repro.runtime.stages import store_scope
+from repro.runtime.cache import store_scope
 from repro.experiments import (
     example_tree,
     future_work,
@@ -66,22 +66,21 @@ def get_experiment(experiment_id: str) -> Experiment:
     return EXPERIMENTS[key]
 
 
-def run_experiment(experiment_id: str, *, jobs: int = 1, cache=None,
-                   timeout: float | None = None, store=None) -> str:
+def run_experiment(experiment_id: str, *, jobs: int = 1, store=None,
+                   timeout: float | None = None) -> str:
     """Render one experiment by id (e.g. ``"e2"``).
 
-    ``jobs``/``cache``/``timeout`` reach e8, the only experiment that
-    schedules jobs (it opens its own store from ``cache``).  The others
-    compute in-process and collect their runs through ``store``, the
-    artifact store they share (a temporary one per collect when
-    omitted); e1's hand-built dataset needs none.
+    ``jobs``/``timeout`` reach e8, the only experiment that schedules
+    jobs.  Every experiment collects its runs through ``store`` (a
+    temporary one per call when omitted); e1's hand-built dataset needs
+    none.
     """
     experiment = get_experiment(experiment_id)
     key = experiment.id
     with METRICS.time(f"experiment.{key}_s"):
         with span(f"experiment.{key}", title=experiment.title):
             if experiment is table2_quadrants.EXPERIMENT:
-                result = table2_quadrants.run(jobs=jobs, cache=cache,
+                result = table2_quadrants.run(jobs=jobs, store=store,
                                               timeout=timeout)
             elif experiment is example_tree.EXPERIMENT:
                 result = None
@@ -90,22 +89,22 @@ def run_experiment(experiment_id: str, *, jobs: int = 1, cache=None,
             return experiment.render(result)
 
 
-def run_all(ids=None, *, jobs: int = 1, cache=None,
+def run_all(ids=None, *, jobs: int = 1, store=None,
             timeout: float | None = None) -> str:
     """Render several experiments, separated by banners.
 
-    Every id shares one artifact store — ``cache``'s tier, or a
-    temporary one — so experiments over the same run simulate it once,
-    and a rerun on a warm cache simulates nothing.
+    Every id shares one store — ``store``, or a temporary one — so
+    experiments over the same run simulate it once, and a rerun on a
+    warm cache simulates nothing.
     """
     ids = list(ids) if ids else sorted(EXPERIMENTS)
     sections = []
-    with store_scope(cache) as store:
+    with store_scope(store) as scoped:
         for experiment_id in ids:
             experiment = get_experiment(experiment_id)
             banner = "=" * 72
-            text = run_experiment(experiment_id, jobs=jobs, cache=cache,
-                                  timeout=timeout, store=store)
+            text = run_experiment(experiment_id, jobs=jobs, store=scoped,
+                                  timeout=timeout)
             sections.append(f"{banner}\n{experiment_id.upper()}: "
                             f"{experiment.title}\n{banner}\n{text}")
     return "\n\n".join(sections)

@@ -25,6 +25,7 @@ from repro.core.quadrant import Quadrant
 from repro.experiments.base import Experiment
 from repro.experiments.common import default_intervals
 from repro.runtime import stages
+from repro.runtime.cache import store_scope
 from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobSpec
 from repro.runtime.manifest import RunManifest
@@ -67,32 +68,32 @@ def census_specs(workloads=None, seed: int = 11, k_max: int = 50,
 
 def run(workloads=None, seed: int = 11, k_max: int = 50,
         n_intervals: int | None = None, jobs: int = 1,
-        cache=None, timeout: float | None = None) -> Table2Result:
+        store=None, timeout: float | None = None) -> Table2Result:
     """Run the census.  ``workloads`` defaults to the full 50.
 
     Serial, uncached and unbounded by default.  Pass a
-    :class:`~repro.runtime.cache.ResultCache` to reuse results across
-    processes.
+    :class:`~repro.runtime.cache.ResultCache` to reuse results and
+    stage artifacts across processes.
     """
     specs = census_specs(workloads, seed=seed, k_max=k_max,
                          n_intervals=n_intervals)
     # The census rides the same staged submit_graph surface sweeps use:
     # uncached workloads expand into collect → eipv → analysis nodes so
-    # their traces and datasets persist in the artifact tier for later
-    # runs (a temporary store when there is no disk cache).  The graph
-    # dedups identical specs, so a duplicated workload name is computed
-    # once and rendered per requested spec below.
-    graph = stages.analysis_graph(specs, cache=cache)
-    with stages.store_scope(cache) as store:
-        graph_outcomes = submit_graph(graph, jobs=jobs, cache=cache,
-                                      timeout=timeout, store=store)
+    # their traces and datasets persist in the store for later runs (a
+    # temporary store when there is no disk cache).  The graph dedups
+    # identical specs, so a duplicated workload name is computed once
+    # and rendered per requested spec below.
+    with store_scope(store) as scoped:
+        graph = stages.analysis_graph(specs, store=scoped)
+        graph_outcomes = submit_graph(graph, jobs=jobs, store=scoped,
+                                      timeout=timeout)
     # Stage outcomes stay internal: the census result and its manifest
     # describe analyses, exactly as before the pipeline split.
     by_key = {outcome.key: outcome for outcome in graph_outcomes}
     outcomes = [by_key[spec.key] for spec in specs]
     manifest = RunManifest.from_outcomes(
         outcomes, command="census", jobs=jobs,
-        cache_root=getattr(cache, "root", None))
+        cache_root=getattr(store, "root", None))
 
     failed = [outcome for outcome in outcomes if not outcome.ok]
     if failed:

@@ -8,7 +8,7 @@ function — an escaped writable view lets any caller silently corrupt
 every other reader's data.  The same applies to memmapped artifact
 loads (``np.load(..., mmap_mode=...)``): those pages back an on-disk
 artifact shared by every process that opens it, so the view must be
-frozen before escape (``ArtifactStore.load_array`` is the model), and
+frozen before escape (``ResultCache.load_array`` is the model), and
 returning/yielding the load call directly — with no chance to freeze —
 is flagged outright.
 
@@ -119,7 +119,7 @@ class ShmWriteSafety(Rule):
     invariant = ("np.ndarray(..., buffer=...) and np.load(..., "
                  "mmap_mode=...) views set flags.writeable = False "
                  "before being returned or stored (see "
-                 "ArtifactStore.load_array)")
+                 "ResultCache.load_array)")
 
     def check(self, ctx, config):
         for function in _function_nodes(ctx.tree):

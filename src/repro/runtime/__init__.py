@@ -8,8 +8,13 @@ a run manifest:
 
 - :mod:`repro.runtime.jobs` — :class:`JobSpec` (frozen, content-hashed)
   and :class:`JobResult` (JSON-serializable analysis output);
-- :mod:`repro.runtime.cache` — disk-backed content-addressed result
-  store with atomic writes and corrupted-entry quarantine;
+- :mod:`repro.runtime.cache` — the one disk-backed, content-addressed
+  store: job results and stage artifacts (traces, EIPV and fold
+  datasets) as ``(kind, key)`` entries with atomic publication,
+  corrupted-entry quarantine and one sorted walk for stats, prune and
+  clear.  Every run holds exactly one store: the disk cache, or under
+  ``--no-cache`` a temporary one removed when the run ends
+  (:func:`~repro.runtime.cache.store_scope`);
 - :mod:`repro.runtime.scheduler` — process-pool fan-out with per-job
   timeout and graceful in-process fallback;
 - :mod:`repro.runtime.graph` — :class:`JobGraph`/:func:`submit_graph`,
@@ -26,11 +31,11 @@ a run manifest:
 
 Determinism is the core contract: a job's result is identical whether it
 was computed serially, in a worker process, or loaded from a warm cache.
-There are no process-wide runtime settings: parallelism, cache and
+There are no process-wide runtime settings: parallelism, store and
 timeout are arguments, and pool workers run their jobs with ``jobs=1``.
 """
 
-from repro.runtime.cache import CacheStats, NullCache, ResultCache
+from repro.runtime.cache import CacheStats, ResultCache, store_scope
 from repro.runtime.coalesce import (CoalescedFailure, CoalesceTimeout,
                                     JobCoalescer)
 from repro.runtime.graph import GraphError, JobGraph, JobNode, submit_graph
@@ -54,10 +59,10 @@ __all__ = [
     "JobSpec",
     "METRICS",
     "MetricsRegistry",
-    "NullCache",
     "ResultCache",
     "RunManifest",
     "execute_job",
     "run_jobs",
+    "store_scope",
     "submit_graph",
 ]

@@ -20,15 +20,15 @@ Three properties keep a parallel run bit-identical to the serial loop:
   tail-extension operations the serial loop performs.
 
 The (matrix, y) dataset reaches each pool worker once, as a file: the
-parent writes it as one ``folds`` artifact (the layout ``put_eipv``
-uses) into a temporary :class:`~repro.runtime.cache.ArtifactStore`, and
+parent writes it as one ``folds`` entry (the layout ``put_eipv`` uses)
+into a temporary :class:`~repro.runtime.cache.ResultCache`, and
 a :class:`~repro.runtime.pool.WorkerSetup` keyed by the dataset's
 content token maps it read-only in each worker (a warm worker that
 already holds the token maps nothing) and publishes it with
 :func:`publish_dataset`.  The page cache shares the mapped bytes across
-workers.  Fold jobs are never cached: a fold is an internal slice of
-one analysis, cheap relative to its dataset hash and meaningless
-outside it.
+workers.  Fold jobs run with no store and are never cached: a fold is
+an internal slice of one analysis, cheap relative to its dataset hash
+and meaningless outside it.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ import numpy as np
 
 from repro.core.regression_tree import RegressionTreeSequence
 from repro.obs import span
-from repro.runtime.cache import ArtifactStore, NullCache
+from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import CODE_VERSION, register_job_kind, spec_key
 from repro.runtime.metrics import METRICS, MetricsRegistry
 from repro.runtime.stages import load_matrix, save_matrix
 from repro.sparse import is_sparse
 
-#: Artifact kind of a fold dataset in its temporary store.
+#: Entry kind of a fold dataset in its temporary store.
 FOLDS_KIND = "folds"
 
 #: Prefix of the temporary directory each parallel CV writes its
@@ -109,13 +109,13 @@ def publish_dataset(token: str, matrix, y: np.ndarray) -> None:
     _DATASETS[token] = (matrix, y)
 
 
-def _put_dataset(store: ArtifactStore, token: str, matrix,
+def _put_dataset(store: ResultCache, token: str, matrix,
                  y: np.ndarray) -> None:
-    """Write (matrix, y) once as a ``folds`` artifact keyed by token, in
-    the EIPV artifact's matrix layout."""
+    """Write (matrix, y) once as a ``folds`` entry keyed by token, in the
+    EIPV entry's matrix layout."""
     meta = {"sparse": is_sparse(matrix),
             "shape": [int(dim) for dim in matrix.shape]}
-    with store.put(FOLDS_KIND, token, meta) as staging:
+    with store.publish(FOLDS_KIND, token, meta) as staging:
         np.save(staging / "y.npy", y)
         save_matrix(staging, matrix)
 
@@ -127,7 +127,7 @@ def _attach_dataset(root: str, token: str) -> None:
     unreadable artifact raises; the scheduler then recomputes the folds
     in the parent, where the dataset is still published in-process.
     """
-    store = ArtifactStore(root, metrics=MetricsRegistry())
+    store = ResultCache(root, metrics=MetricsRegistry())
     meta = store.open_meta(FOLDS_KIND, token)
     y = store.load_array(FOLDS_KIND, token, "y") if meta else None
     matrix = (load_matrix(store, FOLDS_KIND, token, meta)
@@ -239,7 +239,7 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
     fallback when a pool cannot be built).
 
     When the folds will reach the pool, the dataset is written once into
-    a temporary artifact store and workers map it through a
+    a temporary store and workers map it through a
     :class:`~repro.runtime.pool.WorkerSetup` keyed by the content token;
     the directory is removed before this returns, whatever happens.  The
     parent also publishes the dataset in-process for the scheduler's
@@ -266,7 +266,7 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
                         prefix=FOLDS_DIR_PREFIX, ignore_cleanup_errors=True))
                     # A private registry keeps these writes out of the
                     # pipeline's ``artifact.*`` counters.
-                    store = ArtifactStore(root, metrics=MetricsRegistry())
+                    store = ResultCache(root, metrics=MetricsRegistry())
                     _put_dataset(store, token, matrix, y)
                 except OSError:
                     METRICS.inc("folds.store_failed")
@@ -275,8 +275,8 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
                     setup = pool_mod.WorkerSetup(
                         key=f"folds:{token}", fn=_attach_dataset,
                         args=(root, token))
-            outcomes = submit_graph(graph, jobs=jobs, cache=NullCache(),
-                                    timeout=timeout, setup=setup)
+            outcomes = submit_graph(graph, jobs=jobs, timeout=timeout,
+                                    setup=setup)
     finally:
         _DATASETS.pop(token, None)
 

@@ -9,7 +9,7 @@ of them with one model:
 * a **node** is any content-hashed spec (``analysis``, ``cv_fold``, …) —
   anything with ``.kind``, ``.key`` and ``.canonical()``;
 * an **edge** is a dataset/result dependency: a node runs only after
-  every dependency succeeded (its results reachable through the shared
+  every dependency succeeded (its results reachable through the run's
   :class:`~repro.runtime.cache.ResultCache` or whatever side channel the
   job kind uses);
 * :func:`submit_graph` repeatedly computes the **ready set** (nodes
@@ -114,17 +114,17 @@ class JobGraph:
         return waves
 
 
-def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
+def submit_graph(graph: JobGraph, jobs: int = 1, store=None,
                  timeout: float | None = None, metrics=METRICS, setup=None,
-                 on_outcome: Callable[[JobOutcome], None] | None = None,
-                 store=None) -> list[JobOutcome]:
+                 on_outcome: Callable[[JobOutcome], None] | None = None
+                 ) -> list[JobOutcome]:
     """Run every node of ``graph``; outcomes in node-insertion order.
 
-    Each ready set dispatches as one :func:`run_jobs` wave: cached nodes
-    are served from ``cache``, the rest fan out across ``jobs`` worker
-    processes (the scheduler applies the serial-vs-parallel rule and
-    keeps its serial fallback), every job receiving ``store``, the
-    run's artifact store.  A node whose dependency failed is
+    Each ready set dispatches as one :func:`run_jobs` wave: nodes whose
+    result ``store`` holds are served from it, the rest fan out across
+    ``jobs`` worker processes (the scheduler applies the
+    serial-vs-parallel rule and keeps its serial fallback), every job
+    receiving ``store``.  A node whose dependency failed is
     *skipped* — it gets a failure outcome naming the dependency and
     never executes.
 
@@ -160,7 +160,7 @@ def submit_graph(graph: JobGraph, jobs: int = 1, cache=None,
             # Called through the module so tests (and tools) that patch
             # scheduler.run_jobs intercept graph dispatch too.
             scheduler.run_jobs([graph.node(key).spec for key in runnable],
-                               jobs=jobs, cache=cache, timeout=timeout,
+                               jobs=jobs, store=store, timeout=timeout,
                                metrics=metrics, setup=setup,
-                               on_outcome=record, store=store)
+                               on_outcome=record)
     return [done[key] for key in graph.keys()]

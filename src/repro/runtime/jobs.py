@@ -11,7 +11,7 @@ and the daemon's request coalescer all use ``spec.key`` rather than
 recomputing ad-hoc tokens.
 
 :func:`execute_job` is the pure worker function: spec and the run's
-artifact store in, JSON-ready :class:`JobResult` out.  It reads its
+store in, JSON-ready :class:`JobResult` out.  It reads its
 dataset through the eipv stage (:mod:`repro.runtime.stages`), so there
 is one path from an execution to its dataset.  A result round-trips through
 ``to_dict``/``from_dict`` without loss (JSON preserves finite floats
@@ -40,6 +40,7 @@ from repro.core.predictability import (
 from repro.core.quadrant import classify_result
 from repro.experiments.common import INTERVAL, RunConfig
 from repro.obs import span
+from repro.runtime.cache import store_scope
 from repro.workloads.scale import get_scale
 
 #: Bump when pipeline semantics change; part of every job's identity, so
@@ -59,8 +60,8 @@ class JobKind:
     codecs here, both in this process and inside pool workers.
     ``execute(spec, jobs=..., store=...)`` receives the parallelism its
     own fan-out may use (always 1 in a pool worker) and the run's
-    :class:`~repro.runtime.cache.ArtifactStore`; a kind ignores what it
-    does not use.
+    :class:`~repro.runtime.cache.ResultCache` (``None`` for fold jobs);
+    a kind ignores what it does not use.
     """
 
     name: str
@@ -298,7 +299,7 @@ def execute_job(spec: JobSpec, jobs: int = 1, store=None) -> JobResult:
     from repro.runtime import stages
 
     if store is None:
-        with stages.store_scope(None) as scoped:
+        with store_scope(None) as scoped:
             return execute_job(spec, jobs=jobs, store=scoped)
     start = time.perf_counter()
     with span("job", workload=spec.workload, seed=spec.seed) as job_span:

@@ -12,7 +12,7 @@ lieu of ``max_tasks_per_child`` — which needs 3.11+ and a non-fork start
 method — an idle reaper, and an ``atexit`` shutdown that leaves zero
 worker processes behind).  Per-batch worker state (the dataset of a
 parallel CV) ships through a :class:`WorkerSetup` hook that is cached
-worker-side by key, so a warm worker re-runs nothing; the artifact store
+worker-side by key, so a warm worker re-runs nothing; the run's store
 is not worker state but an argument each job carries.
 
 :func:`use_pool` is the one serial-vs-parallel rule.  Pool workers are
@@ -112,7 +112,7 @@ def _pool_worker_execute(kind_name: str, spec_dict: dict, tracing: bool,
                          setup: WorkerSetup | None,
                          store_root: str | None) -> tuple[dict, int, float]:
     """Worker body for the persistent pool: cached setup, then the job
-    against the artifact store rooted at ``store_root``."""
+    against the store rooted at ``store_root``."""
     _run_setup(setup)
     from repro.runtime import scheduler
     return scheduler._worker_execute(kind_name, spec_dict, tracing,

@@ -1,7 +1,7 @@
 """Job scheduling: cache lookup, process-pool fan-out, serial fallback.
 
 :func:`run_jobs` is the one entry point.  For every spec it first
-consults the result cache; only misses are executed — on the
+consults the run's store; only misses are executed — on the
 **persistent warm pool** (:mod:`repro.runtime.pool`) when
 :func:`repro.runtime.pool.use_pool` allows it, otherwise serially in
 this process.  Workers forked once survive across batches, and
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.runtime import pool as pool_mod
-from repro.runtime.cache import ArtifactStore, NullCache
+from repro.runtime.cache import RESULT, ResultCache
 from repro.runtime.jobs import JobResult, JobSpec, resolve_kind
 from repro.runtime.metrics import METRICS
 
@@ -60,11 +60,11 @@ def _worker_execute(kind_name: str, spec_dict: dict, tracing: bool = False,
 
     Pool workers are leaves: the job runs with ``jobs=1``, so nothing it
     calls can reach ``run_jobs`` with parallelism or touch a pool.  The
-    artifact store arrives as a root path with each job and is built for
-    that job only, so no store outlives the job in a warm worker.
+    store arrives as a root path with each job and is built for that job
+    only, so no store outlives the job in a warm worker.
     """
     kind = resolve_kind(kind_name)
-    store = ArtifactStore(store_root) if store_root is not None else None
+    store = ResultCache(store_root) if store_root is not None else None
     spec = kind.spec_from_dict(spec_dict)
     if tracing:
         # Fresh tracer per job: the span subtree rides back inside the
@@ -284,20 +284,44 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
         worker_pool.release()
 
 
-def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
-             metrics=METRICS, setup=None, worker_pool=None, on_outcome=None,
-             store=None) -> list[JobOutcome]:
+def stored_result(store: ResultCache, kind_name: str, key: str,
+                  metrics=METRICS):
+    """The result stored under ``key``, or ``None``.
+
+    A valid entry whose payload this code cannot use (it fails the
+    kind's decoder, or decodes to another key) is quarantined, so the
+    recompute can publish in its place: a publish never replaces an
+    entry.
+    """
+    payload = store.get(key)
+    if payload is None:
+        return None
+    try:
+        result = resolve_kind(kind_name).result_from_dict(payload)
+        if result.key == key:
+            return result
+    except (TypeError, ValueError, KeyError):
+        pass
+    metrics.inc("cache.payload_rejected")
+    store.quarantine(RESULT, key)
+    return None
+
+
+def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
+             timeout: float | None = None, metrics=METRICS, setup=None,
+             worker_pool=None, on_outcome=None) -> list[JobOutcome]:
     """Schedule every spec; return outcomes in submission order.
 
-    Cache misses go to a process pool only when :func:`repro.runtime.
-    pool.use_pool` allows it (``jobs >= 2``, two pending specs, two
-    usable CPUs); each such choice with ``jobs >= 2`` is counted in
+    Specs whose result ``store`` holds are served from it; the misses go
+    to a process pool only when :func:`repro.runtime.pool.use_pool`
+    allows it (``jobs >= 2``, two pending specs, two usable CPUs); each
+    such choice with ``jobs >= 2`` is counted in
     ``dispatch.parallel_chosen`` or ``dispatch.serial_chosen``.  The
     in-process path hands every job the caller's ``jobs`` for its own
     fan-out; pool workers run jobs with ``jobs=1``.  Every job receives
-    ``store``, the run's :class:`~repro.runtime.cache.ArtifactStore`
-    (pool workers get its root and open it per job); an analysis without
-    one opens a temporary store of its own.
+    ``store`` (pool workers get its root and open it per job); without
+    one nothing is looked up or stored, and an analysis opens a
+    temporary store of its own.
 
     Parallel batches run on the persistent warm pool
     (:func:`repro.runtime.pool.default_pool`, or ``worker_pool`` when
@@ -306,7 +330,7 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
     state (e.g. mapping a fold dataset), cached worker-side by key so
     warm workers skip it; the serial path ignores it.
 
-    Executed results are stored to ``cache`` *incrementally*, as each
+    Executed results are stored to ``store`` *incrementally*, as each
     outcome is consumed — a run killed mid-batch leaves every already
     consumed job cached, which is what makes large sweeps resumable at
     job granularity rather than batch granularity.  ``on_outcome`` fires
@@ -314,22 +338,21 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
     pass, then executed jobs in submission order).
     """
     specs = list(specs)
-    cache = cache if cache is not None else NullCache()
     jobs = max(1, int(jobs or 1))
     outcomes: list[JobOutcome | None] = [None] * len(specs)
 
     def persist(outcome: JobOutcome) -> None:
         """Persist one executed outcome, then stream it to the caller."""
-        if outcome.ok and not outcome.cache_hit:
+        if store is not None and outcome.ok and not outcome.cache_hit:
             # Spans are observability, not results: strip them so the
             # cached bytes are identical with and without tracing.
             payload = outcome.result.to_dict()
             payload.pop("spans", None)
             try:
-                cache.put(outcome.key, payload,
+                store.put(outcome.key, payload,
                           spec=outcome.spec.canonical())
             except OSError:
-                # A cache that can't be written must never sink the
+                # A store that can't be written must never sink the
                 # computation it was meant to save.
                 metrics.inc("cache.store_failed")
         if on_outcome is not None:
@@ -339,19 +362,8 @@ def run_jobs(specs, jobs: int = 1, cache=None, timeout: float | None = None,
     keys = [spec.key for spec in specs]
     for i, (spec, key) in enumerate(zip(specs, keys)):
         start = time.perf_counter()
-        payload = cache.get(key)
-        result = None
-        if payload is not None:
-            try:
-                candidate = resolve_kind(spec.kind).result_from_dict(payload)
-                if candidate.key == key:
-                    result = candidate
-            except (TypeError, ValueError, KeyError):
-                result = None
-            if result is None:
-                # Valid envelope but a payload this code can't use: treat
-                # as a miss and overwrite below.
-                metrics.inc("cache.payload_rejected")
+        result = (stored_result(store, spec.kind, key, metrics)
+                  if store is not None else None)
         if result is not None:
             outcomes[i] = JobOutcome(
                 spec=spec, key=key, result=result, cache_hit=True,

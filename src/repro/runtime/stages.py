@@ -13,24 +13,25 @@ joints: :class:`CollectSpec` and :class:`EipvSpec` are frozen,
 content-hashed stage specs derived from a final :class:`JobSpec`
 (:func:`collect_spec_for` / :func:`eipv_spec_for`), executed through the
 ordinary scheduler as job kinds ``"collect"`` and ``"eipv"``, with their
-bulky products persisted in an
-:class:`~repro.runtime.cache.ArtifactStore` — a trace artifact *is* a
-:class:`~repro.trace.storage.TraceStore` directory, an EIPV artifact is
+bulky products persisted as entries of the run's
+:class:`~repro.runtime.cache.ResultCache` — a trace entry *is* a
+:class:`~repro.trace.storage.TraceStore` directory, an EIPV entry holds
 the dataset's raw arrays — and reloaded zero-copy via
 ``np.load(mmap_mode="r")``.
 
-Every run has a store: :func:`store_scope` yields the cache's artifact
-tier, or a temporary store removed when the scope exits.  The store is
-an argument of every job (``execute(spec, jobs=..., store=...)``); pool
-workers receive its root with each job and keep nothing after it.
+Every run holds one store (:func:`~repro.runtime.cache.store_scope`):
+the disk cache, or a temporary store removed when the scope exits.  The
+store is an argument of every job (``execute(spec, jobs=...,
+store=...)``); pool workers receive its root with each job and keep
+nothing after it.
 
 Two design rules keep every path byte-identical:
 
 * **Stages are self-describing, not chained by reference.**  An
   :class:`EipvSpec` embeds every parameter needed to rebuild its input
   from scratch, so a missing or quarantined upstream artifact is healed
-  by an in-stage recompute — correctness never depends on the artifact
-  store's contents, only speed does.
+  by an in-stage recompute — correctness never depends on the store's
+  contents, only speed does.
 * **The final node is the unchanged ``"analysis"`` kind.**  Its key and
   result schema are independent of the stages;
   :func:`repro.runtime.jobs.execute_job` reads its dataset through
@@ -43,8 +44,6 @@ Two design rules keep every path byte-identical:
 
 from __future__ import annotations
 
-import contextlib
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -54,50 +53,17 @@ from typing import ClassVar
 import numpy as np
 
 from repro.obs import span
-from repro.runtime.cache import ArtifactStore
+from repro.runtime.cache import RESULT, ResultCache
 from repro.runtime.jobs import (
     CODE_VERSION,
     JobSpec,
     register_job_kind,
     spec_key,
 )
-from repro.runtime.metrics import METRICS
 from repro.sparse import CSRMatrix, is_sparse
 from repro.trace.eipv import EIPVDataset, build_eipvs
 from repro.trace.events import SampleTrace
 from repro.trace.storage import TraceStore
-
-#: Prefix of the temporary directory that holds the artifacts of a run
-#: without a usable disk cache (removed when its :func:`store_scope`
-#: exits).
-STAGES_DIR_PREFIX = "repro-stages-"
-
-
-@contextlib.contextmanager
-def store_scope(cache, metrics=METRICS):
-    """The artifact store one run shares, for the duration.
-
-    ``cache``'s artifact tier when the cache has a usable disk root.
-    Otherwise — a ``NullCache``, ``None``, or a root that cannot be
-    created (the cache dir is a regular file, permissions, a full disk)
-    — a store in a fresh temporary directory, removed on exit whatever
-    happens, counting into ``metrics``.  The store is a performance
-    tier, never a correctness dependency, so the kind of store never
-    changes a result.
-    """
-    if getattr(cache, "root", None) is not None:
-        store = cache.artifacts
-        try:
-            store.root.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            pass
-        else:
-            yield store
-            return
-    with tempfile.TemporaryDirectory(prefix=STAGES_DIR_PREFIX,
-                                     ignore_cleanup_errors=True) as root:
-        yield ArtifactStore(root, metrics=metrics)
-
 
 # -- stage specs ------------------------------------------------------------
 
@@ -202,9 +168,9 @@ def eipv_spec_for(spec: JobSpec) -> EipvSpec:
 class StageResult:
     """Small JSON summary of one stage execution.
 
-    The bulky product lives in the artifact store; this is what rides
-    the result cache, so a warm run serves stage nodes as ordinary
-    cache hits without touching the arrays at all.  ``source`` records
+    The bulky product is the stage's array entry; this summary is its
+    result entry, so a warm run serves stage nodes as ordinary cache
+    hits without touching the arrays at all.  ``source`` records
     how the product was obtained — ``"computed"`` (simulated/built this
     time) or ``"artifact"`` (already stored, nothing recomputed) — which
     is how schedulers count stage reuse across worker processes.
@@ -247,13 +213,14 @@ def _simulate(spec: CollectSpec):
     return collect_trace(system, spec.total_instructions)
 
 
-def put_trace(store: ArtifactStore, key: str, trace) -> None:
+def put_trace(store: ResultCache, key: str, trace) -> None:
     """Publish a trace artifact (a :class:`TraceStore` directory)."""
-    with store.put("trace", key, {"n_samples": len(trace)}) as staging:
+    with store.publish("trace", key,
+                       {"n_samples": len(trace)}) as staging:
         TraceStore.from_trace(trace, staging)
 
 
-def open_trace(store: ArtifactStore, key: str) -> TraceStore | None:
+def open_trace(store: ResultCache, key: str) -> TraceStore | None:
     """The trace artifact as an open store, or ``None`` (quarantining)."""
     meta = store.open_meta("trace", key)
     if meta is None:
@@ -275,14 +242,14 @@ def _publish(publisher, store, key, payload) -> None:
         pass
 
 
-def _fresh_trace(store: ArtifactStore, spec: CollectSpec) -> SampleTrace:
+def _fresh_trace(store: ResultCache, spec: CollectSpec) -> SampleTrace:
     """Simulate ``spec`` and publish its trace artifact."""
     trace = _simulate(spec)
     _publish(put_trace, store, spec.key, trace)
     return trace
 
 
-def stored_trace(store: ArtifactStore, spec: CollectSpec) -> SampleTrace:
+def stored_trace(store: ResultCache, spec: CollectSpec) -> SampleTrace:
     """``spec``'s trace, materialized from its artifact; a missing or
     torn artifact is simulated and published, as the collect stage
     does."""
@@ -297,7 +264,7 @@ def stored_trace(store: ArtifactStore, spec: CollectSpec) -> SampleTrace:
 
 
 def execute_collect(spec: CollectSpec, jobs: int = 1, *,
-                    store: ArtifactStore) -> StageResult:
+                    store: ResultCache) -> StageResult:
     """Simulate and persist one trace (idempotent on a warm store);
     ``jobs`` is unused."""
     start = time.perf_counter()
@@ -334,7 +301,7 @@ def save_matrix(staging: Path, matrix) -> None:
         np.save(staging / "matrix.npy", matrix)
 
 
-def _load_arrays(store: ArtifactStore, kind: str, key: str, names):
+def _load_arrays(store: ResultCache, kind: str, key: str, names):
     """Read-only memmap views of the named arrays, with the
     ``np.memmap`` subclass dropped, or ``None`` when one cannot be read
     (the store quarantines the artifact)."""
@@ -347,7 +314,7 @@ def _load_arrays(store: ArtifactStore, kind: str, key: str, names):
     return views
 
 
-def load_matrix(store: ArtifactStore, kind: str, key: str, meta: dict):
+def load_matrix(store: ResultCache, kind: str, key: str, meta: dict):
     """The matrix :func:`save_matrix` wrote, as read-only views, or
     ``None`` when an array cannot be read."""
     sparse = meta.get("sparse")
@@ -362,7 +329,7 @@ def load_matrix(store: ArtifactStore, kind: str, key: str, meta: dict):
     return views[0]
 
 
-def put_eipv(store: ArtifactStore, key: str, dataset: EIPVDataset) -> None:
+def put_eipv(store: ResultCache, key: str, dataset: EIPVDataset) -> None:
     """Publish an EIPV artifact (raw arrays, dense or CSR-native)."""
     meta = {
         "interval_instructions": int(dataset.interval_instructions),
@@ -372,14 +339,14 @@ def put_eipv(store: ArtifactStore, key: str, dataset: EIPVDataset) -> None:
         "n_intervals": int(dataset.n_intervals),
         "n_eips": int(dataset.n_eips),
     }
-    with store.put("eipv", key, meta) as staging:
+    with store.publish("eipv", key, meta) as staging:
         np.save(staging / "cpis.npy", dataset.cpis)
         np.save(staging / "eip_index.npy", dataset.eip_index)
         np.save(staging / "thread_ids.npy", dataset.thread_ids)
         save_matrix(staging, dataset.matrix)
 
 
-def load_eipv_dataset(store: ArtifactStore, key: str) -> EIPVDataset | None:
+def load_eipv_dataset(store: ResultCache, key: str) -> EIPVDataset | None:
     """Reconstruct an EIPV dataset zero-copy from its artifact.
 
     Every array is a read-only memmap view over the stored ``.npy``
@@ -407,7 +374,7 @@ def load_eipv_dataset(store: ArtifactStore, key: str) -> EIPVDataset | None:
     return dataset
 
 
-def _build_dataset(store: ArtifactStore, spec: EipvSpec) -> EIPVDataset:
+def _build_dataset(store: ResultCache, spec: EipvSpec) -> EIPVDataset:
     """The eipv stage's build: stream the dataset from the trace
     artifact, healing a missing or torn one by simulating it again, then
     publish both."""
@@ -431,7 +398,7 @@ def _build_dataset(store: ArtifactStore, spec: EipvSpec) -> EIPVDataset:
     return dataset
 
 
-def eipv_dataset(store: ArtifactStore, spec: EipvSpec) -> EIPVDataset:
+def eipv_dataset(store: ResultCache, spec: EipvSpec) -> EIPVDataset:
     """``spec``'s dataset: its artifact, or — on a miss or after a
     quarantine — the eipv stage's own build, published for next time."""
     dataset = load_eipv_dataset(store, spec.key)
@@ -443,7 +410,7 @@ def eipv_dataset(store: ArtifactStore, spec: EipvSpec) -> EIPVDataset:
 
 
 def execute_eipv(spec: EipvSpec, jobs: int = 1, *,
-                 store: ArtifactStore) -> StageResult:
+                 store: ResultCache) -> StageResult:
     """Build and persist one EIPV dataset, healing a lost trace;
     ``jobs`` is unused."""
     start = time.perf_counter()
@@ -471,22 +438,22 @@ def execute_eipv(spec: EipvSpec, jobs: int = 1, *,
 
 # -- graph assembly ---------------------------------------------------------
 
-def analysis_graph(specs, cache=None):
+def analysis_graph(specs, store: ResultCache | None = None):
     """A :class:`~repro.runtime.graph.JobGraph` for the given analyses.
 
     Every *uncached* final spec gets its collect and EIPV stage nodes as
     dependencies; specs sharing a trace or dataset share the stage node
     (``JobGraph.add`` dedups by key), so a sweep's DAG collapses into a
-    shared-prefix forest.  Final specs already present in ``cache`` are
-    added dep-less — the scheduler's probe serves them, and a stale
-    entry merely heals through the eipv stage's build inside the job.
+    shared-prefix forest.  Final specs whose result is already in
+    ``store`` are added dep-less — the scheduler's probe serves them,
+    and a stale entry merely heals through the eipv stage's build
+    inside the job.
     """
     from repro.runtime.graph import JobGraph
 
     graph = JobGraph()
-    probe = getattr(cache, "contains", None)
     for spec in specs:
-        if probe is not None and probe(spec.key):
+        if store is not None and store.has(RESULT, spec.key):
             graph.add(spec)
             continue
         collect = collect_spec_for(spec)
@@ -503,7 +470,7 @@ class StageCounters:
 
     Stage reuse happens inside worker processes, so it is counted from
     the outcomes that travel back — ``cache_hit`` for stage results the
-    result cache served, ``StageResult.source`` for artifact reuse —
+    store served, ``StageResult.source`` for artifact reuse —
     never from process-local metrics.
     """
 

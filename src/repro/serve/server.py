@@ -53,7 +53,7 @@ class ReproServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def server_close(self) -> None:
-        """Close the socket, then the service's artifact store."""
+        """Close the socket, then the service's store."""
         super().server_close()
         self.service.close()
 

@@ -9,21 +9,21 @@ parallel one:
 1. **Normalize** — the body parses into a frozen request whose identity
    is a content hash (:mod:`repro.serve.protocol`); for ``analyze`` that
    identity *is* ``JobSpec.key``.
-2. **Warm probe** — the :class:`~repro.runtime.cache.ResultCache` is
-   consulted directly; a valid entry is rendered and returned without
+2. **Warm probe** — the daemon's :class:`~repro.runtime.cache.ResultCache`
+   is consulted directly; a valid entry is rendered and returned without
    touching admission or the scheduler at all.
 3. **Coalesce** — cold requests join the
    :class:`~repro.runtime.coalesce.JobCoalescer`; concurrent identical
    requests elect one leader, everyone else waits for its flight.
 4. **Derive** — an analyze leader whose execution (``JobSpec.curve_key``)
-   already has a cached result at a larger ``k_max`` cuts that result's
+   already has a stored result at a larger ``k_max`` cuts that result's
    RE curve to its own k (:meth:`JobResult.truncated`) and stores it,
    with no admission slot and no CV.
 5. **Admit + schedule** — otherwise the leader takes an admission slot
    (bounded in-flight + bounded queue, shed beyond that) and runs the
    job's stage graph through the normal
-   :func:`~repro.runtime.graph.submit_graph` path, so cache stores,
-   artifacts and metrics look exactly like a CLI run's.
+   :func:`~repro.runtime.graph.submit_graph` path, so stored entries and
+   metrics look exactly like a CLI run's.
 
 Determinism contract: every response carries a ``body`` whose fields
 are pure functions of the request parameters (the ``report`` field is
@@ -48,7 +48,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.runtime.cache import NullCache, ResultCache, default_cache_dir
+from repro.runtime.cache import ResultCache, default_cache_dir, store_scope
 from repro.runtime.coalesce import (CoalescedFailure, CoalesceTimeout,
                                     JobCoalescer)
 from repro.runtime import pool as pool_mod
@@ -56,6 +56,7 @@ from repro.runtime import stages
 from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import METRICS
+from repro.runtime.scheduler import stored_result
 from repro.serve.admission import (AdmissionController, DeadlineExceeded,
                                    ShedLoad)
 from repro.serve.protocol import (PROTOCOL_VERSION, AnalyzeRequest,
@@ -78,24 +79,29 @@ class ServeConfig:
     default_deadline_s: float | None = 60.0
     #: Per-job timeout handed to the scheduler (pool path only).
     job_timeout_s: float | None = None
-    #: Result cache location (None = $REPRO_CACHE_DIR or ~/.cache/repro).
+    #: Cache location (None = $REPRO_CACHE_DIR or ~/.cache/repro).
     cache_dir: Path | None = None
-    #: Disable the disk cache entirely (every request computes).
+    #: Keep the daemon's store in a temporary directory removed at
+    #: close instead of the disk cache (repeats still answer warm).
     no_cache: bool = False
-    #: Bound on cache entries; pruned after each store (0 = unbounded).
+    #: Bound on store entries of all kinds together; pruned after each
+    #: store (0 = unbounded).
     cache_max_entries: int = 4096
     #: Worker processes for census fan-out (1 = in-process).
     census_jobs: int = 1
     #: Worker processes for sweep fan-out (1 = in-process).
     sweep_jobs: int = 1
     #: Root for sweep state (manifest/partials/table per space); None =
-    #: ``sweeps/`` beside the result cache.
+    #: ``sweeps/`` under the cache directory.
     sweep_dir: Path | None = None
 
-    def build_cache(self):
+    def build_store(self, metrics=METRICS) -> ResultCache | None:
+        """The disk store, or ``None`` under ``no_cache`` (the service
+        then holds a temporary one)."""
         if self.no_cache:
-            return NullCache()
-        return ResultCache(self.cache_dir or default_cache_dir())
+            return None
+        return ResultCache(self.cache_dir or default_cache_dir(),
+                           metrics=metrics)
 
     def build_sweep_dir(self) -> Path:
         if self.sweep_dir is not None:
@@ -110,27 +116,22 @@ class AnalysisService:
                  metrics=METRICS) -> None:
         self.config = config or ServeConfig()
         self.metrics = metrics
-        self.cache = self.config.build_cache()
-        if hasattr(self.cache, "metrics"):
-            self.cache.metrics = metrics
         self.coalescer = JobCoalescer(metrics=metrics)
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             max_queue=self.config.max_queue, metrics=metrics)
-        # One artifact store for the daemon's lifetime (closed by
-        # :meth:`close`): every analyze request publishes and reuses
-        # traces and datasets across requests.  Without a usable disk
-        # cache it is a temporary store, bounded like the disk tier.
+        # One store for the daemon's lifetime (closed by :meth:`close`):
+        # every request publishes and reuses results, traces and
+        # datasets across requests.  Without a usable disk cache it is
+        # a temporary store, bounded like the disk one.
         self._scope = contextlib.ExitStack()
         self.store = self._scope.enter_context(
-            stages.store_scope(self.cache, metrics=metrics))
-        self._temporary_store = self.store is not getattr(
-            self.cache, "artifacts", None)
+            store_scope(self.config.build_store(metrics), metrics=metrics))
         self.stage_counters = stages.StageCounters()
         self._started_monotonic = time.monotonic()
         self._stage_lock = threading.Lock()
         # curve_key -> (k_max, key) of the longest analysis returned for
-        # that execution; keys only, LRU-bounded like the disk cache.
+        # that execution; keys only, LRU-bounded like the store.
         self._curves: OrderedDict[str, tuple[int, str]] = OrderedDict()
         self._curves_lock = threading.Lock()
 
@@ -144,10 +145,11 @@ class AnalysisService:
         """The daemon's runtime contract, observable.
 
         Everything the burn-in harness asserts lives here: coalesce
-        counts prove the dedup, ``cache.entries`` proves bounded growth.
+        counts prove the dedup, ``cache.entries`` (every entry of the
+        store, the number ``max_entries`` bounds) proves bounded growth.
         """
         snap = self.metrics.snapshot()["counters"]
-        cache_stats = self.cache.stats()
+        store_stats = self.store.stats()
         hits = snap.get("cache.hit", 0)
         misses = snap.get("cache.miss", 0)
         return {
@@ -175,8 +177,9 @@ class AnalysisService:
                 "pruned": snap.get("cache.pruned", 0),
                 "warm_responses": snap.get("serve.warm_hit", 0),
                 "derived": snap.get("serve.curve_derived", 0),
-                "entries": cache_stats.entries,
-                "total_bytes": cache_stats.total_bytes,
+                "entries": store_stats.entries,
+                "by_kind": store_stats.by_kind,
+                "total_bytes": store_stats.total_bytes,
                 "max_entries": self.config.cache_max_entries,
             },
             "artifacts": self._artifact_section(snap),
@@ -210,24 +213,19 @@ class AnalysisService:
         }
 
     def _artifact_section(self, snap: dict) -> dict:
-        """The artifact-store slice of :meth:`stats`.
+        """The array-entry slice of :meth:`stats` (traces, datasets).
 
         Counter semantics: ``hits``/``misses`` are store probes in *this*
         process (stage reuse inside pool workers doesn't travel through
         metrics), so cross-process reuse is what ``stage_cache`` and
         ``stages`` — tallied from returned outcomes — record.
         """
-        store_stats = self.store.stats()
         section = {
-            "enabled": True,
             "hits": snap.get("artifact.hit", 0),
             "misses": snap.get("artifact.miss", 0),
             "stores": snap.get("artifact.store", 0),
             "pruned": snap.get("artifact.pruned", 0),
             "quarantined": snap.get("artifact.quarantined", 0),
-            "entries": store_stats.entries,
-            "total_bytes": store_stats.total_bytes,
-            "by_kind": dict(store_stats.by_kind),
         }
         with self._stage_lock:
             section.update(self.stage_counters.to_dict())
@@ -237,8 +235,8 @@ class AnalysisService:
         return time.monotonic() - self._started_monotonic
 
     def close(self) -> None:
-        """Release the daemon's artifact store (a temporary one is
-        removed); idempotent."""
+        """Release the daemon's store (a temporary one is removed);
+        idempotent."""
         self._scope.close()
 
     # -- POST endpoints ---------------------------------------------------
@@ -314,10 +312,10 @@ class AnalysisService:
         measured execution (a different ``k_max``, a different interval
         size) reuses the stored trace instead of re-simulating.
         """
-        graph = stages.analysis_graph([spec], cache=self.cache)
-        outcomes = submit_graph(graph, jobs=1, cache=self.cache,
+        graph = stages.analysis_graph([spec], store=self.store)
+        outcomes = submit_graph(graph, jobs=1, store=self.store,
                                 timeout=self._remaining(deadline),
-                                metrics=self.metrics, store=self.store)
+                                metrics=self.metrics)
         final = None
         with self._stage_lock:
             for outcome in outcomes:
@@ -326,30 +324,17 @@ class AnalysisService:
         return final
 
     def _cached_result(self, key: str) -> JobResult | None:
-        """The cached :class:`JobResult` under ``key``, or None.
-
-        Mirrors the scheduler's own validation (payload must round-trip
-        into a :class:`JobResult` whose key matches); anything less than
-        valid falls through to the computing path.
-        """
-        payload = self.cache.get(key)
-        if payload is None:
-            return None
-        try:
-            result = JobResult.from_dict(payload)
-        except (TypeError, ValueError, KeyError):
-            return None
-        return result if result.key == key else None
+        """The stored :class:`JobResult` under ``key``, or None — the
+        scheduler's own validation, so an entry it would reject is
+        quarantined here too and the request computes."""
+        return stored_result(self.store, JobSpec.kind, key, self.metrics)
 
     def _note_curve(self, spec: JobSpec) -> None:
         """Record ``spec`` as its execution's longest analysis if it is.
 
-        Called once ``spec``'s result is in the cache (computed, or read
-        warm).  Without a disk cache the result can't be read back, so
-        nothing is recorded.
+        Called once ``spec``'s result is in the store (computed, or read
+        warm).
         """
-        if self.config.no_cache:
-            return
         with self._curves_lock:
             longest = self._curves.get(spec.curve_key)
             if longest is None or spec.k_max > longest[0]:
@@ -367,7 +352,7 @@ class AnalysisService:
         :meth:`JobResult.truncated`, which also says why k = 1 is
         excluded).  The derived result is stored under ``spec.key`` like
         a computed one; a longer entry that has been pruned from the
-        cache drops out of the index and the request computes.
+        store drops out of the index and the request computes.
         """
         with self._curves_lock:
             longest = self._curves.get(spec.curve_key)
@@ -381,7 +366,7 @@ class AnalysisService:
             return None
         result = source.truncated(spec)
         try:
-            self.cache.put(spec.key, result.to_dict(), spec=spec.canonical())
+            self.store.put(spec.key, result.to_dict(), spec=spec.canonical())
         except OSError:
             self.metrics.inc("cache.store_failed")
         self.metrics.inc("serve.curve_derived")
@@ -418,7 +403,7 @@ class AnalysisService:
                     result = table2_quadrants.run(
                         workloads=list(req.workloads) or None,
                         seed=req.seed, k_max=req.k_max,
-                        jobs=self.config.census_jobs, cache=self.cache,
+                        jobs=self.config.census_jobs, store=self.store,
                         timeout=self._remaining(deadline))
                 except RuntimeError as exc:
                     return 500, self._error_body(
@@ -466,7 +451,7 @@ class AnalysisService:
                         space, sweep_dir,
                         jobs=self.config.sweep_jobs,
                         shards=req.shards or DEFAULT_SHARDS,
-                        cache=self.cache,
+                        store=self.store,
                         timeout=self._remaining(deadline))
                 except (SweepError, SweepStateError) as exc:
                     return 500, self._error_body(
@@ -576,11 +561,7 @@ class AnalysisService:
         return min(timeout, remaining)
 
     def _after_store(self) -> None:
-        """Post-store housekeeping: bound the disk cache and the
-        artifact store (pruning the disk cache bounds its own artifact
-        tier; a temporary store is pruned to the same bound here)."""
+        """Post-store housekeeping: bound the store, disk or temporary."""
         bound = self.config.cache_max_entries
         if bound:
-            self.cache.prune(bound)
-            if self._temporary_store:
-                self.store.prune(bound)
+            self.store.prune(bound)

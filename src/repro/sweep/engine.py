@@ -12,7 +12,7 @@ Resumability is layered, cheapest first:
 
 * **shard partials** — a completed shard's rows live in one JSON file;
   on restart those shards are skipped without touching the scheduler.
-* **result cache** — an incomplete shard resubmits all its points, but
+* **the store** — an incomplete shard resubmits all its points, but
   every point that finished before the kill comes back as a cache hit
   (the scheduler stores outcomes incrementally, per job, not per wave).
 * **the merge is a replay** — the merged table and report are always
@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.runtime import stages
+from repro.runtime.cache import store_scope
 from repro.runtime.graph import submit_graph
 from repro.runtime.metrics import METRICS
 from repro.sweep.manifest import (
@@ -66,7 +67,7 @@ class SweepInterrupted(RuntimeError):
     """Raised when ``stop_after`` aborts a sweep mid-run (crash drill).
 
     Everything consumed before the abort is already persisted — shard
-    partials for completed shards, cache entries for completed points —
+    partials for completed shards, store entries for completed points —
     so a rerun of the same sweep resumes instead of recomputing.
     """
 
@@ -100,7 +101,7 @@ class SweepOutcome:
 
 
 def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
-              shards: int = DEFAULT_SHARDS, cache=None,
+              shards: int = DEFAULT_SHARDS, store=None,
               timeout: float | None = None,
               stop_after: int | None = None,
               metrics=METRICS) -> SweepOutcome:
@@ -112,7 +113,9 @@ def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
     :class:`~repro.sweep.manifest.SweepStateError`.  ``stop_after``
     aborts after that many *computed* (non-cached) points by raising
     :class:`SweepInterrupted`; it exists so tests and CI can kill a
-    sweep mid-run deterministically.
+    sweep mid-run deterministically.  ``store`` is the run's
+    :class:`~repro.runtime.cache.ResultCache` (a temporary one when
+    omitted).
     """
     sweep_dir = Path(sweep_dir)
     sweep_dir.mkdir(parents=True, exist_ok=True)
@@ -156,24 +159,24 @@ def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
 
     counters = {"cached": 0, "executed": 0, "failed": 0}
     stage_counters = stages.StageCounters()
-    with stages.store_scope(cache) as store:
+    with store_scope(store) as scoped:
         try:
             if pending:
                 _run_pending(specs, manifest, pending, sweep_dir,
-                             jobs=jobs, cache=cache, store=store,
-                             timeout=timeout, stop_after=stop_after,
-                             metrics=metrics, counters=counters,
+                             jobs=jobs, store=scoped, timeout=timeout,
+                             stop_after=stop_after, metrics=metrics,
+                             counters=counters,
                              stage_counters=stage_counters)
         finally:
             # Persisted even for an interrupted run, so crash drills and
             # CI can assert on what this run reused vs. recomputed.
             # Counters only — no wall times — so the file is
-            # deterministic.  A temporary store is not described: its
-            # root is random and it is gone when the run ends.
-            tier = getattr(cache, "artifacts", None)
+            # deterministic.  A store this run made itself is not
+            # described: its root is random and it is gone when the run
+            # ends.
             _write_runtime_stats(sweep_dir, space, counters,
                                  stage_counters,
-                                 store if store is tier else None)
+                                 scoped if scoped is store else None)
     if counters["failed"]:
         raise SweepError(
             f"{counters['failed']} of {total} sweep points failed; "
@@ -201,15 +204,15 @@ def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
 
 
 def _write_runtime_stats(sweep_dir: Path, space: SweepSpace, counters,
-                         stage_counters, artifacts) -> None:
+                         stage_counters, store) -> None:
     """Atomically record this run's reuse/recompute counters."""
-    store_stats = artifacts.stats() if artifacts is not None else None
+    store_stats = store.stats() if store is not None else None
     stats = {
         "schema": 1,
         "space_key": space.key,
         "points": dict(counters),
         **stage_counters.to_dict(),
-        "artifact_store": (None if store_stats is None else {
+        "store": (None if store_stats is None else {
             "root": store_stats.root,
             "entries": store_stats.entries,
             "total_bytes": store_stats.total_bytes,
@@ -240,8 +243,8 @@ def _result_row(point_index: int, result) -> list:
 
 
 def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
-                 *, jobs, cache, store, timeout, stop_after, metrics,
-                 counters, stage_counters) -> None:
+                 *, jobs, store, timeout, stop_after, metrics, counters,
+                 stage_counters) -> None:
     """Submit every incomplete shard's points as one graph.
 
     Points are dispatched in global point-index order across shards —
@@ -268,7 +271,7 @@ def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
         for index in range(lo, hi):
             shard_of[specs[index].key] = (shard, index)
             ordered.append(specs[index])
-    graph = stages.analysis_graph(ordered, cache=cache)
+    graph = stages.analysis_graph(ordered, store=store)
 
     rows_by_shard: dict[int, dict[int, list]] = {s: {} for s in pending}
     failed_shards: set[int] = set()
@@ -301,8 +304,8 @@ def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
         if stop_after is not None and counters["executed"] >= stop_after:
             raise SweepInterrupted(counters["executed"], stop_after)
 
-    submit_graph(graph, jobs=jobs, cache=cache, timeout=timeout,
-                 metrics=metrics, on_outcome=consume, store=store)
+    submit_graph(graph, jobs=jobs, store=store, timeout=timeout,
+                 metrics=metrics, on_outcome=consume)
 
 
 def _merge(space: SweepSpace, specs, manifest: SweepManifest,

@@ -41,9 +41,9 @@ class TestCommon:
     def test_second_collect_on_one_store_simulates_nothing(
             self, tmp_path, monkeypatch):
         from repro.runtime import stages
-        from repro.runtime.cache import ArtifactStore
+        from repro.runtime.cache import ResultCache
         config = RunConfig("spec.gzip", n_intervals=5, seed=1, scale=TINY)
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         first = collect(config, store=store)
         assert store.stats().by_kind == {"eipv": 1, "trace": 1}
 

@@ -91,11 +91,11 @@ class TestManifestSpans:
         from repro.runtime.cache import ResultCache
         cache = ResultCache(tmp_path)
         with obs.capture():
-            traced, = run_jobs([self.SPECS[0]], cache=cache)
+            traced, = run_jobs([self.SPECS[0]], store=cache)
         assert traced.result.spans  # the live outcome carries the trace...
         stored = cache.get(traced.key)
         assert "spans" not in stored  # ...but the cache entry never does
-        warm, = run_jobs([self.SPECS[0]], cache=cache)
+        warm, = run_jobs([self.SPECS[0]], store=cache)
         assert warm.cache_hit and warm.result.spans == ()
         assert warm.result.re == traced.result.re
 

@@ -22,7 +22,7 @@ from repro.core.regression_tree import RegressionTreeSequence
 from repro.runtime import folds as folds_mod
 from repro.runtime import pool as pool_mod
 from repro.runtime import scheduler
-from repro.runtime.cache import ArtifactStore, NullCache
+from repro.runtime.cache import ResultCache
 from repro.runtime.folds import (
     FoldResult,
     FoldSpec,
@@ -214,7 +214,7 @@ class TestFailurePaths:
         while its sibling, sharing the same mapped dataset, completes."""
         matrix, y = small_dataset()
         token = dataset_token(matrix, y)
-        folds_mod._put_dataset(ArtifactStore(fold_tmp), token, matrix, y)
+        folds_mod._put_dataset(ResultCache(fold_tmp), token, matrix, y)
         setup = pool_mod.WorkerSetup(key=f"folds:{token}",
                                      fn=folds_mod._attach_dataset,
                                      args=(str(fold_tmp), token))
@@ -223,7 +223,7 @@ class TestFailurePaths:
             good, bad = scheduler.run_jobs(
                 [make_spec(token, y, fold_index=0),
                  make_spec(token, y, fold_index=99)],
-                jobs=2, cache=NullCache(), setup=setup)
+                jobs=2, setup=setup)
         finally:
             folds_mod._DATASETS.pop(token, None)
         assert good.ok and good.worker != f"pid-{os.getpid()}"
@@ -249,7 +249,7 @@ class TestFailurePaths:
 
         # Patched before the pool forks, so only the workers see it (the
         # parent never maps its own dataset).
-        monkeypatch.setattr(ArtifactStore, "load_array", refuse)
+        monkeypatch.setattr(ResultCache, "load_array", refuse)
         monkeypatch.setattr(scheduler, "_run_serial", spy)
         matrix, y = small_dataset()
         config = AnalysisConfig(k_max=6, folds=5, seed=3)
@@ -267,10 +267,10 @@ class TestFailurePaths:
     def test_unwritable_store_runs_in_process(self, fold_tmp, monkeypatch):
         """A store that cannot be written runs the folds here: same
         floats, the fallback counted, no pool spawned."""
-        def full_disk(self, kind, key, meta):
+        def full_disk(self, kind, key, meta, spec=None):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(ArtifactStore, "put", full_disk)
+        monkeypatch.setattr(ResultCache, "publish", full_disk)
         matrix, y = small_dataset()
         config = AnalysisConfig(k_max=5, folds=4, seed=3)
         before = {name: METRICS.count(name)

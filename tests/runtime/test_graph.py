@@ -100,10 +100,10 @@ class TestSubmitGraph:
         graph.add(SPEC_A)
         graph.add(SPEC_B)
         seen = []
-        submit_graph(graph, cache=cache, on_outcome=seen.append)
+        submit_graph(graph, store=cache, on_outcome=seen.append)
         assert sorted(o.key for o in seen) == sorted(graph.keys())
         # Warm rerun streams cache hits through the same hook.
         warm = []
-        submit_graph(graph, cache=cache, on_outcome=warm.append)
+        submit_graph(graph, store=cache, on_outcome=warm.append)
         assert all(o.cache_hit for o in warm)
         assert len(warm) == 2

@@ -1,22 +1,19 @@
-"""Job hashing, result serialization, and cache robustness."""
+"""Job hashing, result serialization, and store robustness."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.predictability import analyze_predictability
 from repro.experiments.common import RunConfig, collect
-from repro.runtime.cache import (
-    SCHEMA_VERSION,
-    CacheStats,
-    NullCache,
-    ResultCache,
-    default_cache_dir,
-)
+from repro.runtime import cache as cache_mod
+from repro.runtime.cache import SCHEMA_VERSION, ResultCache, default_cache_dir
 from repro.runtime.jobs import JobResult, JobSpec, execute_job
+from repro.runtime.metrics import MetricsRegistry
 from repro.workloads.scale import TINY, get_scale
+from tests.runtime.test_artifacts import (ENTRIES, KEY, ResultEntry,
+                                          same_key_race)
 
 TINY_SPEC = JobSpec(workload="spec.gzip", n_intervals=12, seed=7,
                     scale="tiny", k_max=5)
@@ -109,133 +106,143 @@ class TestJobResult:
 
 
 class TestResultCache:
-    def put_one(self, cache, key="k" * 64, payload=None):
-        cache.put(key, payload if payload is not None else {"x": 1},
-                  spec={"workload": "w"})
-        return key
+    """The store's contract, run for a result entry and an array entry
+    alike (see :data:`~tests.runtime.test_artifacts.ENTRIES`)."""
 
     def test_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.put_one(cache, payload={"re": [0.5, 0.25]})
-        assert cache.get(key) == {"re": [0.5, 0.25]}
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            entry.put(store, KEY, value=0.25)
+            assert entry.read(store, KEY) == 0.25
 
     def test_missing_key_is_a_miss(self, tmp_path):
-        assert ResultCache(tmp_path).get("f" * 64) is None
+        for entry in ENTRIES:
+            assert entry.read(ResultCache(tmp_path), "f" * 64) is None
 
     def test_garbage_json_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.put_one(cache)
-        cache.entry_path(key).write_text("{not json at all", encoding="utf-8")
-        assert cache.get(key) is None
-        assert not cache.entry_path(key).exists()
-        assert cache.stats().quarantined == 1
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            entry.put(store, KEY)
+            (store.entry_dir(entry.kind, KEY) / "meta.json").write_text(
+                "{not json at all", encoding="utf-8")
+            assert entry.read(store, KEY) is None
+            assert not store.entry_dir(entry.kind, KEY).exists()
+            assert store.stats().quarantined == 1
 
     def test_truncated_entry_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.put_one(cache)
-        path = cache.entry_path(key)
-        path.write_text(path.read_text(encoding="utf-8")[:20],
-                        encoding="utf-8")
-        assert cache.get(key) is None
-        assert cache.stats().quarantined == 1
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            entry.put(store, KEY)
+            entry.tear(store, KEY)
+            assert entry.read(store, KEY) is None
+            assert store.stats().quarantined == 1
 
     def test_stale_schema_version_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.put_one(cache)
-        path = cache.entry_path(key)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["schema_version"] = SCHEMA_VERSION - 1
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        assert cache.get(key) is None
-        assert cache.stats().quarantined == 1
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            entry.put(store, KEY)
+            path = store.entry_dir(entry.kind, KEY) / "meta.json"
+            header = json.loads(path.read_text(encoding="utf-8"))
+            header["schema_version"] = SCHEMA_VERSION - 1
+            path.write_text(json.dumps(header), encoding="utf-8")
+            assert entry.read(store, KEY) is None
+            assert store.stats().quarantined == 1
 
     def test_key_mismatch_is_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.put_one(cache)
-        other = "a" * 64
-        path = cache.entry_path(key)
-        cache.entry_path(other).parent.mkdir(parents=True, exist_ok=True)
-        path.rename(cache.entry_path(other))
-        assert cache.get(other) is None
-        assert cache.stats().quarantined == 1
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            entry.put(store, KEY)
+            other = "a" * 64
+            store.entry_dir(entry.kind, KEY).rename(
+                store.entry_dir(entry.kind, other))
+            assert entry.read(store, other) is None
+            assert store.stats().quarantined == 1
 
     def test_rewrite_after_quarantine_works(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.put_one(cache)
-        cache.entry_path(key).write_text("garbage", encoding="utf-8")
-        assert cache.get(key) is None
-        self.put_one(cache, key, payload={"fixed": True})
-        assert cache.get(key) == {"fixed": True}
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            entry.put(store, KEY)
+            (store.entry_dir(entry.kind, KEY) / "meta.json").write_text(
+                "garbage", encoding="utf-8")
+            assert entry.read(store, KEY) is None
+            entry.put(store, KEY, value=2.0)
+            assert entry.read(store, KEY) == 2.0
 
     def test_no_tmp_files_left_behind(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = self.put_one(cache)
-        leftovers = [p for p in cache.entry_path(key).parent.iterdir()
-                     if p.suffix == ".tmp"]
-        assert leftovers == []
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path)
+            entry.put(store, KEY)
+            leftovers = [p for p in store.entry_dir(entry.kind, KEY)
+                         .parent.iterdir() if p.suffix == ".tmp"]
+            assert leftovers == []
 
     def test_stats_and_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for i in range(3):
-            self.put_one(cache, key=f"{i:064x}")
-        stats = cache.stats()
-        assert stats.entries == 3
-        assert stats.total_bytes > 0
-        assert cache.clear() == 3
-        assert cache.stats().entries == 0
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            for i in range(3):
+                entry.put(store, f"{i:064x}")
+            stats = store.stats()
+            assert stats.entries == 3
+            assert stats.by_kind == {entry.kind: 3}
+            assert stats.total_bytes > 0
+            assert store.clear() == 3
+            assert store.stats().entries == 0
 
     def test_enumeration_is_sorted_regardless_of_creation_order(
             self, tmp_path):
-        # RL001 regression: glob()/iterdir() yield filesystem order,
+        # RL001 regression: directory listings yield filesystem order,
         # which tracks creation order on most filesystems — create
         # entries shuffled and require sorted enumeration anyway.
-        cache = ResultCache(tmp_path)
+        store = ResultCache(tmp_path)
         keys = [f"{i:064x}" for i in (7, 1, 9, 3)]
         for key in keys:
-            self.put_one(cache, key=key)
-        cache.quarantine_dir.mkdir(parents=True)
-        for name in ["zz.json", "aa.json", "mm.json"]:
-            (cache.quarantine_dir / name).write_text("x", encoding="utf-8")
-        cache.manifest_dir.mkdir(parents=True)
+            for entry in ENTRIES:
+                entry.put(store, key)
+        store.quarantine_dir.mkdir(parents=True)
+        for name in ["zz", "aa", "mm"]:
+            (store.quarantine_dir / name).mkdir()
+        store.manifest_dir.mkdir(parents=True)
         for name in ["run-b.json", "run-a.json"]:
-            (cache.manifest_dir / name).write_text("{}", encoding="utf-8")
-        assert cache.entries() == sorted(cache.entries())
-        assert [p.name for p in cache.entries()] \
-            == sorted(f"{key}.json" for key in keys)
-        assert [p.name for p in cache.quarantined()] \
-            == ["aa.json", "mm.json", "zz.json"]
-        assert [p.name for p in cache.manifests()] \
+            (store.manifest_dir / name).write_text("{}", encoding="utf-8")
+        assert store.entries() == sorted(
+            (entry.kind, key) for entry in ENTRIES for key in keys)
+        assert [p.name for p in store.quarantined()] == ["aa", "mm", "zz"]
+        assert [p.name for p in store.manifests()] \
             == ["run-a.json", "run-b.json"]
 
     def test_clear_evicts_in_sorted_path_order(self, tmp_path,
                                                monkeypatch):
-        cache = ResultCache(tmp_path)
+        store = ResultCache(tmp_path)
         for i in (5, 2, 8):
-            self.put_one(cache, key=f"{i:064x}")
+            for entry in ENTRIES:
+                entry.put(store, f"{i:064x}")
         removed_order = []
-        real_unlink = Path.unlink
+        real_rmtree = cache_mod.shutil.rmtree
 
-        def recording_unlink(self, *args, **kwargs):
-            removed_order.append(str(self))
-            return real_unlink(self, *args, **kwargs)
+        def recording_rmtree(path, *args, **kwargs):
+            removed_order.append(str(path))
+            return real_rmtree(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "unlink", recording_unlink)
-        assert cache.clear() == 3
+        monkeypatch.setattr(cache_mod.shutil, "rmtree", recording_rmtree)
+        assert store.clear() == 6
         assert removed_order == sorted(removed_order)
 
     def test_cache_stats_cli_output_is_deterministic(self, tmp_path,
                                                      capsys):
         from repro.cli import main as cli_main
-        cache = ResultCache(tmp_path)
+        store = ResultCache(tmp_path)
         for i in (4, 0, 6):
-            self.put_one(cache, key=f"{i:064x}")
+            for entry in ENTRIES:
+                entry.put(store, f"{i:064x}")
         outputs = []
         for _ in range(2):
             assert cli_main(["cache", "stats", "--cache-dir",
                              str(tmp_path)]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        assert "entries" in outputs[0]
+        # One table for every kind.
+        assert outputs[0].count("store at") == 1
+        assert "kind eipv" in outputs[0] and "kind result" in outputs[0]
 
     def test_stats_render_mentions_root(self, tmp_path):
         text = ResultCache(tmp_path).stats().render()
@@ -249,92 +256,37 @@ class TestResultCache:
         assert default_cache_dir().name == "repro"
 
 
-def _race_writer(root: str, key: str, payload: dict, barrier,
-                 rounds: int) -> None:
-    """One racing process: rendezvous with its peer, then store ``key``
-    repeatedly so the two writers genuinely overlap."""
-    cache = ResultCache(Path(root))
-    for _ in range(rounds):
-        barrier.wait(timeout=30)
-        cache.put(key, payload, spec={"who": "race"})
-
-
 class TestConcurrentWriters:
     def test_same_key_race_leaves_one_valid_entry(self, tmp_path):
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-            barrier = ctx.Barrier(3)
-        except (OSError, PermissionError, ValueError):
-            pytest.skip("multiprocessing unavailable in this environment")
-        key = "ab" * 32
-        payload = {"answer": 42, "curve": [0.5, 0.25]}
-        rounds = 25
-        workers = [ctx.Process(target=_race_writer,
-                               args=(str(tmp_path), key, payload, barrier,
-                                     rounds))
-                   for _ in range(2)]
-        for worker in workers:
-            worker.start()
-        cache = ResultCache(tmp_path)
-        for _ in range(rounds):
-            barrier.wait(timeout=30)
-            # Readers racing the writers must only ever see a complete
-            # envelope or a miss — never garbage, never a quarantine.
-            got = cache.get(key)
-            assert got is None or got == payload
-        for worker in workers:
-            worker.join(30)
-            assert worker.exitcode == 0
-
-        # Exactly one valid entry for the key...
-        assert cache.get(key) == payload
-        assert [p.name for p in cache.entries()] == [f"{key}.json"]
-        # ...no quarantine debris and no leaked temp files.
-        assert cache.quarantined() == []
-        leftovers = [p for p in tmp_path.rglob("*.tmp")]
-        assert leftovers == []
+        same_key_race(tmp_path, ResultEntry())
 
 
 class TestPrune:
-    def put_one(self, cache: ResultCache, key: str) -> None:
-        cache.put(key, {"k": key})
-
     def test_prune_evicts_to_the_bound_in_sorted_order(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for i in (7, 1, 4, 9):
-            self.put_one(cache, f"{i:064x}")
-        assert cache.prune(max_entries=2) == 2
-        # Sorted-path eviction: the lexically-earliest entries go first.
-        assert [p.name for p in cache.entries()] \
-            == [f"{7:064x}.json", f"{9:064x}.json"]
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            for i in (7, 1, 4, 9):
+                entry.put(store, f"{i:064x}")
+            assert store.prune(max_entries=2) == 2
+            # Sorted eviction: the lexically-earliest entries go first.
+            assert store.entries() == [(entry.kind, f"{7:064x}"),
+                                       (entry.kind, f"{9:064x}")]
 
     def test_prune_within_bound_is_a_no_op(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self.put_one(cache, "aa" * 32)
-        assert cache.prune(max_entries=5) == 0
-        assert len(cache.entries()) == 1
+        for entry in ENTRIES:
+            store = ResultCache(tmp_path / entry.kind)
+            entry.put(store, "aa" * 32)
+            assert store.prune(max_entries=5) == 0
+            assert len(store.entries()) == 1
 
     def test_prune_counts_into_metrics(self, tmp_path):
-        from repro.runtime.metrics import MetricsRegistry
-        metrics = MetricsRegistry()
-        cache = ResultCache(tmp_path, metrics=metrics)
-        for i in range(3):
-            self.put_one(cache, f"{i:064x}")
-        cache.prune(max_entries=1)
-        assert metrics.count("cache.pruned") == 2
-
-
-class TestNullCache:
-    def test_never_hits_never_stores(self):
-        cache = NullCache()
-        assert cache.put("k", {"x": 1}) is None
-        assert cache.get("k") is None
-        assert cache.clear() == 0
-        assert cache.stats() == CacheStats(root="(disabled)", entries=0,
-                                           total_bytes=0, quarantined=0,
-                                           manifests=0)
+        for entry in ENTRIES:
+            metrics = MetricsRegistry()
+            store = ResultCache(tmp_path / entry.kind, metrics=metrics)
+            for i in range(3):
+                entry.put(store, f"{i:064x}")
+            store.prune(max_entries=1)
+            assert metrics.count(f"{entry.counter}.pruned") == 2
 
 
 def test_get_scale_round_trips_spec_scales():

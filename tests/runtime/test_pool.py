@@ -24,7 +24,6 @@ from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import cross_validated_sse
 from repro.runtime import folds as folds_mod
 from repro.runtime import pool as pool_mod
-from repro.runtime.cache import NullCache
 from repro.runtime.jobs import register_job_kind, spec_key
 from repro.runtime.metrics import METRICS, MetricsRegistry
 from repro.runtime.scheduler import run_jobs
@@ -105,9 +104,9 @@ def _counts(*names):
 class TestWarmReuse:
     def test_second_batch_reuses_forked_workers(self):
         before = _counts("pool.spawns", "pool.warm_hits")
-        first = run_jobs(probes(4), jobs=2, cache=NullCache())
+        first = run_jobs(probes(4), jobs=2)
         forked = set(pool_mod.default_pool().worker_pids())
-        second = run_jobs(probes(4, start=10), jobs=2, cache=NullCache())
+        second = run_jobs(probes(4, start=10), jobs=2)
         pids = {o.result.pid for batch in (first, second) for o in batch}
         workers = {p for p in pids if p != os.getpid()}
         assert workers, "jobs never reached a pool worker"
@@ -124,14 +123,14 @@ class TestSelfHealing:
         specs = probes(2) + probes(1, start=50, mode="die") + \
             probes(2, start=60)
         before = _counts("pool.respawns")
-        outcomes = run_jobs(specs, jobs=2, cache=NullCache())
+        outcomes = run_jobs(specs, jobs=2)
         assert all(o.ok for o in outcomes)
         # The kamikaze job was recomputed in the parent...
         by_tag = {o.spec.tag: o for o in outcomes}
         assert by_tag[50].result.pid == os.getpid()
         assert METRICS.count("pool.respawns") - before["pool.respawns"] >= 1
         # ...and the healed pool serves the next batch warm.
-        after = run_jobs(probes(3, start=70), jobs=2, cache=NullCache())
+        after = run_jobs(probes(3, start=70), jobs=2)
         assert all(o.ok for o in after)
 
     def test_recycle_after_max_tasks_replaces_workers(self):
@@ -139,10 +138,8 @@ class TestSelfHealing:
         pool = pool_mod.WorkerPool(max_workers=2, max_tasks_per_child=1,
                                    metrics=metrics)
         try:
-            first = run_jobs(probes(2), jobs=2, cache=NullCache(),
-                             worker_pool=pool)
-            second = run_jobs(probes(2, start=10), jobs=2,
-                              cache=NullCache(), worker_pool=pool)
+            first = run_jobs(probes(2), jobs=2, worker_pool=pool)
+            second = run_jobs(probes(2, start=10), jobs=2, worker_pool=pool)
             first_pids = {o.result.pid for o in first} - {os.getpid()}
             second_pids = {o.result.pid for o in second} - {os.getpid()}
             assert first_pids and second_pids
@@ -158,10 +155,10 @@ class TestSelfHealing:
         # job) must drop the executor; a warm-cached corpse would make
         # every later batch silently degrade to in-process.
         specs = probes(1) + probes(1, start=50, mode="die")
-        outcomes = run_jobs(specs, jobs=2, cache=NullCache())
+        outcomes = run_jobs(specs, jobs=2)
         assert all(o.ok for o in outcomes)
         assert not pool_mod.default_pool().is_warm
-        after = run_jobs(probes(3, start=70), jobs=2, cache=NullCache())
+        after = run_jobs(probes(3, start=70), jobs=2)
         assert all(o.ok for o in after)
         worker_pids = {o.result.pid for o in after} - {os.getpid()}
         assert worker_pids, "next batch never reached a pool worker"
@@ -201,7 +198,7 @@ class TestSelfHealing:
         canceller.start()
         try:
             outcomes = run_jobs(probes(1, mode="sleep") + probes(1, start=10),
-                                jobs=2, cache=NullCache(), worker_pool=pool)
+                                jobs=2, worker_pool=pool)
         finally:
             canceller.cancel()
             pool.shutdown()
@@ -217,7 +214,7 @@ class TestSelfHealing:
         pool = pool_mod.WorkerPool(max_workers=2, idle_ttl_s=0.05,
                                    metrics=metrics)
         try:
-            run_jobs(probes(2), jobs=2, cache=NullCache(), worker_pool=pool)
+            run_jobs(probes(2), jobs=2, worker_pool=pool)
             deadline = time.monotonic() + 5.0
             while pool.is_warm and time.monotonic() < deadline:
                 time.sleep(0.02)
@@ -233,7 +230,7 @@ class TestSelfHealing:
         # used to return while those workers were still alive.
         pool = pool_mod.WorkerPool(max_workers=2, idle_ttl_s=0.05,
                                    metrics=MetricsRegistry())
-        run_jobs(probes(2), jobs=2, cache=NullCache(), worker_pool=pool)
+        run_jobs(probes(2), jobs=2, worker_pool=pool)
         executor = pool._executor
         join = executor.shutdown
 
@@ -252,7 +249,7 @@ class TestSelfHealing:
 
 class TestShutdown:
     def test_shutdown_default_leaves_no_workers_or_segments(self):
-        run_jobs(probes(3), jobs=2, cache=NullCache())
+        run_jobs(probes(3), jobs=2)
         pool = pool_mod.default_pool()
         pids = pool.worker_pids()
         assert pids
@@ -266,7 +263,7 @@ class TestShutdown:
 
 class TestForkedChild:
     def test_forked_child_inherits_no_pool(self):
-        run_jobs(probes(2), jobs=2, cache=NullCache())
+        run_jobs(probes(2), jobs=2)
         assert pool_mod.default_pool().is_warm
         read_fd, write_fd = os.pipe()
         pid = os.fork()
@@ -304,12 +301,10 @@ class TestDispatchRule:
 
     def test_each_choice_counted_once(self, monkeypatch):
         metrics = MetricsRegistry()
-        run_jobs(probes(2), jobs=2, cache=NullCache(), metrics=metrics)
-        run_jobs(probes(2, start=10), jobs=1, cache=NullCache(),
-                 metrics=metrics)
+        run_jobs(probes(2), jobs=2, metrics=metrics)
+        run_jobs(probes(2, start=10), jobs=1, metrics=metrics)
         monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 1)
-        serial = run_jobs(probes(2, start=20), jobs=2, cache=NullCache(),
-                          metrics=metrics)
+        serial = run_jobs(probes(2, start=20), jobs=2, metrics=metrics)
         assert {o.result.pid for o in serial} == {os.getpid()}
         assert metrics.count("dispatch.parallel_chosen") == 1
         assert metrics.count("dispatch.serial_chosen") == 1

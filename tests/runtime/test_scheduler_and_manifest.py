@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import shutil
 import threading
 from concurrent.futures import Future
 
@@ -10,7 +11,7 @@ import pytest
 from repro.experiments import table2_quadrants
 from repro.runtime import pool as pool_mod
 from repro.runtime import scheduler
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import RESULT, ResultCache
 from repro.runtime.jobs import JobSpec
 from repro.runtime.manifest import RunManifest
 from repro.runtime.metrics import MetricsRegistry
@@ -48,8 +49,8 @@ class TestDeterminism:
         serial = table2_quadrants.render(table2_quadrants.run(**kwargs))
         cache = ResultCache(tmp_path)
         parallel = table2_quadrants.render(
-            table2_quadrants.run(jobs=2, cache=cache, **kwargs))
-        warm_run = table2_quadrants.run(jobs=2, cache=cache, **kwargs)
+            table2_quadrants.run(jobs=2, store=cache, **kwargs))
+        warm_run = table2_quadrants.run(jobs=2, store=cache, **kwargs)
         warm = table2_quadrants.render(warm_run)
         assert serial == parallel == warm
         assert warm_run.manifest.hit_rate == 1.0
@@ -64,8 +65,8 @@ def _without_timings(outcome):
 class TestCacheIntegration:
     def test_second_run_is_all_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = run_jobs(SPECS, cache=cache)
-        warm = run_jobs(SPECS, cache=cache)
+        cold = run_jobs(SPECS, store=cache)
+        warm = run_jobs(SPECS, store=cache)
         assert not any(o.cache_hit for o in cold)
         assert all(o.cache_hit for o in warm)
         for c, w in zip(cold, warm):
@@ -73,22 +74,40 @@ class TestCacheIntegration:
 
     def test_corrupted_entry_recomputed_transparently(self, tmp_path):
         cache = ResultCache(tmp_path)
-        primed, = run_jobs([SPECS[0]], cache=cache)
-        cache.entry_path(primed.key).write_text("garbage", encoding="utf-8")
-        recomputed, = run_jobs([SPECS[0]], cache=cache)
+        primed, = run_jobs([SPECS[0]], store=cache)
+        (cache.entry_dir(RESULT, primed.key) / "meta.json").write_text(
+            "garbage", encoding="utf-8")
+        recomputed, = run_jobs([SPECS[0]], store=cache)
         assert recomputed.ok and not recomputed.cache_hit
         assert recomputed.result.re == primed.result.re
         assert cache.stats().quarantined == 1
-        rehit, = run_jobs([SPECS[0]], cache=cache)
+        rehit, = run_jobs([SPECS[0]], store=cache)
         assert rehit.cache_hit
 
     def test_wrong_shape_payload_recomputed(self, tmp_path):
+        # A valid entry whose payload the scheduler rejects is
+        # quarantined, so the recompute can publish (a publish never
+        # replaces an entry) and the next run hits.
         cache = ResultCache(tmp_path)
-        primed, = run_jobs([SPECS[0]], cache=cache)
+        primed, = run_jobs([SPECS[0]], store=cache)
+        shutil.rmtree(cache.entry_dir(RESULT, primed.key))
         cache.put(primed.key, {"nonsense": True})
-        recomputed, = run_jobs([SPECS[0]], cache=cache)
+        recomputed, = run_jobs([SPECS[0]], store=cache)
         assert recomputed.ok and not recomputed.cache_hit
         assert recomputed.result.re == primed.result.re
+        assert cache.stats().quarantined == 1
+        rehit, = run_jobs([SPECS[0]], store=cache)
+        assert rehit.cache_hit and rehit.result.re == primed.result.re
+
+    def test_without_a_store_nothing_is_looked_up_or_stored(self):
+        # Fold jobs run this way: store=None never hits and never stores.
+        metrics = MetricsRegistry()
+        for _ in range(2):
+            outcome, = run_jobs([SPECS[0]], store=None, metrics=metrics)
+            assert outcome.ok and not outcome.cache_hit
+        counters = metrics.snapshot()["counters"]
+        assert counters["jobs.executed"] == 2
+        assert not any(name.startswith("cache.") for name in counters)
 
 
 class TestFailureHandling:
@@ -240,8 +259,8 @@ class _OrphanedPool:
 class TestManifest:
     def test_aggregates_and_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_jobs(SPECS, cache=cache)
-        outcomes = run_jobs(SPECS, cache=cache)
+        run_jobs(SPECS, store=cache)
+        outcomes = run_jobs(SPECS, store=cache)
         manifest = RunManifest.from_outcomes(outcomes, command="census",
                                              jobs=2, cache_root=tmp_path)
         assert manifest.n_jobs == 2
@@ -282,8 +301,8 @@ class TestMetrics:
     def test_scheduler_populates_metrics(self, tmp_path):
         metrics = MetricsRegistry()
         cache = ResultCache(tmp_path, metrics=metrics)
-        run_jobs([SPECS[0]], cache=cache, metrics=metrics)
-        run_jobs([SPECS[0]], cache=cache, metrics=metrics)
+        run_jobs([SPECS[0]], store=cache, metrics=metrics)
+        run_jobs([SPECS[0]], store=cache, metrics=metrics)
         assert metrics.count("jobs.executed") == 1
         assert metrics.count("cache.hit") == 1
         assert metrics.count("cache.store") == 1

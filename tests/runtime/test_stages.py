@@ -2,20 +2,22 @@
 
 The invariant this file defends: splitting one analysis into
 collect → eipv → analysis stage nodes — with intermediates persisted in
-an artifact store and reloaded zero-copy — changes *nothing* about the
+the run's store and reloaded zero-copy — changes *nothing* about the
 results.  Cold, warm, artifact-warm and killed+resumed runs, on a disk
-cache's store or a temporary one, all produce the same bytes; only the
-work done differs.
+store or a temporary one, all produce the same bytes; only the work done
+differs.
 """
 
 import json
+import shutil
 import tempfile
 
 import pytest
 
 from repro.runtime import pool as pool_mod
 from repro.runtime import stages
-from repro.runtime.cache import NullCache, ResultCache
+from repro.runtime.cache import (RESULT, STAGES_DIR_PREFIX, ResultCache,
+                                 store_scope)
 from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobSpec
 from repro.runtime.metrics import MetricsRegistry
@@ -28,6 +30,13 @@ def tiny_spec(interval: int = 2_000_000, n_intervals: int = 12,
     return JobSpec(workload=workload, n_intervals=n_intervals, seed=seed,
                    scale="tiny", k_max=5, folds=4,
                    interval_instructions=interval)
+
+
+def drop_results(store) -> None:
+    """Delete every result entry, keeping the array entries."""
+    for kind, key in store.entries():
+        if kind == RESULT:
+            shutil.rmtree(store.entry_dir(kind, key))
 
 
 def strip(result) -> dict:
@@ -77,7 +86,7 @@ class TestGraphShapes:
         cache = ResultCache(tmp_path)
         specs = [tiny_spec(interval=2_000_000, n_intervals=30),
                  tiny_spec(interval=5_000_000, n_intervals=12)]
-        graph = stages.analysis_graph(specs, cache=cache)
+        graph = stages.analysis_graph(specs, store=cache)
         # 1 shared collect + 2 eipv + 2 analysis = 5 nodes, 3 waves.
         assert len(graph) == 5
         assert [len(wave) for wave in graph.waves()] == [1, 2, 2]
@@ -86,7 +95,7 @@ class TestGraphShapes:
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
         cache.put(spec.key, {"anything": True})
-        graph = stages.analysis_graph([spec], cache=cache)
+        graph = stages.analysis_graph([spec], store=cache)
         assert len(graph) == 1
         assert graph.node(spec.key).deps == ()
 
@@ -101,21 +110,20 @@ def scratch_tmp(tmp_path, monkeypatch):
 
 
 def stage_dirs(root) -> list:
-    return sorted(root.glob(f"{stages.STAGES_DIR_PREFIX}*"))
+    return sorted(root.glob(f"{STAGES_DIR_PREFIX}*"))
 
 
 class TestArtifactPlumbing:
     def test_store_for_nullcache_and_disk_cache(self, tmp_path,
                                                 scratch_tmp):
         cache = ResultCache(tmp_path / "cache")
-        with stages.store_scope(cache) as store:
-            assert store is cache.artifacts
-            assert store.root.is_dir()
-        assert store.root.is_dir()  # the disk tier outlives the scope
-        for disk_less in (NullCache(), None):
-            with stages.store_scope(disk_less) as store:
-                assert stage_dirs(scratch_tmp) == [store.root]
-            assert stage_dirs(scratch_tmp) == []
+        with store_scope(cache) as store:
+            assert store is cache
+            assert store.store_dir.is_dir()
+        assert store.store_dir.is_dir()  # the disk store outlives the scope
+        with store_scope(None) as store:
+            assert stage_dirs(scratch_tmp) == [store.root]
+        assert stage_dirs(scratch_tmp) == []
 
     def test_unusable_root_degrades_to_temporary_store(self, tmp_path,
                                                        scratch_tmp):
@@ -123,20 +131,19 @@ class TestArtifactPlumbing:
         # the stages get a temporary store instead, removed on exit.
         target = tmp_path / "not-a-dir"
         target.write_text("plain file")
-        with stages.store_scope(ResultCache(target)) as store:
+        with store_scope(ResultCache(target)) as store:
             assert stage_dirs(scratch_tmp) == [store.root]
         assert stage_dirs(scratch_tmp) == []
         assert target.read_text() == "plain file"
 
     def test_publish_failure_never_fails_the_stage(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        store = cache.artifacts
+        store = ResultCache(tmp_path)
         spec = stages.collect_spec_for(tiny_spec())
-        # Occupy the store's root with a regular file mid-run: the
+        # Occupy the store's directory with a regular file mid-run: the
         # publish raises OSError internally, but the simulate still
         # succeeds and the stage reports a computed (unpersisted)
         # result.
-        store.root.write_text("squatter")
+        store.store_dir.write_text("squatter")
         result = stages.execute_collect(spec, store=store)
         assert result.source == "computed"
         assert result.n_samples > 0
@@ -145,16 +152,16 @@ class TestArtifactPlumbing:
 
 class TestStagedByteIdentity:
     def run_staged(self, cache, spec):
-        graph = stages.analysis_graph([spec], cache=cache)
-        with stages.store_scope(cache) as store:
-            outcomes = submit_graph(graph, jobs=1, cache=cache, store=store)
+        with store_scope(cache) as store:
+            graph = stages.analysis_graph([spec], store=store)
+            outcomes = submit_graph(graph, jobs=1, store=store)
         assert all(outcome.ok for outcome in outcomes)
         return outcomes
 
     def test_temporary_and_disk_stores_agree_cold_and_warm(
             self, tmp_path):
         spec = tiny_spec()
-        temporary = self.run_staged(NullCache(), spec)
+        temporary = self.run_staged(None, spec)
         assert len(temporary) == 3
         reference = strip(temporary[-1].result)
 
@@ -164,12 +171,12 @@ class TestStagedByteIdentity:
         # Both stages computed and published their artifacts.
         assert [o.result.source for o in cold[:2]] \
             == ["computed", "computed"]
-        assert cache.artifacts.stats().by_kind == {"eipv": 1, "trace": 1}
+        assert cache.stats().by_kind == {"eipv": 1, "result": 3,
+                                         "trace": 1}
 
-        # Drop the result objects but keep the artifacts: the rerun
+        # Drop the result entries but keep the artifacts: the rerun
         # reloads zero-copy instead of re-simulating, same bytes out.
-        for path in cache.entries():
-            path.unlink()
+        drop_results(cache)
         warm = self.run_staged(cache, spec)
         assert [o.result.source for o in warm[:2]] \
             == ["artifact", "artifact"]
@@ -189,25 +196,23 @@ class TestStagedByteIdentity:
         reference = strip(self.run_staged(cache, spec)[-1].result)
 
         # Tear the trace artifact, drop everything downstream of it.
-        store = cache.artifacts
         collect_key = stages.collect_spec_for(spec).key
-        column = store.entry_dir("trace", collect_key) / "eips.npy"
+        column = cache.entry_dir("trace", collect_key) / "eips.npy"
         column.write_bytes(column.read_bytes()[:16])
-        store.entry_dir("eipv", stages.eipv_spec_for(spec).key)
-        store.prune(max_entries=0)  # also exercise empty-store rebuild
-        for path in cache.entries():
-            path.unlink()
+        shutil.rmtree(cache.entry_dir("eipv", stages.eipv_spec_for(spec).key))
+        drop_results(cache)
 
         healed = self.run_staged(cache, spec)
         assert strip(healed[-1].result) == reference
-        # The store holds fresh, valid artifacts again.
-        assert cache.artifacts.stats().by_kind == {"eipv": 1, "trace": 1}
+        # The store holds fresh, valid entries again.
+        assert cache.stats().by_kind == {"eipv": 1, "result": 3,
+                                         "trace": 1}
 
     def test_eipv_self_heal_recomputes_quarantined_trace(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
         reference = strip(self.run_staged(cache, spec)[-1].result)
-        store = cache.artifacts
+        store = cache
         collect_key = stages.collect_spec_for(spec).key
         eipv_key = stages.eipv_spec_for(spec).key
 
@@ -216,7 +221,6 @@ class TestStagedByteIdentity:
         # in-stage, and republish both artifacts.
         column = store.entry_dir("trace", collect_key) / "eips.npy"
         column.write_bytes(b"\x93NUMPY garbage")
-        import shutil
         shutil.rmtree(store.entry_dir("eipv", eipv_key))
         result = stages.execute_eipv(stages.eipv_spec_for(spec), store=store)
         assert result.source == "computed"
@@ -225,8 +229,7 @@ class TestStagedByteIdentity:
         assert store.has("eipv", eipv_key)
 
         # And the healed dataset still feeds a byte-identical analysis.
-        for path in cache.entries():
-            path.unlink()
+        drop_results(cache)
         assert strip(self.run_staged(cache, spec)[-1].result) == reference
 
 
@@ -239,12 +242,11 @@ class TestStagedSweep:
     def test_cacheless_sweep_matches_cached_and_shares_collects(
             self, tmp_path):
         # Without a cache the sweep stages through a temporary store;
-        # with one, through the cache's artifact tier.  Same bytes, same
-        # sharing.
+        # with one, through the disk store.  Same bytes, same sharing.
         cacheless = run_sweep(SPACE, tmp_path / "bare", shards=2)
         cache = ResultCache(tmp_path / "cache")
         staged = run_sweep(SPACE, tmp_path / "staged", shards=2,
-                           cache=cache)
+                           store=cache)
         assert staged.report == cacheless.report
 
         # 4 points over 2 (workload, machine, seed) cells: each cell
@@ -253,20 +255,20 @@ class TestStagedSweep:
             assert outcome.stage_stats["stages"] == {
                 "collect_computed": 2, "collect_artifact_hits": 0,
                 "eipv_computed": 4, "eipv_artifact_hits": 0}
-        assert cache.artifacts.stats().by_kind == {"eipv": 4, "trace": 2}
+        assert cache.stats().by_kind == {"eipv": 4, "result": 10,
+                                         "trace": 2}
         # A temporary store's random root stays out of the stats file.
         stats = json.loads(
             (tmp_path / "bare" / RUNTIME_STATS_NAME).read_text())
-        assert stats["artifact_store"] is None
+        assert stats["store"] is None
 
     def test_warm_sweep_recomputes_zero_collect_stages(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_sweep(SPACE, tmp_path / "cold", shards=2, cache=cache)
-        # Drop the JSON result tier, keep the artifacts: a fresh sweep
+        run_sweep(SPACE, tmp_path / "cold", shards=2, store=cache)
+        # Drop the result entries, keep the artifacts: a fresh sweep
         # directory must rebuild every point without one re-simulation.
-        for path in cache.entries():
-            path.unlink()
-        warm = run_sweep(SPACE, tmp_path / "warm", shards=2, cache=cache)
+        drop_results(cache)
+        warm = run_sweep(SPACE, tmp_path / "warm", shards=2, store=cache)
         assert warm.stage_stats["stages"]["collect_computed"] == 0
         assert warm.stage_stats["stages"]["collect_artifact_hits"] == 2
         assert warm.stage_stats["stages"]["eipv_artifact_hits"] == 4
@@ -275,13 +277,14 @@ class TestStagedSweep:
         stats = json.loads(
             (tmp_path / "warm" / RUNTIME_STATS_NAME).read_text())
         assert stats["stages"]["collect_computed"] == 0
-        assert stats["artifact_store"]["entries"] == 6
+        assert stats["store"]["by_kind"] == {"eipv": 4, "result": 10,
+                                             "trace": 2}
 
     def test_fully_warm_rerun_serves_stage_nodes_from_result_cache(
             self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_sweep(SPACE, tmp_path / "one", shards=2, cache=cache)
-        again = run_sweep(SPACE, tmp_path / "two", shards=2, cache=cache)
+        run_sweep(SPACE, tmp_path / "one", shards=2, store=cache)
+        again = run_sweep(SPACE, tmp_path / "two", shards=2, store=cache)
         # Final results are cached, so their stage nodes are never even
         # added to the graph: a warm sweep is pure cache hits.
         assert again.n_cached == 4 and again.n_executed == 0
@@ -291,13 +294,13 @@ class TestStagedSweep:
         cache = ResultCache(tmp_path / "cache")
         sweep_dir = tmp_path / "sweep"
         with pytest.raises(SweepInterrupted):
-            run_sweep(SPACE, sweep_dir, shards=4, cache=cache,
+            run_sweep(SPACE, sweep_dir, shards=4, store=cache,
                       stop_after=2)
         # The crash drill still recorded its runtime stats...
         assert (sweep_dir / RUNTIME_STATS_NAME).is_file()
 
         metrics = MetricsRegistry()
-        resumed = run_sweep(SPACE, sweep_dir, shards=4, cache=cache,
+        resumed = run_sweep(SPACE, sweep_dir, shards=4, store=cache,
                             metrics=metrics)
         reference = run_sweep(SPACE, tmp_path / "ref", shards=1)
         assert resumed.report == reference.report
@@ -310,13 +313,13 @@ class TestStagedSweep:
 
     def test_runtime_stats_are_deterministic_counters_only(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_sweep(SPACE, tmp_path / "sweep", shards=2, cache=cache)
+        run_sweep(SPACE, tmp_path / "sweep", shards=2, store=cache)
         raw = (tmp_path / "sweep" / RUNTIME_STATS_NAME).read_text()
         stats = json.loads(raw)
         # Purity check over everything but the store root (a path the
         # test host picked, free to contain any substring).
         stats_sans_root = json.loads(raw)
-        stats_sans_root["artifact_store"].pop("root")
+        stats_sans_root["store"].pop("root")
         lowered = json.dumps(stats_sans_root).lower()
         for token in ("wall", "elapsed", "seconds", "time"):
             assert token not in lowered
@@ -343,16 +346,16 @@ class TestWarmWorkersAndStores:
                               .interval_instructions,
                               seeds=(8,), n_intervals=SPACE.n_intervals)
         try:
-            run_sweep(SPACE, tmp_path / "one", jobs=2, shards=1, cache=x)
-            run_sweep(SPACE, tmp_path / "two", jobs=2, shards=1, cache=y)
+            run_sweep(SPACE, tmp_path / "one", jobs=2, shards=1, store=x)
+            run_sweep(SPACE, tmp_path / "two", jobs=2, shards=1, store=y)
             run_sweep(reseeded, tmp_path / "three", jobs=2, shards=1,
-                      cache=x)
+                      store=x)
         finally:
             worker_pool.shutdown()
         assert metrics.count("pool.spawns") == 1
         assert metrics.count("pool.warm_hits") > 0
-        assert x.artifacts.stats().by_kind == {"eipv": 8, "trace": 4}
-        assert y.artifacts.stats().by_kind == {"eipv": 4, "trace": 2}
+        assert x.stats().by_kind == {"eipv": 8, "result": 20, "trace": 4}
+        assert y.stats().by_kind == {"eipv": 4, "result": 10, "trace": 2}
 
 
 class TestTemporaryStores:

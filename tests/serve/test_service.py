@@ -2,12 +2,13 @@
 
 import json
 import random
+import shutil
 import sys
 import tempfile
 import threading
 import time
 
-from repro.runtime import stages
+from repro.runtime.cache import RESULT, STAGES_DIR_PREFIX, ResultCache
 from repro.runtime.jobs import JobSpec
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.scheduler import JobOutcome
@@ -180,7 +181,7 @@ class TestDerivedAnalyses:
         service.handle("/analyze", dict(TINY, k_max=9))
         longest = JobSpec(workload="spec.gzip", n_intervals=12, seed=7,
                           scale="tiny", k_max=9)
-        service.cache.entry_path(longest.key).unlink()
+        shutil.rmtree(service.store.entry_dir(RESULT, longest.key))
         executed = service.metrics.count("jobs.executed")
         status, body = service.handle("/analyze", dict(TINY, k_max=4))
         assert status == 200 and body["report"]
@@ -188,12 +189,22 @@ class TestDerivedAnalyses:
         assert service.metrics.count("serve.curve_derived") == 0
         assert service._curves[longest.curve_key][0] == 4
 
-    def test_no_cache_keeps_no_index(self, tmp_path):
+    def test_no_cache_derives_from_its_temporary_store(self, tmp_path):
+        # A --no-cache daemon still holds a store (a temporary one), so
+        # it indexes curves and derives smaller-k refits like any other.
         service = _make(tmp_path, no_cache=True)
-        service.handle("/analyze", dict(TINY, k_max=9))
-        service.handle("/analyze", dict(TINY, k_max=4))
-        assert service._curves == {}
-        assert service.metrics.count("serve.curve_derived") == 0
+        try:
+            service.handle("/analyze", dict(TINY, k_max=9))
+            executed = service.metrics.count("jobs.executed")
+            _, body = service.handle("/analyze", dict(TINY, k_max=4))
+            assert body["served"] == {"cache_hit": False,
+                                      "coalesced": False}
+            assert service.metrics.count("serve.curve_derived") == 1
+            assert service.metrics.count("jobs.executed") == executed
+            _, again = service.handle("/analyze", dict(TINY, k_max=4))
+            assert again["served"]["cache_hit"] is True
+        finally:
+            service.close()
 
     def test_index_is_lru_bounded_by_cache_max_entries(self, tmp_path):
         service = _make(tmp_path, cache_max_entries=2)
@@ -327,26 +338,27 @@ class TestHousekeeping:
         service = _make(tmp_path, cache_max_entries=1)
         service.handle("/analyze", dict(TINY))
         service.handle("/analyze", dict(TINY, seed=8))
-        assert len(service.cache.entries()) <= 1
+        assert len(service.store.entries()) <= 1
         assert service.metrics.count("cache.pruned") >= 1
 
     def test_temporary_store_growth_is_bounded(self, tmp_path,
                                                monkeypatch):
-        # Without a disk cache the daemon stages through a temporary
-        # store for its lifetime: bounded by cache_max_entries like a
-        # disk cache's artifact tier, and removed by close().
+        # Without a disk cache the daemon holds a temporary store for
+        # its lifetime: bounded by cache_max_entries like a disk store,
+        # and removed by close().
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         service = _make(tmp_path, cache_max_entries=1, no_cache=True)
         root = service.store.root
-        assert root.name.startswith(stages.STAGES_DIR_PREFIX)
+        assert root.name.startswith(STAGES_DIR_PREFIX)
         service.handle("/analyze", dict(TINY))
         service.handle("/analyze", dict(TINY, seed=8))
-        stats = service.stats()["artifacts"]
-        assert stats["enabled"] is True
-        assert stats["entries"] <= 1
-        assert stats["pruned"] >= 1
+        stats = service.stats()
+        assert stats["cache"]["entries"] <= 1
+        assert stats["cache"]["pruned"] >= 1
+        assert stats["artifacts"]["pruned"] >= 1
         service.close()
         assert not root.exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_stats_exposes_the_contract(self, tmp_path):
         service = _make(tmp_path)
@@ -355,18 +367,67 @@ class TestHousekeeping:
         stats = service.stats()
         assert stats["requests"]["analyze"] == 2
         assert stats["cache"]["warm_responses"] == 1
-        # Three object entries: collect + eipv stage results + analysis.
-        assert stats["cache"]["entries"] == 3
+        # Three result entries (the collect and eipv stage summaries and
+        # the analysis) and the two array entries they describe.
+        assert stats["cache"]["entries"] == 5
+        assert stats["cache"]["by_kind"] == {"eipv": 1, RESULT: 3,
+                                             "trace": 1}
         assert stats["coalesce"]["leaders"] == 1
         assert stats["jobs"]["executed"] == 3
         assert stats["admission"]["running"] == 0
-        assert stats["artifacts"]["enabled"] is True
-        assert stats["artifacts"]["by_kind"] == {"eipv": 1, "trace": 1}
         assert stats["artifacts"]["stores"] == 2
         assert stats["artifacts"]["stages"] == {
             "collect_computed": 1, "collect_artifact_hits": 0,
             "eipv_computed": 1, "eipv_artifact_hits": 0}
         assert service.healthz()["status"] == "ok"
+
+
+class TestStatsUnderPrune:
+    """An entry removed between the store walk's listing and its sizing
+    (a prune on another request thread) is left out of the numbers: it
+    never fails ``/v1/stats``, nor a sweep, whose ``runtime_stats.json``
+    sizes the store even when every shard resumes."""
+
+    SWEEP = {"workloads": ["spec.gzip"], "machines": ["itanium2"],
+             "seeds": [7], "interval_sizes": [10_000_000], "intervals": 8,
+             "k_max": 3, "folds": 2}
+
+    @staticmethod
+    def prune_mid_walk(monkeypatch) -> None:
+        real = ResultCache.entries
+
+        def listed_then_pruned(store):
+            listed = real(store)
+            if listed:
+                shutil.rmtree(store.entry_dir(*listed[0]))
+            return listed
+
+        monkeypatch.setattr(ResultCache, "entries", listed_then_pruned)
+
+    def test_stats_skips_an_entry_pruned_mid_walk(self, tmp_path,
+                                                  monkeypatch):
+        service = _make(tmp_path)
+        try:
+            service.handle("/analyze", dict(TINY))
+            self.prune_mid_walk(monkeypatch)
+            stats = service.stats()
+            assert stats["cache"]["entries"] == 4
+            assert sum(stats["cache"]["by_kind"].values()) == 4
+        finally:
+            service.close()
+
+    def test_resumed_sweep_survives_an_entry_pruned_mid_walk(
+            self, tmp_path, monkeypatch):
+        service = _make(tmp_path)
+        try:
+            status, first = service.handle("/v1/sweep", dict(self.SWEEP))
+            assert status == 200
+            self.prune_mid_walk(monkeypatch)
+            status, resumed = service.handle("/v1/sweep", dict(self.SWEEP))
+            assert status == 200, resumed
+            assert resumed["report"] == first["report"]
+        finally:
+            service.close()
 
 
 class TestNoCacheIdentity:

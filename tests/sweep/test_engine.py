@@ -51,10 +51,10 @@ class TestResume:
         # Kill after 5 computed points: shard 0 (3 points) completes and
         # persists its partial; shard 1 dies 2 points in.
         with pytest.raises(SweepInterrupted, match="rerun to resume"):
-            run_sweep(SPACE, sweep_dir, shards=4, cache=cache, stop_after=5)
+            run_sweep(SPACE, sweep_dir, shards=4, store=cache, stop_after=5)
 
         metrics = MetricsRegistry()
-        resumed = run_sweep(SPACE, sweep_dir, shards=4, cache=cache,
+        resumed = run_sweep(SPACE, sweep_dir, shards=4, store=cache,
                             metrics=metrics)
         counters = metrics.snapshot()["counters"]
         # Completed shards never touch the scheduler again...
@@ -83,8 +83,8 @@ class TestResume:
         cache = ResultCache(tmp_path / "cache")
         sweep_dir = tmp_path / "sweep"
         with pytest.raises(SweepInterrupted):
-            run_sweep(SPACE, sweep_dir, shards=4, cache=cache, stop_after=3)
-        resumed = run_sweep(SPACE, sweep_dir, shards=2, cache=cache)
+            run_sweep(SPACE, sweep_dir, shards=4, store=cache, stop_after=3)
+        resumed = run_sweep(SPACE, sweep_dir, shards=2, store=cache)
         assert resumed.n_shards == 4  # layout pinned by the manifest
         assert any("4 shards" in note for note in resumed.notes)
 
@@ -106,12 +106,12 @@ class TestFailures:
         cache = ResultCache(tmp_path / "cache")
         sweep_dir = tmp_path / "sweep"
         with pytest.raises(SweepError, match="rerun\n?.*to resume"):
-            run_sweep(bad_space, sweep_dir, shards=2, cache=cache)
+            run_sweep(bad_space, sweep_dir, shards=2, store=cache)
         # The healthy shard's partial survived; no merged report exists.
         assert not (sweep_dir / "report.txt").exists()
         metrics = MetricsRegistry()
         with pytest.raises(SweepError):
-            run_sweep(bad_space, sweep_dir, shards=2, cache=cache,
+            run_sweep(bad_space, sweep_dir, shards=2, store=cache,
                       metrics=metrics)
         counters = metrics.snapshot()["counters"]
         assert counters.get("sweep.shard_resumed", 0) >= 1

@@ -194,18 +194,21 @@ class TestRuntimeCommands:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "entries" in out and str(tmp_path) in out
+        # One table for the one store: three result entries (collect +
+        # eipv stage summaries + the analysis), the trace and the EIPV
+        # dataset.
+        assert out.count("store at") == 1
+        assert "kind result" in out and "kind trace" in out
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        # Three object entries (collect + eipv stage results + the
-        # analysis) and two artifacts (the trace and the EIPV dataset).
-        assert "removed 3 cached result(s) and 2 stage artifact(s)" in out
+        assert out == f"removed 5 entries from {tmp_path}\n"
 
     def test_no_cache_creates_no_directories(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
         assert main(["analyze", "spec.gzip", "--intervals", "12",
                      "--k-max", "5", "--scale", "tiny", "--no-cache",
                      "--cache-dir", str(cache_dir)]) == 0
-        capsys.readouterr()
+        assert "manifest:" not in capsys.readouterr().err
         assert not cache_dir.exists()
 
 

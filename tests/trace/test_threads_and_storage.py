@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.cache import ArtifactStore
+from repro.runtime.cache import ResultCache
 from repro.runtime.stages import load_eipv_dataset, put_eipv
 from repro.trace.eipv import build_eipvs
 from repro.trace.events import COUNTER_FIELDS
@@ -85,7 +85,7 @@ class TestStorage:
     def test_eipv_roundtrip(self, tmp_path):
         dataset = build_eipvs(_registry_trace(), 2_000_000)
         dataset.workload_name = "spec.art"
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         put_eipv(store, "k" * 64, dataset)
         loaded = load_eipv_dataset(store, "k" * 64)
         for name in ("matrix", "cpis", "eip_index", "thread_ids"):

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.runtime.cache import ArtifactStore
+from repro.runtime.cache import ResultCache
 from repro.runtime.stages import load_eipv_dataset, put_eipv
 from repro.sparse import CSRMatrix
 from repro.trace.eipv import EIPVDataset, build_eipvs
@@ -148,7 +148,7 @@ class TestEipvPersistenceFormats:
     def test_sparse_round_trips_as_csr(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
         dataset = build_eipvs(trace, trace.sample_period * 5, sparse=True)
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         put_eipv(store, "s" * 64, dataset)
         again = load_eipv_dataset(store, "s" * 64)
         assert again.is_sparse
@@ -163,7 +163,7 @@ class TestEipvPersistenceFormats:
     def test_sparse_file_contains_no_pickled_objects(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
         dataset = build_eipvs(trace, trace.sample_period * 5, sparse=True)
-        store = ArtifactStore(tmp_path)
+        store = ResultCache(tmp_path)
         put_eipv(store, "s" * 64, dataset)
         # allow_pickle=False: loading every array proves the artifact
         # holds only plain arrays.

@@ -14,13 +14,16 @@ provoke cache churn), then asserts the daemon's long-run invariants:
 * **No leaked worker processes** — the daemon's warm worker pool
   (census requests fan out across it) shuts down with every forked
   worker joined and dead; ``leaked_workers()`` reports nothing.
-* **Bounded cache growth** — the result cache holds at most the
-  configured ``cache_max_entries``.
+* **Bounded cache growth** — the daemon's store holds at most the
+  configured ``cache_max_entries`` entries, of all kinds together.
+* **Stats under load** — one client polls ``/v1/stats`` throughout the
+  churn; every poll answers 200 with a parseable body, although request
+  threads prune the store the stats walk is sizing.
 * **Flat RSS** — resident memory after the run is within a tolerance of
   the post-warm-up baseline.  The process keeps no dataset between
   requests: jobs read memmapped artifacts from the daemon's store,
-  which pruning bounds like the result cache, and drop them when they
-  return — so a diverse request stream must not grow the process.
+  which pruning bounds, and drop them when they return — so a diverse
+  request stream must not grow the process.
 * **Byte-identical responses** — for every request kind, the daemon's
   rendered report equals the stdout of a one-shot CLI run of the same
   parameters, byte for byte (profile asserts its deterministic stage
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import http.client
 import io
 import json
 import os
@@ -67,9 +71,9 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro import cli  # noqa: E402
 from repro.runtime import pool as pool_mod  # noqa: E402
+from repro.runtime.cache import STAGES_DIR_PREFIX  # noqa: E402
 from repro.runtime.folds import FOLDS_DIR_PREFIX  # noqa: E402
 from repro.runtime.metrics import MetricsRegistry  # noqa: E402
-from repro.runtime.stages import STAGES_DIR_PREFIX  # noqa: E402
 from repro.serve import ServeConfig, create_server  # noqa: E402
 
 #: The hot spec: every thread repeats it, so identical requests overlap.
@@ -153,6 +157,8 @@ class BurnIn:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._hot_reports: set = set()
+        self.stats_polls = 0
+        self.stats_failures: list = []
         #: Temporary directories other processes own; never blamed on us.
         self._temporary_dirs_before = temporary_dirs()
 
@@ -188,6 +194,23 @@ class BurnIn:
                 elif body == HOT:
                     self._hot_reports.add(payload["report"])
 
+    def stats_poller(self) -> None:
+        """GET ``/v1/stats`` throughout the churn; a poll must answer 200
+        with a parseable body while request threads prune the store."""
+        while not self._stop.is_set():
+            try:
+                status, body = get(self.base, "/v1/stats")
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                failure = f"transport error: {exc!r}"
+            else:
+                failure = (None if status == 200 and isinstance(body, dict)
+                           and "cache" in body else f"status {status}")
+            with self._lock:
+                self.stats_polls += 1
+                if failure is not None:
+                    self.stats_failures.append(failure)
+            self._stop.wait(0.02)
+
     def _record_failure(self, message: str, locked: bool = False) -> None:
         if locked:
             self.failures.append(message)
@@ -221,6 +244,7 @@ class BurnIn:
 
         clients = [threading.Thread(target=self.client, args=(i,))
                    for i in range(self.threads)]
+        clients.append(threading.Thread(target=self.stats_poller))
         started = time.monotonic()
         for thread in clients:
             thread.start()
@@ -233,6 +257,7 @@ class BurnIn:
         rss_final = rss_kib()
         return {"elapsed_s": round(elapsed, 1),
                 "responses": self.responses, "shed": self.shed,
+                "stats_polls": self.stats_polls,
                 "rss_baseline_kib": rss_baseline,
                 "rss_final_kib": rss_final}
 
@@ -265,6 +290,11 @@ class BurnIn:
                     f"{entries} entries > bound {self.cache_max_entries}")
         self._check(stats["cache"]["pruned"] > 0, "cache-pruned",
                     "churn never triggered a prune — bound untested")
+        self._check(self.stats_polls > 0 and not self.stats_failures,
+                    "stats-under-load",
+                    f"{len(self.stats_failures)} of {self.stats_polls} "
+                    f"/v1/stats polls failed; first: "
+                    f"{self.stats_failures[:1]}")
 
         # Flat RSS: allow head-room for allocator slack and thread stacks,
         # but catch anything resembling linear growth under load.
@@ -348,9 +378,9 @@ class BurnIn:
     def check_curve_derived(self) -> None:
         """Descending k on one execution: the second answer is derived.
 
-        Runs before the load, while the cache is below its bound: the
-        sorted-path prune could otherwise evict the longer entry right
-        after it is stored, and the smaller request would compute.
+        Runs before the load, while the store is below its bound: the
+        sorted prune could otherwise evict the longer entry right after
+        it is stored, and the smaller request would compute.
         """
         body = dict(HOT, seed=3)
         post(self.base, "/v1/analyze", dict(body, k_max=9))
@@ -444,7 +474,8 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=8,
                         help="client threads (default: 8)")
     parser.add_argument("--cache-max-entries", type=int, default=32,
-                        help="daemon cache bound under churn (default: 32)")
+                        help="daemon store bound under churn, entries of "
+                             "all kinds (default: 32)")
     parser.add_argument("--quick", action="store_true",
                         help="~30s smoke run (CI)")
     parser.add_argument("--json", default=None, metavar="PATH",
