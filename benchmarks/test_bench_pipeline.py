@@ -292,10 +292,10 @@ def test_bench_cv_parallel_folds(benchmark, bench_json):
 
         benchmark.pedantic(_parallel_cold, rounds=1, iterations=1)
 
-        # Second run rides the warm pool: same forked workers, whose
-        # mapped fold dataset (keyed by content token) is still
-        # published — this is the steady state a k-sweep or daemon
-        # sees, and what the speedup floor applies to.
+        # Second run rides the warm pool: the same forked workers, no
+        # fork cost; each fold job maps the CV's dataset afresh and
+        # drops it when it returns — this is the steady state a k-sweep
+        # or daemon sees, and what the speedup floor applies to.
         warm_start = time.perf_counter()
         warm_sse = cross_validated_sse(matrix, y, config=config, jobs=4)
         warm_wall = time.perf_counter() - warm_start

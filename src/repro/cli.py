@@ -567,7 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--sweep-dir", dest="serve_sweep_dir", default=None,
                        metavar="PATH",
                        help="root for served sweep state (default: "
-                            "sweeps/ under the cache directory)")
+                            "sweeps/ under the cache directory; with "
+                            "--no-cache, under the temporary store "
+                            "removed at exit)")
     serve.add_argument("--census-jobs", type=int, default=1, metavar="N",
                        help="worker processes for census requests "
                             "(default: 1, in-process)")

@@ -78,6 +78,44 @@ def fold_indices(n: int, folds: int,
     return [permutation[i::folds] for i in range(folds)]
 
 
+def fold_errors(matrix, y: np.ndarray, held_out: np.ndarray, k_max: int,
+                min_leaf: int):
+    """The fold body: fit T_1..T_k_max on the rows outside ``held_out``,
+    then sum each T_k's squared error over the held-out rows.
+
+    The serial loop, the fold jobs and the parent's recompute of a failed
+    fold job all run this, so their floats are the same bits.  Returns
+    ``(errors, reached, fold_span)``: one error per k up to ``reached``,
+    the largest k the tree grew to, and the ``cv.fold`` span a fold job
+    snapshots for its result.
+    """
+    with span("cv.fold") as fold_span:
+        train_mask = np.ones(len(y), dtype=bool)
+        train_mask[held_out] = False
+        tree = RegressionTreeSequence(k_max=k_max, min_leaf=min_leaf)
+        tree.fit(matrix[train_mask], y[train_mask])
+        test_y = y[held_out]
+        with span("cv.predict"):
+            predictions = tree.predict_all_k(matrix[held_out])
+        errors = ((predictions - test_y[:, None]) ** 2).sum(axis=0)
+        fold_span.inc("held_out", len(held_out))
+    return errors, tree.max_k(), fold_span
+
+
+def add_fold_errors(sse: np.ndarray, errors: np.ndarray,
+                    reached: int) -> None:
+    """The SSE merge: add one fold's held-out errors into E_k in place.
+
+    Trees that stopped growing early keep their last prediction for
+    larger k (T_k == T_reached beyond the last useful split).  Folds
+    merge in fold order, so a parallel run adds the same floats in the
+    same order as the serial loop.
+    """
+    sse[:reached] += errors
+    if reached < len(sse):
+        sse[reached:] += errors[-1]
+
+
 def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
                         k_max=UNSET, folds=UNSET, seed=UNSET, min_leaf=UNSET,
                         *, config: AnalysisConfig | None = None,
@@ -116,24 +154,9 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
     sse = np.zeros(k_max)
     with span("cv", folds=config.folds, k_max=k_max) as cv_span:
         for held_out in partition:
-            with span("cv.fold") as fold_span:
-                train_mask = np.ones(len(y), dtype=bool)
-                train_mask[held_out] = False
-                tree = RegressionTreeSequence(k_max=k_max,
-                                              min_leaf=config.min_leaf)
-                tree.fit(matrix[train_mask], y[train_mask])
-                test_y = y[held_out]
-                with span("cv.predict"):
-                    predictions = tree.predict_all_k(matrix[held_out])
-                errors = ((predictions - test_y[:, None]) ** 2).sum(axis=0)
-                reached = tree.max_k()
-                sse[:reached] += errors
-                # Trees that stopped growing early keep their last
-                # prediction for larger k (T_k == T_reached beyond the
-                # last useful split).
-                if reached < k_max:
-                    sse[reached:] += errors[-1]
-                fold_span.inc("held_out", len(held_out))
+            errors, reached, _ = fold_errors(matrix, y, held_out, k_max,
+                                             config.min_leaf)
+            add_fold_errors(sse, errors, reached)
         cv_span.inc("points", len(y))
     return sse
 

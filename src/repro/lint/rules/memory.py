@@ -16,8 +16,8 @@ RL005 keeps process-pool construction confined to the warm pool (the
 one place with the fallback/timeout/broken-pool machinery behind it)
 and keeps big array payloads out of pool submissions: closures and
 lambdas pickle their captures into every job, which is exactly the
-copy-per-worker cost a ``WorkerSetup`` keyed by ``dataset_token``
-exists to avoid.
+copy-per-worker cost the one transport avoids — a job's spec names a
+store entry, and the worker maps the arrays from it.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ class PoolHygiene(Rule):
     title = "pool constructed or fed outside the warm pool"
     invariant = ("process pools are constructed only in "
                  "runtime/pool.py; submissions never pickle "
-                 "closures/lambdas (large payloads travel as a "
-                 "WorkerSetup keyed by dataset_token)")
+                 "closures/lambdas (large payloads travel as store "
+                 "entries a job's spec names)")
 
     def check(self, ctx, config):
         allowed_here = config.matches(ctx.relpath, config.rl005_pool_sites)
@@ -212,16 +212,16 @@ class PoolHygiene(Rule):
                     ctx, arg,
                     "lambda submitted to a pool pickles its captured "
                     "environment into every job; submit a module-level "
-                    "function and ship arrays through a WorkerSetup "
-                    "keyed by dataset_token")
+                    "function and ship arrays as a store entry its "
+                    "spec names")
             elif isinstance(arg, ast.Name) and arg.id in nested:
                 yield self.finding(
                     ctx, arg,
                     f"nested function '{arg.id}' submitted to a pool is "
                     f"a closure — its captures (possibly whole arrays) "
                     f"pickle into every job; hoist it to module level "
-                    f"and ship data through a WorkerSetup keyed by "
-                    f"dataset_token")
+                    f"and ship data as a store entry the job's spec "
+                    f"names")
 
     def _enclosing_nested_defs(self, ctx, node) -> set:
         """Names of functions defined inside the function containing

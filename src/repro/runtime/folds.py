@@ -10,42 +10,36 @@ Three properties keep a parallel run bit-identical to the serial loop:
   draw — so every worker derives the same fold membership from the spec
   alone, with no index arrays shipped around.
 
-* **Identical per-fold floats.**  A fold job runs exactly the serial
-  loop's body (same fit, same ``predict_all_k``, same squared-error
-  reduction); results travel back by pickle, which preserves every float
-  bit.
+* **Identical per-fold floats.**  A fold job runs the serial loop's
+  fold body, :func:`repro.core.cross_validation.fold_errors`; results
+  travel back by pickle, which preserves every float bit.
 
-* **Identical merge.**  The parent accumulates per-fold error vectors in
-  fold submission order with the same ``sse[:reached] += errors`` /
-  tail-extension operations the serial loop performs.
+* **Identical merge.**  The parent adds the per-fold error vectors in
+  fold order with the serial loop's merge,
+  :func:`repro.core.cross_validation.add_fold_errors`.
 
-The (matrix, y) dataset reaches each pool worker once, as a file: the
-parent writes it as one ``folds`` entry (the layout ``put_eipv`` uses)
-into a temporary :class:`~repro.runtime.cache.ResultCache`, and
-a :class:`~repro.runtime.pool.WorkerSetup` keyed by the dataset's
-content token maps it read-only in each worker (a warm worker that
-already holds the token maps nothing) and publishes it with
-:func:`publish_dataset`.  The page cache shares the mapped bytes across
-workers.  Fold jobs run with no store and are never cached: a fold is
-an internal slice of one analysis, cheap relative to its dataset hash
-and meaningless outside it.
+A fold job reads its dataset like every other job reads its inputs:
+from its spec.  The parent writes (matrix, y) once as the only
+``folds`` entry (the matrix layout ``put_eipv`` uses) of a temporary
+:class:`~repro.runtime.cache.ResultCache` and names that store's root
+in every :class:`FoldSpec`; :func:`execute_fold` maps the arrays
+read-only, runs the fold and drops them when it returns, so a warm
+worker keeps nothing between jobs.  The page cache shares the mapped
+bytes across workers.  Fold jobs run with no store and are never
+cached: a fold is an internal slice of one analysis, meaningless
+outside it, so its key only has to be unique within one CV.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import tempfile
-import time
-import weakref
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from repro.core.regression_tree import RegressionTreeSequence
-from repro.obs import span
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import CODE_VERSION, register_job_kind, spec_key
 from repro.runtime.metrics import METRICS, MetricsRegistry
@@ -55,86 +49,38 @@ from repro.sparse import is_sparse
 #: Entry kind of a fold dataset in its temporary store.
 FOLDS_KIND = "folds"
 
+#: Key of the one ``folds`` entry in a CV's temporary store.
+FOLDS_KEY = "dataset"
+
 #: Prefix of the temporary directory each parallel CV writes its
 #: dataset into (removed before ``run_parallel_folds`` returns).
 FOLDS_DIR_PREFIX = "repro-folds-"
 
-#: Datasets available to fold jobs in this process, keyed by token.
-_DATASETS: dict[str, tuple] = {}
 
-#: Memoized tokens keyed by the identity of the live (matrix, y) pair.
-#: Entries are evicted by ``weakref.finalize`` when either object dies,
-#: so a recycled ``id()`` can never resurrect a stale token.
-_TOKEN_MEMO: dict[tuple[int, int], str] = {}
-
-
-def _hash_buffer(digest, arr: np.ndarray) -> None:
-    """Feed an array's bytes to the digest without a ``tobytes`` copy."""
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    digest.update(arr.data)
-
-
-def dataset_token(matrix, y: np.ndarray) -> str:
-    """Short content hash identifying one (matrix, y) dataset.
-
-    Hashing streams each buffer straight into SHA-256 (contiguous arrays
-    are not copied), and the token is memoized per live object pair so
-    repeated analyses of the same dataset hash its gigabytes only once.
-    """
-    memo_key = (id(matrix), id(y))
-    token = _TOKEN_MEMO.get(memo_key)
-    if token is not None:
-        return token
-    digest = hashlib.sha256()
-    _hash_buffer(digest, np.ascontiguousarray(y, dtype=np.float64))
-    if is_sparse(matrix):
-        for part in (matrix.indptr, matrix.indices, matrix.data):
-            _hash_buffer(digest, part)
-    else:
-        _hash_buffer(digest, np.asarray(matrix))
-    digest.update(repr(tuple(matrix.shape)).encode())
-    token = digest.hexdigest()[:16]
-    try:
-        for obj in (matrix, y):
-            weakref.finalize(obj, _TOKEN_MEMO.pop, memo_key, None)
-    except TypeError:
-        return token
-    _TOKEN_MEMO[memo_key] = token
-    return token
-
-
-def publish_dataset(token: str, matrix, y: np.ndarray) -> None:
-    """Make a dataset visible to fold jobs executing in this process."""
-    _DATASETS[token] = (matrix, y)
-
-
-def _put_dataset(store: ResultCache, token: str, matrix,
-                 y: np.ndarray) -> None:
-    """Write (matrix, y) once as a ``folds`` entry keyed by token, in the
-    EIPV entry's matrix layout."""
+def _put_dataset(store: ResultCache, matrix, y: np.ndarray) -> None:
+    """Write (matrix, y) as the store's ``folds`` entry, in the EIPV
+    entry's matrix layout."""
     meta = {"sparse": is_sparse(matrix),
             "shape": [int(dim) for dim in matrix.shape]}
-    with store.publish(FOLDS_KIND, token, meta) as staging:
+    with store.publish(FOLDS_KIND, FOLDS_KEY, meta) as staging:
         np.save(staging / "y.npy", y)
         save_matrix(staging, matrix)
 
 
-def _attach_dataset(root: str, token: str) -> None:
-    """Pool-worker setup hook: map the fold dataset and publish it.
+def _load_dataset(root: str):
+    """(matrix, y) as read-only memmap views of the store at ``root``.
 
-    The arrays are the store's read-only memmap views.  A missing or
-    unreadable artifact raises; the scheduler then recomputes the folds
-    in the parent, where the dataset is still published in-process.
+    A missing or unreadable entry raises; the parent then recomputes the
+    fold from its own arrays.
     """
     store = ResultCache(root, metrics=MetricsRegistry())
-    meta = store.open_meta(FOLDS_KIND, token)
-    y = store.load_array(FOLDS_KIND, token, "y") if meta else None
-    matrix = (load_matrix(store, FOLDS_KIND, token, meta)
+    meta = store.open_meta(FOLDS_KIND, FOLDS_KEY)
+    y = store.load_array(FOLDS_KIND, FOLDS_KEY, "y") if meta else None
+    matrix = (load_matrix(store, FOLDS_KIND, FOLDS_KEY, meta)
               if y is not None else None)
     if matrix is None:
-        raise RuntimeError(f"fold dataset {token!r} in {root} is unreadable")
-    publish_dataset(token, matrix, np.asarray(y))
+        raise RuntimeError(f"fold dataset in {root} is unreadable")
+    return matrix, np.asarray(y)
 
 
 @dataclass(frozen=True)
@@ -143,7 +89,8 @@ class FoldSpec:
 
     kind: ClassVar[str] = "cv_fold"
 
-    dataset_token: str
+    #: Root of the temporary store holding the CV's dataset.
+    root: str
     fold_index: int
     n_points: int
     folds: int
@@ -172,7 +119,6 @@ class FoldResult:
     key: str
     errors: tuple
     reached: int
-    timings: dict = field(default_factory=dict)
     spans: tuple = ()
 
     def to_dict(self) -> dict:
@@ -190,42 +136,24 @@ class FoldResult:
 
 
 def execute_fold(spec: FoldSpec, jobs: int = 1, store=None) -> FoldResult:
-    """Fit on the fold's training part, score every T_k on the rest.
+    """Map the CV's dataset and run the fold body on this fold.
 
-    This is the serial loop body of ``cross_validated_sse``, verbatim, so
-    the floats coming back are the ones the serial path would produce.
-    A fold has no inner fan-out and reads its dataset from the fold
-    setup, so ``jobs`` and ``store`` are unused.
+    The arrays are dropped when this returns.  A fold has no inner
+    fan-out and reads its dataset from ``spec.root``, so ``jobs`` and
+    ``store`` are unused.
     """
-    from repro.core.cross_validation import fold_indices
+    from repro.core.cross_validation import fold_errors, fold_indices
 
-    try:
-        matrix, y = _DATASETS[spec.dataset_token]
-    except KeyError:
-        raise RuntimeError(
-            f"dataset {spec.dataset_token!r} was not published to this "
-            "process (fold jobs need publish_dataset or the fold "
-            "dataset setup)") from None
-    start = time.perf_counter()
+    matrix, y = _load_dataset(spec.root)
     held_out = fold_indices(spec.n_points, spec.folds,
                             np.random.default_rng(spec.seed))[spec.fold_index]
-    with span("cv.fold") as fold_span:
-        train_mask = np.ones(spec.n_points, dtype=bool)
-        train_mask[held_out] = False
-        tree = RegressionTreeSequence(k_max=spec.k_max,
-                                      min_leaf=spec.min_leaf)
-        tree.fit(matrix[train_mask], y[train_mask])
-        test_y = y[held_out]
-        with span("cv.predict"):
-            predictions = tree.predict_all_k(matrix[held_out])
-        errors = ((predictions - test_y[:, None]) ** 2).sum(axis=0)
-        fold_span.inc("held_out", len(held_out))
+    errors, reached, fold_span = fold_errors(matrix, y, held_out,
+                                             spec.k_max, spec.min_leaf)
     snapshot = fold_span.snapshot()
     return FoldResult(
         key=spec.key,
         errors=tuple(float(v) for v in errors),
-        reached=tree.max_k(),
-        timings={"fold_s": time.perf_counter() - start},
+        reached=reached,
         spans=(snapshot,) if snapshot is not None else (),
     )
 
@@ -238,61 +166,56 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
     to the serial loop at any ``jobs`` (including the scheduler's serial
     fallback when a pool cannot be built).
 
-    When the folds will reach the pool, the dataset is written once into
-    a temporary store and workers map it through a
-    :class:`~repro.runtime.pool.WorkerSetup` keyed by the content token;
-    the directory is removed before this returns, whatever happens.  The
-    parent also publishes the dataset in-process for the scheduler's
-    fallback.  A store that cannot be written runs the folds here
-    (counted as ``folds.store_failed``).
+    The dataset is written once into a temporary store whose directory
+    is removed before this returns, whatever happens.  A fold whose job
+    fails is recomputed here from the caller's arrays; a store that
+    cannot be written runs every fold here (counted as
+    ``folds.store_failed``).
     """
-    from repro.runtime import pool as pool_mod
+    from repro.core.cross_validation import (add_fold_errors, fold_errors,
+                                             fold_indices)
     from repro.runtime.graph import JobGraph, submit_graph
 
-    token = dataset_token(matrix, y)
-    publish_dataset(token, matrix, y)
-    graph = JobGraph()
-    for i in range(config.folds):
-        graph.add(FoldSpec(dataset_token=token, fold_index=i,
-                           n_points=len(y), folds=config.folds,
-                           seed=config.seed, k_max=config.k_max,
-                           min_leaf=config.min_leaf))
-    try:
-        with contextlib.ExitStack() as stack:
-            setup = None
-            if pool_mod.use_pool(jobs, config.folds):
-                try:
-                    root = stack.enter_context(tempfile.TemporaryDirectory(
-                        prefix=FOLDS_DIR_PREFIX, ignore_cleanup_errors=True))
-                    # A private registry keeps these writes out of the
-                    # pipeline's ``artifact.*`` counters.
-                    store = ResultCache(root, metrics=MetricsRegistry())
-                    _put_dataset(store, token, matrix, y)
-                except OSError:
-                    METRICS.inc("folds.store_failed")
-                    jobs = 1
-                else:
-                    setup = pool_mod.WorkerSetup(
-                        key=f"folds:{token}", fn=_attach_dataset,
-                        args=(root, token))
-            outcomes = submit_graph(graph, jobs=jobs, timeout=timeout,
-                                    setup=setup)
-    finally:
-        _DATASETS.pop(token, None)
+    outcomes = [None] * config.folds
+    with contextlib.ExitStack() as stack:
+        try:
+            root = stack.enter_context(tempfile.TemporaryDirectory(
+                prefix=FOLDS_DIR_PREFIX, ignore_cleanup_errors=True))
+            # A private registry keeps these writes out of the
+            # pipeline's ``artifact.*`` counters.
+            _put_dataset(ResultCache(root, metrics=MetricsRegistry()),
+                         matrix, y)
+        except OSError:
+            METRICS.inc("folds.store_failed")
+        else:
+            graph = JobGraph()
+            for i in range(config.folds):
+                graph.add(FoldSpec(root=root, fold_index=i, n_points=len(y),
+                                   folds=config.folds, seed=config.seed,
+                                   k_max=config.k_max,
+                                   min_leaf=config.min_leaf))
+            outcomes = submit_graph(graph, jobs=jobs, timeout=timeout)
 
+    partition = fold_indices(len(y), config.folds,
+                             np.random.default_rng(config.seed))
     sse = np.zeros(config.k_max)
-    for outcome in outcomes:
-        if not outcome.ok:
-            raise RuntimeError(
-                f"cross-validation fold {outcome.spec.fold_index} failed:\n"
-                f"{outcome.error}")
-        errors = np.asarray(outcome.result.errors, dtype=np.float64)
-        reached = outcome.result.reached
-        sse[:reached] += errors
-        # Trees that stopped growing early keep their last prediction for
-        # larger k — the same tail extension as the serial loop.
-        if reached < config.k_max:
-            sse[reached:] += errors[-1]
+    for i, (held_out, outcome) in enumerate(zip(partition, outcomes)):
+        if outcome is not None and outcome.ok:
+            errors = np.asarray(outcome.result.errors, dtype=np.float64)
+            reached = outcome.result.reached
+        else:
+            try:
+                errors, reached, _ = fold_errors(matrix, y, held_out,
+                                                 config.k_max,
+                                                 config.min_leaf)
+            except Exception as exc:
+                if outcome is None:
+                    raise
+                raise RuntimeError(
+                    f"cross-validation fold {i} failed in its job and "
+                    f"again in the parent; the job's error:\n"
+                    f"{outcome.error}") from exc
+        add_fold_errors(sse, errors, reached)
     return sse
 
 

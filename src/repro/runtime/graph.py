@@ -9,9 +9,8 @@ of them with one model:
 * a **node** is any content-hashed spec (``analysis``, ``cv_fold``, …) —
   anything with ``.kind``, ``.key`` and ``.canonical()``;
 * an **edge** is a dataset/result dependency: a node runs only after
-  every dependency succeeded (its results reachable through the run's
-  :class:`~repro.runtime.cache.ResultCache` or whatever side channel the
-  job kind uses);
+  every dependency succeeded (its products reachable through the run's
+  :class:`~repro.runtime.cache.ResultCache`);
 * :func:`submit_graph` repeatedly computes the **ready set** (nodes
   whose dependencies are all done) and dispatches each set as one wave
   to the existing scheduler.  Within a wave the process pool's workers
@@ -115,7 +114,7 @@ class JobGraph:
 
 
 def submit_graph(graph: JobGraph, jobs: int = 1, store=None,
-                 timeout: float | None = None, metrics=METRICS, setup=None,
+                 timeout: float | None = None, metrics=METRICS,
                  on_outcome: Callable[[JobOutcome], None] | None = None
                  ) -> list[JobOutcome]:
     """Run every node of ``graph``; outcomes in node-insertion order.
@@ -161,6 +160,5 @@ def submit_graph(graph: JobGraph, jobs: int = 1, store=None,
             # scheduler.run_jobs intercept graph dispatch too.
             scheduler.run_jobs([graph.node(key).spec for key in runnable],
                                jobs=jobs, store=store, timeout=timeout,
-                               metrics=metrics, setup=setup,
-                               on_outcome=record)
+                               metrics=metrics, on_outcome=record)
     return [done[key] for key in graph.keys()]

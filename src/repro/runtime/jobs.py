@@ -24,8 +24,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Callable, ClassVar
 
@@ -217,7 +216,6 @@ class JobResult:
     cpi_mean: float
     n_intervals: int
     n_eips: int
-    timings: dict = field(default_factory=dict)
     #: Serialized span trees from the executing process (empty unless
     #: tracing was enabled there); stripped before cache storage so a
     #: cache entry's bytes never depend on observability settings.
@@ -251,7 +249,7 @@ class JobResult:
             self.total_variance, self.n_points)
         return replace(self, key=spec.key, re=self.re[:spec.k_max],
                        k_opt=curve.k_opt, re_kopt=curve.re_kopt,
-                       re_inf=curve.re_inf, timings={}, spans=())
+                       re_inf=curve.re_inf, spans=())
 
     def to_result(self) -> PredictabilityResult:
         """Reconstruct the rich analysis object renderers consume."""
@@ -301,14 +299,11 @@ def execute_job(spec: JobSpec, jobs: int = 1, store=None) -> JobResult:
     if store is None:
         with store_scope(None) as scoped:
             return execute_job(spec, jobs=jobs, store=scoped)
-    start = time.perf_counter()
     with span("job", workload=spec.workload, seed=spec.seed) as job_span:
         dataset = stages.eipv_dataset(store, stages.eipv_spec_for(spec))
-        collected = time.perf_counter()
         analysis = analyze_predictability(dataset,
                                           config=spec.analysis_config(),
                                           jobs=jobs)
-        done = time.perf_counter()
     snapshot = job_span.snapshot()
     return JobResult(
         key=spec.key,
@@ -323,8 +318,6 @@ def execute_job(spec: JobSpec, jobs: int = 1, store=None) -> JobResult:
         cpi_mean=float(analysis.cpi_mean),
         n_intervals=int(analysis.n_intervals),
         n_eips=int(analysis.n_eips),
-        timings={"collect_s": collected - start,
-                 "analyze_s": done - collected},
         spans=(snapshot,) if snapshot is not None else (),
     )
 

@@ -1,14 +1,16 @@
 """Lightweight counters and timers for the runtime.
 
 A :class:`MetricsRegistry` holds named monotonic counters and named
-timers (total seconds + observation count).  Worker processes each
-accumulate into their own registry; the scheduler merges the snapshots
-back into the parent's, so one :func:`MetricsRegistry.render` call shows
-the whole run regardless of how it was parallelized.
+timers (total seconds + observation count).  Counts are per process: a
+pool worker's increments stay in the worker, and nothing merges them
+back, so the parent's registry counts what the parent itself did
+(dispatch choices, pool lifecycle, cache and store traffic, and
+``job.wall_s``, the scheduler's per-job wall time).
 
-The module-level :data:`METRICS` registry is the process default;
-``repro.experiments.common`` feeds pipeline stage timings into it and
-``repro cache stats`` / verbose runs print it.
+The module-level :data:`METRICS` registry is the process default.  The
+daemon's ``/v1/stats`` reads its counters and benchmark harnesses take
+its :meth:`~MetricsRegistry.snapshot`; nothing renders the registry as
+a table.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ are forked once and reused across batches (``pool.warm_hits``); the
 pool self-heals (broken-pool respawn mid-batch, task-count recycling in
 lieu of ``max_tasks_per_child`` — which needs 3.11+ and a non-fork start
 method — an idle reaper, and an ``atexit`` shutdown that leaves zero
-worker processes behind).  Per-batch worker state (the dataset of a
-parallel CV) ships through a :class:`WorkerSetup` hook that is cached
-worker-side by key, so a warm worker re-runs nothing; the run's store
-is not worker state but an argument each job carries.
+worker processes behind).  Workers hold no per-batch state: every job
+carries its inputs in its spec and the root of the store it reads, so
+the scheduler submits :func:`repro.runtime.scheduler._worker_execute`
+directly and a warm worker keeps nothing between jobs.
 
 :func:`use_pool` is the one serial-vs-parallel rule.  Pool workers are
 leaves: they run jobs with ``jobs=1`` and never reach a pool, and a
@@ -35,17 +35,14 @@ import atexit
 import os
 import threading
 import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
 
 from repro.runtime.metrics import METRICS
 
 #: Tasks a pool serves before its workers are recycled (``max_tasks ×
 #: workers`` pool-wide, a stand-in for ``max_tasks_per_child`` that
-#: works under fork and on 3.10).  Bounds any slow leak in worker-side
-#: caches (mapped fold datasets, imported modules).
+#: works under fork and on 3.10).  Bounds any slow leak in a worker
+#: process (imported modules, allocator growth).
 DEFAULT_MAX_TASKS_PER_CHILD = 256
 
 #: Seconds of pool idleness before the reaper shuts the workers down.
@@ -59,64 +56,6 @@ SHUTDOWN_GRACE_S = 5.0
 #: the scheduler degrades to its in-process path on any of these.
 POOL_BUILD_ERRORS = (OSError, PermissionError, ImportError,
                      NotImplementedError, ValueError, RuntimeError)
-
-
-class WorkerSetupError(RuntimeError):
-    """A worker's per-batch setup hook failed.
-
-    Raised *inside* the worker and pickled back; the scheduler treats it
-    like a broken pool for the affected job — recompute in the parent,
-    where the dataset is still published in-process — without actually
-    poisoning the (healthy) pool.
-    """
-
-
-@dataclass(frozen=True)
-class WorkerSetup:
-    """Idempotent per-batch worker initialization, cached by key.
-
-    The persistent pool cannot use executor initializers (those run only
-    at worker spawn, and a warm worker never re-spawns), so batches ship
-    this descriptor with every job instead: the first job of a batch to
-    reach a given worker runs ``fn(*args)``, and the key is remembered
-    so every later job — and every later *batch* with the same key —
-    skips it.  Keys must identify content (e.g. ``folds:<dataset
-    token>``), making re-runs no-ops by construction.
-    """
-
-    key: str
-    fn: Callable
-    args: tuple = ()
-
-
-#: Worker-side: setup keys already executed in this process.  Bounded by
-#: worker lifetime — task-count recycling replaces the workers long
-#: before this grows meaningfully.
-_SETUP_DONE: set[str] = set()
-
-
-def _run_setup(setup: WorkerSetup | None) -> None:
-    """Run one setup hook in this (worker) process, once per key."""
-    if setup is None or setup.key in _SETUP_DONE:
-        return
-    try:
-        setup.fn(*setup.args)
-    except BaseException:
-        raise WorkerSetupError(
-            f"worker setup {setup.key!r} failed in pid {os.getpid()}:\n"
-            f"{traceback.format_exc()}") from None
-    _SETUP_DONE.add(setup.key)
-
-
-def _pool_worker_execute(kind_name: str, spec_dict: dict, tracing: bool,
-                         setup: WorkerSetup | None,
-                         store_root: str | None) -> tuple[dict, int, float]:
-    """Worker body for the persistent pool: cached setup, then the job
-    against the store rooted at ``store_root``."""
-    _run_setup(setup)
-    from repro.runtime import scheduler
-    return scheduler._worker_execute(kind_name, spec_dict, tracing,
-                                     store_root)
 
 
 class WorkerPool:

@@ -4,9 +4,9 @@
 consults the run's store; only misses are executed — on the
 **persistent warm pool** (:mod:`repro.runtime.pool`) when
 :func:`repro.runtime.pool.use_pool` allows it, otherwise serially in
-this process.  Workers forked once survive across batches, and
-per-batch worker state ships through the cached
-:class:`~repro.runtime.pool.WorkerSetup` hook.  Pool construction or
+this process.  Workers forked once survive across batches and keep
+nothing between jobs: a job carries its inputs in its spec and the
+root of the run's store.  Pool construction or
 submission failing (restricted environments, missing semaphores, broken
 workers) degrades gracefully to the in-process path, so ``--jobs`` is a
 performance knob, never a correctness one.  Outcomes come back in
@@ -139,7 +139,7 @@ def _await_result(future, timeout: float | None, executor):
 
 
 def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
-                     timeout: float | None, setup, store, on_ready,
+                     timeout: float | None, store, on_ready,
                      worker_pool) -> tuple[list[JobOutcome] | None, str]:
     """Fan one batch out over the persistent warm pool.
 
@@ -151,10 +151,9 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
     results incrementally instead of after the whole wave.  The
     executor is acquired from (and released back to) ``worker_pool``, a
     broken pool is respawned mid-batch and the remaining jobs
-    resubmitted, and a failed per-worker ``setup`` hook sends just the
-    affected jobs to the in-process fallback without tearing the
-    healthy pool down.  Every job carries the root of ``store`` (or
-    ``None``).
+    resubmitted; a job that raises in a worker comes back as a failed
+    outcome and leaves the pool warm.  Every job carries the root of
+    ``store`` (or ``None``).
     """
     tracing = obs.tracing_enabled()
     root = str(store.root) if store is not None else None
@@ -165,8 +164,8 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
     try:
         try:
             futures: list = [
-                executor.submit(pool_mod._pool_worker_execute, spec.kind,
-                                spec.canonical(), tracing, setup, root)
+                executor.submit(_worker_execute, spec.kind,
+                                spec.canonical(), tracing, root)
                 for spec in specs]
         except pool_mod.POOL_BUILD_ERRORS:
             worker_pool.discard(wait=False)
@@ -207,13 +206,6 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                         wall_time=time.perf_counter() - start,
                         worker="pool", timed_out=True,
                         error=f"job exceeded the {timeout}s timeout")
-                except pool_mod.WorkerSetupError as exc:
-                    # Setup (e.g. a fold-dataset map) failed in the worker;
-                    # the pool itself is fine.  Recompute here, where the
-                    # dataset is still published in-process.
-                    outcome = _run_serial(
-                        spec, key, store=store,
-                        pool_error="".join(traceback.format_exception(exc)))
                 except (BrokenProcessPool, CancelledError) as exc:
                     # BrokenProcessPool: the workers died under this
                     # batch, or the executor can no longer resolve its
@@ -241,9 +233,8 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                                     min(jobs, len(rest)))
                                 futures[i + 1:] = [
                                     executor.submit(
-                                        pool_mod._pool_worker_execute,
-                                        s.kind, s.canonical(), tracing,
-                                        setup, root)
+                                        _worker_execute, s.kind,
+                                        s.canonical(), tracing, root)
                                     for s in rest]
                                 worker_pool.note_tasks(len(rest))
                                 respawned = True
@@ -308,7 +299,7 @@ def stored_result(store: ResultCache, kind_name: str, key: str,
 
 
 def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
-             timeout: float | None = None, metrics=METRICS, setup=None,
+             timeout: float | None = None, metrics=METRICS,
              worker_pool=None, on_outcome=None) -> list[JobOutcome]:
     """Schedule every spec; return outcomes in submission order.
 
@@ -325,10 +316,7 @@ def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
 
     Parallel batches run on the persistent warm pool
     (:func:`repro.runtime.pool.default_pool`, or ``worker_pool`` when
-    given); ``setup`` is an optional
-    :class:`~repro.runtime.pool.WorkerSetup` that ships per-batch worker
-    state (e.g. mapping a fold dataset), cached worker-side by key so
-    warm workers skip it; the serial path ignores it.
+    given).
 
     Executed results are stored to ``store`` *incrementally*, as each
     outcome is consumed — a run killed mid-batch leaves every already
@@ -383,7 +371,7 @@ def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
                         else "dispatch.serial_chosen")
         if parallel:
             executed, pool_error = _execute_on_pool(
-                todo, todo_keys, jobs, timeout, setup, store,
+                todo, todo_keys, jobs, timeout, store,
                 on_ready=persist,
                 worker_pool=worker_pool or pool_mod.default_pool())
         if executed is None:
@@ -404,6 +392,4 @@ def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
             metrics.inc("jobs.failed")
         elif not outcome.cache_hit:
             metrics.inc("jobs.executed")
-            for name, seconds in (outcome.result.timings or {}).items():
-                metrics.observe(f"job.{name}", seconds)
     return outcomes

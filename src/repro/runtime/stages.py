@@ -44,8 +44,7 @@ Two design rules keep every path byte-identical:
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
@@ -181,7 +180,6 @@ class StageResult:
     n_samples: int = 0
     n_intervals: int = 0
     n_eips: int = 0
-    timings: dict = field(default_factory=dict)
     spans: tuple = ()
 
     def to_dict(self) -> dict:
@@ -267,7 +265,6 @@ def execute_collect(spec: CollectSpec, jobs: int = 1, *,
                     store: ResultCache) -> StageResult:
     """Simulate and persist one trace (idempotent on a warm store);
     ``jobs`` is unused."""
-    start = time.perf_counter()
     with span("stage.collect", workload=spec.workload,
               seed=spec.seed) as stage_span:
         meta = (store.open_meta("trace", spec.key)
@@ -280,7 +277,6 @@ def execute_collect(spec: CollectSpec, jobs: int = 1, *,
     snapshot = stage_span.snapshot()
     return StageResult(
         key=spec.key, source=source, n_samples=n_samples,
-        timings={"collect_s": time.perf_counter() - start},
         spans=(snapshot,) if snapshot is not None else (),
     )
 
@@ -413,7 +409,6 @@ def execute_eipv(spec: EipvSpec, jobs: int = 1, *,
                  store: ResultCache) -> StageResult:
     """Build and persist one EIPV dataset, healing a lost trace;
     ``jobs`` is unused."""
-    start = time.perf_counter()
     with span("stage.eipv", workload=spec.workload,
               interval=spec.interval_instructions) as stage_span:
         summary = (store.open_meta("eipv", spec.key)
@@ -431,7 +426,6 @@ def execute_eipv(spec: EipvSpec, jobs: int = 1, *,
     return StageResult(
         key=spec.key, source=source,
         n_intervals=int(n_intervals), n_eips=int(n_eips),
-        timings={"eipv_s": time.perf_counter() - start},
         spans=(snapshot,) if snapshot is not None else (),
     )
 

@@ -92,7 +92,8 @@ class ServeConfig:
     #: Worker processes for sweep fan-out (1 = in-process).
     sweep_jobs: int = 1
     #: Root for sweep state (manifest/partials/table per space); None =
-    #: ``sweeps/`` under the cache directory.
+    #: ``sweeps/`` under the daemon's store root: the cache directory,
+    #: or under ``no_cache`` the temporary store removed at close.
     sweep_dir: Path | None = None
 
     def build_store(self, metrics=METRICS) -> ResultCache | None:
@@ -102,11 +103,6 @@ class ServeConfig:
             return None
         return ResultCache(self.cache_dir or default_cache_dir(),
                            metrics=metrics)
-
-    def build_sweep_dir(self) -> Path:
-        if self.sweep_dir is not None:
-            return Path(self.sweep_dir)
-        return Path(self.cache_dir or default_cache_dir()) / "sweeps"
 
 
 class AnalysisService:
@@ -379,7 +375,6 @@ class AnalysisService:
         from repro.cli import analysis_report_text
         data = result.to_dict()
         data.pop("spans", None)
-        data.pop("timings", None)  # wall seconds: measured, not derived
         return {
             "protocol": PROTOCOL_VERSION,
             "schema": PROTOCOL_VERSION,
@@ -445,7 +440,10 @@ class AnalysisService:
 
         def compute() -> tuple[int, dict]:
             with self.admission.admit(deadline):
-                sweep_dir = self.config.build_sweep_dir() / space.key[:16]
+                root = (Path(self.config.sweep_dir)
+                        if self.config.sweep_dir is not None
+                        else self.store.root / "sweeps")
+                sweep_dir = root / space.key[:16]
                 try:
                     outcome = run_sweep(
                         space, sweep_dir,

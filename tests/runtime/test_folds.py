@@ -1,13 +1,13 @@
 """Cross-validation fold jobs, their one dataset transport, and the
 job-kind registry.
 
-The transport tests guard two invariants: parallel-fold results are
-bit-identical to the serial loop whichever way the dataset reached the
-folds (a mapped ``folds`` artifact in a pool worker, the parent's
-in-process copy after a failed worker setup, or an in-process run when
-the store cannot be written), and no code path — normal completion,
-fold errors, scheduler crashes — leaves a ``repro-folds-*`` directory
-behind.
+The transport tests guard three invariants: parallel-fold results are
+bit-identical to the serial loop whichever way each fold ran (a fold
+job mapping the ``folds`` entry its spec names, the parent recomputing
+a fold whose job failed, or an in-process run when the store cannot be
+written); no code path — normal completion, fold errors, scheduler
+crashes — leaves a ``repro-folds-*`` directory behind; and no warm
+worker keeps a fold dataset mapped once its CV has returned.
 """
 
 import os
@@ -16,19 +16,19 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.core import cross_validation as cv_mod
 from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import cross_validated_sse, fold_indices
 from repro.core.regression_tree import RegressionTreeSequence
 from repro.runtime import folds as folds_mod
+from repro.runtime import graph as graph_mod
 from repro.runtime import pool as pool_mod
 from repro.runtime import scheduler
 from repro.runtime.cache import ResultCache
 from repro.runtime.folds import (
     FoldResult,
     FoldSpec,
-    dataset_token,
     execute_fold,
-    publish_dataset,
     run_parallel_folds,
 )
 from repro.runtime.jobs import JobSpec, resolve_kind
@@ -43,57 +43,42 @@ def small_dataset(m=40, n=6, seed=0):
     return matrix.astype(float), y
 
 
-def make_spec(token, y, fold_index=0, folds=5, seed=3, k_max=6):
-    return FoldSpec(dataset_token=token, fold_index=fold_index,
+def make_spec(root, y, fold_index=0, folds=5, seed=3, k_max=6):
+    return FoldSpec(root=str(root), fold_index=fold_index,
                     n_points=len(y), folds=folds, seed=seed,
                     k_max=k_max, min_leaf=1)
 
 
+def put_dataset(root, matrix, y) -> None:
+    """Write a fold dataset the way ``run_parallel_folds`` does."""
+    folds_mod._put_dataset(ResultCache(root), matrix, y)
+
+
 class TestFoldSpec:
     def test_key_stable_and_distinct(self):
-        a = make_spec("tok", np.zeros(40))
-        b = make_spec("tok", np.zeros(40))
-        c = make_spec("tok", np.zeros(40), fold_index=1)
+        a = make_spec("root", np.zeros(40))
+        b = make_spec("root", np.zeros(40))
+        c = make_spec("root", np.zeros(40), fold_index=1)
         assert a.key == b.key
         assert a.key != c.key
 
     def test_round_trip(self):
-        spec = make_spec("tok", np.zeros(40), fold_index=2)
+        spec = make_spec("root", np.zeros(40), fold_index=2)
         again = FoldSpec.from_dict(spec.canonical())
         assert again == spec
         assert again.key == spec.key
 
     def test_kind_not_part_of_identity(self):
         assert FoldSpec.kind == "cv_fold"
-        assert "kind" not in make_spec("tok", np.zeros(40)).canonical()
-
-
-class TestDatasetToken:
-    def test_content_addressed(self):
-        matrix, y = small_dataset()
-        assert dataset_token(matrix, y) == dataset_token(matrix.copy(),
-                                                         y.copy())
-        other = matrix.copy()
-        other[0, 0] += 1
-        assert dataset_token(matrix, y) != dataset_token(other, y)
-
-    def test_sparse_and_dense_tokens_differ_by_layout_not_crash(self):
-        matrix, y = small_dataset()
-        sparse = CSRMatrix.from_dense(matrix)
-        assert dataset_token(sparse, y) == dataset_token(
-            CSRMatrix.from_dense(matrix), y)
+        assert "kind" not in make_spec("root", np.zeros(40)).canonical()
 
 
 class TestExecuteFold:
-    def test_matches_serial_loop_body(self):
+    def test_matches_serial_loop_body(self, tmp_path):
         matrix, y = small_dataset()
-        token = dataset_token(matrix, y)
-        publish_dataset(token, matrix, y)
-        try:
-            spec = make_spec(token, y, fold_index=1)
-            result = execute_fold(spec)
-        finally:
-            folds_mod._DATASETS.pop(token, None)
+        put_dataset(tmp_path, matrix, y)
+        spec = make_spec(tmp_path, y, fold_index=1)
+        result = execute_fold(spec)
         held_out = fold_indices(len(y), spec.folds,
                                 np.random.default_rng(spec.seed))[1]
         train_mask = np.ones(len(y), dtype=bool)
@@ -106,14 +91,13 @@ class TestExecuteFold:
         assert result.reached == tree.max_k()
         assert result.key == spec.key
 
-    def test_unpublished_dataset_raises(self):
-        spec = make_spec("no-such-token", np.zeros(40))
-        with pytest.raises(RuntimeError, match="not published"):
+    def test_missing_dataset_raises(self, tmp_path):
+        spec = make_spec(tmp_path, np.zeros(40))
+        with pytest.raises(RuntimeError, match="unreadable"):
             execute_fold(spec)
 
     def test_result_round_trip(self):
-        result = FoldResult(key="k", errors=(1.5, 2.25), reached=2,
-                            timings={"fold_s": 0.1})
+        result = FoldResult(key="k", errors=(1.5, 2.25), reached=2)
         again = FoldResult.from_dict(result.to_dict())
         assert again == result
 
@@ -125,38 +109,6 @@ class TestRunParallelFolds:
         one = run_parallel_folds(matrix, y, config, jobs=1)
         four = run_parallel_folds(matrix, y, config, jobs=4)
         np.testing.assert_array_equal(one, four)
-
-    def test_dataset_unpublished_after_run(self):
-        matrix, y = small_dataset()
-        config = AnalysisConfig(k_max=4, folds=4, seed=3)
-        run_parallel_folds(matrix, y, config, jobs=1)
-        assert dataset_token(matrix, y) not in folds_mod._DATASETS
-
-
-class TestTokenMemo:
-    def test_memoized_on_the_live_objects(self):
-        matrix, y = small_dataset()
-        token = dataset_token(matrix, y)
-        assert folds_mod._TOKEN_MEMO[(id(matrix), id(y))] == token
-        assert dataset_token(matrix, y) == token
-
-    def test_memo_entry_dies_with_the_arrays(self):
-        matrix, y = small_dataset()
-        key = (id(matrix), id(y))
-        dataset_token(matrix, y)
-        assert key in folds_mod._TOKEN_MEMO
-        del matrix
-        assert key not in folds_mod._TOKEN_MEMO
-
-    def test_different_objects_same_content_same_token(self):
-        matrix, y = small_dataset()
-        assert dataset_token(matrix.copy(), y.copy()) == dataset_token(
-            matrix, y)
-
-    def test_non_contiguous_matrix_hashes_like_contiguous(self):
-        matrix, y = small_dataset(m=40, n=12)
-        strided = np.asfortranarray(matrix)
-        assert dataset_token(strided, y) == dataset_token(matrix, y)
 
 
 @pytest.fixture
@@ -172,35 +124,93 @@ def fold_tmp(monkeypatch, tmp_path):
     pool_mod.shutdown_default()
 
 
+@pytest.fixture
+def fold_outcomes(monkeypatch):
+    """Every fold-job outcome ``run_parallel_folds`` gets back, in order
+    (a parent recompute would otherwise hide a broken transport)."""
+    seen = []
+    real = graph_mod.submit_graph
+
+    def spy(*args, **kwargs):
+        outcomes = real(*args, **kwargs)
+        seen.extend(outcomes)
+        return outcomes
+
+    monkeypatch.setattr(graph_mod, "submit_graph", spy)
+    return seen
+
+
 def fold_dirs(root) -> list:
     return sorted(p.name for p in root.glob(f"{folds_mod.FOLDS_DIR_PREFIX}*"))
 
 
+def ran_in_workers(outcomes) -> bool:
+    return bool(outcomes) and all(
+        o.ok and o.worker != f"pid-{os.getpid()}" for o in outcomes)
+
+
 class TestTransportEquivalence:
-    """Workers forked before a dataset exists can only see it through
-    its fold artifact, so each test warms the pool on another dataset
-    first."""
+    """Fold SSEs equal the serial loop's bit for bit at jobs 2 and 4: the
+    first dataset on a cold pool, the second on the pool it warmed,
+    whose workers mapped another dataset before and can see this one
+    only through the store its fold specs name."""
 
-    def test_parallel_and_serial_identical(self, fold_tmp):
+    @staticmethod
+    def check_against_serial(datasets, fold_outcomes) -> None:
         config = AnalysisConfig(k_max=6, folds=5, seed=3)
-        run_parallel_folds(*small_dataset(seed=1), config, jobs=4)
-        matrix, y = small_dataset()
-        serial = cross_validated_sse(matrix, y, config=config, jobs=1)
-        spawns = METRICS.count("pool.spawns")
-        parallel = run_parallel_folds(matrix, y, config, jobs=4)
-        np.testing.assert_array_equal(serial, parallel)
-        assert METRICS.count("pool.spawns") == spawns
+        for jobs in (2, 4):
+            pool_mod.shutdown_default()
+            for forked, (matrix, y) in zip((1, 0), datasets):
+                serial = cross_validated_sse(matrix, y, config=config,
+                                             jobs=1)
+                spawns = METRICS.count("pool.spawns")
+                fold_outcomes.clear()
+                parallel = cross_validated_sse(matrix, y, config=config,
+                                               jobs=jobs)
+                assert parallel.tobytes() == serial.tobytes()
+                assert ran_in_workers(fold_outcomes)
+                assert METRICS.count("pool.spawns") == spawns + forked
 
-    def test_csr_dataset_identical(self, fold_tmp):
-        config = AnalysisConfig(k_max=5, folds=4, seed=7)
-        run_parallel_folds(*small_dataset(seed=1), config, jobs=3)
-        matrix, y = small_dataset()
-        sparse = CSRMatrix.from_dense(matrix)
-        serial = cross_validated_sse(sparse, y, config=config, jobs=1)
-        spawns = METRICS.count("pool.spawns")
-        parallel = run_parallel_folds(sparse, y, config, jobs=3)
-        np.testing.assert_array_equal(serial, parallel)
-        assert METRICS.count("pool.spawns") == spawns
+    def test_parallel_and_serial_identical(self, fold_tmp, fold_outcomes):
+        self.check_against_serial(
+            [small_dataset(seed=1), small_dataset()], fold_outcomes)
+
+    def test_csr_dataset_identical(self, fold_tmp, fold_outcomes):
+        self.check_against_serial(
+            [(CSRMatrix.from_dense(matrix), y)
+             for matrix, y in (small_dataset(seed=1), small_dataset())],
+            fold_outcomes)
+
+
+def mapped_fold_files() -> dict:
+    """``repro-folds-*`` paths each live pool worker maps, by pid."""
+    held = {}
+    for pid in pool_mod.default_pool().worker_pids():
+        with open(f"/proc/{pid}/maps", encoding="utf-8",
+                  errors="replace") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps
+                     if folds_mod.FOLDS_DIR_PREFIX in line}
+        if paths:
+            held[pid] = sorted(paths)
+    return held
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads /proc/<pid>/maps")
+class TestWorkersKeepNothing:
+    def test_no_worker_maps_a_fold_file_after_a_cv(self, fold_tmp,
+                                                   fold_outcomes):
+        """Regression: warm workers kept every fold dataset they had
+        mapped, so the files the parent deleted stayed allocated until
+        the workers were recycled, reaped or shut down."""
+        config = AnalysisConfig(k_max=6, folds=5, seed=3)
+        for seed in (1, 2):  # the second CV runs on the warm pool
+            fold_outcomes.clear()
+            cross_validated_sse(*small_dataset(seed=seed), config=config,
+                                jobs=2)
+            assert ran_in_workers(fold_outcomes)
+            assert pool_mod.default_pool().is_warm
+            assert mapped_fold_files() == {}
 
 
 class _ExplodingTree(RegressionTreeSequence):
@@ -211,55 +221,38 @@ class _ExplodingTree(RegressionTreeSequence):
 class TestFailurePaths:
     def test_fold_job_raising_in_pool_reports_its_error(self, fold_tmp):
         """A fold job that blows up inside a worker surfaces its error
-        while its sibling, sharing the same mapped dataset, completes."""
+        while its sibling, reading the same dataset, completes."""
         matrix, y = small_dataset()
-        token = dataset_token(matrix, y)
-        folds_mod._put_dataset(ResultCache(fold_tmp), token, matrix, y)
-        setup = pool_mod.WorkerSetup(key=f"folds:{token}",
-                                     fn=folds_mod._attach_dataset,
-                                     args=(str(fold_tmp), token))
-        publish_dataset(token, matrix, y)
-        try:
-            good, bad = scheduler.run_jobs(
-                [make_spec(token, y, fold_index=0),
-                 make_spec(token, y, fold_index=99)],
-                jobs=2, setup=setup)
-        finally:
-            folds_mod._DATASETS.pop(token, None)
+        put_dataset(fold_tmp, matrix, y)
+        good, bad = scheduler.run_jobs(
+            [make_spec(fold_tmp, y, fold_index=0),
+             make_spec(fold_tmp, y, fold_index=99)], jobs=2)
         assert good.ok and good.worker != f"pid-{os.getpid()}"
         assert not bad.ok
         assert "IndexError" in bad.error
 
     def test_attach_failure_falls_back_to_parent_serial(self, fold_tmp,
+                                                        fold_outcomes,
                                                         monkeypatch):
-        """A worker that cannot map the dataset fails its setup hook
-        (WorkerSetupError); the scheduler recomputes those folds in the
-        parent — without poisoning the healthy pool — and the floats stay
-        identical."""
+        """A worker that cannot map the dataset fails its fold job; the
+        parent recomputes those folds from its own arrays — without
+        poisoning the healthy pool — and the floats stay identical."""
         def refuse(self, kind, key, name):
             raise OSError("artifact vanished")
 
-        fallbacks = []
-        run_serial = scheduler._run_serial
-
-        def spy(spec, key, jobs=1, store=None, pool_error=None):
-            fallbacks.append(pool_error or "")
-            return run_serial(spec, key, jobs, store=store,
-                              pool_error=pool_error)
-
-        # Patched before the pool forks, so only the workers see it (the
-        # parent never maps its own dataset).
-        monkeypatch.setattr(ResultCache, "load_array", refuse)
-        monkeypatch.setattr(scheduler, "_run_serial", spy)
         matrix, y = small_dataset()
         config = AnalysisConfig(k_max=6, folds=5, seed=3)
+        serial = cross_validated_sse(matrix, y, config=config, jobs=1)
+        # Patched before the pool forks (the parent never maps its own
+        # dataset).
+        monkeypatch.setattr(ResultCache, "load_array", refuse)
         respawns = METRICS.count("pool.respawns")
         result = run_parallel_folds(matrix, y, config, jobs=2)
-        serial = cross_validated_sse(matrix, y, config=config, jobs=1)
-        np.testing.assert_array_equal(serial, result)
-        assert len(fallbacks) == config.folds
-        assert all("WorkerSetupError" in error and "artifact vanished"
-                   in error for error in fallbacks)
+        assert serial.tobytes() == result.tobytes()
+        assert len(fold_outcomes) == config.folds
+        assert all(not o.ok and o.worker == "pool"
+                   and "artifact vanished" in o.error
+                   for o in fold_outcomes)
         assert pool_mod.default_pool().is_warm
         assert METRICS.count("pool.respawns") == respawns
         assert fold_dirs(fold_tmp) == []
@@ -289,10 +282,11 @@ class TestFailurePaths:
         config = AnalysisConfig(k_max=5, folds=4, seed=3)
         run_parallel_folds(matrix, y, config, jobs=2)
         assert fold_dirs(fold_tmp) == []
-        assert dataset_token(matrix, y) not in folds_mod._DATASETS
 
     def test_failing_fold_removes_fold_files(self, fold_tmp, monkeypatch):
-        monkeypatch.setattr(folds_mod, "RegressionTreeSequence",
+        """A fold that fails in its job and again in the parent raises
+        an error naming the fold, with the job's traceback."""
+        monkeypatch.setattr(cv_mod, "RegressionTreeSequence",
                             _ExplodingTree)
         matrix, y = small_dataset()
         config = AnalysisConfig(k_max=5, folds=4, seed=3)

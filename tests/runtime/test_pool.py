@@ -67,7 +67,6 @@ class ProbeSpec:
 class ProbeResult:
     key: str
     pid: int
-    timings: dict = None
     spans: tuple = ()
 
     def to_dict(self) -> dict:

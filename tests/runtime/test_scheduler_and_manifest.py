@@ -41,7 +41,7 @@ class TestDeterminism:
         for s, p in zip(serial, parallel):
             assert s.key == p.key
             assert s.result.re == p.result.re
-            assert _without_timings(s) == _without_timings(p)
+            assert s.result.to_dict() == p.result.to_dict()
 
     def test_census_render_identical_serial_parallel_cached(self, tmp_path):
         names = ["spec.gzip", "spec.art"]
@@ -54,12 +54,6 @@ class TestDeterminism:
         warm = table2_quadrants.render(warm_run)
         assert serial == parallel == warm
         assert warm_run.manifest.hit_rate == 1.0
-
-
-def _without_timings(outcome):
-    data = outcome.result.to_dict()
-    data.pop("timings")
-    return data
 
 
 class TestCacheIntegration:

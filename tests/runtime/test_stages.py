@@ -40,9 +40,8 @@ def drop_results(store) -> None:
 
 
 def strip(result) -> dict:
-    """A result's deterministic fields (timings/spans are measured)."""
+    """A result's deterministic fields (spans are measured)."""
     data = result.to_dict()
-    data.pop("timings", None)
     data.pop("spans", None)
     return data
 

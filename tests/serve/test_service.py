@@ -430,6 +430,39 @@ class TestStatsUnderPrune:
             service.close()
 
 
+class TestServedSweepState:
+    SWEEP = TestStatsUnderPrune.SWEEP
+
+    def test_no_cache_daemon_leaves_nothing_under_cache_dir(
+            self, tmp_path, monkeypatch):
+        """Regression: a ``no_cache`` daemon wrote a served sweep's
+        manifest, partials and report under ``<cache_dir>/sweeps/`` and
+        left them there after ``close()``."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        service = _make(tmp_path, no_cache=True)
+        try:
+            status, body = service.handle("/v1/sweep", dict(self.SWEEP))
+            assert status == 200, body
+            assert (service.store.root / "sweeps"
+                    / body["space_key"][:16]).is_dir()
+        finally:
+            service.close()
+        assert not (tmp_path / "cache").exists()
+        assert list(scratch.iterdir()) == []
+
+    def test_disk_daemon_keeps_sweep_state_under_cache_dir(self, tmp_path):
+        service = _make(tmp_path)
+        try:
+            status, body = service.handle("/v1/sweep", dict(self.SWEEP))
+            assert status == 200, body
+        finally:
+            service.close()
+        sweeps = tmp_path / "cache" / "sweeps"
+        assert [p.name for p in sweeps.iterdir()] == [body["space_key"][:16]]
+
+
 class TestNoCacheIdentity:
     def test_bodies_identical_with_and_without_disk_cache(self, tmp_path):
         cached = _make(tmp_path / "disk")

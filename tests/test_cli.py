@@ -133,6 +133,21 @@ class TestRuntimeCommands:
         assert cold == captured.out
         assert "1 cache hits (100%)" in captured.err
 
+    def test_cold_runs_store_identical_result_bytes(self, capsys, tmp_path):
+        """A stored result is a function of its spec: two cold runs into
+        two caches write the same bytes (no wall-clock field)."""
+        argv = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",
+                "--scale", "tiny"]
+        headers = []
+        for name in ("one", "two"):
+            assert main(argv + ["--cache-dir", str(tmp_path / name)]) == 0
+            results = tmp_path / name / "store" / "result"
+            headers.append({path.parent.name: path.read_bytes()
+                            for path in results.glob("*/meta.json")})
+        capsys.readouterr()
+        assert len(headers[0]) == 3  # collect, eipv, the analysis
+        assert headers[0] == headers[1]
+
     def test_analyze_jobs_output_identical(self, capsys):
         """--jobs fans out the CV folds; stdout stays byte-identical."""
         argv = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",

@@ -10,7 +10,11 @@ provoke cache churn), then asserts the daemon's long-run invariants:
   writes its fold dataset into a temporary ``repro-folds-*`` directory
   and, run with ``--no-cache``, its stage artifacts into a temporary
   ``repro-stages-*`` one; no such directory that was not there before
-  the run survives it, or the pool shutdown.
+  the run survives it, or the pool shutdown.  No live worker of this
+  process's pool maps a ``repro-folds-*`` file after that run or at
+  shutdown either (read from ``/proc/<pid>/maps``; skipped with a note
+  where ``/proc`` is absent): a fold job drops its dataset when it
+  returns, so a deleted fold file never stays pinned by a warm worker.
 * **No leaked worker processes** — the daemon's warm worker pool
   (census requests fan out across it) shuts down with every forked
   worker joined and dead; ``leaked_workers()`` reports nothing.
@@ -93,6 +97,26 @@ def temporary_dirs() -> set:
     root = Path(tempfile.gettempdir())
     return {p.name for prefix in (FOLDS_DIR_PREFIX, STAGES_DIR_PREFIX)
             for p in root.glob(f"{prefix}*")}
+
+
+def held_fold_files() -> dict | None:
+    """``repro-folds-*`` paths mapped by each live worker of this
+    process's pool, by pid (``None`` where ``/proc`` is absent)."""
+    if not os.path.isdir("/proc/self"):
+        return None
+    held = {}
+    for pid in pool_mod.default_pool().worker_pids():
+        try:
+            with open(f"/proc/{pid}/maps", encoding="utf-8",
+                      errors="replace") as maps:
+                paths = sorted({line.split(maxsplit=5)[-1].strip()
+                                for line in maps
+                                if FOLDS_DIR_PREFIX in line})
+        except OSError:
+            continue  # the worker exited meanwhile
+        if paths:
+            held[pid] = paths
+    return held
 
 
 def rss_kib() -> int:
@@ -269,6 +293,7 @@ class BurnIn:
         # forked worker is gone (the daemon shares this process's pool).
         pool = pool_mod.default_pool()
         worker_pids = list(pool.worker_pids())
+        self.check_fold_files("at shutdown")
         pool_mod.shutdown_default()
         self.check_fold_files("after pool shutdown")
         still_alive = []
@@ -319,10 +344,17 @@ class BurnIn:
 
     def check_fold_files(self, when: str) -> None:
         """No ``repro-folds-*`` or ``repro-stages-*`` directory outlives
-        its run."""
+        its run, and no live pool worker still maps a fold file."""
         leaked = sorted(temporary_dirs() - self._temporary_dirs_before)
         self._check(not leaked, "fold-files",
                     f"temporary directories left {when}: {leaked}")
+        held = held_fold_files()
+        if held is None:
+            print(f"  note fold-files {when}: no /proc here, mapped fold "
+                  f"files not checked")
+        else:
+            self._check(not held, "fold-files",
+                        f"pool workers map fold files {when}: {held}")
 
     def check_versioning(self) -> None:
         """Both endpoint spellings answer; only the legacy one deprecates.
