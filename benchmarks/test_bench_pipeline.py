@@ -4,9 +4,9 @@ Times the three stages the vectorization PR targets, each against the
 implementation it replaced, and asserts both the speedup floor and the
 thing that makes the speedup trustworthy — bit-identical output:
 
-* ``collect`` — the batched sampling engine versus the retained
-  per-period reference loop (``_collect_reference``) on a 1B-instruction
-  run; every trace array must be ``array_equal``.
+* ``collect`` — the batched sampling engine versus the per-period
+  reference loop the tests keep (``tests/trace/reference_sampler.py``) on
+  a 1B-instruction run; every trace array must be ``array_equal``.
 * ``fit_cv`` — 10-fold CV on a wide sparse EIPV dataset with node-local
   split search and batch-routed ``predict_all_k``, versus the seed-era
   path (dense matrix, full-store split scan, per-row Python predict
@@ -40,6 +40,7 @@ from repro.workloads.program import CyclicSchedule, FlatMixSchedule, Program
 from repro.workloads.regions import CodeRegion
 from repro.workloads.system import SimulatedSystem, Workload
 from repro.workloads.thread_model import WorkloadThread
+from tests.trace.reference_sampler import collect_reference
 
 TOTAL_INSTRUCTIONS = 1_000_000_000
 
@@ -72,8 +73,8 @@ def test_bench_collect_vs_reference(benchmark, bench_json):
     SamplingDriver(big_system()).collect(10_000_000)
 
     reference_start = time.perf_counter()
-    reference = SamplingDriver(
-        big_system())._collect_reference(TOTAL_INSTRUCTIONS)
+    reference = collect_reference(SamplingDriver(big_system()),
+                                  TOTAL_INSTRUCTIONS)
     reference_wall = time.perf_counter() - reference_start
 
     batched = {}

@@ -16,10 +16,10 @@ does not change the analysis, so it is recorded as metadata only.
 execution once into per-slice arrays, derives every sample boundary from
 cumulative instruction counts, accumulates counter deltas with segmented
 prefix sums, and draws all EIPs from pre-drawn uniforms routed through
-each region's CDF.  :meth:`SamplingDriver._collect_reference` keeps the
-original one-period-at-a-time loop; both consume the RNG stream
-identically, so their traces are bit-for-bit equal (a property the test
-suite asserts on randomized workloads).
+each region's CDF.  The test suite keeps the original one-period-at-a-time
+loop as its reference (``tests/trace/reference_sampler.py``); both consume
+the RNG stream identically, so their traces are bit-for-bit equal (a
+property the tests assert on randomized workloads).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.obs import span
 from repro.trace.events import SampleTrace
+from repro.workloads.regions import choice_cdf
 from repro.workloads.system import SimulatedSystem
 
 #: The five counter deltas snapshotted at every sample.
@@ -73,18 +74,6 @@ class SamplingDriver:
         # spawned child stream, so a sampled run executes identically to an
         # unsampled one (spawning does not consume parent draws).
         self.rng = system.rng.spawn(1)[0]
-
-    def _draw_eip(self, plan, rng: np.random.Generator) -> int:
-        """The EIP an interrupt would observe for a slice's plan."""
-        parts = plan.parts
-        if len(parts) == 1:
-            region = parts[0][0]
-        else:
-            weights = np.fromiter((weight for _, weight in parts),
-                                  dtype=np.float64, count=len(parts))
-            index = int(rng.choice(len(parts), p=weights / weights.sum()))
-            region = parts[index][0]
-        return int(region.sample_eips(rng, 1)[0])
 
     def collect(self, total_instructions: int) -> SampleTrace:
         """Run the system and collect the sampled trace (batched engine).
@@ -366,8 +355,8 @@ class SamplingDriver:
         eip_u = u[first + multi]
 
         # Resolve each sample's region: single-part plans directly, multi-
-        # part plans through one vectorized CDF search per distinct plan
-        # (replicating Generator.choice's CDF construction bit for bit).
+        # part plans through one vectorized search per distinct plan of
+        # the CDF Generator.choice would build for it.
         region_members: dict[int, tuple[object, list]] = {}
 
         def _route(region, members: np.ndarray) -> None:
@@ -387,8 +376,7 @@ class SamplingDriver:
                 continue
             weights = np.fromiter((weight for _, weight in parts),
                                   dtype=np.float64, count=len(parts))
-            cdf = np.cumsum(weights / weights.sum())
-            cdf /= cdf[-1]
+            cdf = choice_cdf(weights / weights.sum())
             indices = cdf.searchsorted(u[first[members]], side="right")
             for p in range(len(parts)):
                 chosen = members[indices == p]
@@ -402,81 +390,6 @@ class SamplingDriver:
                        else np.concatenate(member_lists))
             eips[members] = region.eips_from_uniform(eip_u[members])
         return eips
-
-    def _collect_reference(self, total_instructions: int) -> SampleTrace:
-        """The original one-period-at-a-time loop (equality oracle).
-
-        Kept verbatim as the semantic reference for :meth:`collect`; the
-        property tests prove both produce identical trace arrays.
-        """
-        if total_instructions < self.period:
-            raise ValueError(
-                "run too short: need at least one sampling period")
-        period = self.period
-        rng = self.rng
-
-        eips: list[int] = []
-        thread_ids: list[int] = []
-        process_codes: list[int] = []
-        instructions: list[int] = []
-        cycles: list[float] = []
-        work: list[float] = []
-        fe: list[float] = []
-        exe: list[float] = []
-        other: list[float] = []
-
-        process_index: dict[str, int] = {}
-
-        # Accumulators since the last sample boundary.
-        acc = {"cycles": 0.0, "work": 0.0, "fe": 0.0, "exe": 0.0,
-               "other": 0.0}
-        instructions_into_period = 0
-
-        for piece in self.system.slices(total_instructions):
-            remaining = piece.instructions
-            breakdown = piece.breakdown
-            per_instr = {
-                "cycles": breakdown.cycles / piece.instructions,
-                "work": breakdown.work / piece.instructions,
-                "fe": breakdown.fe / piece.instructions,
-                "exe": breakdown.exe / piece.instructions,
-                "other": breakdown.other / piece.instructions,
-            }
-            while remaining > 0:
-                step = min(remaining, period - instructions_into_period)
-                for key, value in per_instr.items():
-                    acc[key] += value * step
-                instructions_into_period += step
-                remaining -= step
-                if instructions_into_period == period:
-                    # Fire: the interrupt lands in this slice.
-                    eips.append(self._draw_eip(piece.plan, rng))
-                    thread_ids.append(piece.thread_id)
-                    code = process_index.setdefault(piece.process,
-                                                    len(process_index))
-                    process_codes.append(code)
-                    instructions.append(period)
-                    cycles.append(acc["cycles"])
-                    work.append(acc["work"])
-                    fe.append(acc["fe"])
-                    exe.append(acc["exe"])
-                    other.append(acc["other"])
-                    acc = dict.fromkeys(acc, 0.0)
-                    instructions_into_period = 0
-
-        processes = tuple(sorted(process_index, key=process_index.get))
-        return self._finalize(
-            eips=np.asarray(eips, dtype=np.int64),
-            thread_ids=np.asarray(thread_ids, dtype=np.int32),
-            process_codes=np.asarray(process_codes, dtype=np.int16),
-            instructions=np.asarray(instructions, dtype=np.int64),
-            counters={"cycles": np.asarray(cycles, dtype=np.float64),
-                      "work": np.asarray(work, dtype=np.float64),
-                      "fe": np.asarray(fe, dtype=np.float64),
-                      "exe": np.asarray(exe, dtype=np.float64),
-                      "other": np.asarray(other, dtype=np.float64)},
-            processes=processes,
-        )
 
     def _finalize(self, eips, thread_ids, process_codes, instructions,
                   counters, processes) -> SampleTrace:

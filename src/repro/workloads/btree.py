@@ -7,9 +7,21 @@ randomness of the tree traversal" [31].  We therefore build a real B-tree
 and derive Q18's chunk-to-chunk memory behaviour from actual descent
 statistics, rather than hand-waving a noise term.
 
-The tree is a classic order-``fanout`` B-tree over integer keys.  Search
-returns the list of visited nodes so callers can reason about path overlap
-(shared upper levels cache well; divergent leaf-level nodes do not).
+The tree is a classic order-``fanout`` B-tree over integer keys, bulk
+loaded from sorted keys.  Search returns the list of visited nodes so
+callers can reason about path overlap (shared upper levels cache well;
+divergent leaf-level nodes do not).
+
+A bulk-loaded tree is fully determined by its sorted keys and its fanout,
+so it is kept as two arrays instead of node objects: the sorted distinct
+keys (leaf ``i`` holds ``keys[i * fanout:(i + 1) * fanout]``) and the first
+key of every leaf.  Node ids follow bulk-loading order: the leaves
+``0 .. L-1`` left to right, then each internal level left to right, the
+root last.  Node ``j`` of a level parents nodes ``j * fanout ..
+(j + 1) * fanout - 1`` of the level below, so the level-``d`` ancestor of
+leaf ``i`` (leaves are level 0) is node ``offset[d] + i // fanout**d``,
+where ``offset[d]`` is the id of level ``d``'s first node.  A descent is
+one ``searchsorted`` over the leaf first keys plus that arithmetic.
 """
 
 from __future__ import annotations
@@ -18,22 +30,6 @@ import numpy as np
 
 from repro.uarch.cpu import ExecutionProfile
 from repro.workloads.regions import ProfileModulator
-
-
-class BTreeNode:
-    """One node: sorted keys plus children (internal) or values (leaf)."""
-
-    __slots__ = ("keys", "children", "values", "node_id")
-
-    def __init__(self, node_id: int, leaf: bool) -> None:
-        self.node_id = node_id
-        self.keys: list[int] = []
-        self.children: list[BTreeNode] | None = None if leaf else []
-        self.values: list[int] | None = [] if leaf else None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
 
 
 class BTree:
@@ -46,79 +42,52 @@ class BTree:
     def __init__(self, keys, fanout: int = 32) -> None:
         if fanout < 3:
             raise ValueError("fanout must be at least 3")
-        keys = sorted(set(int(k) for k in keys))
-        if not keys:
+        keys = np.sort(np.asarray(keys, dtype=np.int64), axis=None)
+        if not keys.size:
             raise ValueError("BTree needs at least one key")
+        # Sort plus a neighbour mask, not np.unique: on numpy 2.x unique
+        # takes a hash path that is an order of magnitude slower here.
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        self.keys = keys[distinct]
         self.fanout = fanout
-        self._next_id = 0
-        self.root = self._bulk_load(keys)
-        self.n_keys = len(keys)
-        self.min_key = keys[0]
-        self.max_key = keys[-1]
-
-    def _new_node(self, leaf: bool) -> BTreeNode:
-        node = BTreeNode(self._next_id, leaf)
-        self._next_id += 1
-        return node
-
-    def _bulk_load(self, keys: list[int]) -> BTreeNode:
-        # Build leaves.
-        level: list[BTreeNode] = []
-        for i in range(0, len(keys), self.fanout):
-            leaf = self._new_node(leaf=True)
-            leaf.keys = keys[i:i + self.fanout]
-            leaf.values = list(leaf.keys)  # value == key (row id)
-            level.append(leaf)
-        # Build internal levels until a single root remains.
-        while len(level) > 1:
-            parents: list[BTreeNode] = []
-            for i in range(0, len(level), self.fanout):
-                group = level[i:i + self.fanout]
-                parent = self._new_node(leaf=False)
-                parent.children = group
-                # Separator keys: smallest key of each child except first.
-                parent.keys = [self._smallest(child) for child in group[1:]]
-                parents.append(parent)
-            level = parents
-        return level[0]
-
-    @staticmethod
-    def _smallest(node: BTreeNode) -> int:
-        while not node.is_leaf:
-            node = node.children[0]
-        return node.keys[0]
+        self.n_keys = len(self.keys)
+        self.min_key = int(self.keys[0])
+        self.max_key = int(self.keys[-1])
+        self._leaf_first = self.keys[::fanout]
+        counts = [len(self._leaf_first)]
+        while counts[-1] > 1:
+            counts.append(-(-counts[-1] // fanout))
+        # Per level, root first: the id of the level's first node, and the
+        # number of leaves under each of its nodes.
+        self._offsets = np.cumsum([0] + counts[:-1])[::-1]
+        self._spans = fanout ** np.arange(len(counts), dtype=np.int64)[::-1]
 
     @property
     def height(self) -> int:
         """Number of levels (1 for a lone leaf root)."""
-        height = 1
-        node = self.root
-        while not node.is_leaf:
-            node = node.children[0]
-            height += 1
-        return height
+        return len(self._offsets)
 
     def node_count(self) -> int:
-        """Total nodes in the tree."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend(node.children)
-        return count
+        """Total nodes in the tree (the root has the last id)."""
+        return int(self._offsets[0]) + 1
+
+    def _leaves(self, keys):
+        """The leaf a descent for each key ends in.
+
+        Separator keys are each child's smallest key, so a descent lands
+        in the last leaf whose first key is at most the probe, or in leaf
+        0 when the probe is below every key.
+        """
+        return np.maximum(
+            self._leaf_first.searchsorted(keys, side="right") - 1, 0)
 
     def search(self, key: int) -> tuple[int | None, list[int]]:
         """Find ``key``; return (value or None, visited node ids, root first)."""
-        node = self.root
-        path = [node.node_id]
-        while not node.is_leaf:
-            index = np.searchsorted(node.keys, key, side="right")
-            node = node.children[int(index)]
-            path.append(node.node_id)
-        if key in node.keys:
-            return key, path
+        path = (self._offsets + self._leaves(key) // self._spans).tolist()
+        index = int(self.keys.searchsorted(key))
+        if index < self.n_keys and self.keys[index] == key:
+            return key, path  # value == key (row id)
         return None, path
 
     def range_descents(self, rng: np.random.Generator, count: int,
@@ -128,8 +97,9 @@ class BTree:
             raise ValueError("count must be positive")
         if low > high:
             raise ValueError("low must be <= high")
-        keys = rng.integers(low, high + 1, size=count)
-        return [self.search(int(k))[1] for k in keys]
+        leaves = self._leaves(rng.integers(low, high + 1, size=count))
+        return (self._offsets[:, None]
+                + leaves // self._spans[:, None]).T.tolist()
 
 
 def path_overlap(paths: list[list[int]]) -> float:

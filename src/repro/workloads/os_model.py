@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.uarch.cpu import ExecutionProfile
 from repro.workloads.program import FlatMixSchedule, Program
-from repro.workloads.regions import CodeRegion, layout_regions
+from repro.workloads.regions import CodeRegion, choice_cdf, layout_regions
 from repro.workloads.thread_model import WorkloadThread
 
 #: Address where kernel text is laid out, far from user code.
@@ -116,7 +116,7 @@ class Scheduler:
         if config.os_share > 0 and kernel_thread is None:
             raise ValueError("os_share > 0 requires a kernel thread")
         weights = np.array([t.weight for t in self.user_threads])
-        self._weights = weights / weights.sum()
+        self._thread_cdf = choice_cdf(weights / weights.sum())
         self.current: WorkloadThread | None = None
         self.context_switches = 0
 
@@ -133,7 +133,8 @@ class Scheduler:
                 and rng.random() < self.config.os_share):
             thread = self.kernel_thread
         else:
-            index = int(rng.choice(len(self.user_threads), p=self._weights))
+            index = int(self._thread_cdf.searchsorted(rng.random(),
+                                                      side="right"))
             thread = self.user_threads[index]
 
         if thread is not self.current:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.regions import CodeRegion
+from repro.workloads.regions import CodeRegion, choice_cdf
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ class MarkovSchedule(Schedule):
         n = len(self.regions)
         if self.transition.shape != (n, n):
             raise ValueError("transition matrix shape must match regions")
-        if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("transition matrix rows must sum to 1")
+        self._transition_cdf = choice_cdf(self.transition)
         if (self.mean_durations <= 0).any():
             raise ValueError("mean durations must be positive")
         self._state = 0
@@ -144,8 +143,8 @@ class MarkovSchedule(Schedule):
     def advance(self, rng: np.random.Generator,
                 instructions: int) -> ChunkPlan:
         if self._chunks_left <= 0:
-            self._state = int(rng.choice(len(self.regions),
-                                         p=self.transition[self._state]))
+            self._state = int(self._transition_cdf[self._state].searchsorted(
+                rng.random(), side="right"))
             mean = self.mean_durations[self._state]
             self._chunks_left = 1 + int(rng.geometric(min(1.0, 1.0 / mean)))
         self._chunks_left -= 1

@@ -14,6 +14,7 @@ and how gcc-like irregular codes land in quadrant Q-III.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,31 @@ from repro.uarch.cpu import ExecutionProfile
 #: Synthetic instruction encoding width: EIPs within a region are spaced
 #: this many bytes apart (Itanium 2 bundles are 16 bytes).
 EIP_STRIDE = 16
+
+#: The tolerance Generator.choice allows on the sum of float64 ``p``.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_cdf(p) -> np.ndarray:
+    """The CDF ``Generator.choice(len(p), p=p)`` draws through, built once.
+
+    ``cdf.searchsorted(rng.random(), side="right")`` picks the index that
+    ``choice`` picks from the same stream position, consuming the same one
+    double, without choice's per-call validation and CDF build.  ``p`` may
+    be a matrix of distributions, one per row (last axis).  The checks are
+    the ones ``choice`` makes: no negative or NaN entry, and each row sums
+    to 1 within sqrt(eps).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if not (p >= 0).all():
+        raise ValueError("probabilities must be non-negative numbers")
+    rows = p.reshape(-1, p.shape[-1])
+    if not all(abs(math.fsum(row) - 1.0) <= _CHOICE_ATOL for row in rows):
+        raise ValueError("probabilities must sum to 1")
+    # Generator.choice's own construction, so the bits match.
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 class ProfileModulator:
@@ -140,7 +166,6 @@ class CodeRegion:
     jitter: float = 0.0
     eip_concentration: float = 0.0
     modulator: ProfileModulator | None = None
-    _eip_weights: np.ndarray = field(init=False, repr=False, default=None)
     _eip_cdf: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -152,12 +177,7 @@ class CodeRegion:
             raise ValueError("eip_concentration must be non-negative")
         ranks = np.arange(1, self.n_eips + 1, dtype=np.float64)
         weights = ranks ** (-self.eip_concentration)
-        self._eip_weights = weights / weights.sum()
-        # Normalized exactly the way np.random.Generator.choice builds its
-        # CDF, so uniform draws map to the same indices choice would pick.
-        cdf = np.cumsum(self._eip_weights)
-        cdf /= cdf[-1]
-        self._eip_cdf = cdf
+        self._eip_cdf = choice_cdf(weights / weights.sum())
 
     @property
     def eips(self) -> np.ndarray:

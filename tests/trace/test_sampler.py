@@ -13,6 +13,7 @@ from repro.workloads.program import CyclicSchedule, FlatMixSchedule, Program
 from repro.workloads.regions import CodeRegion, RandomLatencyModulator
 from repro.workloads.system import SimulatedSystem, Workload
 from repro.workloads.thread_model import WorkloadThread
+from tests.trace.reference_sampler import collect_reference
 
 
 def make_system(sample_period=10_000, n_threads=2, seed=0):
@@ -87,8 +88,8 @@ class TestSampling:
     def test_batched_collect_matches_reference(self):
         """The vectorized engine and the loop are array-for-array equal."""
         batched = SamplingDriver(make_system(seed=3)).collect(200_000)
-        reference = SamplingDriver(
-            make_system(seed=3))._collect_reference(200_000)
+        reference = collect_reference(
+            SamplingDriver(make_system(seed=3)), 200_000)
         _assert_traces_identical(batched, reference)
 
     def test_sample_cpi_reflects_phase(self):
@@ -172,6 +173,6 @@ def test_collect_equals_reference_on_randomized_workloads(
     total = periods * period + slack
     batched = SamplingDriver(_randomized_system(seed),
                              period=period).collect(total)
-    reference = SamplingDriver(
-        _randomized_system(seed), period=period)._collect_reference(total)
+    reference = collect_reference(
+        SamplingDriver(_randomized_system(seed), period=period), total)
     _assert_traces_identical(batched, reference)

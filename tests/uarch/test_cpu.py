@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.uarch.cpu import AnalyticalCPU, ExecutionProfile, estimate_miss_rate
+from repro.uarch.cpu import (
+    AnalyticalCPU,
+    ExecutionProfile,
+    ServedFractions,
+    estimate_miss_rate,
+)
 from repro.uarch.machine import itanium2, pentium4
 
 KB = 1024
@@ -73,6 +78,16 @@ class TestServedFractions:
             cpu.served_fractions(1 * MB, 0.5, warmth=0.0)
         with pytest.raises(ValueError):
             cpu.served_fractions(1 * MB, 0.5, warmth=1.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(total=st.one_of(st.floats(), st.floats(1 - 2e-5, 1 + 2e-5),
+                           st.sampled_from([np.nan, np.inf, -np.inf])))
+    def test_accepts_what_np_isclose_accepts(self, total):
+        if np.isclose(total, 1.0, atol=1e-9):
+            ServedFractions(l1=total, l2=0.0, l3=0.0, memory=0.0)
+        else:
+            with pytest.raises(ValueError):
+                ServedFractions(l1=total, l2=0.0, l3=0.0, memory=0.0)
 
 
 class TestExecute:

@@ -11,6 +11,7 @@ from repro.workloads.btree import (
     BTreeDescentModulator,
     path_overlap,
 )
+from tests.workloads.btree_reference import ReferenceBTree
 
 
 class TestBTreeStructure:
@@ -71,6 +72,32 @@ class TestBTreeStructure:
             value, path = tree.search(key)
             assert value == key
             assert len(path) == tree.height
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(st.integers(-1_000, 1_000), min_size=1,
+                         max_size=800),
+           fanout=st.integers(3, 64),
+           probes=st.lists(st.integers(-1_200, 1_200), max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_node_walking_reference(self, keys, fanout, probes,
+                                            seed):
+        """The array-backed tree answers exactly like the node-walking
+        one it replaced: same node ids, paths, heights and counts."""
+        tree = BTree(keys, fanout=fanout)
+        reference = ReferenceBTree(keys, fanout=fanout)
+        assert (tree.n_keys, tree.min_key, tree.max_key, tree.height,
+                tree.node_count()) == (
+            reference.n_keys, reference.min_key, reference.max_key,
+            reference.height, reference.node_count())
+        low, high = reference.min_key, reference.max_key
+        for key in probes + keys[:30] + [low - 1, low, high, high + 1]:
+            assert tree.search(key) == reference.search(key), key
+        for lo, hi in ((low - 50, high + 50), (low, low), (high, high + 9)):
+            assert (tree.range_descents(np.random.default_rng(seed), 12,
+                                        lo, hi)
+                    == reference.range_descents(
+                        np.random.default_rng(seed), 12, lo, hi))
 
 
 class TestPathOverlap:

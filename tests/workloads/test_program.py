@@ -27,6 +27,15 @@ def make_regions(n, prefix="r"):
 
 RNG = np.random.default_rng(0)
 
+#: Sums on both sides of np.isclose(total, 1.0, atol=1e-9)'s edge, NaN,
+#: the infinities and everything else hypothesis draws.
+SUMS_AROUND_ONE = st.one_of(
+    st.floats(), st.floats(1 - 2e-5, 1 + 2e-5),
+    st.sampled_from([np.nan, np.inf, -np.inf]
+                    + [float(edge + ulps * np.spacing(edge))
+                       for edge in (1 - 1.0001e-5, 1 + 1.0001e-5)
+                       for ulps in range(-3, 4)]))
+
 
 class TestChunkPlan:
     def test_single(self):
@@ -48,6 +57,16 @@ class TestChunkPlan:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ChunkPlan(parts=())
+
+    @settings(max_examples=80, deadline=None)
+    @given(total=SUMS_AROUND_ONE)
+    def test_accepts_what_np_isclose_accepts(self, total):
+        region = make_regions(1)[0]
+        if np.isclose(total, 1.0, atol=1e-9):
+            ChunkPlan(parts=((region, total),))
+        else:
+            with pytest.raises(ValueError):
+                ChunkPlan(parts=((region, total),))
 
 
 class TestCyclicSchedule:

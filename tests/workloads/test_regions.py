@@ -11,6 +11,7 @@ from repro.workloads.regions import (
     CodeRegion,
     RandomLatencyModulator,
     RandomWalkModulator,
+    choice_cdf,
     layout_regions,
 )
 
@@ -139,3 +140,32 @@ def test_sample_eips_properties(n_eips, concentration, count):
     assert len(samples) == count
     if count:
         assert set(samples) <= set(r.eips)
+
+
+class TestChoiceCdf:
+    @settings(max_examples=50, deadline=None)
+    @given(weights=st.lists(st.floats(0, 1e3), min_size=1, max_size=40)
+           .filter(lambda w: sum(w) > 0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_draws_what_generator_choice_draws(self, weights, seed):
+        """A numpy whose ``choice`` draws differently fails here instead of
+        silently changing every simulated trace."""
+        p = np.asarray(weights) / np.sum(weights)
+        cdf = choice_cdf(p)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(40):
+            assert (int(cdf.searchsorted(ours.random(), side="right"))
+                    == int(theirs.choice(len(p), p=p)))
+        rows = choice_cdf(np.stack([p[::-1], p]))
+        assert np.array_equal(rows[1], cdf)
+
+    @pytest.mark.parametrize("p", [[0.5, -0.1, 0.6], [np.nan, 1.0],
+                                   [0.5, 0.4], [0.5, 0.5 + 1e-6],
+                                   [np.inf, 0.0], [0.0, 0.0]])
+    def test_rejects_what_generator_choice_rejects(self, p):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(p), p=p)
+        with pytest.raises(ValueError):
+            choice_cdf(p)
+        with pytest.raises(ValueError):
+            choice_cdf([[1.0] + [0.0] * (len(p) - 1), p])

@@ -10,10 +10,12 @@ provoke cache churn), then asserts the daemon's long-run invariants:
   writes its fold dataset into a temporary ``repro-folds-*`` directory
   and, run with ``--no-cache``, its stage artifacts into a temporary
   ``repro-stages-*`` one; no such directory that was not there before
-  the run survives it, or the pool shutdown.  No live worker of this
-  process's pool maps a ``repro-folds-*`` file after that run or at
-  shutdown either (read from ``/proc/<pid>/maps``; skipped with a note
-  where ``/proc`` is absent): a fold job drops its dataset when it
+  the run survives it, or the pool shutdown.  The daemon's own store is
+  a ``repro-burnin-*`` directory, removed when the run ends, pass or
+  fail; none made by this run may be left after that.  No live worker
+  of this process's pool maps a ``repro-folds-*`` file after that run
+  or at shutdown either (read from ``/proc/<pid>/maps``; skipped with a
+  note where ``/proc`` is absent): a fold job drops its dataset when it
   returns, so a deleted fold file never stays pinned by a warm worker.
 * **No leaked worker processes** — the daemon's warm worker pool
   (census requests fan out across it) shuts down with every forked
@@ -61,6 +63,7 @@ import http.client
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -89,13 +92,16 @@ HOT_ARGS = ["analyze", HOT["workload"], "--intervals", str(HOT["intervals"]),
             "--k-max", str(HOT["k_max"]), "--no-cache"]
 #: Distinct-spec tail for cache churn (seed rotates per request).
 CHURN_WORKLOADS = ("spec.art", "spec.mcf", "spec.gcc", "odbc", "sjas")
+#: Prefix of the daemon store each burn-in makes in the temp dir.
+BURNIN_DIR_PREFIX = "repro-burnin-"
 
 
 def temporary_dirs() -> set:
-    """``repro-folds-*`` and ``repro-stages-*`` directories in the temp
-    dir right now."""
+    """``repro-folds-*``, ``repro-stages-*`` and ``repro-burnin-*``
+    directories in the temp dir right now."""
     root = Path(tempfile.gettempdir())
-    return {p.name for prefix in (FOLDS_DIR_PREFIX, STAGES_DIR_PREFIX)
+    return {p.name for prefix in (FOLDS_DIR_PREFIX, STAGES_DIR_PREFIX,
+                                  BURNIN_DIR_PREFIX)
             for p in root.glob(f"{prefix}*")}
 
 
@@ -164,7 +170,11 @@ class BurnIn:
                  cache_max_entries: int) -> None:
         self.seconds = seconds
         self.threads = threads
-        self.cache_dir = Path(tempfile.mkdtemp(prefix="repro-burnin-"))
+        #: Temporary directories never blamed on this run: those other
+        #: processes own, and the daemon's store until main() removes it.
+        self._temporary_dirs_before = temporary_dirs()
+        self.cache_dir = Path(tempfile.mkdtemp(prefix=BURNIN_DIR_PREFIX))
+        self._temporary_dirs_before.add(self.cache_dir.name)
         self.metrics = MetricsRegistry()
         self.server = create_server(
             ServeConfig(host="127.0.0.1", port=0, cache_dir=self.cache_dir,
@@ -183,8 +193,6 @@ class BurnIn:
         self._hot_reports: set = set()
         self.stats_polls = 0
         self.stats_failures: list = []
-        #: Temporary directories other processes own; never blamed on us.
-        self._temporary_dirs_before = temporary_dirs()
 
     # -- load -------------------------------------------------------------
     def client(self, client_id: int) -> None:
@@ -343,8 +351,9 @@ class BurnIn:
                     f"{self.failures[:1]}")
 
     def check_fold_files(self, when: str) -> None:
-        """No ``repro-folds-*`` or ``repro-stages-*`` directory outlives
-        its run, and no live pool worker still maps a fold file."""
+        """No ``repro-folds-*``, ``repro-stages-*`` or (once removed)
+        ``repro-burnin-*`` directory outlives its run, and no live pool
+        worker still maps a fold file."""
         leaked = sorted(temporary_dirs() - self._temporary_dirs_before)
         self._check(not leaked, "fold-files",
                     f"temporary directories left {when}: {leaked}")
@@ -473,19 +482,24 @@ class BurnIn:
 
     def main(self, json_path: str | None) -> int:
         self.failed_checks = []
-        self.start()
-        print(f"burn-in: {self.threads} clients for {self.seconds:.0f}s "
-              f"against {self.base}")
-        self.check_curve_derived()
-        report = self.run_load()
-        print(f"load done: {report['responses']} responses "
-              f"({report['shed']} shed) in {report['elapsed_s']}s")
-        print("invariants:")
-        self.check_versioning()
-        self.check_in_process_cli()
-        self.check_cli_identity()
-        report["stats"] = self.stop()
-        self.check_invariants(report)
+        try:
+            self.start()
+            print(f"burn-in: {self.threads} clients for "
+                  f"{self.seconds:.0f}s against {self.base}")
+            self.check_curve_derived()
+            report = self.run_load()
+            print(f"load done: {report['responses']} responses "
+                  f"({report['shed']} shed) in {report['elapsed_s']}s")
+            print("invariants:")
+            self.check_versioning()
+            self.check_in_process_cli()
+            self.check_cli_identity()
+            report["stats"] = self.stop()
+            self.check_invariants(report)
+        finally:
+            shutil.rmtree(self.cache_dir, ignore_errors=True)
+        self._temporary_dirs_before.discard(self.cache_dir.name)
+        self.check_fold_files("after the daemon store's removal")
         report["checks_failed"] = list(self.failed_checks)
         if json_path:
             Path(json_path).write_text(
