@@ -40,6 +40,7 @@ from repro.workloads.program import CyclicSchedule, FlatMixSchedule, Program
 from repro.workloads.regions import CodeRegion
 from repro.workloads.system import SimulatedSystem, Workload
 from repro.workloads.thread_model import WorkloadThread
+from tests.core.reference_tree import FullScanTree
 from tests.trace.reference_sampler import collect_reference
 
 TOTAL_INSTRUCTIONS = 1_000_000_000
@@ -156,15 +157,14 @@ def predict_all_k_reference(tree, matrix):
     return out
 
 
-def _cv(matrix, y, split_search, predict, folds=10, k_max=50, seed=3):
-    """The serial CV loop with an injectable tree mode and predictor."""
+def _cv(matrix, y, tree_class, predict, folds=10, k_max=50, seed=3):
+    """The serial CV loop with an injectable tree class and predictor."""
     rng = np.random.default_rng(seed)
     sse = np.zeros(k_max)
     for held_out in fold_indices(len(y), folds, rng):
         train = np.ones(len(y), dtype=bool)
         train[held_out] = False
-        tree = RegressionTreeSequence(k_max=k_max,
-                                      split_search=split_search)
+        tree = tree_class(k_max=k_max)
         tree.fit(matrix[train], y[train])
         errors = ((predict(tree, matrix[held_out])
                    - y[held_out][:, None]) ** 2).sum(axis=0)
@@ -179,14 +179,14 @@ def test_bench_fit_cv_sparse_node_vs_seed(benchmark, bench_json):
     dense = matrix.toarray()
 
     reference_start = time.perf_counter()
-    before = _cv(dense, y, "full", predict_all_k_reference)
+    before = _cv(dense, y, FullScanTree, predict_all_k_reference)
     reference_wall = time.perf_counter() - reference_start
 
     run = {}
 
     def _fit_cv():
         start = time.perf_counter()
-        run["sse"] = _cv(matrix, y, "node",
+        run["sse"] = _cv(matrix, y, RegressionTreeSequence,
                          lambda tree, rows: tree.predict_all_k(rows))
         run["wall"] = time.perf_counter() - start
 

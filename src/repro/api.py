@@ -18,7 +18,8 @@ keep stable:
 * :func:`collect_to_store` / :func:`analyze_store` — the out-of-core
   tier: stream a collection to an on-disk
   :class:`~repro.trace.storage.TraceStore` and analyze it in bounded
-  memory (bit-identical results to the in-memory path).
+  memory (the same sampling and EIPV engines as the in-memory path, so
+  the same results).
 
 The report helpers (:func:`format_table`, :func:`format_curve`,
 :func:`sparkline`) are re-exported so example scripts need only this
@@ -58,6 +59,7 @@ from repro.runtime.jobs import JobSpec
 from repro.sampling.selector import SamplingRecommendation, recommend_for
 from repro.sweep import SweepOutcome, SweepSpace
 from repro.trace.eipv import EIPVDataset
+from repro.trace.sampler import CHUNK_SAMPLES
 from repro.workloads.scale import get_scale
 
 __all__ = [
@@ -122,15 +124,16 @@ def collect(workload, *, n_intervals: int | None = None,
 def collect_to_store(workload: str, store_path, *,
                      n_intervals: int | None = None, seed: int = 11,
                      machine: str = "itanium2", scale: str = "default",
-                     chunk_samples: int = 8192):
+                     chunk_samples: int = CHUNK_SAMPLES):
     """Stream one workload's sampled trace into an on-disk store.
 
-    The out-of-core twin of :func:`collect`: the simulation is consumed
-    incrementally and samples leave for disk in chunks, so peak memory
-    is bounded by ``chunk_samples`` regardless of run length.  Returns
-    the finalized, opened :class:`~repro.trace.storage.TraceStore`; the
-    stored columns are bit-identical to what an in-memory collection of
-    the same (workload, seed, machine, scale) would hold.
+    :func:`collect`'s sampling with the trace on disk: the simulation
+    is consumed incrementally and samples leave for disk in chunks, so
+    peak memory is bounded by ``chunk_samples`` regardless of run
+    length.  Returns the finalized, opened
+    :class:`~repro.trace.storage.TraceStore`; the stored columns are the
+    ones an in-memory collection of the same (workload, seed, machine,
+    scale) holds, at any chunk size.
     """
     from repro.trace.sampler import SamplingDriver
     from repro.trace.storage import TraceStore

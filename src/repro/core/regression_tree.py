@@ -25,9 +25,9 @@ Design notes:
   triplets, partitioned from its parent when a split is applied.  A node's
   exact split search therefore touches O(nnz_node) entries, not
   O(nnz_total) — the difference between quadratic and near-linear fits on
-  wide datasets.  ``split_search="full"`` keeps the previous
-  whole-store-scan behaviour as an equality/benchmark reference; both
-  modes walk candidates in the same order and produce bit-identical trees.
+  wide datasets.  The test suite keeps the previous whole-store scan as
+  its reference (``tests/core/reference_tree.py``); both walk candidates
+  in the same order and produce bit-identical trees.
 """
 
 from __future__ import annotations
@@ -105,18 +105,10 @@ class _FeatureStore:
         self.feat = features[order].astype(np.int64)
         self.row = rows[order].astype(np.int64)
         self.val = values[order]
-        # Column j's triplets live in feat_offsets[j]:feat_offsets[j + 1].
-        self.feat_offsets = np.searchsorted(
-            self.feat, np.arange(self.n_features + 1))
 
     @property
     def nnz(self) -> int:
         return len(self.feat)
-
-    def column(self, feature: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, values) of one feature's non-zero entries."""
-        start, end = self.feat_offsets[feature], self.feat_offsets[feature + 1]
-        return self.row[start:end], self.val[start:end]
 
 
 class _ColumnAccessor:
@@ -157,21 +149,15 @@ class RegressionTreeSequence:
 
     Build once with :meth:`fit`; then :meth:`predict` evaluates any member
     T_k by treating splits of rank >= k - 1 as un-applied.
-    ``split_search`` selects the node-local search (default) or the legacy
-    whole-store scan (``"full"``) — both produce identical trees.
     """
 
-    def __init__(self, k_max: int = 50, min_leaf: int = 1,
-                 split_search: str = "node") -> None:
+    def __init__(self, k_max: int = 50, min_leaf: int = 1) -> None:
         if k_max < 1:
             raise ValueError("k_max must be at least 1")
         if min_leaf < 1:
             raise ValueError("min_leaf must be at least 1")
-        if split_search not in ("node", "full"):
-            raise ValueError("split_search must be 'node' or 'full'")
         self.k_max = k_max
         self.min_leaf = min_leaf
-        self.split_search = split_search
         self.root: TreeNode | None = None
         self.n_splits = 0
         self._store: _FeatureStore | None = None
@@ -203,8 +189,7 @@ class RegressionTreeSequence:
 
         rows = np.arange(len(y), dtype=np.int32)
         self.root = self._make_node(rows, depth=0)
-        if self.split_search == "node":
-            self.root.store_idx = np.arange(store.nnz, dtype=np.int64)
+        self.root.store_idx = np.arange(store.nnz, dtype=np.int64)
         self._find_best_split(self.root)
 
         # Best-first growth: repeatedly split the leaf with the largest
@@ -238,22 +223,11 @@ class RegressionTreeSequence:
         return TreeNode(rows=rows, value=value, sse=sse, depth=depth)
 
     def _node_triplets(self, node: TreeNode):
-        """The node's (feature, value, cpi) triplets in store order.
-
-        Node-local mode reads them straight from the node's own index
-        array; full mode rebuilds them by masking the whole store (the
-        legacy behaviour, kept as the equality/benchmark reference).  Both
-        yield the same arrays in the same order.
-        """
+        """The node's (feature, value, cpi) triplets in store order, read
+        straight from the node's own index array."""
         store = self._store
-        if self.split_search == "node":
-            idx = node.store_idx
-            return store.feat[idx], store.val[idx], self._y[store.row[idx]]
-        in_node = np.zeros(store.n_rows, dtype=bool)
-        in_node[node.rows] = True
-        select = in_node[store.row]
-        return (store.feat[select], store.val[select],
-                self._y[store.row[select]])
+        idx = node.store_idx
+        return store.feat[idx], store.val[idx], self._y[store.row[idx]]
 
     def _find_best_split(self, node: TreeNode) -> None:
         """Compute and cache the node's best (feature, threshold).
@@ -365,16 +339,12 @@ class RegressionTreeSequence:
         sse_children, feature, threshold = node.best_split
         rows = node.rows
         store = self._store
-        node_local = self.split_search == "node"
-        if node_local:
-            idx = node.store_idx
-            feat_sub = store.feat[idx]
-            lo = np.searchsorted(feat_sub, feature, side="left")
-            hi = np.searchsorted(feat_sub, feature, side="right")
-            rows_j = store.row[idx[lo:hi]]
-            values_j = store.val[idx[lo:hi]]
-        else:
-            rows_j, values_j = store.column(feature)
+        idx = node.store_idx
+        feat_sub = store.feat[idx]
+        lo = np.searchsorted(feat_sub, feature, side="left")
+        hi = np.searchsorted(feat_sub, feature, side="right")
+        rows_j = store.row[idx[lo:hi]]
+        values_j = store.val[idx[lo:hi]]
         # Feature value per node row (zeros by default).
         scratch = self._scratch_val
         scratch[rows_j] = values_j
@@ -389,17 +359,16 @@ class RegressionTreeSequence:
         node.split_rank = self.n_splits
         node.left = self._make_node(left_rows, node.depth + 1)
         node.right = self._make_node(right_rows, node.depth + 1)
-        if node_local:
-            # Partition the triplets: a boolean-mask split preserves the
-            # (feature, value, row-major) order, so each child searches
-            # exactly the subsequence the full scan would have produced.
-            flag = self._scratch_flag
-            flag[left_rows] = True
-            mask = flag[store.row[idx]]
-            flag[left_rows] = False
-            node.left.store_idx = idx[mask]
-            node.right.store_idx = idx[~mask]
-            node.store_idx = None  # parent triplets are no longer needed
+        # Partition the triplets: a boolean-mask split preserves the
+        # (feature, value, row-major) order, so each child searches
+        # exactly the subsequence a whole-store scan would produce.
+        flag = self._scratch_flag
+        flag[left_rows] = True
+        mask = flag[store.row[idx]]
+        flag[left_rows] = False
+        node.left.store_idx = idx[mask]
+        node.right.store_idx = idx[~mask]
+        node.store_idx = None  # parent triplets are no longer needed
         self._find_best_split(node.left)
         self._find_best_split(node.right)
 

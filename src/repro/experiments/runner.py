@@ -13,7 +13,6 @@ import sys
 
 from repro.experiments.base import Experiment
 from repro.obs import span
-from repro.runtime.metrics import METRICS
 from repro.runtime.cache import store_scope
 from repro.experiments import (
     example_tree,
@@ -77,16 +76,15 @@ def run_experiment(experiment_id: str, *, jobs: int = 1, store=None,
     """
     experiment = get_experiment(experiment_id)
     key = experiment.id
-    with METRICS.time(f"experiment.{key}_s"):
-        with span(f"experiment.{key}", title=experiment.title):
-            if experiment is table2_quadrants.EXPERIMENT:
-                result = table2_quadrants.run(jobs=jobs, store=store,
-                                              timeout=timeout)
-            elif experiment is example_tree.EXPERIMENT:
-                result = None
-            else:
-                result = experiment.runner(store=store)
-            return experiment.render(result)
+    with span(f"experiment.{key}", title=experiment.title):
+        if experiment is table2_quadrants.EXPERIMENT:
+            result = table2_quadrants.run(jobs=jobs, store=store,
+                                          timeout=timeout)
+        elif experiment is example_tree.EXPERIMENT:
+            result = None
+        else:
+            result = experiment.runner(store=store)
+        return experiment.render(result)
 
 
 def run_all(ids=None, *, jobs: int = 1, store=None,

@@ -31,7 +31,13 @@ class StageStats:
 
 
 def aggregate_spans(roots) -> list[StageStats]:
-    """Fold span snapshots into per-path stats, first-visit order."""
+    """Fold span snapshots into per-path stats, first-visit order.
+
+    A span's self time is its wall time minus its direct children's,
+    floored at zero: children grafted from pool workers (the ``cv.fold``
+    spans of a ``--jobs N`` run) ran concurrently, so their summed wall
+    time can exceed the parent's.
+    """
     stats: dict[str, StageStats] = {}
 
     def visit(node: dict, prefix: str, depth: int) -> None:
@@ -43,8 +49,8 @@ def aggregate_spans(roots) -> list[StageStats]:
         children = node.get("children", ())
         entry.calls += 1
         entry.total_s += wall
-        entry.self_s += wall - sum(float(c.get("wall_s", 0.0))
-                                   for c in children)
+        entry.self_s += max(0.0, wall - sum(float(c.get("wall_s", 0.0))
+                                            for c in children))
         for name, amount in node.get("counters", {}).items():
             entry.counters[name] = entry.counters.get(name, 0) + amount
         for child in children:

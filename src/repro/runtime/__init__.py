@@ -23,8 +23,8 @@ a run manifest:
   failed nodes are skipped, outcomes stream back per node;
 - :mod:`repro.runtime.manifest` — structured per-run observability
   record (wall times, cache hits, worker ids, failure tracebacks);
-- :mod:`repro.runtime.metrics` — lightweight counters/timers aggregated
-  across workers;
+- :mod:`repro.runtime.metrics` — per-process counters (dispatch choices,
+  pool lifecycle, cache traffic, job outcomes);
 - :mod:`repro.runtime.coalesce` — in-flight dedup of identical jobs
   (a thundering herd of equal specs computes once), keyed by the same
   ``spec.key`` the cache and manifests use.

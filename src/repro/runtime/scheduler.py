@@ -385,7 +385,6 @@ def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
             outcomes[i] = outcome
 
     for outcome in outcomes:
-        metrics.observe("job.wall_s", outcome.wall_time)
         if outcome.timed_out:
             metrics.inc("jobs.timeout")
         elif outcome.error is not None:

@@ -36,10 +36,11 @@ Two design rules keep every path byte-identical:
   result schema are independent of the stages;
   :func:`repro.runtime.jobs.execute_job` reads its dataset through
   :func:`eipv_dataset`, which falls back to the eipv stage's own build.
-  ``EIPVDataset.from_store`` is bit-identical to the in-memory
-  ``build_eipvs`` (the out-of-core tier's invariant), and raw ``.npy``
-  persistence preserves every float bit, so every path feeds
-  ``analyze_predictability`` the same bytes.
+  ``build_eipvs`` is ``EIPVDataset.from_store`` over an in-memory
+  trace, so a dataset streamed from the trace artifact equals one built
+  from a fresh simulation, and raw ``.npy`` persistence preserves every
+  float bit, so every path feeds ``analyze_predictability`` the same
+  bytes.
 """
 
 from __future__ import annotations

@@ -29,6 +29,9 @@ from repro.trace.events import SampleTrace
 #: The paper's interval size in retired instructions.
 DEFAULT_INTERVAL = 100_000_000
 
+#: Intervals aggregated per chunk when building EIPVs.
+CHUNK_INTERVALS = 256
+
 
 @dataclass
 class EIPVDataset:
@@ -121,18 +124,16 @@ class EIPVDataset:
     def from_store(cls, store,
                    interval_instructions: int = DEFAULT_INTERVAL,
                    sparse: bool = False,
-                   chunk_intervals: int = 256) -> "EIPVDataset":
-        """Build EIPVs by streaming a trace store, never loading it whole.
+                   chunk_intervals: int = CHUNK_INTERVALS) -> "EIPVDataset":
+        """Build merged (all-thread) EIPVs a chunk of intervals at a time.
 
-        ``store`` is a :class:`~repro.trace.storage.TraceStore` (any
+        ``store`` is an in-memory :class:`~repro.trace.events.SampleTrace`
+        or an on-disk :class:`~repro.trace.storage.TraceStore` (any
         object with ``__len__``, ``sample_period``, ``workload_name``
-        and ``column(name)`` works).  The store's columns are consumed
-        in chunks of ``chunk_intervals`` whole intervals, so peak memory
-        is bounded by the chunk size while the resulting dataset is
-        bit-identical to ``build_eipvs(store.as_trace(), ...)`` — chunk
-        boundaries coincide with interval boundaries, which keeps every
-        per-interval float accumulation in the exact order the in-memory
-        bincount performs it.
+        and ``column(name)`` works).  Its columns are consumed in chunks
+        of ``chunk_intervals`` whole intervals, so a memmapped store is
+        never resident; the dataset is the same at any chunk size.
+        Samples past the last whole interval are ignored.
         """
         n = len(store)
         if n == 0:
@@ -145,59 +146,25 @@ class EIPVDataset:
             raise ValueError("trace too short for even one interval")
         if chunk_intervals < 1:
             raise ValueError("chunk_intervals must be positive")
-        used = n_intervals * samples_per_interval
-        step = chunk_intervals * samples_per_interval
 
-        eips_col = store.column("eips")
-        cycles_col = store.column("cycles")
-        instr_col = store.column("instructions")
-
+        eips = store.column("eips")
         with span("trace.build_eipvs") as build_span:
-            # Pass 1: the sorted unique-EIP vocabulary (the union of
-            # per-chunk uniques equals the whole-trace unique).
-            unique_eips = np.empty(0, dtype=np.int64)
-            for start in range(0, used, step):
-                chunk = np.asarray(eips_col[start:start + step])
-                unique_eips = np.union1d(unique_eips, chunk)
-            n_eips = len(unique_eips)
-
-            # Pass 2: interval-aligned aggregation, chunk by chunk.
-            cpis = np.empty(n_intervals, dtype=np.float64)
-            dense = (None if sparse
-                     else np.empty((n_intervals, n_eips), dtype=np.int32))
-            csr_parts = []
-            for start in range(0, used, step):
-                stop = min(start + step, used)
-                k = (stop - start) // samples_per_interval
-                first_row = start // samples_per_interval
-                rows = np.repeat(np.arange(k), samples_per_interval)
-                codes = np.searchsorted(
-                    unique_eips, np.asarray(eips_col[start:stop]))
-                if sparse:
-                    csr_parts.append(CSRMatrix.from_codes(
-                        rows, codes, shape=(k, n_eips)))
-                else:
-                    flat = np.bincount(rows * n_eips + codes,
-                                       minlength=k * n_eips)
-                    dense[first_row:first_row + k] = flat.reshape(
-                        k, n_eips).astype(np.int32)
-                cycles = np.bincount(
-                    rows, weights=np.asarray(cycles_col[start:stop]),
-                    minlength=k)
-                instructions = np.bincount(
-                    rows,
-                    weights=np.asarray(instr_col[start:stop]).astype(
-                        np.float64),
-                    minlength=k)
-                cpis[first_row:first_row + k] = (
-                    cycles / np.maximum(instructions, 1))
-            matrix = CSRMatrix.vstack(csr_parts) if sparse else dense
+            # The sorted unique-EIP vocabulary: the union of per-chunk
+            # uniques equals the unique of every sample used.
+            vocabulary = np.empty(0, dtype=np.int64)
+            for start, stop in _chunks(n_intervals, samples_per_interval,
+                                       chunk_intervals):
+                vocabulary = np.union1d(vocabulary,
+                                        np.asarray(eips[start:stop]))
+            matrix, cpis = _histograms(store, vocabulary, n_intervals,
+                                       samples_per_interval, sparse,
+                                       chunk_intervals)
             build_span.inc("intervals", n_intervals)
-            build_span.inc("eips", n_eips)
+            build_span.inc("eips", len(vocabulary))
         return cls(
             matrix=matrix,
             cpis=cpis,
-            eip_index=unique_eips,
+            eip_index=vocabulary,
             interval_instructions=interval_instructions,
             workload_name=store.workload_name,
         )
@@ -229,38 +196,59 @@ class EIPVDataset:
         )
 
 
-def _interval_cpis(trace: SampleTrace, interval_rows: np.ndarray,
-                   n_intervals: int) -> np.ndarray:
-    """Per-interval CPI: cycle delta over instructions retired.
+def _chunks(n_intervals: int, samples_per_interval: int,
+            chunk_intervals: int):
+    """``(start, stop)`` sample ranges of whole intervals, at most
+    ``chunk_intervals`` of them per range, over the first
+    ``n_intervals`` intervals."""
+    used = n_intervals * samples_per_interval
+    step = chunk_intervals * samples_per_interval
+    for start in range(0, used, step):
+        yield start, min(start + step, used)
 
-    ``bincount`` accumulates weights in input order, matching the previous
-    ``np.add.at`` implementation bit for bit.
+
+def _histograms(trace, vocabulary: np.ndarray, n_intervals: int,
+                samples_per_interval: int, sparse: bool,
+                chunk_intervals: int = CHUNK_INTERVALS):
+    """Per-interval EIP histograms over ``vocabulary``, and interval CPIs.
+
+    Covers ``trace``'s first ``n_intervals`` intervals, aggregated
+    ``chunk_intervals`` at a time; every EIP must be in ``vocabulary``.
+    Chunks end on interval boundaries and ``bincount`` adds each
+    interval's weights in sample order, so every CPI is the same float
+    at any chunk size.  Returns ``(matrix, cpis)``; the matrix is dense
+    ``int32`` or, with ``sparse``, a :class:`~repro.sparse.CSRMatrix`
+    built without the dense intermediate.
     """
-    cycles = np.bincount(interval_rows, weights=trace.cycles,
-                         minlength=n_intervals)
-    instructions = np.bincount(interval_rows,
-                               weights=trace.instructions.astype(np.float64),
-                               minlength=n_intervals)
-    return cycles / np.maximum(instructions, 1)
-
-
-def _aggregate(trace: SampleTrace, interval_rows: np.ndarray,
-               n_intervals: int, eip_codes: np.ndarray,
-               n_eips: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense histogram matrix and CPI per interval from coded samples."""
-    flat = np.bincount(interval_rows * n_eips + eip_codes,
-                       minlength=n_intervals * n_eips)
-    matrix = flat.reshape(n_intervals, n_eips).astype(np.int32)
-    return matrix, _interval_cpis(trace, interval_rows, n_intervals)
-
-
-def _aggregate_sparse(trace: SampleTrace, interval_rows: np.ndarray,
-                      n_intervals: int, eip_codes: np.ndarray,
-                      n_eips: int) -> tuple[CSRMatrix, np.ndarray]:
-    """CSR histogram matrix — never allocates the dense intermediate."""
-    matrix = CSRMatrix.from_codes(interval_rows, eip_codes,
-                                  shape=(n_intervals, n_eips))
-    return matrix, _interval_cpis(trace, interval_rows, n_intervals)
+    n_eips = len(vocabulary)
+    eips = trace.column("eips")
+    cycles = trace.column("cycles")
+    instructions = trace.column("instructions")
+    cpis = np.empty(n_intervals, dtype=np.float64)
+    dense = (None if sparse
+             else np.empty((n_intervals, n_eips), dtype=np.int32))
+    csr_parts = []
+    for start, stop in _chunks(n_intervals, samples_per_interval,
+                               chunk_intervals):
+        k = (stop - start) // samples_per_interval
+        first_row = start // samples_per_interval
+        rows = np.repeat(np.arange(k), samples_per_interval)
+        codes = np.searchsorted(vocabulary, np.asarray(eips[start:stop]))
+        if sparse:
+            csr_parts.append(CSRMatrix.from_codes(rows, codes,
+                                                  shape=(k, n_eips)))
+        else:
+            flat = np.bincount(rows * n_eips + codes, minlength=k * n_eips)
+            dense[first_row:first_row + k] = flat.reshape(k, n_eips)
+        interval_cycles = np.bincount(
+            rows, weights=np.asarray(cycles[start:stop]), minlength=k)
+        interval_instructions = np.bincount(
+            rows,
+            weights=np.asarray(instructions[start:stop]).astype(np.float64),
+            minlength=k)
+        cpis[first_row:first_row + k] = (
+            interval_cycles / np.maximum(interval_instructions, 1))
+    return (CSRMatrix.vstack(csr_parts) if sparse else dense), cpis
 
 
 def build_eipvs(trace: SampleTrace,
@@ -268,37 +256,13 @@ def build_eipvs(trace: SampleTrace,
                 sparse: bool = False) -> EIPVDataset:
     """Build merged (all-thread) EIPVs, the paper's default pipeline.
 
+    :meth:`EIPVDataset.from_store` over the trace's columns.
     ``sparse=True`` builds a CSR-backed matrix directly from the sample
     codes without densifying; downstream analyses produce identical
     results either way.
     """
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    samples_per_interval = interval_instructions // trace.sample_period
-    if samples_per_interval < 1:
-        raise ValueError("interval shorter than the sampling period")
-    n_intervals = len(trace) // samples_per_interval
-    if n_intervals < 1:
-        raise ValueError("trace too short for even one interval")
-    used = n_intervals * samples_per_interval
-
-    with span("trace.build_eipvs") as build_span:
-        unique_eips, codes = np.unique(trace.eips[:used],
-                                       return_inverse=True)
-        rows = np.repeat(np.arange(n_intervals), samples_per_interval)
-        sub = trace.select(np.arange(used))
-        aggregate = _aggregate_sparse if sparse else _aggregate
-        matrix, cpis = aggregate(sub, rows, n_intervals, codes,
-                                 len(unique_eips))
-        build_span.inc("intervals", n_intervals)
-        build_span.inc("eips", len(unique_eips))
-    return EIPVDataset(
-        matrix=matrix,
-        cpis=cpis,
-        eip_index=unique_eips,
-        interval_instructions=interval_instructions,
-        workload_name=trace.workload_name,
-    )
+    return EIPVDataset.from_store(trace, interval_instructions,
+                                  sparse=sparse)
 
 
 def build_per_thread_eipvs(
@@ -318,7 +282,6 @@ def build_per_thread_eipvs(
         raise ValueError("interval shorter than the sampling period")
 
     union_eips = np.unique(trace.eips)
-    aggregate = _aggregate_sparse if sparse else _aggregate
     matrices = []
     cpi_parts = []
     owners = []
@@ -326,12 +289,8 @@ def build_per_thread_eipvs(
         n_intervals = len(sub) // samples_per_interval
         if n_intervals < 1:
             continue
-        used = n_intervals * samples_per_interval
-        codes = np.searchsorted(union_eips, sub.eips[:used])
-        rows = np.repeat(np.arange(n_intervals), samples_per_interval)
-        clipped = sub.select(np.arange(used))
-        matrix, cpis = aggregate(clipped, rows, n_intervals, codes,
-                                 len(union_eips))
+        matrix, cpis = _histograms(sub, union_eips, n_intervals,
+                                   samples_per_interval, sparse)
         matrices.append(matrix)
         cpi_parts.append(cpis)
         owners.append(np.full(n_intervals, thread_id, dtype=np.int32))

@@ -22,6 +22,9 @@ COUNTER_FIELDS = (
     "other_cycles",
 )
 
+#: Every column of a trace, in storage order.
+TRACE_COLUMNS = ("eips", "thread_ids", "process_ids") + COUNTER_FIELDS
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -79,9 +82,7 @@ class SampleTrace:
 
     def __post_init__(self) -> None:
         n = len(self.eips)
-        for name in ("thread_ids", "process_ids", "instructions", "cycles",
-                     "work_cycles", "fe_cycles", "exe_cycles",
-                     "other_cycles"):
+        for name in TRACE_COLUMNS[1:]:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} length mismatch")
         if self.sample_period <= 0:
@@ -91,6 +92,14 @@ class SampleTrace:
 
     def __len__(self) -> int:
         return len(self.eips)
+
+    def column(self, name: str) -> np.ndarray:
+        """One column by name: the column protocol a
+        :class:`~repro.trace.storage.TraceStore` shares, so EIPV builds
+        read a trace in memory and on disk alike."""
+        if name not in TRACE_COLUMNS:
+            raise KeyError(f"unknown trace column {name!r}")
+        return getattr(self, name)
 
     @property
     def cpis(self) -> np.ndarray:

@@ -21,11 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.trace.events import SampleTrace
-
-_TRACE_COLUMNS = ("eips", "thread_ids", "process_ids", "instructions",
-                  "cycles", "work_cycles", "fe_cycles", "exe_cycles",
-                  "other_cycles")
+from repro.trace.events import TRACE_COLUMNS, SampleTrace
 
 #: On-disk dtypes of the trace columns (little-endian, matching what the
 #: sampling driver produces in memory).
@@ -217,15 +213,17 @@ class TraceStore(ColumnStore):
     """The trace instance of :class:`ColumnStore`.
 
     The columns, dtypes and metadata mirror
-    :class:`~repro.trace.events.SampleTrace` exactly; :meth:`as_trace`
-    materializes one (small stores only) and :meth:`from_trace` spills
-    one to disk, an exact round trip of every column, dtype and
-    metadata field.
+    :class:`~repro.trace.events.SampleTrace` exactly, and both read a
+    column as ``column(name)``, so
+    :meth:`~repro.trace.eipv.EIPVDataset.from_store` builds EIPVs from
+    either.  :meth:`as_trace` materializes one (small stores only) and
+    :meth:`from_trace` spills one to disk, an exact round trip of every
+    column, dtype and metadata field.
     """
 
     KIND = "trace-store"
     FORMAT = STORE_FORMAT
-    COLUMNS = _TRACE_COLUMNS
+    COLUMNS = TRACE_COLUMNS
     DTYPES = _COLUMN_DTYPES
 
     def finalize(self, *, processes, sample_period: int,
@@ -265,7 +263,7 @@ class TraceStore(ColumnStore):
     def as_trace(self) -> SampleTrace:
         """Materialize the whole store as an in-memory trace."""
         columns = {name: np.array(self.column(name))
-                   for name in _TRACE_COLUMNS}
+                   for name in TRACE_COLUMNS}
         return SampleTrace(
             processes=self.processes,
             sample_period=self.sample_period,
@@ -281,7 +279,7 @@ class TraceStore(ColumnStore):
         store = cls.create(path)
         try:
             store.append({name: getattr(trace, name)
-                          for name in _TRACE_COLUMNS})
+                          for name in TRACE_COLUMNS})
         except BaseException:
             store.close()
             raise

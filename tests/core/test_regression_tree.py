@@ -12,6 +12,7 @@ from repro.experiments.example_tree import (
     TABLE1_CPIS,
     TABLE1_EIPVS,
 )
+from tests.core.reference_tree import FullScanTree
 
 
 class TestWorkedExample:
@@ -252,8 +253,7 @@ class TestSearchModesAndSparse:
     def test_node_local_matches_full_scan(self, seed):
         matrix, y = self.random_data(seed)
         node = RegressionTreeSequence(k_max=12).fit(matrix, y)
-        full = RegressionTreeSequence(k_max=12,
-                                      split_search="full").fit(matrix, y)
+        full = FullScanTree(k_max=12).fit(matrix, y)
         assert _tree_signature(node) == _tree_signature(full)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -293,7 +293,3 @@ class TestSearchModesAndSparse:
             assert node.store_idx is None
             if node.left is not None:
                 stack.extend([node.left, node.right])
-
-    def test_invalid_split_search_rejected(self):
-        with pytest.raises(ValueError):
-            RegressionTreeSequence(split_search="bogus")

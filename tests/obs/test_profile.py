@@ -49,6 +49,16 @@ class TestAggregateSpans:
         assert abs(folds.total_s - 0.9) < 1e-12
         assert abs(folds.self_s - 0.9) < 1e-12  # leaves: self == total
 
+    def test_self_time_floored_at_zero(self):
+        """Concurrent children (folds run on the pool) can outlast their
+        parent; its self time reads 0, never negative."""
+        forest = [{"name": "cv", "wall_s": 1.0,
+                   "children": [{"name": "cv.fold", "wall_s": 0.8},
+                                {"name": "cv.fold", "wall_s": 0.8}]}]
+        by_path = {s.path: s for s in aggregate_spans(forest)}
+        assert by_path["cv"].self_s == 0.0
+        assert by_path["cv"].total_s == 1.0
+
     def test_counters_sum_across_spans(self):
         by_path = {s.path: s for s in aggregate_spans(FOREST)}
         assert by_path["job/collect"].counters == {"samples": 400}

@@ -277,20 +277,16 @@ class TestManifest:
 
 
 class TestMetrics:
-    def test_metrics_counters_timers_merge_render(self):
-        a = MetricsRegistry()
-        a.inc("cache.hit", 2)
-        with a.time("job.wall_s"):
-            pass
-        b = MetricsRegistry()
-        b.inc("cache.hit")
-        b.observe("job.wall_s", 0.5)
-        a.merge(b.snapshot())
-        assert a.count("cache.hit") == 3
-        assert a.observations("job.wall_s") == 2
-        assert a.total_seconds("job.wall_s") >= 0.5
-        text = a.render()
-        assert "cache.hit" in text and "job.wall_s" in text
+    def test_metrics_counters_and_snapshot(self):
+        metrics = MetricsRegistry()
+        metrics.inc("cache.hit", 2)
+        metrics.inc("cache.hit")
+        assert metrics.count("cache.hit") == 3
+        assert metrics.count("never.incremented") == 0
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"] == {"cache.hit": 3}
+        metrics.inc("cache.hit")
+        assert snapshot["counters"] == {"cache.hit": 3}  # a copy
 
     def test_scheduler_populates_metrics(self, tmp_path):
         metrics = MetricsRegistry()
@@ -300,4 +296,3 @@ class TestMetrics:
         assert metrics.count("jobs.executed") == 1
         assert metrics.count("cache.hit") == 1
         assert metrics.count("cache.store") == 1
-        assert metrics.observations("job.wall_s") == 2

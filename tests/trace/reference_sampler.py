@@ -1,12 +1,13 @@
 """The one-period-at-a-time sampling loop: the equality oracle.
 
-:meth:`repro.trace.sampler.SamplingDriver.collect` is a batched engine.
-This module keeps the original loop it replaced, which walks the slice
-stream, fires at every ``period`` retired instructions and draws each EIP
-with ``rng.choice``.  Both consume the driver's RNG stream identically, so
-the property tests in ``test_sampler.py`` (and the collect benchmark in
+:class:`repro.trace.sampler.SamplingDriver` samples in chunks of batched
+array work.  This module keeps the original loop it replaced, which walks
+the slice stream, fires at every ``period`` retired instructions and
+draws each EIP with ``rng.choice``.  Both consume the driver's RNG stream
+identically, so the property tests in ``test_sampler.py`` and
+``test_trace_store.py`` (and the collect benchmark in
 ``benchmarks/test_bench_pipeline.py``) require their traces to be equal
-array for array.
+array for array, in memory and on disk, at any chunk size.
 """
 
 from __future__ import annotations
@@ -88,16 +89,16 @@ def collect_reference(driver: SamplingDriver,
                 acc = dict.fromkeys(acc, 0.0)
                 instructions_into_period = 0
 
-    processes = tuple(sorted(process_index, key=process_index.get))
-    return driver._finalize(
+    return SampleTrace(
         eips=np.asarray(eips, dtype=np.int64),
         thread_ids=np.asarray(thread_ids, dtype=np.int32),
-        process_codes=np.asarray(process_codes, dtype=np.int16),
+        process_ids=np.asarray(process_codes, dtype=np.int16),
         instructions=np.asarray(instructions, dtype=np.int64),
-        counters={"cycles": np.asarray(cycles, dtype=np.float64),
-                  "work": np.asarray(work, dtype=np.float64),
-                  "fe": np.asarray(fe, dtype=np.float64),
-                  "exe": np.asarray(exe, dtype=np.float64),
-                  "other": np.asarray(other, dtype=np.float64)},
-        processes=processes,
+        cycles=np.asarray(cycles, dtype=np.float64),
+        work_cycles=np.asarray(work, dtype=np.float64),
+        fe_cycles=np.asarray(fe, dtype=np.float64),
+        exe_cycles=np.asarray(exe, dtype=np.float64),
+        other_cycles=np.asarray(other, dtype=np.float64),
+        processes=tuple(sorted(process_index, key=process_index.get)),
+        **driver._header(),
     )

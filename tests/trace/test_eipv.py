@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace.eipv import EIPVDataset, build_eipvs, build_per_thread_eipvs
+from repro.trace.eipv import (
+    CHUNK_INTERVALS,
+    EIPVDataset,
+    build_eipvs,
+    build_per_thread_eipvs,
+)
 from repro.trace.events import SampleTrace
+from tests.trace.reference_eipvs import build_per_thread_eipvs_reference
 
 
 def synthetic_trace(n_samples, period=1_000, n_threads=2, n_eips=20,
@@ -28,6 +34,24 @@ def synthetic_trace(n_samples, period=1_000, n_threads=2, n_eips=20,
         frequency_mhz=900,
         workload_name="synthetic",
     )
+
+
+def _assert_datasets_identical(got, expected):
+    """Bit-for-bit dataset equality: same dtypes, same bytes."""
+    if expected.is_sparse:
+        assert got.is_sparse
+        for part in ("indptr", "indices", "data"):
+            x, y = getattr(got.matrix, part), getattr(expected.matrix, part)
+            assert x.dtype == y.dtype, part
+            np.testing.assert_array_equal(x, y)
+    else:
+        assert got.matrix.dtype == expected.matrix.dtype
+        np.testing.assert_array_equal(got.matrix, expected.matrix)
+    np.testing.assert_array_equal(got.cpis, expected.cpis)
+    np.testing.assert_array_equal(got.eip_index, expected.eip_index)
+    np.testing.assert_array_equal(got.thread_ids, expected.thread_ids)
+    assert got.interval_instructions == expected.interval_instructions
+    assert got.workload_name == expected.workload_name
 
 
 class TestBuildEIPVs:
@@ -107,6 +131,17 @@ class TestPerThread:
         threaded = build_per_thread_eipvs(trace,
                                           interval_instructions=10_000)
         assert set(threaded.eip_index) >= set(merged.eip_index)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_identical_to_whole_trace_reference(self, sparse):
+        """More than one chunk of intervals per thread, and a tail."""
+        trace = synthetic_trace(6_005, period=1_000, n_threads=3,
+                                n_eips=300)
+        assert len(trace) // 3 // 7 > CHUNK_INTERVALS
+        got = build_per_thread_eipvs(trace, 7_000, sparse=sparse)
+        _assert_datasets_identical(
+            got, build_per_thread_eipvs_reference(trace, 7_000,
+                                                  sparse=sparse))
 
 
 class TestDataset:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.trace.events import TRACE_COLUMNS
 from repro.trace.sampler import SamplingDriver, collect_trace
 from repro.uarch.cpu import ExecutionProfile
 from repro.uarch.machine import itanium2
@@ -116,14 +117,9 @@ class TestSampling:
         assert trace.cpis[in_costly].mean() > 2 * trace.cpis[~in_costly].mean()
 
 
-_TRACE_ARRAYS = ("eips", "thread_ids", "process_ids", "instructions",
-                 "cycles", "work_cycles", "fe_cycles", "exe_cycles",
-                 "other_cycles")
-
-
 def _assert_traces_identical(a, b):
     """Bit-for-bit trace equality: same dtypes, same bytes, same metadata."""
-    for name in _TRACE_ARRAYS:
+    for name in TRACE_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name

@@ -1,10 +1,12 @@
 """The out-of-core tier: TraceStore, streaming collect, streaming EIPVs.
 
-The invariant under test everywhere: the on-disk path produces arrays
-bit-identical to the in-memory path — same trace columns from
-``collect_to_store`` as from ``collect``, same EIPV matrix/CPIs from
-``from_store`` as from ``build_eipvs`` — at any chunk size, including
-chunk sizes that split execution slices and leave a discarded tail.
+The invariant under test everywhere: every path produces the arrays of
+the test suite's reference builds — the same trace columns as the
+one-period-at-a-time loop (``reference_sampler.py``) from
+``collect_to_store`` and from ``collect``, the same EIPV matrix/CPIs as
+the whole-trace build (``reference_eipvs.py``) from ``from_store`` and
+from ``build_eipvs`` — at any chunk size, including chunk sizes that
+split execution slices and leave a discarded tail.
 """
 
 import json
@@ -16,8 +18,12 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.stages import load_eipv_dataset, put_eipv
 from repro.sparse import CSRMatrix
 from repro.trace.eipv import EIPVDataset, build_eipvs
-from repro.trace.sampler import SamplingDriver
-from repro.trace.storage import _TRACE_COLUMNS, TraceStore
+from repro.trace.events import TRACE_COLUMNS, SampleTrace
+from repro.trace.sampler import CHUNK_SAMPLES, SamplingDriver
+from repro.trace.storage import TraceStore
+from tests.trace.reference_eipvs import build_eipvs_reference
+from tests.trace.reference_sampler import collect_reference
+from tests.trace.test_eipv import _assert_datasets_identical
 from tests.trace.test_sampler import (
     _assert_traces_identical,
     _randomized_system,
@@ -26,8 +32,9 @@ from tests.trace.test_sampler import (
 
 
 def collect_both(system_factory, total, chunk_samples, tmp_path):
-    """An in-memory trace and a store-collected trace of the same system."""
-    trace = SamplingDriver(system_factory()).collect(total)
+    """The reference loop's trace and a store-collected trace of the
+    same system."""
+    trace = collect_reference(SamplingDriver(system_factory()), total)
     driver = SamplingDriver(system_factory())
     driver.collect_to_store(TraceStore.create(tmp_path / "store"), total,
                             chunk_samples=chunk_samples)
@@ -57,7 +64,7 @@ class TestStoreLifecycle:
     def test_unfinalized_store_is_not_openable(self, tmp_path):
         store = TraceStore.create(tmp_path / "partial")
         store.append({name: np.zeros(3, dtype=np.int64)
-                      for name in _TRACE_COLUMNS})
+                      for name in TRACE_COLUMNS})
         store.close()
         assert not TraceStore.is_store(tmp_path / "partial")
         with pytest.raises(FileNotFoundError, match="not a trace store"):
@@ -87,6 +94,8 @@ class TestStreamingCollect:
         trace, store = collect_both(make_system, 503_331, chunk_samples,
                                     tmp_path)
         _assert_traces_identical(store.as_trace(), trace)
+        _assert_traces_identical(
+            SamplingDriver(make_system()).collect(503_331), trace)
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_identical_on_randomized_systems(self, tmp_path, seed):
@@ -94,6 +103,15 @@ class TestStreamingCollect:
         trace, store = collect_both(lambda: _randomized_system(seed),
                                     1_050_000, 13, tmp_path)
         _assert_traces_identical(store.as_trace(), trace)
+
+    def test_in_memory_collect_spans_chunks(self):
+        """A run longer than one chunk: ``collect`` concatenates chunks."""
+        total = (CHUNK_SAMPLES + 1_000) * 1_000 + 333
+        trace = SamplingDriver(make_system(sample_period=1_000)).collect(
+            total)
+        assert len(trace) > CHUNK_SAMPLES
+        _assert_traces_identical(trace, collect_reference(
+            SamplingDriver(make_system(sample_period=1_000)), total))
 
     def test_run_shorter_than_period_rejected(self, tmp_path):
         driver = SamplingDriver(make_system())
@@ -116,20 +134,39 @@ class TestFromStore:
         trace, store = collect_both(lambda: _randomized_system(2),
                                     1_050_000, 37, tmp_path)
         interval = trace.sample_period * 7
-        expected = build_eipvs(trace, interval, sparse=sparse)
-        got = EIPVDataset.from_store(store, interval, sparse=sparse,
-                                     chunk_intervals=chunk_intervals)
-        if sparse:
-            for part in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(
-                    getattr(got.matrix, part), getattr(expected.matrix, part))
-        else:
-            assert got.matrix.dtype == expected.matrix.dtype
-            np.testing.assert_array_equal(got.matrix, expected.matrix)
-        np.testing.assert_array_equal(got.cpis, expected.cpis)
-        np.testing.assert_array_equal(got.eip_index, expected.eip_index)
-        assert got.interval_instructions == expected.interval_instructions
-        assert got.workload_name == trace.workload_name
+        expected = build_eipvs_reference(trace, interval, sparse=sparse)
+        for source in (store, trace):
+            _assert_datasets_identical(
+                EIPVDataset.from_store(source, interval, sparse=sparse,
+                                       chunk_intervals=chunk_intervals),
+                expected)
+        _assert_datasets_identical(
+            build_eipvs(trace, interval, sparse=sparse), expected)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_tail_samples_stay_out_of_vocabulary(self, tmp_path, sparse):
+        """Samples past the last whole interval add no EIP column, even
+        when the chunk reaches past them."""
+        n = 23  # 4 intervals of 5 samples, then a 3-sample tail
+        eips = np.tile([0x10, 0x20], n)[:n].astype(np.int64)
+        eips[-1] = 0x999
+        cycles = np.linspace(1_000.0, 3_000.0, n)
+        trace = SampleTrace(
+            eips=eips, thread_ids=np.zeros(n, dtype=np.int32),
+            process_ids=np.zeros(n, dtype=np.int16),
+            instructions=np.full(n, 1_000, dtype=np.int64),
+            cycles=cycles, work_cycles=cycles, fe_cycles=0 * cycles,
+            exe_cycles=0 * cycles, other_cycles=0 * cycles,
+            processes=("app",), sample_period=1_000, frequency_mhz=900,
+            workload_name="tail")
+        store = TraceStore.from_trace(trace, tmp_path / "store")
+        expected = build_eipvs_reference(trace, 5_000, sparse=sparse)
+        assert 0x999 not in expected.eip_index
+        for chunk_intervals in (1, 3, 1000):
+            _assert_datasets_identical(
+                EIPVDataset.from_store(store, 5_000, sparse=sparse,
+                                       chunk_intervals=chunk_intervals),
+                expected)
 
     def test_validation_matches_build_eipvs(self, tmp_path):
         _, store = collect_both(make_system, 500_000, 64, tmp_path)
