@@ -56,6 +56,7 @@ from repro.obs.profile import StageStats, aggregate_spans, render_profile
 from repro.runtime.cache import store_scope
 from repro.runtime.graph import JobGraph, submit_graph
 from repro.runtime.jobs import JobSpec
+from repro.runtime.stages import CollectSpec
 from repro.sampling.selector import SamplingRecommendation, recommend_for
 from repro.sweep import SweepOutcome, SweepSpace
 from repro.trace.eipv import EIPVDataset
@@ -133,7 +134,10 @@ def collect_to_store(workload: str, store_path, *,
     length.  Returns the finalized, opened
     :class:`~repro.trace.storage.TraceStore`; the stored columns are the
     ones an in-memory collection of the same (workload, seed, machine,
-    scale) holds, at any chunk size.
+    scale) holds, at any chunk size.  The store's header records the
+    collection's identity (its :class:`~repro.runtime.stages.CollectSpec`
+    canonical dict) as ``TraceStore.identity``, so a later run can tell
+    whether the store holds the collection it asks for.
     """
     from repro.trace.sampler import SamplingDriver
     from repro.trace.storage import TraceStore
@@ -142,13 +146,17 @@ def collect_to_store(workload: str, store_path, *,
     from repro.workloads.system import SimulatedSystem
 
     config = _run_config(workload, n_intervals, seed, machine, scale)
+    identity = CollectSpec(
+        workload=config.workload, machine=config.machine, seed=config.seed,
+        scale=config.scale.name,
+        total_instructions=config.total_instructions()).canonical()
     system = SimulatedSystem(get_machine(config.machine),
                              get_workload(config.workload, config.scale),
                              seed=config.seed)
     with obs.span("trace.sample",
                   workload=system.workload.name) as sample_span:
         driver = SamplingDriver(system)
-        driver.collect_to_store(TraceStore.create(store_path),
+        driver.collect_to_store(TraceStore.create(store_path, identity),
                                 config.total_instructions(),
                                 chunk_samples=chunk_samples)
         store = TraceStore.open(store_path)

@@ -56,6 +56,7 @@ memory, with byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from contextlib import contextmanager
 
@@ -173,20 +174,43 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _check_workloads(args, names) -> None:
+    """A usage error (exit 2) naming any unknown workload."""
+    known = set(workload_names())
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        args.subparser.error(
+            f"unknown workload(s): {', '.join(unknown)} "
+            f"(see 'repro list')")
+
+
+def _analysis_specs(args, names) -> list[JobSpec]:
+    """The analysis each workload's flags denote; a usage error, before
+    anything runs, for an unknown workload or a value the spec refuses."""
+    _check_workloads(args, names)
+    try:
+        return [JobSpec(workload=name,
+                        n_intervals=(default_intervals(name)
+                                     if args.intervals is None
+                                     else args.intervals),
+                        seed=args.seed, machine=args.machine,
+                        scale=args.scale, k_max=args.k_max)
+                for name in names]
+    except ValueError as exc:
+        args.subparser.error(str(exc))
+
+
 def _cmd_analyze(args) -> int:
+    spec, = _analysis_specs(args, [args.workload])
     with _maybe_trace(args, "analyze"):
-        return _run_analyze(args)
+        if args.trace_store:
+            return _run_analyze_store(args, spec)
+        return _run_analyze(args, spec)
 
 
-def _run_analyze(args) -> int:
-    n_intervals = args.intervals or default_intervals(args.workload)
-    print(analyze_preamble(args.workload, n_intervals, args.scale,
-                           args.seed))
-    if getattr(args, "trace_store", None):
-        return _run_analyze_store(args, n_intervals)
-    spec = JobSpec(workload=args.workload, n_intervals=n_intervals,
-                   seed=args.seed, machine=args.machine, scale=args.scale,
-                   k_max=args.k_max)
+def _run_analyze(args, spec: JobSpec) -> int:
+    print(analyze_preamble(spec.workload, spec.n_intervals, spec.scale,
+                           spec.seed))
     disk = _store_for(args)
     # One analyze is a (collect → eipv → analysis) chain, or one node
     # when the analysis is cached.  Each wave holds one node, so it runs
@@ -212,7 +236,7 @@ def _run_analyze(args) -> int:
     return 0
 
 
-def _run_analyze_store(args, n_intervals: int) -> int:
+def _run_analyze_store(args, spec: JobSpec) -> int:
     """``analyze --trace-store DIR``: the out-of-core pipeline.
 
     The trace lives on disk (collected into DIR first if DIR is not
@@ -220,41 +244,53 @@ def _run_analyze_store(args, n_intervals: int) -> int:
     columns, so the run holds neither the trace nor more than a chunk of
     it in memory.  Stdout is byte-identical to the in-memory path; the
     job result cache is bypassed — the store itself is the reusable
-    artifact.
+    artifact.  DIR is reused only when it records this run's collection
+    (the ``CollectSpec`` canonical dict); any other store, or one that
+    records none, fails the run with nothing on stdout.
     """
     from repro import api
     from repro.trace.storage import TraceStore
 
-    if TraceStore.is_store(args.trace_store):
+    needed = stages.collect_spec_for(spec).canonical()
+    reused = TraceStore.is_store(args.trace_store)
+    if reused:
         store = TraceStore.open(args.trace_store)
-        print(f"trace store: {args.trace_store} ({len(store)} samples, "
-              "reused)", file=sys.stderr)
-    else:
+        if store.identity != needed:
+            held = (json.dumps(store.identity, sort_keys=True)
+                    if store.identity else "no recorded collection")
+            print(f"trace store {args.trace_store} holds {held}; this run "
+                  f"needs {json.dumps(needed, sort_keys=True)}",
+                  file=sys.stderr)
+            return 1
+    print(analyze_preamble(spec.workload, spec.n_intervals, spec.scale,
+                           spec.seed))
+    if not reused:
         store = api.collect_to_store(
-            args.workload, args.trace_store, n_intervals=n_intervals,
-            seed=args.seed, machine=args.machine, scale=args.scale)
-        print(f"trace store: {args.trace_store} ({len(store)} samples, "
-              "collected)", file=sys.stderr)
-    config = api.AnalysisConfig(k_max=args.k_max, seed=args.seed)
-    result = api.analyze_store(store, workload=args.workload, config=config,
+            spec.workload, args.trace_store, n_intervals=spec.n_intervals,
+            seed=spec.seed, machine=spec.machine, scale=spec.scale)
+    print(f"trace store: {args.trace_store} ({len(store)} samples, "
+          f"{'reused' if reused else 'collected'})", file=sys.stderr)
+    result = api.analyze_store(store, workload=spec.workload,
+                               config=spec.analysis_config(),
                                jobs=args.jobs)
     print(render_analysis(result))
     return 0
 
 
 def _cmd_census(args) -> int:
+    from repro.experiments import table2_quadrants
+    _check_workloads(args, args.workloads)
+    try:
+        table2_quadrants.census_specs(args.workloads or None,
+                                      seed=args.seed, k_max=args.k_max)
+    except ValueError as exc:
+        args.subparser.error(str(exc))
     with _maybe_trace(args, "census"):
         return _run_census(args)
 
 
 def _run_census(args) -> int:
     from repro.experiments import table2_quadrants
-    known = set(workload_names())
-    unknown = [name for name in args.workloads if name not in known]
-    if unknown:
-        args.subparser.error(
-            f"unknown workload(s): {', '.join(unknown)} "
-            f"(see 'repro list')")
     disk = _store_for(args)
     try:
         result = table2_quadrants.run(workloads=args.workloads or None,
@@ -284,12 +320,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro import api
-    known = set(workload_names())
-    unknown = [name for name in args.workloads if name not in known]
-    if unknown:
-        args.subparser.error(
-            f"unknown workload(s): {', '.join(unknown)} "
-            f"(see 'repro list')")
+    _analysis_specs(args, args.workloads)
     config = api.AnalysisConfig(k_max=args.k_max, seed=args.seed)
     try:
         result = api.profile(args.workloads, config=config,
@@ -312,12 +343,7 @@ def _cmd_sweep(args) -> int:
                              SweepInterrupted, SweepSpace, SweepStateError,
                              run_sweep)
     from repro.uarch.machine import MACHINES
-    known = set(workload_names())
-    unknown = [name for name in args.workloads if name not in known]
-    if unknown:
-        args.subparser.error(
-            f"unknown workload(s): {', '.join(unknown)} "
-            f"(see 'repro list')")
+    _check_workloads(args, args.workloads)
     try:
         space = SweepSpace(
             workloads=tuple(args.workloads or workload_names()),
@@ -460,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "store already there) and stream EIPVs "
                               "from it in bounded memory; output is "
                               "byte-identical to the in-memory run")
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.set_defaults(func=_cmd_analyze, subparser=analyze)
 
     census = sub.add_parser("census", help="Table 2 quadrant census",
                             parents=[runtime])

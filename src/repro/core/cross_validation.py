@@ -85,9 +85,8 @@ def fold_errors(matrix, y: np.ndarray, held_out: np.ndarray, k_max: int,
 
     The serial loop, the fold jobs and the parent's recompute of a failed
     fold job all run this, so their floats are the same bits.  Returns
-    ``(errors, reached, fold_span)``: one error per k up to ``reached``,
-    the largest k the tree grew to, and the ``cv.fold`` span a fold job
-    snapshots for its result.
+    ``(errors, reached)``: one error per k up to ``reached``, the largest
+    k the tree grew to.
     """
     with span("cv.fold") as fold_span:
         train_mask = np.ones(len(y), dtype=bool)
@@ -99,7 +98,7 @@ def fold_errors(matrix, y: np.ndarray, held_out: np.ndarray, k_max: int,
             predictions = tree.predict_all_k(matrix[held_out])
         errors = ((predictions - test_y[:, None]) ** 2).sum(axis=0)
         fold_span.inc("held_out", len(held_out))
-    return errors, tree.max_k(), fold_span
+    return errors, tree.max_k()
 
 
 def add_fold_errors(sse: np.ndarray, errors: np.ndarray,
@@ -154,8 +153,8 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
     sse = np.zeros(k_max)
     with span("cv", folds=config.folds, k_max=k_max) as cv_span:
         for held_out in partition:
-            errors, reached, _ = fold_errors(matrix, y, held_out, k_max,
-                                             config.min_leaf)
+            errors, reached = fold_errors(matrix, y, held_out, k_max,
+                                          config.min_leaf)
             add_fold_errors(sse, errors, reached)
         cv_span.inc("points", len(y))
     return sse

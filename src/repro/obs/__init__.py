@@ -3,8 +3,9 @@
 The pipeline is instrumented with hierarchical :func:`span`\\ s (simulate
 -> sample -> EIPVs -> CART fit -> cross-validation); tracing is off by
 default and zero-overhead when off.  Enable it to get a per-stage
-breakdown (``repro profile``), a JSONL event log (``--trace-out``), and
-span trees merged across worker processes into the run manifest.
+breakdown (``repro profile``) and a JSONL event log (``--trace-out``);
+a pool worker's span forest travels back beside its job's result and is
+grafted into the parent's tracer, so one forest covers the whole run.
 """
 
 from repro.obs.jsonl import (

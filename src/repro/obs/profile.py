@@ -7,11 +7,20 @@ same order for a serial run and a ``--jobs N`` run of the same work, no
 matter how wall times wobble.  :func:`render_profile` is the text report
 behind ``repro profile``: the per-stage table (calls, total/self time,
 share of the run) plus the top-k slowest individual spans.
+
+A stage's share of the run (``% run``) follows :data:`RUN_SHARE_RULE`:
+children that ran concurrently (the ``cv.fold`` spans grafted from pool
+workers) share their parent's wall time, so no row reads more than its
+parent, while a sequential tree reads plain wall time over run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+#: The ``% run`` rule, printed under the stage table.
+RUN_SHARE_RULE = ("% run = wall x, per ancestor, min(1, its wall / its "
+                  "children's summed wall)")
 
 
 @dataclass
@@ -23,6 +32,8 @@ class StageStats:
     calls: int = 0
     total_s: float = 0.0
     self_s: float = 0.0
+    #: Wall time counted toward ``% run`` (:data:`RUN_SHARE_RULE`).
+    run_s: float = 0.0
     counters: dict = field(default_factory=dict)
 
     @property
@@ -36,29 +47,34 @@ def aggregate_spans(roots) -> list[StageStats]:
     A span's self time is its wall time minus its direct children's,
     floored at zero: children grafted from pool workers (the ``cv.fold``
     spans of a ``--jobs N`` run) ran concurrently, so their summed wall
-    time can exceed the parent's.
+    time can exceed the parent's.  For the same reason a span's
+    ``run_s`` is its wall time scaled down at every ancestor whose
+    children's walls sum past its own (:data:`RUN_SHARE_RULE`).
     """
     stats: dict[str, StageStats] = {}
 
-    def visit(node: dict, prefix: str, depth: int) -> None:
+    def visit(node: dict, prefix: str, depth: int, scale: float) -> None:
         path = f"{prefix}/{node['name']}" if prefix else node["name"]
         entry = stats.get(path)
         if entry is None:
             entry = stats[path] = StageStats(path=path, depth=depth)
         wall = float(node.get("wall_s", 0.0))
         children = node.get("children", ())
+        children_wall = sum(float(c.get("wall_s", 0.0)) for c in children)
         entry.calls += 1
         entry.total_s += wall
-        entry.self_s += max(0.0, wall - sum(float(c.get("wall_s", 0.0))
-                                            for c in children))
+        entry.self_s += max(0.0, wall - children_wall)
+        entry.run_s += wall * scale
         for name, amount in node.get("counters", {}).items():
             entry.counters[name] = entry.counters.get(name, 0) + amount
+        if children_wall > wall:
+            scale *= wall / children_wall
         for child in children:
-            visit(child, path, depth + 1)
+            visit(child, path, depth + 1, scale)
 
     for root in roots:
         if root:
-            visit(root, "", 0)
+            visit(root, "", 0, 1.0)
     return list(stats.values())
 
 
@@ -100,7 +116,7 @@ def render_profile(roots, top: int = 5,
     run_total = sum(s.total_s for s in stages if s.depth == 0)
     rows = []
     for stage in stages:
-        share = stage.total_s / run_total if run_total > 0 else 0.0
+        share = stage.run_s / run_total if run_total > 0 else 0.0
         rows.append(["  " * stage.depth + stage.name,
                      stage.calls,
                      f"{stage.total_s:.4f}",
@@ -113,4 +129,4 @@ def render_profile(roots, top: int = 5,
                  in enumerate(slowest_spans(roots, top=top))]
     slow = format_table(["#", "span", "wall s", "attrs"], slow_rows,
                         title=f"top {len(slow_rows)} slowest spans")
-    return f"{table}\n\n{slow}"
+    return f"{table}\n{RUN_SHARE_RULE}\n\n{slow}"

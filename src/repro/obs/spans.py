@@ -15,10 +15,10 @@ stage entry.  :func:`enable_tracing` (or the :func:`capture` context
 manager) installs a :class:`Tracer` that records real spans.
 
 Span trees serialize to plain JSON-safe dicts (:meth:`Span.snapshot`)
-so worker processes can ship their trees back through
-:class:`~repro.runtime.jobs.JobResult`; the parent's tracer
-:meth:`Tracer.graft`\\ s them in, which is how a ``--jobs N`` run ends up
-with the same merged span structure as a serial one.
+so a pool worker can ship its tracer's forest back beside each job's
+result (:func:`repro.runtime.scheduler._worker_execute`); the parent's
+tracer :meth:`Tracer.graft`\\ s them in, which is how a ``--jobs N`` run
+ends up with the same merged span structure as a serial one.
 """
 
 from __future__ import annotations

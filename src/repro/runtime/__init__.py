@@ -39,7 +39,7 @@ from repro.runtime.cache import CacheStats, ResultCache, store_scope
 from repro.runtime.coalesce import (CoalescedFailure, CoalesceTimeout,
                                     JobCoalescer)
 from repro.runtime.graph import GraphError, JobGraph, JobNode, submit_graph
-from repro.runtime.jobs import CODE_VERSION, JobResult, JobSpec, execute_job
+from repro.runtime.jobs import CODE_VERSION, JobResult, JobSpec
 from repro.runtime.manifest import JobRecord, RunManifest
 from repro.runtime.metrics import METRICS, MetricsRegistry
 from repro.runtime.scheduler import JobOutcome, run_jobs
@@ -61,7 +61,6 @@ __all__ = [
     "MetricsRegistry",
     "ResultCache",
     "RunManifest",
-    "execute_job",
     "run_jobs",
     "store_scope",
     "submit_graph",

@@ -11,8 +11,9 @@ Three properties keep a parallel run bit-identical to the serial loop:
   alone, with no index arrays shipped around.
 
 * **Identical per-fold floats.**  A fold job runs the serial loop's
-  fold body, :func:`repro.core.cross_validation.fold_errors`; results
-  travel back by pickle, which preserves every float bit.
+  fold body, :func:`repro.core.cross_validation.fold_errors`; the spec
+  travels to its worker and the result back by pickle, which preserves
+  every float bit.
 
 * **Identical merge.**  The parent adds the per-fold error vectors in
   fold order with the serial loop's merge,
@@ -22,7 +23,7 @@ A fold job reads its dataset like every other job reads its inputs:
 from its spec.  The parent writes (matrix, y) once as the only
 ``folds`` entry (the matrix layout ``put_eipv`` uses) of a temporary
 :class:`~repro.runtime.cache.ResultCache` and names that store's root
-in every :class:`FoldSpec`; :func:`execute_fold` maps the arrays
+in every :class:`FoldSpec`; :meth:`FoldSpec.execute` maps the arrays
 read-only, runs the fold and drops them when it returns, so a warm
 worker keeps nothing between jobs.  The page cache shares the mapped
 bytes across workers.  Fold jobs run with no store and are never
@@ -41,7 +42,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.runtime.cache import ResultCache
-from repro.runtime.jobs import CODE_VERSION, register_job_kind, spec_key
+from repro.runtime.jobs import CODE_VERSION, spec_key
 from repro.runtime.metrics import METRICS, MetricsRegistry
 from repro.runtime.stages import load_matrix, save_matrix
 from repro.sparse import is_sparse
@@ -84,10 +85,20 @@ def _load_dataset(root: str):
 
 
 @dataclass(frozen=True)
+class FoldResult:
+    """Held-out squared errors of one fold's tree family."""
+
+    key: str
+    errors: tuple
+    reached: int
+
+
+@dataclass(frozen=True)
 class FoldSpec:
     """One fold of one cross-validation, self-describing via the seed."""
 
     kind: ClassVar[str] = "cv_fold"
+    result_type: ClassVar[type] = FoldResult
 
     #: Root of the temporary store holding the CV's dataset.
     root: str
@@ -107,55 +118,23 @@ class FoldSpec:
         """Stable dedup identity (same construction as ``JobSpec.key``)."""
         return spec_key(self.canonical())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FoldSpec":
-        return cls(**data)
+    def execute(self, jobs: int = 1, store=None) -> FoldResult:
+        """Map the CV's dataset and run the fold body on this fold.
 
+        The arrays are dropped when this returns.  A fold has no inner
+        fan-out and reads its dataset from ``root``, so ``jobs`` and
+        ``store`` are unused.
+        """
+        from repro.core.cross_validation import fold_errors, fold_indices
 
-@dataclass(frozen=True)
-class FoldResult:
-    """Held-out squared errors of one fold's tree family."""
-
-    key: str
-    errors: tuple
-    reached: int
-    spans: tuple = ()
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["errors"] = list(self.errors)
-        data["spans"] = [dict(s) for s in self.spans]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FoldResult":
-        data = dict(data)
-        data["errors"] = tuple(float(v) for v in data["errors"])
-        data["spans"] = tuple(data.get("spans", ()))
-        return cls(**data)
-
-
-def execute_fold(spec: FoldSpec, jobs: int = 1, store=None) -> FoldResult:
-    """Map the CV's dataset and run the fold body on this fold.
-
-    The arrays are dropped when this returns.  A fold has no inner
-    fan-out and reads its dataset from ``spec.root``, so ``jobs`` and
-    ``store`` are unused.
-    """
-    from repro.core.cross_validation import fold_errors, fold_indices
-
-    matrix, y = _load_dataset(spec.root)
-    held_out = fold_indices(spec.n_points, spec.folds,
-                            np.random.default_rng(spec.seed))[spec.fold_index]
-    errors, reached, fold_span = fold_errors(matrix, y, held_out,
-                                             spec.k_max, spec.min_leaf)
-    snapshot = fold_span.snapshot()
-    return FoldResult(
-        key=spec.key,
-        errors=tuple(float(v) for v in errors),
-        reached=reached,
-        spans=(snapshot,) if snapshot is not None else (),
-    )
+        matrix, y = _load_dataset(self.root)
+        partition = fold_indices(self.n_points, self.folds,
+                                 np.random.default_rng(self.seed))
+        errors, reached = fold_errors(matrix, y, partition[self.fold_index],
+                                      self.k_max, self.min_leaf)
+        return FoldResult(key=self.key,
+                          errors=tuple(float(v) for v in errors),
+                          reached=reached)
 
 
 def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
@@ -205,9 +184,8 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
             reached = outcome.result.reached
         else:
             try:
-                errors, reached, _ = fold_errors(matrix, y, held_out,
-                                                 config.k_max,
-                                                 config.min_leaf)
+                errors, reached = fold_errors(matrix, y, held_out,
+                                              config.k_max, config.min_leaf)
             except Exception as exc:
                 if outcome is None:
                     raise
@@ -217,8 +195,3 @@ def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
                     f"{outcome.error}") from exc
         add_fold_errors(sse, errors, reached)
     return sse
-
-
-register_job_kind("cv_fold", execute=execute_fold,
-                  spec_from_dict=FoldSpec.from_dict,
-                  result_from_dict=FoldResult.from_dict)

@@ -7,7 +7,8 @@ the same dance, and profiling a third.  :class:`JobGraph` replaces all
 of them with one model:
 
 * a **node** is any content-hashed spec (``analysis``, ``cv_fold``, …) —
-  anything with ``.kind``, ``.key`` and ``.canonical()``;
+  anything with ``kind``, ``key``, ``canonical()``, ``result_type`` and
+  ``execute(jobs, store)``;
 * an **edge** is a dataset/result dependency: a node runs only after
   every dependency succeeded (its products reachable through the run's
   :class:`~repro.runtime.cache.ResultCache`);
@@ -124,8 +125,8 @@ def submit_graph(graph: JobGraph, jobs: int = 1, store=None,
     ``jobs`` worker processes (the scheduler applies the
     serial-vs-parallel rule and keeps its serial fallback), every job
     receiving ``store``.  A node whose dependency failed is
-    *skipped* — it gets a failure outcome naming the dependency and
-    never executes.
+    *skipped* — it gets a failure outcome naming the dependency, with
+    that dependency's error, and never executes.
 
     ``on_outcome`` is the streaming hook: it fires once per node as its
     outcome becomes available (cache hits during the wave's probe pass,
@@ -144,7 +145,8 @@ def submit_graph(graph: JobGraph, jobs: int = 1, store=None,
                     spec=node.spec, key=key, result=None, cache_hit=False,
                     wall_time=0.0, worker="skipped",
                     error=(f"not run: dependency {bad[0][:12]}… failed "
-                           f"({len(bad)}/{len(node.deps)} deps failed)"))
+                           f"({len(bad)}/{len(node.deps)} deps failed); "
+                           f"its error:\n{done[bad[0]].error}"))
                 done[key] = outcome
                 metrics.inc("graph.dep_skipped")
                 if on_outcome is not None:

@@ -2,31 +2,35 @@
 
 A :class:`JobSpec` freezes every knob that can change the outcome of one
 predictability analysis — workload, run length, seed, machine, scale,
-tree parameters, and the pipeline code version.  Its :attr:`JobSpec.key`
-property is a content hash over the canonical JSON form, so equal inputs
-always address the same cache entry and any change (including a pipeline
-code bump) addresses a fresh one.  The same key is the in-flight dedup
-identity everywhere a spec travels: the result cache, the run manifest,
-and the daemon's request coalescer all use ``spec.key`` rather than
-recomputing ad-hoc tokens.
+tree parameters, and the pipeline code version — and refuses values the
+analysis cannot use, so a bad request fails before anything is
+simulated.  Its :attr:`JobSpec.key` property is a content hash over the
+canonical JSON form, so equal inputs always address the same cache entry
+and any change (including a pipeline code bump) addresses a fresh one.
+The same key is the in-flight dedup identity everywhere a spec travels:
+the result cache, the run manifest, and the daemon's request coalescer
+all use ``spec.key`` rather than recomputing ad-hoc tokens.
 
-:func:`execute_job` is the pure worker function: spec and the run's
-store in, JSON-ready :class:`JobResult` out.  It reads its
-dataset through the eipv stage (:mod:`repro.runtime.stages`), so there
-is one path from an execution to its dataset.  A result round-trips through
-``to_dict``/``from_dict`` without loss (JSON preserves finite floats
-exactly), which is what makes warm-cache output byte-identical to a
-fresh computation.
+Every job kind (this one, the stages of :mod:`repro.runtime.stages`,
+the folds of :mod:`repro.runtime.folds`) is a spec class with a
+``kind``, a ``key``, a ``result_type`` and an ``execute(jobs, store)``
+method.  The scheduler runs ``spec.execute`` in this process, or pickles
+the spec itself to a pool worker and gets the result back the same way.
+:meth:`JobSpec.execute` is pure: spec and the run's store in,
+:class:`JobResult` out.  It reads its dataset through the eipv stage,
+so there is one path from an execution to its dataset.  A result
+round-trips through ``to_dict``/``from_dict``, the form the store keeps,
+without loss (JSON preserves finite floats exactly), which is what makes
+warm-cache output byte-identical to a fresh computation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,50 +55,74 @@ CODE_VERSION = "1.1.0"
 
 
 @dataclass(frozen=True)
-class JobKind:
-    """How the scheduler runs and round-trips one kind of job.
+class JobResult:
+    """The JSON-serializable outcome of one executed :class:`JobSpec`."""
 
-    The scheduler is kind-agnostic: given a spec with a ``kind`` class
-    attribute it looks up the execute function and the dict round-trip
-    codecs here, both in this process and inside pool workers.
-    ``execute(spec, jobs=..., store=...)`` receives the parallelism its
-    own fan-out may use (always 1 in a pool worker) and the run's
-    :class:`~repro.runtime.cache.ResultCache` (``None`` for fold jobs);
-    a kind ignores what it does not use.
-    """
+    key: str
+    workload: str
+    re: tuple
+    k_opt: int
+    re_kopt: float
+    re_inf: float
+    total_variance: float
+    n_points: int
+    cpi_variance: float
+    cpi_mean: float
+    n_intervals: int
+    n_eips: int
 
-    name: str
-    execute: Callable
-    spec_from_dict: Callable
-    result_from_dict: Callable
+    def to_dict(self) -> dict:
+        data = asdict(self)
+        data["re"] = list(self.re)
+        return data
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "JobResult":
+        data = dict(data)
+        data["re"] = tuple(float(v) for v in data["re"])
+        return cls(**data)
 
-JOB_KINDS: dict[str, JobKind] = {}
+    def truncated(self, spec: JobSpec) -> "JobResult":
+        """This result cut down to ``spec`` (same ``curve_key``, smaller
+        ``k_max``): the RE prefix, with k_opt, RE_kopt and RE_inf
+        recomputed by the rules a fresh ``k_max`` computation applies.
 
-#: Kinds whose defining module may not be imported yet (pool workers
-#: receive only the kind name, so resolution must be able to import).
-_LAZY_KINDS = {"cv_fold": "repro.runtime.folds",
-               "collect": "repro.runtime.stages",
-               "eipv": "repro.runtime.stages"}
+        Bit-identical to executing ``spec`` for ``k_max >= 2``.  At
+        ``k_max=1`` every held-out error vector is one column, which
+        numpy sums pairwise instead of row by row, so RE_1 may differ in
+        its last bit.
+        """
+        curve = summarize_curve(
+            np.asarray(self.re[:spec.k_max], dtype=np.float64),
+            self.total_variance, self.n_points)
+        return replace(self, key=spec.key, re=self.re[:spec.k_max],
+                       k_opt=curve.k_opt, re_kopt=curve.re_kopt,
+                       re_inf=curve.re_inf)
 
-
-def register_job_kind(name: str, *, execute: Callable,
-                      spec_from_dict: Callable,
-                      result_from_dict: Callable) -> None:
-    """Register a job kind (typically at module import time)."""
-    JOB_KINDS[name] = JobKind(name=name, execute=execute,
-                              spec_from_dict=spec_from_dict,
-                              result_from_dict=result_from_dict)
-
-
-def resolve_kind(name: str) -> JobKind:
-    """The registered :class:`JobKind`, importing its module if needed."""
-    if name not in JOB_KINDS and name in _LAZY_KINDS:
-        importlib.import_module(_LAZY_KINDS[name])
-    try:
-        return JOB_KINDS[name]
-    except KeyError:
-        raise KeyError(f"unknown job kind {name!r}") from None
+    def to_result(self) -> PredictabilityResult:
+        """Reconstruct the rich analysis object renderers consume."""
+        curve = RECurve(
+            re=np.asarray(self.re, dtype=np.float64),
+            k_opt=self.k_opt,
+            re_kopt=self.re_kopt,
+            re_inf=self.re_inf,
+            total_variance=self.total_variance,
+            n_points=self.n_points,
+        )
+        return PredictabilityResult(
+            workload=self.workload,
+            curve=curve,
+            cpi_variance=self.cpi_variance,
+            cpi_mean=self.cpi_mean,
+            n_intervals=self.n_intervals,
+            n_eips=self.n_eips,
+            quadrant_result=classify_result(
+                workload=self.workload,
+                cpi_variance=self.cpi_variance,
+                relative_error=self.re_kopt,
+                k_opt=self.k_opt,
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -102,6 +130,7 @@ class JobSpec:
     """Frozen, content-addressable description of one analysis run."""
 
     kind: ClassVar[str] = "analysis"
+    result_type: ClassVar[type] = JobResult
 
     workload: str
     n_intervals: int = 60
@@ -113,6 +142,14 @@ class JobSpec:
     min_leaf: int = 1
     interval_instructions: int = INTERVAL
     code_version: str = CODE_VERSION
+
+    def __post_init__(self) -> None:
+        # AnalysisConfig checks k_max, folds and min_leaf.
+        folds = self.analysis_config().folds
+        if self.n_intervals < folds:
+            raise ValueError(
+                f"n_intervals ({self.n_intervals}) cannot be fewer than "
+                f"folds ({folds}): every fold needs an interval")
 
     @classmethod
     def from_run_config(cls, config: RunConfig, k_max: int = 50,
@@ -185,9 +222,42 @@ class JobSpec:
         del canonical["k_max"]
         return spec_key(canonical)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
-        return cls(**data)
+    def execute(self, jobs: int = 1, store=None) -> JobResult:
+        """Run the analysis (pure; safe in any worker).
+
+        ``jobs`` fans the cross-validation folds out (bit-identical
+        merge); the scheduler passes 1 inside pool workers.
+
+        The dataset comes from ``store`` through
+        :func:`repro.runtime.stages.eipv_dataset`: the EIPV artifact, or
+        on a miss the eipv stage's own build (which also heals a lost
+        trace), published for the next job.  Without a store — direct
+        library calls only; every entry point passes one — the call gets
+        a temporary store of its own.
+        """
+        from repro.runtime import stages
+
+        if store is None:
+            with store_scope(None) as scoped:
+                return self.execute(jobs=jobs, store=scoped)
+        with span("job", workload=self.workload, seed=self.seed):
+            dataset = stages.eipv_dataset(store, stages.eipv_spec_for(self))
+            analysis = analyze_predictability(
+                dataset, config=self.analysis_config(), jobs=jobs)
+        return JobResult(
+            key=self.key,
+            workload=analysis.workload,
+            re=tuple(float(v) for v in analysis.curve.re),
+            k_opt=int(analysis.curve.k_opt),
+            re_kopt=float(analysis.curve.re_kopt),
+            re_inf=float(analysis.curve.re_inf),
+            total_variance=float(analysis.curve.total_variance),
+            n_points=int(analysis.curve.n_points),
+            cpi_variance=float(analysis.cpi_variance),
+            cpi_mean=float(analysis.cpi_mean),
+            n_intervals=int(analysis.n_intervals),
+            n_eips=int(analysis.n_eips),
+        )
 
 
 def spec_key(canonical: dict) -> str:
@@ -198,130 +268,3 @@ def spec_key(canonical: dict) -> str:
     """
     payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class JobResult:
-    """The JSON-serializable outcome of one executed :class:`JobSpec`."""
-
-    key: str
-    workload: str
-    re: tuple
-    k_opt: int
-    re_kopt: float
-    re_inf: float
-    total_variance: float
-    n_points: int
-    cpi_variance: float
-    cpi_mean: float
-    n_intervals: int
-    n_eips: int
-    #: Serialized span trees from the executing process (empty unless
-    #: tracing was enabled there); stripped before cache storage so a
-    #: cache entry's bytes never depend on observability settings.
-    spans: tuple = ()
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["re"] = list(self.re)
-        data["spans"] = [dict(s) for s in self.spans]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobResult":
-        data = dict(data)
-        data["re"] = tuple(float(v) for v in data["re"])
-        data["spans"] = tuple(data.get("spans", ()))
-        return cls(**data)
-
-    def truncated(self, spec: JobSpec) -> "JobResult":
-        """This result cut down to ``spec`` (same ``curve_key``, smaller
-        ``k_max``): the RE prefix, with k_opt, RE_kopt and RE_inf
-        recomputed by the rules a fresh ``k_max`` computation applies.
-
-        Bit-identical to executing ``spec`` for ``k_max >= 2``.  At
-        ``k_max=1`` every held-out error vector is one column, which
-        numpy sums pairwise instead of row by row, so RE_1 may differ in
-        its last bit.
-        """
-        curve = summarize_curve(
-            np.asarray(self.re[:spec.k_max], dtype=np.float64),
-            self.total_variance, self.n_points)
-        return replace(self, key=spec.key, re=self.re[:spec.k_max],
-                       k_opt=curve.k_opt, re_kopt=curve.re_kopt,
-                       re_inf=curve.re_inf, spans=())
-
-    def to_result(self) -> PredictabilityResult:
-        """Reconstruct the rich analysis object renderers consume."""
-        curve = RECurve(
-            re=np.asarray(self.re, dtype=np.float64),
-            k_opt=self.k_opt,
-            re_kopt=self.re_kopt,
-            re_inf=self.re_inf,
-            total_variance=self.total_variance,
-            n_points=self.n_points,
-        )
-        return PredictabilityResult(
-            workload=self.workload,
-            curve=curve,
-            cpi_variance=self.cpi_variance,
-            cpi_mean=self.cpi_mean,
-            n_intervals=self.n_intervals,
-            n_eips=self.n_eips,
-            quadrant_result=classify_result(
-                workload=self.workload,
-                cpi_variance=self.cpi_variance,
-                relative_error=self.re_kopt,
-                k_opt=self.k_opt,
-            ),
-        )
-
-
-def execute_job(spec: JobSpec, jobs: int = 1, store=None) -> JobResult:
-    """Run the analysis for one spec (pure; safe in any worker).
-
-    ``jobs`` fans the cross-validation folds out (bit-identical merge);
-    the scheduler passes 1 inside pool workers.
-
-    The dataset comes from ``store`` through
-    :func:`repro.runtime.stages.eipv_dataset`: the EIPV artifact, or on
-    a miss the eipv stage's own build (which also heals a lost trace),
-    published for the next job.  Without a store — direct library calls
-    only; every entry point passes one — the call gets a temporary store
-    of its own.
-
-    When tracing is enabled the job's span subtree is snapshotted into
-    ``JobResult.spans``, which is how worker-process spans travel back to
-    the scheduling process.
-    """
-    from repro.runtime import stages
-
-    if store is None:
-        with store_scope(None) as scoped:
-            return execute_job(spec, jobs=jobs, store=scoped)
-    with span("job", workload=spec.workload, seed=spec.seed) as job_span:
-        dataset = stages.eipv_dataset(store, stages.eipv_spec_for(spec))
-        analysis = analyze_predictability(dataset,
-                                          config=spec.analysis_config(),
-                                          jobs=jobs)
-    snapshot = job_span.snapshot()
-    return JobResult(
-        key=spec.key,
-        workload=analysis.workload,
-        re=tuple(float(v) for v in analysis.curve.re),
-        k_opt=int(analysis.curve.k_opt),
-        re_kopt=float(analysis.curve.re_kopt),
-        re_inf=float(analysis.curve.re_inf),
-        total_variance=float(analysis.curve.total_variance),
-        n_points=int(analysis.curve.n_points),
-        cpi_variance=float(analysis.cpi_variance),
-        cpi_mean=float(analysis.cpi_mean),
-        n_intervals=int(analysis.n_intervals),
-        n_eips=int(analysis.n_eips),
-        spans=(snapshot,) if snapshot is not None else (),
-    )
-
-
-register_job_kind("analysis", execute=execute_job,
-                  spec_from_dict=JobSpec.from_dict,
-                  result_from_dict=JobResult.from_dict)

@@ -9,7 +9,9 @@ the one-screen account the CLI prints after a census.
 
 Manifests are observability only — nothing downstream reads them back
 into the pipeline, so timestamps and wall times in here never affect
-rendered experiment output.
+rendered experiment output.  A manifest keeps each job's status, not
+its spans: those live in the tracer, and so in the ``--trace-out``
+trace.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ class JobRecord:
     wall_time_s: float
     worker: str
     error: str | None = None
-    #: Serialized span trees from the executing process (tracing only).
-    spans: tuple = ()
 
     @classmethod
     def from_outcome(cls, outcome) -> "JobRecord":
@@ -45,12 +45,10 @@ class JobRecord:
             status = "cache_hit"
         else:
             status = "executed"
-        spans = tuple(outcome.result.spans) if outcome.result else ()
         return cls(key=outcome.key, workload=outcome.spec.workload,
                    status=status, cache_hit=outcome.cache_hit,
                    wall_time_s=round(outcome.wall_time, 6),
-                   worker=outcome.worker, error=outcome.error,
-                   spans=spans)
+                   worker=outcome.worker, error=outcome.error)
 
 
 @dataclass(frozen=True)
@@ -105,18 +103,6 @@ class RunManifest:
     def total_wall_s(self) -> float:
         return sum(record.wall_time_s for record in self.records)
 
-    def span_roots(self) -> list[dict]:
-        """Every job's span trees, merged in record (submission) order.
-
-        The scheduler folds worker-process span snapshots into each
-        outcome, so this is the whole run's trace regardless of how it
-        was parallelized.  Empty unless tracing was enabled.
-        """
-        roots: list[dict] = []
-        for record in self.records:
-            roots.extend(dict(span) for span in record.spans)
-        return roots
-
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> dict:
         return asdict(self) | {"records": [asdict(r) for r in self.records]}
@@ -132,12 +118,8 @@ class RunManifest:
     @classmethod
     def load(cls, path: Path | str) -> "RunManifest":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        records = []
-        for r in data.pop("records", []):
-            r = dict(r)
-            r["spans"] = tuple(r.get("spans", ()))
-            records.append(JobRecord(**r))
-        return cls(records=tuple(records), **data)
+        records = tuple(JobRecord(**r) for r in data.pop("records", []))
+        return cls(records=records, **data)
 
     def summary(self) -> str:
         """One line per aggregate, for the CLI's post-run report."""

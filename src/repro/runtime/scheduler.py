@@ -4,16 +4,18 @@
 consults the run's store; only misses are executed — on the
 **persistent warm pool** (:mod:`repro.runtime.pool`) when
 :func:`repro.runtime.pool.use_pool` allows it, otherwise serially in
-this process.  Workers forked once survive across batches and keep
-nothing between jobs: a job carries its inputs in its spec and the
-root of the run's store.  Pool construction or
-submission failing (restricted environments, missing semaphores, broken
-workers) degrades gracefully to the in-process path, so ``--jobs`` is a
-performance knob, never a correctness one.  Outcomes come back in
-submission order regardless of completion order, which keeps downstream
-rendering byte-identical across serial, pooled and warm-cache runs.  No
-wait on a pool is unbounded: a pool whose manager thread or workers are
-gone is treated like a broken one.
+this process.  Every job runs as ``spec.execute(jobs, store)``; a pool
+worker receives the spec object itself (pickled) with the root of the
+run's store, and returns the result object with the span forest it
+recorded, which this process grafts into its own tracer.  Workers
+forked once survive across batches and keep nothing between jobs.  Pool
+construction or submission failing (restricted environments, missing
+semaphores, broken workers) degrades gracefully to the in-process path,
+so ``--jobs`` is a performance knob, never a correctness one.  Outcomes
+come back in submission order regardless of completion order, which
+keeps downstream rendering byte-identical across serial, pooled and
+warm-cache runs.  No wait on a pool is unbounded: a pool whose manager
+thread or workers are gone is treated like a broken one.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.runtime import pool as pool_mod
 from repro.runtime.cache import RESULT, ResultCache
-from repro.runtime.jobs import JobResult, JobSpec, resolve_kind
+from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import METRICS
 
 #: Seconds between liveness checks while waiting on a pool future.
@@ -54,29 +56,30 @@ class JobOutcome:
         return self.result is not None
 
 
-def _worker_execute(kind_name: str, spec_dict: dict, tracing: bool = False,
-                    store_root: str | None = None) -> tuple[dict, int, float]:
-    """Module-level worker body (must be picklable by the pool).
+def _worker_execute(spec, store_root: str | None = None,
+                    tracing: bool = False) -> tuple:
+    """Module-level worker body: ``(result, spans, pid, wall_s)``.
 
+    The one place a pool worker's spans travel: with ``tracing`` the job
+    runs under a fresh tracer whose forest comes back beside the result,
+    without it under none (``[]``) — never under a tracer the worker
+    inherited when it was forked — so a reused worker never accumulates
+    state.
     Pool workers are leaves: the job runs with ``jobs=1``, so nothing it
     calls can reach ``run_jobs`` with parallelism or touch a pool.  The
     store arrives as a root path with each job and is built for that job
     only, so no store outlives the job in a warm worker.
     """
-    kind = resolve_kind(kind_name)
     store = ResultCache(store_root) if store_root is not None else None
-    spec = kind.spec_from_dict(spec_dict)
-    if tracing:
-        # Fresh tracer per job: the span subtree rides back inside the
-        # result dict, so a reused pool worker never accumulates state.
-        obs.enable_tracing()
+    obs.disable_tracing()
+    tracer = obs.enable_tracing() if tracing else None
     start = time.perf_counter()
     try:
-        result = kind.execute(spec, jobs=1, store=store)
+        result = spec.execute(jobs=1, store=store)
     finally:
-        if tracing:
-            obs.disable_tracing()
-    return result.to_dict(), os.getpid(), time.perf_counter() - start
+        obs.disable_tracing()
+    spans = tracer.snapshot() if tracer is not None else []
+    return result, spans, os.getpid(), time.perf_counter() - start
 
 
 def _run_serial(spec: JobSpec, key: str, jobs: int = 1, store=None,
@@ -92,8 +95,7 @@ def _run_serial(spec: JobSpec, key: str, jobs: int = 1, store=None,
     """
     start = time.perf_counter()
     try:
-        result = resolve_kind(spec.kind).execute(spec, jobs=jobs,
-                                                 store=store)
+        result = spec.execute(jobs=jobs, store=store)
         error = None
     except Exception:
         result = None
@@ -164,8 +166,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
     try:
         try:
             futures: list = [
-                executor.submit(_worker_execute, spec.kind,
-                                spec.canonical(), tracing, root)
+                executor.submit(_worker_execute, spec, root, tracing)
                 for spec in specs]
         except pool_mod.POOL_BUILD_ERRORS:
             worker_pool.discard(wait=False)
@@ -189,11 +190,9 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                         on_ready(outcome)
                     continue
                 try:
-                    result_dict, pid, elapsed = _await_result(
+                    result, spans, pid, elapsed = _await_result(
                         future, timeout, executor)
-                    result = resolve_kind(spec.kind).result_from_dict(
-                        result_dict)
-                    obs.graft(result.spans)
+                    obs.graft(spans)
                     outcome = JobOutcome(
                         spec=spec, key=key, result=result,
                         cache_hit=False, wall_time=elapsed,
@@ -232,9 +231,8 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                                 executor = worker_pool.respawn_now(
                                     min(jobs, len(rest)))
                                 futures[i + 1:] = [
-                                    executor.submit(
-                                        _worker_execute, s.kind,
-                                        s.canonical(), tracing, root)
+                                    executor.submit(_worker_execute, s,
+                                                    root, tracing)
                                     for s in rest]
                                 worker_pool.note_tasks(len(rest))
                                 respawned = True
@@ -275,20 +273,20 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
         worker_pool.release()
 
 
-def stored_result(store: ResultCache, kind_name: str, key: str,
+def stored_result(store: ResultCache, result_type: type, key: str,
                   metrics=METRICS):
-    """The result stored under ``key``, or ``None``.
+    """The ``result_type`` stored under ``key``, or ``None``.
 
-    A valid entry whose payload this code cannot use (it fails the
-    kind's decoder, or decodes to another key) is quarantined, so the
-    recompute can publish in its place: a publish never replaces an
-    entry.
+    A valid entry whose payload this code cannot use (it fails
+    ``result_type.from_dict``, or decodes to another key) is
+    quarantined, so the recompute can publish in its place: a publish
+    never replaces an entry.
     """
     payload = store.get(key)
     if payload is None:
         return None
     try:
-        result = resolve_kind(kind_name).result_from_dict(payload)
+        result = result_type.from_dict(payload)
         if result.key == key:
             return result
     except (TypeError, ValueError, KeyError):
@@ -332,12 +330,8 @@ def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
     def persist(outcome: JobOutcome) -> None:
         """Persist one executed outcome, then stream it to the caller."""
         if store is not None and outcome.ok and not outcome.cache_hit:
-            # Spans are observability, not results: strip them so the
-            # cached bytes are identical with and without tracing.
-            payload = outcome.result.to_dict()
-            payload.pop("spans", None)
             try:
-                store.put(outcome.key, payload,
+                store.put(outcome.key, outcome.result.to_dict(),
                           spec=outcome.spec.canonical())
             except OSError:
                 # A store that can't be written must never sink the
@@ -350,7 +344,7 @@ def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
     keys = [spec.key for spec in specs]
     for i, (spec, key) in enumerate(zip(specs, keys)):
         start = time.perf_counter()
-        result = (stored_result(store, spec.kind, key, metrics)
+        result = (stored_result(store, spec.result_type, key, metrics)
                   if store is not None else None)
         if result is not None:
             outcomes[i] = JobOutcome(

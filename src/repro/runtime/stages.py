@@ -12,7 +12,8 @@ same trace each time.  This module splits the pipeline at its natural
 joints: :class:`CollectSpec` and :class:`EipvSpec` are frozen,
 content-hashed stage specs derived from a final :class:`JobSpec`
 (:func:`collect_spec_for` / :func:`eipv_spec_for`), executed through the
-ordinary scheduler as job kinds ``"collect"`` and ``"eipv"``, with their
+ordinary scheduler as job kinds ``"collect"`` and ``"eipv"`` (each spec
+runs as ``spec.execute``), with their
 bulky products persisted as entries of the run's
 :class:`~repro.runtime.cache.ResultCache` — a trace entry *is* a
 :class:`~repro.trace.storage.TraceStore` directory, an EIPV entry holds
@@ -21,7 +22,7 @@ the dataset's raw arrays — and reloaded zero-copy via
 
 Every run holds one store (:func:`~repro.runtime.cache.store_scope`):
 the disk cache, or a temporary store removed when the scope exits.  The
-store is an argument of every job (``execute(spec, jobs=...,
+store is an argument of every job (``spec.execute(jobs=...,
 store=...)``); pool workers receive its root with each job and keep
 nothing after it.
 
@@ -34,7 +35,7 @@ Two design rules keep every path byte-identical:
   contents, only speed does.
 * **The final node is the unchanged ``"analysis"`` kind.**  Its key and
   result schema are independent of the stages;
-  :func:`repro.runtime.jobs.execute_job` reads its dataset through
+  :meth:`repro.runtime.jobs.JobSpec.execute` reads its dataset through
   :func:`eipv_dataset`, which falls back to the eipv stage's own build.
   ``build_eipvs`` is ``EIPVDataset.from_store`` over an in-memory
   trace, so a dataset streamed from the trace artifact equals one built
@@ -54,16 +55,39 @@ import numpy as np
 
 from repro.obs import span
 from repro.runtime.cache import RESULT, ResultCache
-from repro.runtime.jobs import (
-    CODE_VERSION,
-    JobSpec,
-    register_job_kind,
-    spec_key,
-)
+from repro.runtime.jobs import CODE_VERSION, JobSpec, spec_key
 from repro.sparse import CSRMatrix, is_sparse
 from repro.trace.eipv import EIPVDataset, build_eipvs
 from repro.trace.events import SampleTrace
 from repro.trace.storage import TraceStore
+
+# -- stage results ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class StageResult:
+    """Small JSON summary of one stage execution.
+
+    The bulky product is the stage's array entry; this summary is its
+    result entry, so a warm run serves stage nodes as ordinary cache
+    hits without touching the arrays at all.  ``source`` records
+    how the product was obtained — ``"computed"`` (simulated/built this
+    time) or ``"artifact"`` (already stored, nothing recomputed) — which
+    is how schedulers count stage reuse across worker processes.
+    """
+
+    key: str
+    source: str
+    n_samples: int = 0
+    n_intervals: int = 0
+    n_eips: int = 0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "StageResult":
+        return cls(**data)
+
 
 # -- stage specs ------------------------------------------------------------
 
@@ -77,6 +101,7 @@ class CollectSpec:
     """
 
     kind: ClassVar[str] = "collect"
+    result_type: ClassVar[type] = StageResult
 
     workload: str
     machine: str
@@ -94,11 +119,20 @@ class CollectSpec:
     def key(self) -> str:
         return spec_key(self.canonical())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CollectSpec":
-        data = dict(data)
-        data.pop("kind", None)
-        return cls(**data)
+    def execute(self, jobs: int = 1, *, store: ResultCache) -> StageResult:
+        """Simulate and persist the trace (idempotent on a warm store);
+        ``jobs`` is unused."""
+        with span("stage.collect", workload=self.workload,
+                  seed=self.seed) as stage_span:
+            meta = (store.open_meta("trace", self.key)
+                    if store.has("trace", self.key) else None)
+            if meta is not None:
+                source, n_samples = "artifact", int(meta.get("n_samples", 0))
+            else:
+                source = "computed"
+                n_samples = len(_fresh_trace(store, self))
+            stage_span.inc("samples", n_samples)
+        return StageResult(key=self.key, source=source, n_samples=n_samples)
 
 
 @dataclass(frozen=True)
@@ -111,6 +145,7 @@ class EipvSpec:
     """
 
     kind: ClassVar[str] = "eipv"
+    result_type: ClassVar[type] = StageResult
 
     workload: str
     machine: str
@@ -136,11 +171,24 @@ class EipvSpec:
     def key(self) -> str:
         return spec_key(self.canonical())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EipvSpec":
-        data = dict(data)
-        data.pop("kind", None)
-        return cls(**data)
+    def execute(self, jobs: int = 1, *, store: ResultCache) -> StageResult:
+        """Build and persist the EIPV dataset, healing a lost trace;
+        ``jobs`` is unused."""
+        with span("stage.eipv", workload=self.workload,
+                  interval=self.interval_instructions) as stage_span:
+            summary = (store.open_meta("eipv", self.key)
+                       if store.has("eipv", self.key) else None)
+            if summary is not None:
+                source = "artifact"
+                n_intervals = int(summary.get("n_intervals", 0))
+                n_eips = int(summary.get("n_eips", 0))
+            else:
+                source = "computed"
+                dataset = _build_dataset(store, self)
+                n_intervals, n_eips = dataset.n_intervals, dataset.n_eips
+            stage_span.inc("intervals", n_intervals)
+        return StageResult(key=self.key, source=source,
+                           n_intervals=int(n_intervals), n_eips=int(n_eips))
 
 
 def collect_spec_for(spec: JobSpec) -> CollectSpec:
@@ -160,39 +208,6 @@ def eipv_spec_for(spec: JobSpec) -> EipvSpec:
         total_instructions=spec.n_intervals * spec.interval_instructions,
         interval_instructions=spec.interval_instructions,
         code_version=spec.code_version)
-
-
-# -- stage results ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class StageResult:
-    """Small JSON summary of one stage execution.
-
-    The bulky product is the stage's array entry; this summary is its
-    result entry, so a warm run serves stage nodes as ordinary cache
-    hits without touching the arrays at all.  ``source`` records
-    how the product was obtained — ``"computed"`` (simulated/built this
-    time) or ``"artifact"`` (already stored, nothing recomputed) — which
-    is how schedulers count stage reuse across worker processes.
-    """
-
-    key: str
-    source: str
-    n_samples: int = 0
-    n_intervals: int = 0
-    n_eips: int = 0
-    spans: tuple = ()
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["spans"] = [dict(s) for s in self.spans]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageResult":
-        data = dict(data)
-        data["spans"] = tuple(data.get("spans", ()))
-        return cls(**data)
 
 
 # -- execution --------------------------------------------------------------
@@ -260,26 +275,6 @@ def stored_trace(store: ResultCache, spec: CollectSpec) -> SampleTrace:
             store.quarantine("trace", spec.key)
     with span("stage.collect", workload=spec.workload, seed=spec.seed):
         return _fresh_trace(store, spec)
-
-
-def execute_collect(spec: CollectSpec, jobs: int = 1, *,
-                    store: ResultCache) -> StageResult:
-    """Simulate and persist one trace (idempotent on a warm store);
-    ``jobs`` is unused."""
-    with span("stage.collect", workload=spec.workload,
-              seed=spec.seed) as stage_span:
-        meta = (store.open_meta("trace", spec.key)
-                if store.has("trace", spec.key) else None)
-        if meta is not None:
-            source, n_samples = "artifact", int(meta.get("n_samples", 0))
-        else:
-            source, n_samples = "computed", len(_fresh_trace(store, spec))
-        stage_span.inc("samples", n_samples)
-    snapshot = stage_span.snapshot()
-    return StageResult(
-        key=spec.key, source=source, n_samples=n_samples,
-        spans=(snapshot,) if snapshot is not None else (),
-    )
 
 
 def save_matrix(staging: Path, matrix) -> None:
@@ -406,31 +401,6 @@ def eipv_dataset(store: ResultCache, spec: EipvSpec) -> EIPVDataset:
     return dataset
 
 
-def execute_eipv(spec: EipvSpec, jobs: int = 1, *,
-                 store: ResultCache) -> StageResult:
-    """Build and persist one EIPV dataset, healing a lost trace;
-    ``jobs`` is unused."""
-    with span("stage.eipv", workload=spec.workload,
-              interval=spec.interval_instructions) as stage_span:
-        summary = (store.open_meta("eipv", spec.key)
-                   if store.has("eipv", spec.key) else None)
-        if summary is not None:
-            source = "artifact"
-            n_intervals = int(summary.get("n_intervals", 0))
-            n_eips = int(summary.get("n_eips", 0))
-        else:
-            source = "computed"
-            dataset = _build_dataset(store, spec)
-            n_intervals, n_eips = dataset.n_intervals, dataset.n_eips
-        stage_span.inc("intervals", n_intervals)
-    snapshot = stage_span.snapshot()
-    return StageResult(
-        key=spec.key, source=source,
-        n_intervals=int(n_intervals), n_eips=int(n_eips),
-        spans=(snapshot,) if snapshot is not None else (),
-    )
-
-
 # -- graph assembly ---------------------------------------------------------
 
 def analysis_graph(specs, store: ResultCache | None = None):
@@ -507,11 +477,3 @@ class StageCounters:
                 "eipv_artifact_hits": self.eipv_artifact,
             },
         }
-
-
-register_job_kind("collect", execute=execute_collect,
-                  spec_from_dict=CollectSpec.from_dict,
-                  result_from_dict=StageResult.from_dict)
-register_job_kind("eipv", execute=execute_eipv,
-                  spec_from_dict=EipvSpec.from_dict,
-                  result_from_dict=StageResult.from_dict)

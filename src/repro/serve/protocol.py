@@ -313,18 +313,14 @@ class SweepRequest:
                      f"{axis!r} must be a list of integers")
         render = body.get("render", True)
         _require(isinstance(render, bool), "'render' must be a boolean")
-        n_intervals = _int_field(body, "intervals", 12)
-        folds = _int_field(body, "folds", 4)
-        _require(folds <= n_intervals,
-                 "'folds' cannot exceed 'intervals'")
         return cls(workloads=workloads,
                    machines=tuple(machines),
                    interval_sizes=tuple(body.get("interval_sizes", [])),
                    seeds=tuple(body.get("seeds", [11, 12, 13])) or (11,),
                    scale=scale,
-                   n_intervals=n_intervals,
+                   n_intervals=_int_field(body, "intervals", 12),
                    k_max=_int_field(body, "k_max", 5),
-                   folds=folds,
+                   folds=_int_field(body, "folds", 4),
                    limit=_int_field(body, "limit", None),
                    shards=_int_field(body, "shards", None),
                    render=render,
@@ -368,11 +364,21 @@ REQUEST_PARSERS = {
 
 def parse_request(path: str, body: dict):
     """Parse one POST body for ``path`` (versioned or bare); 404s on
-    unknown endpoints."""
+    unknown endpoints.
+
+    A request's key builds its job spec or sweep space, which refuse
+    values the analysis cannot use (fewer intervals than folds, one
+    fold); that refusal is a 400, before anything runs.
+    """
     endpoint, _ = normalize_endpoint(path)
     try:
         parser = REQUEST_PARSERS[endpoint]
     except KeyError:
         raise ProtocolError(f"no such endpoint: {path}",
                             status=404) from None
-    return parser(body)
+    request = parser(body)
+    try:
+        request.key  # builds the spec or space
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    return request

@@ -323,7 +323,7 @@ class AnalysisService:
         """The stored :class:`JobResult` under ``key``, or None — the
         scheduler's own validation, so an entry it would reject is
         quarantined here too and the request computes."""
-        return stored_result(self.store, JobSpec.kind, key, self.metrics)
+        return stored_result(self.store, JobResult, key, self.metrics)
 
     def _note_curve(self, spec: JobSpec) -> None:
         """Record ``spec`` as its execution's longest analysis if it is.
@@ -373,14 +373,12 @@ class AnalysisService:
                       result: JobResult) -> dict:
         """The deterministic analyze body (identical for every client)."""
         from repro.cli import analysis_report_text
-        data = result.to_dict()
-        data.pop("spans", None)
         return {
             "protocol": PROTOCOL_VERSION,
             "schema": PROTOCOL_VERSION,
             "endpoint": "analyze",
             "key": key,
-            "result": data,
+            "result": result.to_dict(),
             "report": analysis_report_text(
                 result.to_result(), workload=req.workload,
                 n_intervals=req.n_intervals, scale=req.scale,
@@ -489,6 +487,11 @@ class AnalysisService:
                         n_intervals=req.n_intervals, machine=req.machine,
                         scale=req.scale, jobs=1,
                         timeout=self._remaining(deadline))
+                except ValueError as exc:
+                    # A job spec refused the request's values; nothing
+                    # ran.
+                    return 400, self._error_body("profile", str(exc),
+                                                 key=req.key)
                 except RuntimeError as exc:
                     return 500, self._error_body(
                         "profile", f"profile failed: {exc}", key=req.key)

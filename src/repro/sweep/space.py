@@ -21,12 +21,13 @@ and refuses to resume a sweep directory against a different space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 
+from repro.core.config import AnalysisConfig
 from repro.runtime.jobs import CODE_VERSION, JobSpec, spec_key
 from repro.uarch.machine import MACHINES
 from repro.workloads.registry import workload_names
@@ -78,6 +79,10 @@ class SweepSpace:
             raise ValueError(f"unknown machines in sweep space: {unknown}")
         if self.scale not in SCALES:
             raise ValueError(f"unknown scale {self.scale!r}")
+        # Refuses k_max < 1, folds < 2 and min_leaf < 1 before any point
+        # runs.
+        AnalysisConfig(k_max=self.k_max, folds=self.folds,
+                       min_leaf=self.min_leaf)
         if self.folds > self.n_intervals:
             raise ValueError(
                 f"folds ({self.folds}) cannot exceed n_intervals "

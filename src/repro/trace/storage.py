@@ -226,17 +226,34 @@ class TraceStore(ColumnStore):
     COLUMNS = TRACE_COLUMNS
     DTYPES = _COLUMN_DTYPES
 
+    @classmethod
+    def create(cls, path, identity: dict | None = None) -> "TraceStore":
+        """Start a new store at ``path``; ``identity``, the canonical
+        spec of the collection about to be written, goes into the header
+        at finalize (no header field when ``None``)."""
+        store = super().create(path)
+        store._identity = identity
+        return store
+
     def finalize(self, *, processes, sample_period: int,
                  frequency_mhz: int, workload_name: str,
                  metadata: dict) -> "TraceStore":
         """Patch final lengths into the column files; write the header."""
-        return self._finalize({
+        meta = {
             "processes": list(processes),
             "sample_period": sample_period,
             "frequency_mhz": frequency_mhz,
             "workload_name": workload_name,
             "metadata": metadata,
-        })
+        }
+        if self._identity is not None:
+            meta["identity"] = self._identity
+        return self._finalize(meta)
+
+    @property
+    def identity(self) -> dict | None:
+        """The collection's canonical spec, when its writer recorded one."""
+        return self._header.get("identity") if self._header else None
 
     @property
     def processes(self) -> tuple:

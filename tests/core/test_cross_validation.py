@@ -1,7 +1,5 @@
 """Tests for the 10-fold cross-validation and RE curve."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +12,7 @@ from repro.core.cross_validation import (
     fold_indices,
     relative_error_curve,
 )
-from repro.runtime.jobs import JobSpec, execute_job
+from repro.runtime.jobs import JobSpec
 from repro.sparse import CSRMatrix
 
 
@@ -205,6 +203,5 @@ class TestPrefixInvariant:
             return JobSpec(workload=workload, n_intervals=12, seed=seed,
                            scale="tiny", k_max=k_max)
 
-        truncated = execute_job(spec(k + extra)).truncated(spec(k))
-        fresh = execute_job(spec(k))
-        assert truncated == replace(fresh, spans=())
+        truncated = spec(k + extra).execute().truncated(spec(k))
+        assert truncated == spec(k).execute()

@@ -5,6 +5,7 @@ for the ``repro profile`` report machinery, independent of the pipeline.
 """
 
 from repro.obs import aggregate_spans, render_profile, slowest_spans
+from repro.obs.profile import RUN_SHARE_RULE
 
 #: Two "job" roots, the shape a two-workload profile run produces.
 FOREST = [
@@ -103,6 +104,26 @@ class TestRenderProfile:
         assert any("100.0%" in line for line in lines)
         assert any("50.0%" in line for line in lines)
         assert "workload=spec.art" in report
+
+    def test_concurrent_children_share_their_parents_run_time(self):
+        """Two 0.8 s children that overlapped under a 1.0 s root read 50%
+        each, and a 0.4 s grandchild 25%: no row reads more than its
+        parent (they read 80% and 40% before the rule)."""
+        forest = [{"name": "root", "wall_s": 1.0, "children": [
+            {"name": "a", "wall_s": 0.8,
+             "children": [{"name": "g", "wall_s": 0.4}]},
+            {"name": "b", "wall_s": 0.8}]}]
+        report = render_profile(forest)
+        shares = {row[0]: row[-1] for row in map(str.split,
+                                                 report.splitlines())
+                  if len(row) == 5 and row[-1].endswith("%")}
+        assert shares == {"root": "100.0%", "a": "50.0%", "g": "25.0%",
+                          "b": "50.0%"}
+        assert RUN_SHARE_RULE in report
+
+    def test_sequential_tree_reads_plain_wall_time(self):
+        for stage in aggregate_spans(FOREST):
+            assert abs(stage.run_s - stage.total_s) < 1e-12
 
     def test_no_spans_message(self):
         assert "no spans recorded" in render_profile([])

@@ -4,6 +4,8 @@ The acceptance bar: a ``--jobs 2`` profile run produces the same merged
 stage structure as a serial one, and the JSONL trace round-trips.
 """
 
+import os
+
 import pytest
 
 from repro import api, obs
@@ -13,8 +15,9 @@ from repro.obs import (
     trace_events,
     write_trace,
 )
+from repro.runtime import pool as pool_mod
+from repro.runtime import scheduler
 from repro.runtime.jobs import JobSpec
-from repro.runtime.manifest import RunManifest
 from repro.runtime.scheduler import run_jobs
 
 CONFIG = api.AnalysisConfig(k_max=5, seed=7)
@@ -70,34 +73,58 @@ class TestParallelMerge:
 
 
 class TestManifestSpans:
+    """The spans of the jobs a run manifest records live in the tracer's
+    forest: pool workers ship theirs beside each result and the parent
+    grafts them, so neither results, store entries nor the manifest
+    carry spans."""
+
     SPECS = [JobSpec(workload=name, n_intervals=12, seed=7, scale="tiny",
                      k_max=5) for name in WORKLOADS]
 
-    def test_span_roots_merge_in_submission_order(self):
-        with obs.capture():
+    def test_span_roots_merge_in_submission_order(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+        with obs.capture() as tracer:
             outcomes = run_jobs(self.SPECS, jobs=2)
-        manifest = RunManifest.from_outcomes(outcomes, command="census",
-                                             jobs=2)
-        roots = manifest.span_roots()
+        assert all(o.ok and o.worker != f"pid-{os.getpid()}"
+                   for o in outcomes)  # grafted from pool workers
+        roots = tracer.snapshot()
         assert [root["attrs"]["workload"] for root in roots] == WORKLOADS
         assert all(root["name"] == "job" for root in roots)
 
     def test_untraced_run_has_no_spans(self):
-        outcomes = run_jobs([self.SPECS[0]])
-        manifest = RunManifest.from_outcomes(outcomes)
-        assert manifest.span_roots() == []
+        result, spans, _, _ = scheduler._worker_execute(self.SPECS[0])
+        assert spans == []
+        assert result.key == self.SPECS[0].key
+        assert not obs.tracing_enabled()
+
+    def test_untraced_job_ignores_a_tracer_inherited_at_fork(self):
+        """Regression: a worker forked while its parent traced kept that
+        tracer, and every later untraced job recorded into it."""
+        worker_pool = pool_mod.WorkerPool()
+        try:
+            with obs.capture():
+                executor, _ = worker_pool.acquire(1)
+                assert executor.submit(obs.tracing_enabled).result(60)
+            _, spans, _, _ = executor.submit(
+                scheduler._worker_execute, self.SPECS[0]).result(120)
+            assert spans == []
+            assert executor.submit(obs.current_tracer).result(60) is None
+        finally:
+            worker_pool.release()
+            worker_pool.shutdown()
 
     def test_cached_payload_never_stores_spans(self, tmp_path):
-        from repro.runtime.cache import ResultCache
-        cache = ResultCache(tmp_path)
+        from repro.runtime.cache import RESULT, ResultCache
+        traced_store = ResultCache(tmp_path / "traced")
+        plain_store = ResultCache(tmp_path / "plain")
         with obs.capture():
-            traced, = run_jobs([self.SPECS[0]], store=cache)
-        assert traced.result.spans  # the live outcome carries the trace...
-        stored = cache.get(traced.key)
-        assert "spans" not in stored  # ...but the cache entry never does
-        warm, = run_jobs([self.SPECS[0]], store=cache)
-        assert warm.cache_hit and warm.result.spans == ()
-        assert warm.result.re == traced.result.re
+            traced, = run_jobs([self.SPECS[0]], store=traced_store)
+        plain, = run_jobs([self.SPECS[0]], store=plain_store)
+        entry = traced_store.entry_dir(RESULT, traced.key) / "meta.json"
+        assert entry.read_bytes() == (plain_store.entry_dir(
+            RESULT, plain.key) / "meta.json").read_bytes()
+        warm, = run_jobs([self.SPECS[0]], store=traced_store)
+        assert warm.cache_hit and warm.result == traced.result
 
 
 class TestJsonlTrace:

@@ -1,5 +1,5 @@
-"""Cross-validation fold jobs, their one dataset transport, and the
-job-kind registry.
+"""Cross-validation fold jobs, their one dataset transport, and how a
+fold spec travels to a worker.
 
 The transport tests guard three invariants: parallel-fold results are
 bit-identical to the serial loop whichever way each fold ran (a fold
@@ -11,6 +11,7 @@ worker keeps a fold dataset mapped once its CV has returned.
 """
 
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -25,13 +26,7 @@ from repro.runtime import graph as graph_mod
 from repro.runtime import pool as pool_mod
 from repro.runtime import scheduler
 from repro.runtime.cache import ResultCache
-from repro.runtime.folds import (
-    FoldResult,
-    FoldSpec,
-    execute_fold,
-    run_parallel_folds,
-)
-from repro.runtime.jobs import JobSpec, resolve_kind
+from repro.runtime.folds import FoldResult, FoldSpec, run_parallel_folds
 from repro.runtime.metrics import METRICS
 from repro.sparse import CSRMatrix
 
@@ -63,10 +58,12 @@ class TestFoldSpec:
         assert a.key != c.key
 
     def test_round_trip(self):
+        # A pool worker receives the pickled spec itself.
         spec = make_spec("root", np.zeros(40), fold_index=2)
-        again = FoldSpec.from_dict(spec.canonical())
+        again = pickle.loads(pickle.dumps(spec))
         assert again == spec
         assert again.key == spec.key
+        assert again.result_type is FoldResult
 
     def test_kind_not_part_of_identity(self):
         assert FoldSpec.kind == "cv_fold"
@@ -78,7 +75,7 @@ class TestExecuteFold:
         matrix, y = small_dataset()
         put_dataset(tmp_path, matrix, y)
         spec = make_spec(tmp_path, y, fold_index=1)
-        result = execute_fold(spec)
+        result = spec.execute()
         held_out = fold_indices(len(y), spec.folds,
                                 np.random.default_rng(spec.seed))[1]
         train_mask = np.ones(len(y), dtype=bool)
@@ -94,12 +91,14 @@ class TestExecuteFold:
     def test_missing_dataset_raises(self, tmp_path):
         spec = make_spec(tmp_path, np.zeros(40))
         with pytest.raises(RuntimeError, match="unreadable"):
-            execute_fold(spec)
+            spec.execute()
 
     def test_result_round_trip(self):
-        result = FoldResult(key="k", errors=(1.5, 2.25), reached=2)
-        again = FoldResult.from_dict(result.to_dict())
+        # A pool worker returns the pickled result itself.
+        result = FoldResult(key="k", errors=(0.1, 1 / 3), reached=2)
+        again = pickle.loads(pickle.dumps(result))
         assert again == result
+        assert again.key == result.key
 
 
 class TestRunParallelFolds:
@@ -310,33 +309,30 @@ class TestFailurePaths:
         assert fold_dirs(fold_tmp) == []
 
 
-class TestKindRegistry:
-    def test_analysis_and_cv_fold_registered(self):
-        assert resolve_kind("analysis").spec_from_dict == JobSpec.from_dict
-        kind = resolve_kind("cv_fold")
-        assert kind.execute is execute_fold
-        assert kind.result_from_dict == FoldResult.from_dict
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(KeyError, match="no.such.kind"):
-            resolve_kind("no.such.kind")
-
-    def test_lazy_import_in_fresh_process(self):
+class TestFreshInterpreter:
+    def test_unpickled_fold_spec_executes(self, tmp_path):
         """A process that never imported repro.runtime.folds (a pool
-        worker receiving only the kind name) still resolves cv_fold."""
-        import os
+        worker built by another start method) unpickles a FoldSpec,
+        executes it and gets the parent's FoldResult: pickle imports the
+        spec's module."""
         import subprocess
         import sys
 
         import repro
 
+        matrix, y = small_dataset()
+        put_dataset(tmp_path, matrix, y)
+        spec = make_spec(tmp_path, y, fold_index=3)
+        (tmp_path / "spec.pickle").write_bytes(pickle.dumps(spec))
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        code = ("import sys\n"
-                "from repro.runtime.jobs import resolve_kind\n"
+        code = ("import pickle, sys\n"
+                "raw = open(sys.argv[1], 'rb').read()\n"
                 "assert 'repro.runtime.folds' not in sys.modules\n"
-                "print(resolve_kind('cv_fold').name)\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "cv_fold"
+                "sys.stdout.buffer.write(pickle.dumps("
+                "pickle.loads(raw).execute()))\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "spec.pickle")],
+            env=env, capture_output=True, check=True)
+        assert pickle.loads(out.stdout) == spec.execute()

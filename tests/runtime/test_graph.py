@@ -91,6 +91,9 @@ class TestSubmitGraph:
         assert not skipped.ok
         assert skipped.worker == "skipped"
         assert "dependency" in skipped.error
+        # The cause travels with the skip: the dependency's own error.
+        assert skipped.error.endswith(outcomes[0].error)
+        assert "no.such.workload" in skipped.error
         assert skipped.key == dep_key
         assert metrics.snapshot()["counters"]["graph.dep_skipped"] == 1
 

@@ -1,6 +1,7 @@
 """Job hashing, result serialization, and store robustness."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from repro.core.predictability import analyze_predictability
 from repro.experiments.common import RunConfig, collect
 from repro.runtime import cache as cache_mod
 from repro.runtime.cache import SCHEMA_VERSION, ResultCache, default_cache_dir
-from repro.runtime.jobs import JobResult, JobSpec, execute_job
+from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import MetricsRegistry
 from repro.workloads.scale import TINY, get_scale
 from tests.runtime.test_artifacts import (ENTRIES, KEY, ResultEntry,
@@ -47,8 +48,24 @@ class TestJobSpec:
         changed = JobSpec(**{**TINY_SPEC.canonical(), **change})
         assert changed.key != TINY_SPEC.key
 
+    @pytest.mark.parametrize("change, match", [
+        ({"k_max": 0}, "k_max"),
+        ({"folds": 1}, "two folds"),
+        ({"min_leaf": 0}, "min_leaf"),
+        ({"n_intervals": 9}, "every fold needs an interval"),
+        ({"n_intervals": -5}, "every fold needs an interval"),
+    ])
+    def test_refuses_values_the_analysis_cannot_use(self, change, match):
+        # Refused where the identity is built, before anything runs.
+        with pytest.raises(ValueError, match=match):
+            JobSpec(**{**TINY_SPEC.canonical(), **change})
+
     def test_dict_round_trip(self):
-        assert JobSpec.from_dict(TINY_SPEC.canonical()) == TINY_SPEC
+        # The canonical dict a store entry records beside its result
+        # rebuilds the spec it was computed from.
+        twin = JobSpec(**TINY_SPEC.canonical())
+        assert twin == TINY_SPEC
+        assert twin.key == TINY_SPEC.key
 
     def test_run_config_round_trip(self):
         config = RunConfig("odbh.q13", n_intervals=24, seed=3,
@@ -68,8 +85,9 @@ class TestJobSpec:
     def test_equality_hash_key_round_trip(self):
         # Equal specs are interchangeable everywhere a spec is a dict key
         # or a dedup identity: ==, hash() and .key must all agree, and
-        # the dict round-trip must preserve all three.
-        twin = JobSpec.from_dict(TINY_SPEC.canonical())
+        # the pickle round trip a pool worker receives must preserve
+        # all three.
+        twin = pickle.loads(pickle.dumps(TINY_SPEC))
         assert twin == TINY_SPEC
         assert hash(twin) == hash(TINY_SPEC)
         assert twin.key == TINY_SPEC.key
@@ -85,7 +103,7 @@ class TestJobSpec:
 
 class TestJobResult:
     def test_execute_matches_direct_pipeline(self):
-        job = execute_job(TINY_SPEC)
+        job = TINY_SPEC.execute()
         _, dataset = collect(TINY_SPEC.to_run_config())
         direct = analyze_predictability(dataset, k_max=TINY_SPEC.k_max,
                                         seed=TINY_SPEC.seed)
@@ -97,12 +115,20 @@ class TestJobResult:
         assert reconstructed.summary() == direct.summary()
 
     def test_json_round_trip_is_lossless(self):
-        job = execute_job(TINY_SPEC)
+        job = TINY_SPEC.execute()
         restored = JobResult.from_dict(json.loads(json.dumps(job.to_dict())))
         assert restored.re == job.re
         assert restored.re_kopt == job.re_kopt
         assert restored.cpi_variance == job.cpi_variance
         assert restored.to_result().summary() == job.to_result().summary()
+
+    def test_pickle_round_trip_is_lossless(self):
+        # What a pool worker sends back: the result object itself.
+        job = TINY_SPEC.execute()
+        restored = pickle.loads(pickle.dumps(job))
+        assert restored == job
+        assert restored.key == TINY_SPEC.key
+        assert JobSpec.result_type is JobResult
 
 
 class TestResultCache:

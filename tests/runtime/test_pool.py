@@ -24,7 +24,7 @@ from repro.core.config import AnalysisConfig
 from repro.core.cross_validation import cross_validated_sse
 from repro.runtime import folds as folds_mod
 from repro.runtime import pool as pool_mod
-from repro.runtime.jobs import register_job_kind, spec_key
+from repro.runtime.jobs import spec_key
 from repro.runtime.metrics import METRICS, MetricsRegistry
 from repro.runtime.scheduler import run_jobs
 from tests.runtime.test_folds import small_dataset
@@ -32,8 +32,8 @@ from tests.runtime.test_folds import small_dataset
 
 @pytest.fixture(autouse=True)
 def _fresh_pool(monkeypatch):
-    """Each test forks its own workers (so they inherit this module's
-    job kind) and leaves nothing warm behind.  Two usable CPUs are
+    """Each test forks its own workers (so they can unpickle this
+    module's job kind) and leaves nothing warm behind.  Two usable CPUs are
     assumed, so the dispatch rule sends ``jobs=2`` batches to the pool
     on any box."""
     monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
@@ -45,11 +45,18 @@ def _fresh_pool(monkeypatch):
 # -- a minimal job kind whose workers can be told to die --------------------
 
 @dataclass(frozen=True)
+class ProbeResult:
+    key: str
+    pid: int
+
+
+@dataclass(frozen=True)
 class ProbeSpec:
     """Reports the executing pid; ``mode="die"`` kills any pool worker
     it lands on (the parent, where ``parent_pid`` matches, survives)."""
 
     kind: ClassVar[str] = "pool_probe"
+    result_type: ClassVar[type] = ProbeResult
 
     tag: int
     parent_pid: int
@@ -62,33 +69,12 @@ class ProbeSpec:
     def key(self) -> str:
         return spec_key(self.canonical())
 
-
-@dataclass(frozen=True)
-class ProbeResult:
-    key: str
-    pid: int
-    spans: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {"key": self.key, "pid": self.pid}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProbeResult":
-        return cls(key=data["key"], pid=data["pid"])
-
-
-def _execute_probe(spec: ProbeSpec, jobs: int = 1,
-                   store=None) -> ProbeResult:
-    if spec.mode == "die" and os.getpid() != spec.parent_pid:
-        os._exit(1)
-    if spec.mode == "sleep" and os.getpid() != spec.parent_pid:
-        time.sleep(0.5)
-    return ProbeResult(key=spec.key, pid=os.getpid())
-
-
-register_job_kind("pool_probe", execute=_execute_probe,
-                  spec_from_dict=lambda d: ProbeSpec(**d),
-                  result_from_dict=ProbeResult.from_dict)
+    def execute(self, jobs: int = 1, store=None) -> ProbeResult:
+        if self.mode == "die" and os.getpid() != self.parent_pid:
+            os._exit(1)
+        if self.mode == "sleep" and os.getpid() != self.parent_pid:
+            time.sleep(0.5)
+        return ProbeResult(key=self.key, pid=os.getpid())
 
 
 def probes(n, start=0, mode="ok"):

@@ -9,6 +9,7 @@ differs.
 """
 
 import json
+import pickle
 import shutil
 import tempfile
 
@@ -39,13 +40,6 @@ def drop_results(store) -> None:
             shutil.rmtree(store.entry_dir(kind, key))
 
 
-def strip(result) -> dict:
-    """A result's deterministic fields (spans are measured)."""
-    data = result.to_dict()
-    data.pop("spans", None)
-    return data
-
-
 class TestSpecDerivation:
     def test_interval_variants_share_one_collect_stage(self):
         # Same (workload, machine, seed) cell, same total instructions,
@@ -64,12 +58,19 @@ class TestSpecDerivation:
             assert stages.collect_spec_for(variant).key != base.key
 
     def test_stage_specs_round_trip_like_pool_payloads(self):
-        # Workers rebuild specs from spec.canonical(); the kind tag the
-        # canonical embeds must be tolerated by from_dict.
+        # A pool worker receives the pickled spec and returns the
+        # pickled result; both keep their keys.
         collect = stages.collect_spec_for(tiny_spec())
         eipv = stages.eipv_spec_for(tiny_spec())
-        assert stages.CollectSpec.from_dict(collect.canonical()) == collect
-        assert stages.EipvSpec.from_dict(eipv.canonical()) == eipv
+        for spec in (collect, eipv):
+            again = pickle.loads(pickle.dumps(spec))
+            assert again == spec
+            assert again.key == spec.key
+            assert again.canonical()["kind"] == spec.kind
+        result = stages.StageResult(key=eipv.key, source="computed",
+                                    n_intervals=12, n_eips=40)
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert eipv.result_type is stages.StageResult
 
     def test_eipv_spec_embeds_its_upstream(self):
         # Self-describing stages: the EIPV spec can derive its collect
@@ -143,7 +144,7 @@ class TestArtifactPlumbing:
         # succeeds and the stage reports a computed (unpersisted)
         # result.
         store.store_dir.write_text("squatter")
-        result = stages.execute_collect(spec, store=store)
+        result = spec.execute(store=store)
         assert result.source == "computed"
         assert result.n_samples > 0
         assert store.entries() == []
@@ -162,11 +163,11 @@ class TestStagedByteIdentity:
         spec = tiny_spec()
         temporary = self.run_staged(None, spec)
         assert len(temporary) == 3
-        reference = strip(temporary[-1].result)
+        reference = temporary[-1].result.to_dict()
 
         cache = ResultCache(tmp_path)
         cold = self.run_staged(cache, spec)
-        assert strip(cold[-1].result) == reference
+        assert cold[-1].result.to_dict() == reference
         # Both stages computed and published their artifacts.
         assert [o.result.source for o in cold[:2]] \
             == ["computed", "computed"]
@@ -179,7 +180,7 @@ class TestStagedByteIdentity:
         warm = self.run_staged(cache, spec)
         assert [o.result.source for o in warm[:2]] \
             == ["artifact", "artifact"]
-        assert strip(warm[-1].result) == reference
+        assert warm[-1].result.to_dict() == reference
 
     def test_fully_warm_run_is_one_cache_hit(self, tmp_path):
         spec = tiny_spec()
@@ -192,7 +193,7 @@ class TestStagedByteIdentity:
     def test_torn_trace_artifact_heals_silently(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
-        reference = strip(self.run_staged(cache, spec)[-1].result)
+        reference = self.run_staged(cache, spec)[-1].result.to_dict()
 
         # Tear the trace artifact, drop everything downstream of it.
         collect_key = stages.collect_spec_for(spec).key
@@ -202,7 +203,7 @@ class TestStagedByteIdentity:
         drop_results(cache)
 
         healed = self.run_staged(cache, spec)
-        assert strip(healed[-1].result) == reference
+        assert healed[-1].result.to_dict() == reference
         # The store holds fresh, valid entries again.
         assert cache.stats().by_kind == {"eipv": 1, "result": 3,
                                          "trace": 1}
@@ -210,7 +211,7 @@ class TestStagedByteIdentity:
     def test_eipv_self_heal_recomputes_quarantined_trace(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
-        reference = strip(self.run_staged(cache, spec)[-1].result)
+        reference = self.run_staged(cache, spec)[-1].result.to_dict()
         store = cache
         collect_key = stages.collect_spec_for(spec).key
         eipv_key = stages.eipv_spec_for(spec).key
@@ -221,7 +222,7 @@ class TestStagedByteIdentity:
         column = store.entry_dir("trace", collect_key) / "eips.npy"
         column.write_bytes(b"\x93NUMPY garbage")
         shutil.rmtree(store.entry_dir("eipv", eipv_key))
-        result = stages.execute_eipv(stages.eipv_spec_for(spec), store=store)
+        result = stages.eipv_spec_for(spec).execute(store=store)
         assert result.source == "computed"
         assert len(store.quarantined()) == 1
         assert store.has("trace", collect_key)
@@ -229,7 +230,7 @@ class TestStagedByteIdentity:
 
         # And the healed dataset still feeds a byte-identical analysis.
         drop_results(cache)
-        assert strip(self.run_staged(cache, spec)[-1].result) == reference
+        assert self.run_staged(cache, spec)[-1].result.to_dict() == reference
 
 
 SPACE = SweepSpace(workloads=("spec.gzip", "spec.art"),
@@ -368,7 +369,6 @@ class TestTemporaryStores:
 
     def test_storeless_job_gets_and_removes_its_own(self, scratch_tmp,
                                                     monkeypatch):
-        from repro.runtime.jobs import execute_job
         roots = []
         real = stages.eipv_dataset
 
@@ -378,7 +378,7 @@ class TestTemporaryStores:
             return real(store, spec)
 
         monkeypatch.setattr(stages, "eipv_dataset", spy)
-        result = execute_job(tiny_spec())
+        result = tiny_spec().execute()
         assert result.n_intervals == 12 and len(roots) == 1
         assert stage_dirs(scratch_tmp) == []
 

@@ -176,6 +176,24 @@ class TestDerivedAnalyses:
         assert status == 200
         assert service.metrics.count("jobs.executed") > executed
 
+    def test_derived_entry_has_the_bytes_of_a_computed_one(self, tmp_path):
+        """Regression: a derived answer's entry held ``"spans": []``,
+        which a computed answer's entry does not, so one key stored
+        different bytes depending on how its answer was produced."""
+        derived = _make(tmp_path / "a")
+        computed = _make(tmp_path / "b")
+        derived.handle("/analyze", dict(TINY, k_max=8))
+        derived.handle("/analyze", dict(TINY, k_max=4))
+        assert derived.metrics.count("serve.curve_derived") == 1
+        computed.handle("/analyze", dict(TINY, k_max=4))
+        assert computed.metrics.count("serve.curve_derived") == 0
+        key = JobSpec(workload="spec.gzip", n_intervals=12, seed=7,
+                      scale="tiny", k_max=4).key
+        entries = [(service.store.entry_dir(RESULT, key)
+                    / "meta.json").read_bytes()
+                   for service in (derived, computed)]
+        assert entries[0] == entries[1]
+
     def test_pruned_longest_entry_falls_back_to_computing(self, tmp_path):
         service = _make(tmp_path)
         service.handle("/analyze", dict(TINY, k_max=9))
@@ -331,6 +349,32 @@ class TestProtocolErrors:
                                               {"workload": "nope"})
         assert status == 400
         assert "unknown workload" in body["error"]
+
+
+class TestRefusedValues:
+    @staticmethod
+    def _refused(tmp_path, path, body) -> dict:
+        service = _make(tmp_path)
+        status, reply = service.handle(path, body)
+        assert status == 400, reply
+        assert service.metrics.count("jobs.executed") == 0
+        assert service.store.entries() == []
+        return reply
+
+    def test_analyze_with_fewer_intervals_than_folds_is_400(self, tmp_path):
+        reply = self._refused(tmp_path, "/v1/analyze", dict(TINY, intervals=5))
+        assert "every fold needs an interval" in reply["error"]
+
+    def test_sweep_with_one_fold_is_400(self, tmp_path):
+        reply = self._refused(tmp_path, "/v1/sweep",
+                              {"workloads": ["spec.gzip"], "folds": 1})
+        assert "two folds" in reply["error"]
+
+    def test_profile_with_fewer_intervals_than_folds_is_400(self, tmp_path):
+        reply = self._refused(tmp_path, "/v1/profile",
+                              {"workloads": ["spec.gzip"], "intervals": 5,
+                               "scale": "tiny", "k_max": 5})
+        assert "every fold needs an interval" in reply["error"]
 
 
 class TestHousekeeping:

@@ -86,6 +86,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="folds"):
             SweepSpace(workloads=WORKLOADS, n_intervals=3, folds=4)
 
+    @pytest.mark.parametrize("knobs, match", [
+        ({"folds": 1}, "two folds"),
+        ({"k_max": 0}, "k_max"),
+    ])
+    def test_rejects_knobs_the_analysis_cannot_use(self, knobs, match):
+        with pytest.raises(ValueError, match=match):
+            SweepSpace(workloads=WORKLOADS, **knobs)
+
     def test_round_trips_through_canonical(self):
         space = SweepSpace(workloads=WORKLOADS, seeds=(7, 8), limit=3)
         assert SweepSpace.from_dict(space.canonical()) == space

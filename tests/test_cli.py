@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.runtime.jobs import JobSpec
 
 
 class TestParser:
@@ -201,6 +202,40 @@ class TestRuntimeCommands:
         assert in_memory == collected.out == reused.out
         assert (tmp_path / "store" / "header.json").is_file()
 
+    @pytest.mark.parametrize("change", [
+        ["spec.gzip", "--seed", "12"],  # another seed
+        ["odbc"],                        # another workload
+    ])
+    def test_analyze_trace_store_refuses_another_collection(
+            self, capsys, tmp_path, change):
+        """Regression: DIR was reused whatever collection it held, so
+        the report named one workload and carried another's numbers."""
+        store = str(tmp_path / "store")
+        argv = ["analyze", "--intervals", "12", "--k-max", "5", "--scale",
+                "tiny", "--no-cache", "--trace-store", store]
+        assert main(argv + ["spec.gzip"]) == 0
+        capsys.readouterr()
+        assert main(argv + change) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, = captured.err.splitlines()
+        assert line.count('"workload"') == 2  # both identities named
+        assert '"spec.gzip"' in line
+
+    def test_analyze_trace_store_without_identity_is_refused(
+            self, capsys, tmp_path):
+        from repro.runtime import stages
+        from repro.trace.storage import TraceStore
+        spec = stages.collect_spec_for(
+            JobSpec(workload="spec.gzip", n_intervals=12, scale="tiny"))
+        TraceStore.from_trace(stages._simulate(spec), tmp_path / "store")
+        assert main(["analyze", "spec.gzip", "--intervals", "12",
+                     "--scale", "tiny", "--k-max", "5", "--trace-store",
+                     str(tmp_path / "store")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no recorded collection" in captured.err
+
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         argv = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",
                 "--scale", "tiny", "--cache-dir", str(tmp_path)]
@@ -229,6 +264,38 @@ class TestRuntimeCommands:
 
 ANALYZE_TINY = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",
                 "--scale", "tiny", "--no-cache"]
+
+
+class TestRefusedBeforeRunning:
+    """Values the analysis cannot use are usage errors: exit 2, nothing
+    on stdout, and nothing simulated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "spec.gzip", "--k-max", "0"],
+        ["analyze", "spec.gzip", "--intervals", "5", "--scale", "tiny"],
+        ["analyze", "spec.gzip", "--intervals", "0"],
+        ["analyze", "spec.gzip", "--intervals", "-5"],
+        ["analyze", "nosuch"],
+        ["profile", "spec.gzip", "--k-max", "0"],
+        ["profile", "spec.gzip", "--intervals", "0"],
+        ["census", "spec.gzip", "--k-max", "0"],
+        ["sweep", "spec.gzip", "--k-max", "0"],
+        ["sweep", "spec.gzip", "--folds", "1"],
+    ])
+    def test_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        from repro.runtime import stages
+
+        def refuse(spec):
+            raise AssertionError("a refused request reached simulation")
+
+        monkeypatch.setattr(stages, "_simulate", refuse)
+        extra = ["--sweep-dir", str(tmp_path)] if argv[0] == "sweep" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--no-cache"] + extra)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
 
 class TestObservabilityCommands:
