@@ -89,8 +89,9 @@ __all__ = [
 
 def _run_config(workload: str, n_intervals: int | None, seed: int,
                 machine: str, scale: str) -> RunConfig:
-    return RunConfig(workload=workload,
-                     n_intervals=n_intervals or default_intervals(workload),
+    if n_intervals is None:
+        n_intervals = default_intervals(workload)
+    return RunConfig(workload=workload, n_intervals=n_intervals,
                      seed=seed, machine=machine, scale=get_scale(scale))
 
 
@@ -102,9 +103,9 @@ def collect(workload, *, n_intervals: int | None = None,
     ``workload`` is a registry name (``"odbc"``, ``"spec.mcf"``…) or a
     :class:`~repro.workloads.system.Workload` you built yourself.
     ``n_intervals`` defaults to the experiment-appropriate run length for
-    the workload's class (DSS queries get longer runs).  A registry name
-    goes through the pipeline's collect and eipv stages, in a temporary
-    store.
+    the workload's class (DSS queries get longer runs; a user-built
+    workload gets 60).  A registry name goes through the pipeline's
+    collect and eipv stages, in a temporary store.
     """
     if isinstance(workload, str):
         return common.collect(_run_config(workload, n_intervals, seed,
@@ -115,8 +116,10 @@ def collect(workload, *, n_intervals: int | None = None,
     from repro.trace.sampler import collect_trace
     from repro.uarch.machine import get_machine
     from repro.workloads.system import SimulatedSystem
+    config = RunConfig(workload=workload.name,
+                       n_intervals=60 if n_intervals is None else n_intervals)
     system = SimulatedSystem(get_machine(machine), workload, seed=seed)
-    trace = collect_trace(system, (n_intervals or 60) * INTERVAL)
+    trace = collect_trace(system, config.total_instructions())
     dataset = build_eipvs(trace)
     dataset.workload_name = workload.name
     return trace, dataset

@@ -34,6 +34,11 @@ class RunConfig:
     scale: WorkloadScale = DEFAULT
     interval_instructions: int = INTERVAL
 
+    def __post_init__(self) -> None:
+        if self.n_intervals < 1:
+            raise ValueError(
+                f"n_intervals must be at least 1, got {self.n_intervals}")
+
     def total_instructions(self) -> int:
         return self.n_intervals * self.interval_instructions
 

@@ -61,7 +61,8 @@ def census_specs(workloads=None, seed: int = 11, k_max: int = 50,
     """The census as schedulable job specs, one per workload."""
     names = list(workloads) if workloads is not None else workload_names()
     return [JobSpec(workload=name,
-                    n_intervals=n_intervals or default_intervals(name),
+                    n_intervals=(default_intervals(name)
+                                 if n_intervals is None else n_intervals),
                     seed=seed, k_max=k_max)
             for name in names]
 

@@ -10,16 +10,17 @@ Layout under the cache root (``--cache-dir``, ``$REPRO_CACHE_DIR``, or
     <root>/manifests/             run manifests (see manifest.py)
 
 Every entry is addressed by ``(kind, key)``, where ``key`` is the
-producing spec's content hash: a job result (kind ``result``: no arrays,
-the payload in its header next to the spec), a trace, an EIPV dataset or
-a fold dataset (raw ``.npy`` arrays that load zero-copy via
+producing spec's content hash: an analysis result (kind ``result``: no
+arrays, the payload in its header next to the spec), a trace, an EIPV
+dataset or a fold dataset (raw ``.npy`` arrays that load zero-copy via
 ``np.load(mmap_mode="r")``).  One set of rules serves every kind:
 
 * **Publication is atomic.**  An entry is written into a hidden staging
   directory, ``meta.json`` goes in last, and one ``os.rename`` makes it
   visible, so a reader sees a complete entry or none.  A rename never
   replaces a published entry: a same-key publisher that lost the race
-  discards its own tree.
+  discards its own tree.  It never creates the store's root, so a job
+  that outlives its run's temporary store cannot bring it back.
 * **Reads are defensive.**  A garbage, torn or stale-schema header, a
   kind/key mismatch or an unloadable array quarantines the entry (moves
   it into ``.quarantine/`` for post-mortems) and reads as a miss, so
@@ -218,10 +219,12 @@ class ResultCache:
         entry: when a concurrent publisher won, this tree is discarded,
         and a directory without a header in the way (a removal cut
         short) is quarantined first.  Either way exactly one complete
-        entry remains and no staging litter survives.
+        entry remains and no staging litter survives.  A gone root
+        raises ``OSError``: only ``store/`` and ``store/<kind>/`` are made.
         """
         final = self.entry_dir(kind, key)
-        final.parent.mkdir(parents=True, exist_ok=True)
+        self.store_dir.mkdir(exist_ok=True)
+        final.parent.mkdir(exist_ok=True)
         tmp = Path(tempfile.mkdtemp(prefix=f".{key[:8]}-", suffix=".tmp",
                                     dir=final.parent))
         try:
@@ -256,7 +259,7 @@ class ResultCache:
         try:
             if not source.is_dir():
                 return
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+            self.quarantine_dir.mkdir(exist_ok=True)
             target = self.quarantine_dir / f"{kind}-{key}"
             suffix = 0
             while target.exists():

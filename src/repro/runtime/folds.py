@@ -98,7 +98,6 @@ class FoldSpec:
     """One fold of one cross-validation, self-describing via the seed."""
 
     kind: ClassVar[str] = "cv_fold"
-    result_type: ClassVar[type] = FoldResult
 
     #: Root of the temporary store holding the CV's dataset.
     root: str

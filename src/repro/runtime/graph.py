@@ -7,8 +7,9 @@ the same dance, and profiling a third.  :class:`JobGraph` replaces all
 of them with one model:
 
 * a **node** is any content-hashed spec (``analysis``, ``cv_fold``, …) —
-  anything with ``kind``, ``key``, ``canonical()``, ``result_type`` and
-  ``execute(jobs, store)``;
+  anything with ``kind``, ``key``, ``canonical()`` and
+  ``execute(jobs, store)``, plus ``stored(store)`` when it runs against
+  a store;
 * an **edge** is a dataset/result dependency: a node runs only after
   every dependency succeeded (its products reachable through the run's
   :class:`~repro.runtime.cache.ResultCache`);
@@ -121,7 +122,7 @@ def submit_graph(graph: JobGraph, jobs: int = 1, store=None,
     """Run every node of ``graph``; outcomes in node-insertion order.
 
     Each ready set dispatches as one :func:`run_jobs` wave: nodes whose
-    result ``store`` holds are served from it, the rest fan out across
+    product ``store`` holds are served from it, the rest fan out across
     ``jobs`` worker processes (the scheduler applies the
     serial-vs-parallel rule and keeps its serial fallback), every job
     receiving ``store``.  A node whose dependency failed is

@@ -13,15 +13,15 @@ all use ``spec.key`` rather than recomputing ad-hoc tokens.
 
 Every job kind (this one, the stages of :mod:`repro.runtime.stages`,
 the folds of :mod:`repro.runtime.folds`) is a spec class with a
-``kind``, a ``key``, a ``result_type`` and an ``execute(jobs, store)``
-method.  The scheduler runs ``spec.execute`` in this process, or pickles
-the spec itself to a pool worker and gets the result back the same way.
-:meth:`JobSpec.execute` is pure: spec and the run's store in,
-:class:`JobResult` out.  It reads its dataset through the eipv stage,
-so there is one path from an execution to its dataset.  A result
-round-trips through ``to_dict``/``from_dict``, the form the store keeps,
-without loss (JSON preserves finite floats exactly), which is what makes
-warm-cache output byte-identical to a fresh computation.
+``kind``, a ``key``, an ``execute(jobs, store)`` method and, when it
+runs against a store, a ``stored(store)`` probe.  The scheduler probes,
+then runs ``spec.execute`` here or pickles the spec to a pool worker.
+:meth:`JobSpec.execute` reads its dataset through the eipv stage (one
+path from an execution to its dataset) and stores its
+:class:`JobResult`, the entry :meth:`JobSpec.stored` reads back.  A
+result round-trips through ``to_dict``/``from_dict`` without loss (JSON
+preserves finite floats exactly), which is what makes warm-cache output
+byte-identical to a fresh computation.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.core.predictability import (
 from repro.core.quadrant import classify_result
 from repro.experiments.common import INTERVAL, RunConfig
 from repro.obs import span
-from repro.runtime.cache import store_scope
+from repro.runtime.cache import RESULT, store_scope
 from repro.workloads.scale import get_scale
 
 #: Bump when pipeline semantics change; part of every job's identity, so
@@ -130,7 +130,6 @@ class JobSpec:
     """Frozen, content-addressable description of one analysis run."""
 
     kind: ClassVar[str] = "analysis"
-    result_type: ClassVar[type] = JobResult
 
     workload: str
     n_intervals: int = 60
@@ -222,8 +221,12 @@ class JobSpec:
         del canonical["k_max"]
         return spec_key(canonical)
 
+    def stored(self, store) -> JobResult | None:
+        """The result ``store`` holds for this spec, or ``None``."""
+        return stored_result(store, self.key)
+
     def execute(self, jobs: int = 1, store=None) -> JobResult:
-        """Run the analysis (pure; safe in any worker).
+        """Run the analysis and store its result (safe in any worker).
 
         ``jobs`` fans the cross-validation folds out (bit-identical
         merge); the scheduler passes 1 inside pool workers.
@@ -231,9 +234,9 @@ class JobSpec:
         The dataset comes from ``store`` through
         :func:`repro.runtime.stages.eipv_dataset`: the EIPV artifact, or
         on a miss the eipv stage's own build (which also heals a lost
-        trace), published for the next job.  Without a store — direct
-        library calls only; every entry point passes one — the call gets
-        a temporary store of its own.
+        trace), published for the next job, as the result is.  Without a
+        store — direct library calls only; every entry point passes one —
+        the call gets a temporary store of its own.
         """
         from repro.runtime import stages
 
@@ -244,7 +247,7 @@ class JobSpec:
             dataset = stages.eipv_dataset(store, stages.eipv_spec_for(self))
             analysis = analyze_predictability(
                 dataset, config=self.analysis_config(), jobs=jobs)
-        return JobResult(
+        result = JobResult(
             key=self.key,
             workload=analysis.workload,
             re=tuple(float(v) for v in analysis.curve.re),
@@ -258,6 +261,40 @@ class JobSpec:
             n_intervals=int(analysis.n_intervals),
             n_eips=int(analysis.n_eips),
         )
+        put_result(store, self, result)
+        return result
+
+
+def stored_result(store, key: str) -> JobResult | None:
+    """The :class:`JobResult` stored under ``key``, or ``None``.
+
+    A valid entry whose payload this code cannot use (it fails
+    ``JobResult.from_dict``, or decodes to another key) is quarantined,
+    so the recompute can publish in its place: a publish never replaces
+    an entry.
+    """
+    payload = store.get(key)
+    if payload is None:
+        return None
+    try:
+        result = JobResult.from_dict(payload)
+        if result.key == key:
+            return result
+    except (TypeError, ValueError, KeyError):
+        pass
+    store.metrics.inc("cache.payload_rejected")
+    store.quarantine(RESULT, key)
+    return None
+
+
+def put_result(store, spec: JobSpec, result: JobResult) -> None:
+    """Store ``result`` as ``spec``'s ``result`` entry, best effort: a
+    store that can't be written must never sink the computation it was
+    meant to save."""
+    try:
+        store.put(spec.key, result.to_dict(), spec=spec.canonical())
+    except OSError:
+        store.metrics.inc("cache.store_failed")
 
 
 def spec_key(canonical: dict) -> str:

@@ -1,13 +1,13 @@
-"""Job scheduling: cache lookup, process-pool fan-out, serial fallback.
+"""Job scheduling: store probe, process-pool fan-out, serial fallback.
 
-:func:`run_jobs` is the one entry point.  For every spec it first
-consults the run's store; only misses are executed — on the
+:func:`run_jobs` is the one entry point.  It probes each spec
+(``spec.stored(store)``) and executes only the misses — on the
 **persistent warm pool** (:mod:`repro.runtime.pool`) when
-:func:`repro.runtime.pool.use_pool` allows it, otherwise serially in
-this process.  Every job runs as ``spec.execute(jobs, store)``; a pool
-worker receives the spec object itself (pickled) with the root of the
-run's store, and returns the result object with the span forest it
-recorded, which this process grafts into its own tracer.  Workers
+:func:`repro.runtime.pool.use_pool` allows it, otherwise serially here.
+Every job runs as ``spec.execute(jobs, store)`` and publishes its own
+product, so the scheduler writes nothing.  A pool worker receives the
+spec itself (pickled) with the root of the run's store, and returns the
+result with the span forest it recorded, grafted here.  Workers
 forked once survive across batches and keep nothing between jobs.  Pool
 construction or submission failing (restricted environments, missing
 semaphores, broken workers) degrades gracefully to the in-process path,
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.runtime import pool as pool_mod
-from repro.runtime.cache import RESULT, ResultCache
+from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import METRICS
 
@@ -149,8 +149,8 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
     pool cannot be used at all — ``why`` is the construction traceback,
     which the caller chains into any serial-fallback failure so the
     original error is never lost.  ``on_ready`` fires per outcome as it
-    is consumed (submission order), which is how the caller persists
-    results incrementally instead of after the whole wave.  The
+    is consumed (submission order), which is how the caller streams
+    results instead of waiting for the whole wave.  The
     executor is acquired from (and released back to) ``worker_pool``, a
     broken pool is respawned mid-batch and the remaining jobs
     resubmitted; a job that raises in a worker comes back as a failed
@@ -186,8 +186,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                     outcome = _run_serial(spec, key, store=store,
                                           pool_error=dead_pool_error or None)
                     outcomes.append(outcome)
-                    if on_ready is not None:
-                        on_ready(outcome)
+                    on_ready(outcome)
                     continue
                 try:
                     result, spans, pid, elapsed = _await_result(
@@ -257,8 +256,7 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
                         worker="pool",
                         error="".join(traceback.format_exception(exc)))
                 outcomes.append(outcome)
-                if on_ready is not None:
-                    on_ready(outcome)
+                on_ready(outcome)
         except BaseException:
             # on_ready raised (e.g. a crash-simulation abort): don't let
             # possibly-poisoned workers outlive the exception.
@@ -273,85 +271,47 @@ def _execute_on_pool(specs: list[JobSpec], keys: list[str], jobs: int,
         worker_pool.release()
 
 
-def stored_result(store: ResultCache, result_type: type, key: str,
-                  metrics=METRICS):
-    """The ``result_type`` stored under ``key``, or ``None``.
-
-    A valid entry whose payload this code cannot use (it fails
-    ``result_type.from_dict``, or decodes to another key) is
-    quarantined, so the recompute can publish in its place: a publish
-    never replaces an entry.
-    """
-    payload = store.get(key)
-    if payload is None:
-        return None
-    try:
-        result = result_type.from_dict(payload)
-        if result.key == key:
-            return result
-    except (TypeError, ValueError, KeyError):
-        pass
-    metrics.inc("cache.payload_rejected")
-    store.quarantine(RESULT, key)
-    return None
-
-
 def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
              timeout: float | None = None, metrics=METRICS,
              worker_pool=None, on_outcome=None) -> list[JobOutcome]:
     """Schedule every spec; return outcomes in submission order.
 
-    Specs whose result ``store`` holds are served from it; the misses go
-    to a process pool only when :func:`repro.runtime.pool.use_pool`
-    allows it (``jobs >= 2``, two pending specs, two usable CPUs); each
-    such choice with ``jobs >= 2`` is counted in
-    ``dispatch.parallel_chosen`` or ``dispatch.serial_chosen``.  The
-    in-process path hands every job the caller's ``jobs`` for its own
-    fan-out; pool workers run jobs with ``jobs=1``.  Every job receives
-    ``store`` (pool workers get its root and open it per job); without
-    one nothing is looked up or stored, and an analysis opens a
-    temporary store of its own.
+    Specs whose product ``store`` holds (``spec.stored(store)``) are
+    served from it; the misses go to a process pool only when
+    :func:`repro.runtime.pool.use_pool` allows it (``jobs >= 2``, two
+    pending specs, two usable CPUs); each such choice with ``jobs >= 2``
+    is counted in ``dispatch.parallel_chosen`` or
+    ``dispatch.serial_chosen``.  The in-process path hands every job the
+    caller's ``jobs`` for its own fan-out; pool workers run jobs with
+    ``jobs=1``.  Every job receives ``store`` (pool workers get its root
+    and open it per job); without one nothing is probed, and an
+    analysis opens a temporary store of its own.
 
     Parallel batches run on the persistent warm pool
     (:func:`repro.runtime.pool.default_pool`, or ``worker_pool`` when
     given).
 
-    Executed results are stored to ``store`` *incrementally*, as each
-    outcome is consumed — a run killed mid-batch leaves every already
-    consumed job cached, which is what makes large sweeps resumable at
-    job granularity rather than batch granularity.  ``on_outcome`` fires
-    once per job at the same moment (cache hits first, during the probe
+    Each job stores its own product as it finishes, so a run killed
+    mid-batch leaves every finished job stored — large sweeps resume at
+    job granularity, not batch granularity.  ``on_outcome`` fires once
+    per job as its outcome is consumed (hits first, during the probe
     pass, then executed jobs in submission order).
     """
     specs = list(specs)
     jobs = max(1, int(jobs or 1))
     outcomes: list[JobOutcome | None] = [None] * len(specs)
-
-    def persist(outcome: JobOutcome) -> None:
-        """Persist one executed outcome, then stream it to the caller."""
-        if store is not None and outcome.ok and not outcome.cache_hit:
-            try:
-                store.put(outcome.key, outcome.result.to_dict(),
-                          spec=outcome.spec.canonical())
-            except OSError:
-                # A store that can't be written must never sink the
-                # computation it was meant to save.
-                metrics.inc("cache.store_failed")
-        if on_outcome is not None:
-            on_outcome(outcome)
+    notify = on_outcome or (lambda outcome: None)
 
     pending: list[int] = []
     keys = [spec.key for spec in specs]
     for i, (spec, key) in enumerate(zip(specs, keys)):
         start = time.perf_counter()
-        result = (stored_result(store, spec.result_type, key, metrics)
-                  if store is not None else None)
+        result = spec.stored(store) if store is not None else None
         if result is not None:
             outcomes[i] = JobOutcome(
                 spec=spec, key=key, result=result, cache_hit=True,
                 wall_time=time.perf_counter() - start, worker="cache")
-            if on_outcome is not None:
-                on_outcome(outcomes[i])
+            notify(outcomes[i])
         else:
             pending.append(i)
 
@@ -366,7 +326,7 @@ def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
         if parallel:
             executed, pool_error = _execute_on_pool(
                 todo, todo_keys, jobs, timeout, store,
-                on_ready=persist,
+                on_ready=notify,
                 worker_pool=worker_pool or pool_mod.default_pool())
         if executed is None:
             executed = []
@@ -374,7 +334,7 @@ def run_jobs(specs, jobs: int = 1, store: ResultCache | None = None,
                 outcome = _run_serial(spec, key, jobs, store=store,
                                       pool_error=pool_error or None)
                 executed.append(outcome)
-                persist(outcome)
+                notify(outcome)
         for i, outcome in zip(pending, executed):
             outcomes[i] = outcome
 

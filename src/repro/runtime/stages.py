@@ -13,12 +13,13 @@ joints: :class:`CollectSpec` and :class:`EipvSpec` are frozen,
 content-hashed stage specs derived from a final :class:`JobSpec`
 (:func:`collect_spec_for` / :func:`eipv_spec_for`), executed through the
 ordinary scheduler as job kinds ``"collect"`` and ``"eipv"`` (each spec
-runs as ``spec.execute``), with their
-bulky products persisted as entries of the run's
-:class:`~repro.runtime.cache.ResultCache` — a trace entry *is* a
-:class:`~repro.trace.storage.TraceStore` directory, an EIPV entry holds
-the dataset's raw arrays — and reloaded zero-copy via
-``np.load(mmap_mode="r")``.
+runs as ``spec.execute``), with their bulky products persisted as
+entries of the run's :class:`~repro.runtime.cache.ResultCache` — a trace
+entry *is* a :class:`~repro.trace.storage.TraceStore` directory, an EIPV
+entry holds the dataset's raw arrays — and reloaded zero-copy via
+``np.load(mmap_mode="r")``.  That entry is a stage's only record: the
+scheduler's probe (``spec.stored``) reads the stage's summary from its
+header.
 
 Every run holds one store (:func:`~repro.runtime.cache.store_scope`):
 the disk cache, or a temporary store removed when the scope exits.  The
@@ -65,14 +66,14 @@ from repro.trace.storage import TraceStore
 
 @dataclass(frozen=True)
 class StageResult:
-    """Small JSON summary of one stage execution.
+    """Small summary of one stage node, never stored itself.
 
-    The bulky product is the stage's array entry; this summary is its
-    result entry, so a warm run serves stage nodes as ordinary cache
-    hits without touching the arrays at all.  ``source`` records
-    how the product was obtained — ``"computed"`` (simulated/built this
-    time) or ``"artifact"`` (already stored, nothing recomputed) — which
-    is how schedulers count stage reuse across worker processes.
+    The product is the stage's array entry, and this summary is read
+    from that entry's header, so a warm run serves stage nodes without
+    touching the arrays.  ``source`` records how the product was
+    obtained — ``"computed"`` (simulated/built this time) or
+    ``"artifact"`` (already stored, nothing recomputed) — which is how
+    schedulers count stage reuse across worker processes.
     """
 
     key: str
@@ -80,13 +81,6 @@ class StageResult:
     n_samples: int = 0
     n_intervals: int = 0
     n_eips: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageResult":
-        return cls(**data)
 
 
 # -- stage specs ------------------------------------------------------------
@@ -101,7 +95,6 @@ class CollectSpec:
     """
 
     kind: ClassVar[str] = "collect"
-    result_type: ClassVar[type] = StageResult
 
     workload: str
     machine: str
@@ -119,20 +112,26 @@ class CollectSpec:
     def key(self) -> str:
         return spec_key(self.canonical())
 
+    def stored(self, store: ResultCache) -> StageResult | None:
+        """The trace entry's summary, or ``None`` when there is none."""
+        meta = (store.open_meta("trace", self.key)
+                if store.has("trace", self.key) else None)
+        if meta is None:
+            return None
+        return StageResult(key=self.key, source="artifact",
+                           n_samples=int(meta.get("n_samples", 0)))
+
     def execute(self, jobs: int = 1, *, store: ResultCache) -> StageResult:
-        """Simulate and persist the trace (idempotent on a warm store);
+        """Simulate and persist the trace unless the store holds it;
         ``jobs`` is unused."""
         with span("stage.collect", workload=self.workload,
                   seed=self.seed) as stage_span:
-            meta = (store.open_meta("trace", self.key)
-                    if store.has("trace", self.key) else None)
-            if meta is not None:
-                source, n_samples = "artifact", int(meta.get("n_samples", 0))
-            else:
-                source = "computed"
-                n_samples = len(_fresh_trace(store, self))
-            stage_span.inc("samples", n_samples)
-        return StageResult(key=self.key, source=source, n_samples=n_samples)
+            result = self.stored(store)
+            if result is None:
+                result = StageResult(key=self.key, source="computed",
+                                     n_samples=len(_fresh_trace(store, self)))
+            stage_span.inc("samples", result.n_samples)
+        return result
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,6 @@ class EipvSpec:
     """
 
     kind: ClassVar[str] = "eipv"
-    result_type: ClassVar[type] = StageResult
 
     workload: str
     machine: str
@@ -171,24 +169,29 @@ class EipvSpec:
     def key(self) -> str:
         return spec_key(self.canonical())
 
+    def stored(self, store: ResultCache) -> StageResult | None:
+        """The EIPV entry's summary, or ``None`` when there is none."""
+        meta = (store.open_meta("eipv", self.key)
+                if store.has("eipv", self.key) else None)
+        if meta is None:
+            return None
+        return StageResult(key=self.key, source="artifact",
+                           n_intervals=int(meta.get("n_intervals", 0)),
+                           n_eips=int(meta.get("n_eips", 0)))
+
     def execute(self, jobs: int = 1, *, store: ResultCache) -> StageResult:
-        """Build and persist the EIPV dataset, healing a lost trace;
-        ``jobs`` is unused."""
+        """Build and persist the EIPV dataset unless the store holds it,
+        healing a lost trace; ``jobs`` is unused."""
         with span("stage.eipv", workload=self.workload,
                   interval=self.interval_instructions) as stage_span:
-            summary = (store.open_meta("eipv", self.key)
-                       if store.has("eipv", self.key) else None)
-            if summary is not None:
-                source = "artifact"
-                n_intervals = int(summary.get("n_intervals", 0))
-                n_eips = int(summary.get("n_eips", 0))
-            else:
-                source = "computed"
+            result = self.stored(store)
+            if result is None:
                 dataset = _build_dataset(store, self)
-                n_intervals, n_eips = dataset.n_intervals, dataset.n_eips
-            stage_span.inc("intervals", n_intervals)
-        return StageResult(key=self.key, source=source,
-                           n_intervals=int(n_intervals), n_eips=int(n_eips))
+                result = StageResult(key=self.key, source="computed",
+                                     n_intervals=int(dataset.n_intervals),
+                                     n_eips=int(dataset.n_eips))
+            stage_span.inc("intervals", result.n_intervals)
+        return result
 
 
 def collect_spec_for(spec: JobSpec) -> CollectSpec:
@@ -412,7 +415,8 @@ def analysis_graph(specs, store: ResultCache | None = None):
     shared-prefix forest.  Final specs whose result is already in
     ``store`` are added dep-less — the scheduler's probe serves them,
     and a stale entry merely heals through the eipv stage's build
-    inside the job.
+    inside the job.  A stage node whose entry ``store`` holds is served
+    by the same probe.
     """
     from repro.runtime.graph import JobGraph
 
@@ -434,13 +438,12 @@ class StageCounters:
     """Parent-side tally of stage outcomes (cross-process safe).
 
     Stage reuse happens inside worker processes, so it is counted from
-    the outcomes that travel back — ``cache_hit`` for stage results the
-    store served, ``StageResult.source`` for artifact reuse —
-    never from process-local metrics.
+    the outcomes that travel back — ``StageResult.source``, which reads
+    ``"artifact"`` whether the scheduler's probe or the stage itself
+    found the entry — never from process-local metrics.
     """
 
-    stage_hits: int = 0
-    stage_failed: int = 0
+    failed: int = 0
     collect_computed: int = 0
     collect_artifact: int = 0
     eipv_computed: int = 0
@@ -452,9 +455,7 @@ class StageCounters:
         if kind not in ("collect", "eipv"):
             return False
         if not outcome.ok:
-            self.stage_failed += 1
-        elif outcome.cache_hit:
-            self.stage_hits += 1
+            self.failed += 1
         elif outcome.result.source == "artifact":
             if kind == "collect":
                 self.collect_artifact += 1
@@ -468,12 +469,11 @@ class StageCounters:
 
     def to_dict(self) -> dict:
         return {
-            "stage_cache": {"hits": self.stage_hits,
-                            "failed": self.stage_failed},
             "stages": {
                 "collect_computed": self.collect_computed,
                 "collect_artifact_hits": self.collect_artifact,
                 "eipv_computed": self.eipv_computed,
                 "eipv_artifact_hits": self.eipv_artifact,
+                "failed": self.failed,
             },
         }

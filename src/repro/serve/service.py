@@ -54,9 +54,8 @@ from repro.runtime.coalesce import (CoalescedFailure, CoalesceTimeout,
 from repro.runtime import pool as pool_mod
 from repro.runtime import stages
 from repro.runtime.graph import submit_graph
-from repro.runtime.jobs import JobResult, JobSpec
+from repro.runtime.jobs import JobResult, JobSpec, put_result, stored_result
 from repro.runtime.metrics import METRICS
-from repro.runtime.scheduler import stored_result
 from repro.serve.admission import (AdmissionController, DeadlineExceeded,
                                    ShedLoad)
 from repro.serve.protocol import (PROTOCOL_VERSION, AnalyzeRequest,
@@ -211,10 +210,11 @@ class AnalysisService:
     def _artifact_section(self, snap: dict) -> dict:
         """The array-entry slice of :meth:`stats` (traces, datasets).
 
-        Counter semantics: ``hits``/``misses`` are store probes in *this*
-        process (stage reuse inside pool workers doesn't travel through
-        metrics), so cross-process reuse is what ``stage_cache`` and
-        ``stages`` — tallied from returned outcomes — record.
+        Counter semantics: ``hits``/``misses``/``stores`` count this
+        process's store events, so cross-process reuse is what ``stages``
+        — tallied from returned outcomes — records.  Only a computed
+        stage publishes, so in-process ``stores`` matches
+        ``collect_computed + eipv_computed``.
         """
         section = {
             "hits": snap.get("artifact.hit", 0),
@@ -321,9 +321,9 @@ class AnalysisService:
 
     def _cached_result(self, key: str) -> JobResult | None:
         """The stored :class:`JobResult` under ``key``, or None — the
-        scheduler's own validation, so an entry it would reject is
+        scheduler's validation, so an entry it would reject is
         quarantined here too and the request computes."""
-        return stored_result(self.store, JobResult, key, self.metrics)
+        return stored_result(self.store, key)
 
     def _note_curve(self, spec: JobSpec) -> None:
         """Record ``spec`` as its execution's longest analysis if it is.
@@ -361,10 +361,7 @@ class AnalysisService:
                     del self._curves[spec.curve_key]
             return None
         result = source.truncated(spec)
-        try:
-            self.store.put(spec.key, result.to_dict(), spec=spec.canonical())
-        except OSError:
-            self.metrics.inc("cache.store_failed")
+        put_result(self.store, spec, result)
         self.metrics.inc("serve.curve_derived")
         self._after_store()
         return result

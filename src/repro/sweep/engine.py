@@ -14,7 +14,8 @@ Resumability is layered, cheapest first:
   on restart those shards are skipped without touching the scheduler.
 * **the store** — an incomplete shard resubmits all its points, but
   every point that finished before the kill comes back as a cache hit
-  (the scheduler stores outcomes incrementally, per job, not per wave).
+  (each analysis job stores its own result as it finishes, not per
+  wave).
 * **the merge is a replay** — the merged table and report are always
   rebuilt from the partials on disk, so a resumed sweep's outputs are
   byte-identical to an uninterrupted single-process run.
@@ -145,17 +146,13 @@ def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
     # without touching the scheduler at all.
     pending: list[int] = []
     for shard, (lo, hi) in enumerate(manifest.bounds):
-        name = manifest.completed.get(shard, manifest.partial_name(shard))
-        rows = read_partial(sweep_dir, name, shard, lo, hi)
+        rows = read_partial(sweep_dir, manifest.partial_name(shard),
+                            shard, lo, hi)
         if rows is None:
             pending.append(shard)
         else:
-            if shard not in manifest.completed:
-                manifest.completed[shard] = name
             metrics.inc("sweep.shard_resumed")
     resumed = manifest.n_shards - len(pending)
-    if resumed:
-        manifest.save(sweep_dir)
 
     counters = {"cached": 0, "executed": 0, "failed": 0}
     stage_counters = stages.StageCounters()
@@ -251,7 +248,7 @@ def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
     sharding controls persistence granularity, not execution order — so
     the pool's shared queue load-balances (steals) across shards for
     free.  Each shard's partial is written the moment its last point
-    succeeds, and the manifest is re-saved atomically after each one.
+    succeeds.
 
     The graph is *staged*: uncached points grow collect/EIPV dependency
     nodes, deduplicated across the point space, so the DAG collapses
@@ -296,9 +293,7 @@ def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
             done = rows_by_shard[shard]
             if len(done) == hi - lo and shard not in failed_shards:
                 rows = [done[i] for i in range(lo, hi)]
-                manifest.completed[shard] = write_partial(
-                    sweep_dir, shard, lo, hi, rows)
-                manifest.save(sweep_dir)
+                write_partial(sweep_dir, shard, lo, hi, rows)
                 rows_by_shard[shard] = {}
                 metrics.inc("sweep.shard_completed")
         if stop_after is not None and counters["executed"] >= stop_after:
@@ -338,8 +333,8 @@ def _merge(space: SweepSpace, specs, manifest: SweepManifest,
         chunk.clear()
 
     for shard, (lo, hi) in enumerate(manifest.bounds):
-        name = manifest.completed.get(shard)
-        rows = read_partial(sweep_dir, name, shard, lo, hi) if name else None
+        rows = read_partial(sweep_dir, manifest.partial_name(shard),
+                            shard, lo, hi)
         if rows is None:
             table.close()
             raise SweepError(

@@ -2,14 +2,14 @@
 
 A sweep directory holds three kinds of state, all JSON or columnar:
 
-* ``manifest.json`` — the space's canonical description + key, the
-  shard layout, and which shards have completed.  Written atomically
-  (tmp + ``os.replace``) after every shard completion, so at any kill
-  point the manifest on disk is a valid, parseable snapshot.
+* ``manifest.json`` — the space's canonical description + key and the
+  shard layout.  Written once, atomically (tmp + ``os.replace``), when
+  the sweep directory is created.
 * ``shards/shard-NNNN.json`` — one completed shard's rows, written
   atomically exactly once, when the shard's last point finishes.  A
-  shard with any failed point is never written, so resuming retries it
-  (its succeeded points come back as cache hits — zero recomputation).
+  valid partial is the one record that its shard is complete; a shard
+  with any failed point is never written, so resuming retries it (its
+  succeeded points come back as cache hits — zero recomputation).
 * ``table/`` + ``report.txt`` — the merged outputs (see the engine).
 
 Resume contract: a sweep directory belongs to exactly one space.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 MANIFEST_SCHEMA = 1
@@ -68,20 +68,19 @@ def _atomic_write(path: Path, text: str) -> None:
 
 @dataclass
 class SweepManifest:
-    """On-disk record of a sweep's layout and completed shards."""
+    """On-disk record of a sweep's space and shard layout."""
 
     space: dict
     space_key: str
     n_points: int
     bounds: list
-    #: shard index -> partial filename (relative to the sweep dir).
-    completed: dict = field(default_factory=dict)
 
     @property
     def n_shards(self) -> int:
         return len(self.bounds)
 
-    def partial_name(self, shard: int) -> str:
+    @staticmethod
+    def partial_name(shard: int) -> str:
         return f"{SHARD_DIR}/shard-{shard:04d}.json"
 
     def to_dict(self) -> dict:
@@ -92,7 +91,6 @@ class SweepManifest:
             "space_key": self.space_key,
             "n_points": self.n_points,
             "bounds": [list(b) for b in self.bounds],
-            "completed": {str(k): v for k, v in self.completed.items()},
         }
 
     def save(self, sweep_dir: Path) -> Path:
@@ -103,6 +101,8 @@ class SweepManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepManifest":
+        """The manifest ``data`` describes; an older ``completed`` map
+        is ignored, because the partials say which shards are done."""
         if data.get("kind") != "sweep-manifest":
             raise SweepStateError("not a sweep manifest")
         schema = int(data.get("schema", 0))
@@ -113,9 +113,7 @@ class SweepManifest:
         return cls(space=dict(data["space"]),
                    space_key=str(data["space_key"]),
                    n_points=int(data["n_points"]),
-                   bounds=[tuple(b) for b in data["bounds"]],
-                   completed={int(k): str(v)
-                              for k, v in data.get("completed", {}).items()})
+                   bounds=[tuple(b) for b in data["bounds"]])
 
 
 def load_manifest(sweep_dir: Path) -> SweepManifest | None:
@@ -142,7 +140,7 @@ def write_partial(sweep_dir: Path, shard: int, lo: int, hi: int,
     if len(rows) != hi - lo:
         raise ValueError(
             f"shard {shard} has {len(rows)} rows, expected {hi - lo}")
-    name = f"{SHARD_DIR}/shard-{shard:04d}.json"
+    name = SweepManifest.partial_name(shard)
     path = Path(sweep_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, json.dumps({

@@ -114,9 +114,10 @@ class TestManifestSpans:
             worker_pool.shutdown()
 
     def test_cached_payload_never_stores_spans(self, tmp_path):
-        from repro.runtime.cache import RESULT, ResultCache
-        traced_store = ResultCache(tmp_path / "traced")
-        plain_store = ResultCache(tmp_path / "plain")
+        from repro.runtime.cache import RESULT
+        from tests.runtime.test_artifacts import new_store
+        traced_store = new_store(tmp_path / "traced")
+        plain_store = new_store(tmp_path / "plain")
         with obs.capture():
             traced, = run_jobs([self.SPECS[0]], store=traced_store)
         plain, = run_jobs([self.SPECS[0]], store=plain_store)

@@ -65,6 +65,13 @@ class ArrayEntry:
 ENTRIES = (ResultEntry(), ArrayEntry())
 
 
+def new_store(root: Path, **kwargs) -> ResultCache:
+    """A store at a fresh ``root``, made here as ``store_scope`` makes a
+    run's root: a publish never creates it."""
+    root.mkdir(parents=True, exist_ok=True)
+    return ResultCache(root, **kwargs)
+
+
 def put_simple(store: ResultCache, key: str = KEY,
                kind: str = "eipv", value: float = 1.5) -> None:
     with store.publish(kind, key, {"n": 3}) as staging:
@@ -92,7 +99,7 @@ class TestRoundTrip:
     def test_missing_artifact_is_a_miss(self, tmp_path):
         for entry in ENTRIES:
             metrics = MetricsRegistry()
-            store = ResultCache(tmp_path / entry.kind, metrics=metrics)
+            store = new_store(tmp_path / entry.kind, metrics=metrics)
             assert store.has(entry.kind, KEY) is False
             assert entry.read(store, KEY) is None
             assert metrics.count(f"{entry.counter}.miss") == 1
@@ -105,6 +112,15 @@ class TestRoundTrip:
         assert np.asarray(store.load_array("trace", KEY, "data"))[0] == 1.0
         assert np.asarray(store.load_array("eipv", KEY, "data"))[0] == 2.0
         assert store.get(KEY) == {"value": 3.0}
+
+    def test_publish_never_creates_the_root(self, tmp_path):
+        # A job that outlives its run's temporary store fails to publish
+        # instead of bringing the removed store back.
+        store = ResultCache(tmp_path / "gone")
+        for entry in ENTRIES:
+            with pytest.raises(OSError):
+                entry.put(store, KEY)
+        assert not (tmp_path / "gone").exists()
 
     def test_put_failure_leaves_no_litter_and_no_artifact(self, tmp_path):
         store = ResultCache(tmp_path)
@@ -132,7 +148,7 @@ class TestQuarantine:
     def test_garbage_meta_quarantines(self, tmp_path):
         # Bytes that are not even UTF-8 read as damage, not as an error.
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
             (store.entry_dir(entry.kind, KEY) / "meta.json").write_bytes(
                 b"\xff\xfe{oops")
@@ -144,7 +160,7 @@ class TestQuarantine:
         for entry in ENTRIES:
             for field, value in (("key", OTHER), ("kind", "trace"),
                                  ("meta", [1, 2])):
-                store = ResultCache(tmp_path / entry.kind / field)
+                store = new_store(tmp_path / entry.kind / field)
                 entry.put(store, KEY)
                 path = store.entry_dir(entry.kind, KEY) / "meta.json"
                 header = json.loads(path.read_text())
@@ -194,7 +210,7 @@ class TestMaintenance:
 
     def test_prune_is_deterministic_sorted_eviction(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             keys = [f"{i:064x}" for i in (7, 1, 4, 9)]
             for key in keys:
                 entry.put(store, key)
@@ -311,19 +327,19 @@ class TestTwoTierLayout:
         assert cli_main(["cache", "stats", "--cache-dir",
                          str(tmp_path)]) == 0
         table = capsys.readouterr().out
-        assert re.search(r"^ *entries +5$", table, re.M)
+        assert re.search(r"^ *entries +3$", table, re.M)
         assert re.search(r"^ *quarantined +0$", table, re.M)
 
         service = AnalysisService(ServeConfig(cache_dir=tmp_path),
                                   metrics=MetricsRegistry())
         try:
             assert service.stats()["cache"]["by_kind"] == {
-                "eipv": 1, RESULT: 3, "trace": 1}
+                "eipv": 1, RESULT: 1, "trace": 1}
         finally:
             service.close()
         # The old directories are neither read nor touched.
         assert set(before) <= {str(p) for p in tmp_path.rglob("*")}
-        assert ResultCache(tmp_path).clear() == 5
+        assert ResultCache(tmp_path).clear() == 3
         assert (tmp_path / "objects" / KEY[:2] / f"{KEY}.json").is_file()
 
 
@@ -331,7 +347,7 @@ class TestNeverListed:
     def test_manifests_sweeps_and_nested_caches_are_not_entries(
             self, tmp_path):
         store = ResultCache(tmp_path)
-        nested = ResultCache(tmp_path / "cli")
+        nested = new_store(tmp_path / "cli")
         for target in (store, nested):
             put_simple(target)
             target.put(KEY, {"value": 1})

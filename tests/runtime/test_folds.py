@@ -63,7 +63,6 @@ class TestFoldSpec:
         again = pickle.loads(pickle.dumps(spec))
         assert again == spec
         assert again.key == spec.key
-        assert again.result_type is FoldResult
 
     def test_kind_not_part_of_identity(self):
         assert FoldSpec.kind == "cv_fold"

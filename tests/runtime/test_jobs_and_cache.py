@@ -14,7 +14,7 @@ from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import MetricsRegistry
 from repro.workloads.scale import TINY, get_scale
 from tests.runtime.test_artifacts import (ENTRIES, KEY, ResultEntry,
-                                          same_key_race)
+                                          new_store, same_key_race)
 
 TINY_SPEC = JobSpec(workload="spec.gzip", n_intervals=12, seed=7,
                     scale="tiny", k_max=5)
@@ -128,7 +128,18 @@ class TestJobResult:
         restored = pickle.loads(pickle.dumps(job))
         assert restored == job
         assert restored.key == TINY_SPEC.key
-        assert JobSpec.result_type is JobResult
+
+    def test_execute_stores_its_result_best_effort(self, tmp_path):
+        # The job that computes a result stores it; a store it cannot
+        # write (its root is gone) costs the reuse, never the result.
+        store = new_store(tmp_path / "store")
+        job = TINY_SPEC.execute(store=store)
+        assert TINY_SPEC.stored(store) == job
+        metrics = MetricsRegistry()
+        gone = ResultCache(tmp_path / "gone", metrics=metrics)
+        assert TINY_SPEC.execute(store=gone) == job
+        assert metrics.count("cache.store_failed") == 1
+        assert not (tmp_path / "gone").exists()
 
 
 class TestResultCache:
@@ -137,7 +148,7 @@ class TestResultCache:
 
     def test_round_trip(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY, value=0.25)
             assert entry.read(store, KEY) == 0.25
 
@@ -147,7 +158,7 @@ class TestResultCache:
 
     def test_garbage_json_is_quarantined(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
             (store.entry_dir(entry.kind, KEY) / "meta.json").write_text(
                 "{not json at all", encoding="utf-8")
@@ -157,7 +168,7 @@ class TestResultCache:
 
     def test_truncated_entry_is_quarantined(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
             entry.tear(store, KEY)
             assert entry.read(store, KEY) is None
@@ -165,7 +176,7 @@ class TestResultCache:
 
     def test_stale_schema_version_is_quarantined(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
             path = store.entry_dir(entry.kind, KEY) / "meta.json"
             header = json.loads(path.read_text(encoding="utf-8"))
@@ -176,7 +187,7 @@ class TestResultCache:
 
     def test_key_mismatch_is_quarantined(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
             other = "a" * 64
             store.entry_dir(entry.kind, KEY).rename(
@@ -186,7 +197,7 @@ class TestResultCache:
 
     def test_rewrite_after_quarantine_works(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
             (store.entry_dir(entry.kind, KEY) / "meta.json").write_text(
                 "garbage", encoding="utf-8")
@@ -204,7 +215,7 @@ class TestResultCache:
 
     def test_stats_and_clear(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             for i in range(3):
                 entry.put(store, f"{i:064x}")
             stats = store.stats()
@@ -290,7 +301,7 @@ class TestConcurrentWriters:
 class TestPrune:
     def test_prune_evicts_to_the_bound_in_sorted_order(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             for i in (7, 1, 4, 9):
                 entry.put(store, f"{i:064x}")
             assert store.prune(max_entries=2) == 2
@@ -300,7 +311,7 @@ class TestPrune:
 
     def test_prune_within_bound_is_a_no_op(self, tmp_path):
         for entry in ENTRIES:
-            store = ResultCache(tmp_path / entry.kind)
+            store = new_store(tmp_path / entry.kind)
             entry.put(store, "aa" * 32)
             assert store.prune(max_entries=5) == 0
             assert len(store.entries()) == 1
@@ -308,7 +319,7 @@ class TestPrune:
     def test_prune_counts_into_metrics(self, tmp_path):
         for entry in ENTRIES:
             metrics = MetricsRegistry()
-            store = ResultCache(tmp_path / entry.kind, metrics=metrics)
+            store = new_store(tmp_path / entry.kind, metrics=metrics)
             for i in range(3):
                 entry.put(store, f"{i:064x}")
             store.prune(max_entries=1)

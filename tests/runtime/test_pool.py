@@ -56,7 +56,6 @@ class ProbeSpec:
     it lands on (the parent, where ``parent_pid`` matches, survives)."""
 
     kind: ClassVar[str] = "pool_probe"
-    result_type: ClassVar[type] = ProbeResult
 
     tag: int
     parent_pid: int

@@ -12,6 +12,10 @@ import json
 import pickle
 import shutil
 import tempfile
+import time
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import ClassVar
 
 import pytest
 
@@ -20,8 +24,9 @@ from repro.runtime import stages
 from repro.runtime.cache import (RESULT, STAGES_DIR_PREFIX, ResultCache,
                                  store_scope)
 from repro.runtime.graph import submit_graph
-from repro.runtime.jobs import JobSpec
+from repro.runtime.jobs import JobSpec, spec_key
 from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.scheduler import run_jobs
 from repro.sweep import SweepInterrupted, SweepSpace, run_sweep
 from repro.sweep.engine import RUNTIME_STATS_NAME
 
@@ -70,7 +75,6 @@ class TestSpecDerivation:
         result = stages.StageResult(key=eipv.key, source="computed",
                                     n_intervals=12, n_eips=40)
         assert pickle.loads(pickle.dumps(result)) == result
-        assert eipv.result_type is stages.StageResult
 
     def test_eipv_spec_embeds_its_upstream(self):
         # Self-describing stages: the EIPV spec can derive its collect
@@ -168,18 +172,20 @@ class TestStagedByteIdentity:
         cache = ResultCache(tmp_path)
         cold = self.run_staged(cache, spec)
         assert cold[-1].result.to_dict() == reference
-        # Both stages computed and published their artifacts.
+        # Both stages computed and published their artifacts, and the
+        # analysis its result: one entry per product.
         assert [o.result.source for o in cold[:2]] \
             == ["computed", "computed"]
-        assert cache.stats().by_kind == {"eipv": 1, "result": 3,
+        assert cache.stats().by_kind == {"eipv": 1, "result": 1,
                                          "trace": 1}
 
-        # Drop the result entries but keep the artifacts: the rerun
+        # Drop the result entry but keep the artifacts: the rerun
+        # serves both stage nodes from their entries' headers and
         # reloads zero-copy instead of re-simulating, same bytes out.
         drop_results(cache)
         warm = self.run_staged(cache, spec)
-        assert [o.result.source for o in warm[:2]] \
-            == ["artifact", "artifact"]
+        assert [(o.cache_hit, o.result.source) for o in warm[:2]] \
+            == [(True, "artifact"), (True, "artifact")]
         assert warm[-1].result.to_dict() == reference
 
     def test_fully_warm_run_is_one_cache_hit(self, tmp_path):
@@ -205,7 +211,7 @@ class TestStagedByteIdentity:
         healed = self.run_staged(cache, spec)
         assert healed[-1].result.to_dict() == reference
         # The store holds fresh, valid entries again.
-        assert cache.stats().by_kind == {"eipv": 1, "result": 3,
+        assert cache.stats().by_kind == {"eipv": 1, "result": 1,
                                          "trace": 1}
 
     def test_eipv_self_heal_recomputes_quarantined_trace(self, tmp_path):
@@ -254,8 +260,8 @@ class TestStagedSweep:
         for outcome in (cacheless, staged):
             assert outcome.stage_stats["stages"] == {
                 "collect_computed": 2, "collect_artifact_hits": 0,
-                "eipv_computed": 4, "eipv_artifact_hits": 0}
-        assert cache.stats().by_kind == {"eipv": 4, "result": 10,
+                "eipv_computed": 4, "eipv_artifact_hits": 0, "failed": 0}
+        assert cache.stats().by_kind == {"eipv": 4, "result": 4,
                                          "trace": 2}
         # A temporary store's random root stays out of the stats file.
         stats = json.loads(
@@ -277,18 +283,29 @@ class TestStagedSweep:
         stats = json.loads(
             (tmp_path / "warm" / RUNTIME_STATS_NAME).read_text())
         assert stats["stages"]["collect_computed"] == 0
-        assert stats["store"]["by_kind"] == {"eipv": 4, "result": 10,
+        assert stats["store"]["by_kind"] == {"eipv": 4, "result": 4,
                                              "trace": 2}
+        assert "stage_cache" not in stats
 
-    def test_fully_warm_rerun_serves_stage_nodes_from_result_cache(
-            self, tmp_path):
+    def test_fully_warm_rerun_adds_no_stage_nodes(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         run_sweep(SPACE, tmp_path / "one", shards=2, store=cache)
         again = run_sweep(SPACE, tmp_path / "two", shards=2, store=cache)
         # Final results are cached, so their stage nodes are never even
         # added to the graph: a warm sweep is pure cache hits.
         assert again.n_cached == 4 and again.n_executed == 0
-        assert again.stage_stats["stage_cache"] == {"hits": 0, "failed": 0}
+        assert set(again.stage_stats["stages"].values()) == {0}
+
+    def test_cold_sweep_stores_one_result_per_point(self, tmp_path):
+        # A stage's only record is its trace or EIPV entry: the result
+        # entries are the points' analyses, one each.
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep(SPACE, tmp_path / "sweep", shards=2, store=cache)
+        results = [key for kind, key in cache.entries() if kind == RESULT]
+        assert sorted(results) == sorted(spec.key for spec in SPACE.specs())
+        for key in results:
+            spec = cache.header(RESULT, key)["spec"]
+            assert spec.get("kind") not in ("collect", "eipv")
 
     def test_killed_staged_sweep_resumes_byte_identically(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -354,8 +371,35 @@ class TestWarmWorkersAndStores:
             worker_pool.shutdown()
         assert metrics.count("pool.spawns") == 1
         assert metrics.count("pool.warm_hits") > 0
-        assert x.stats().by_kind == {"eipv": 8, "result": 20, "trace": 4}
-        assert y.stats().by_kind == {"eipv": 4, "result": 10, "trace": 2}
+        assert x.stats().by_kind == {"eipv": 8, "result": 8, "trace": 4}
+        assert y.stats().by_kind == {"eipv": 4, "result": 4, "trace": 2}
+
+
+@dataclass(frozen=True)
+class LatePublisher:
+    """A job that outlives its run: it waits until the run's store is
+    gone, then publishes into it."""
+
+    kind: ClassVar[str] = "late_publish"
+
+    tag: int
+
+    def canonical(self) -> dict:
+        return asdict(self)
+
+    @cached_property
+    def key(self) -> str:
+        return spec_key(self.canonical())
+
+    def stored(self, store):
+        return None
+
+    def execute(self, jobs: int = 1, store=None) -> int:
+        deadline = time.monotonic() + 10
+        while store.root.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        store.put(self.key, {"tag": self.tag})
+        return self.tag
 
 
 class TestTemporaryStores:
@@ -392,4 +436,28 @@ class TestTemporaryStores:
                                                  scratch_tmp):
         with pytest.raises(SweepInterrupted):
             run_sweep(SPACE, tmp_path / "sweep", shards=2, stop_after=1)
+        assert stage_dirs(scratch_tmp) == []
+
+    def test_job_that_outlives_its_run_leaves_no_store(self, scratch_tmp,
+                                                       monkeypatch):
+        # Regression: a timed-out pool job kept running after its run
+        # had removed the temporary store, and its publish created the
+        # store's directories again, which nothing removed.
+        monkeypatch.setattr(pool_mod, "usable_cpus", lambda: 2)
+        worker_pool = pool_mod.WorkerPool(max_workers=2,
+                                          metrics=MetricsRegistry())
+        try:
+            with store_scope(None) as store:
+                outcomes = run_jobs([LatePublisher(1), LatePublisher(2)],
+                                    jobs=2, store=store, timeout=0.2,
+                                    metrics=MetricsRegistry(),
+                                    worker_pool=worker_pool)
+            assert all(outcome.timed_out for outcome in outcomes)
+            deadline = time.monotonic() + 15
+            while worker_pool.leaked_workers() \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert worker_pool.leaked_workers() == []
+        finally:
+            worker_pool.shutdown()
         assert stage_dirs(scratch_tmp) == []

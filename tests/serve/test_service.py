@@ -411,10 +411,10 @@ class TestHousekeeping:
         stats = service.stats()
         assert stats["requests"]["analyze"] == 2
         assert stats["cache"]["warm_responses"] == 1
-        # Three result entries (the collect and eipv stage summaries and
-        # the analysis) and the two array entries they describe.
-        assert stats["cache"]["entries"] == 5
-        assert stats["cache"]["by_kind"] == {"eipv": 1, RESULT: 3,
+        # One entry per product: the trace, the EIPV dataset and the
+        # analysis result.
+        assert stats["cache"]["entries"] == 3
+        assert stats["cache"]["by_kind"] == {"eipv": 1, RESULT: 1,
                                              "trace": 1}
         assert stats["coalesce"]["leaders"] == 1
         assert stats["jobs"]["executed"] == 3
@@ -422,8 +422,29 @@ class TestHousekeeping:
         assert stats["artifacts"]["stores"] == 2
         assert stats["artifacts"]["stages"] == {
             "collect_computed": 1, "collect_artifact_hits": 0,
-            "eipv_computed": 1, "eipv_artifact_hits": 0}
+            "eipv_computed": 1, "eipv_artifact_hits": 0, "failed": 0}
+        assert "stage_cache" not in stats["artifacts"]
         assert service.healthz()["status"] == "ok"
+
+
+class TestStageCountersUnderPrune:
+    """A stage's only record is its trace or EIPV entry, so a stage
+    the daemon's prune evicted is rebuilt and counted as computed: the
+    counters agree with what the store received."""
+
+    def test_stores_match_computed_stages(self, tmp_path):
+        service = _make(tmp_path, cache_max_entries=5)
+        body = {"workload": "spec.gzip", "intervals": 12, "scale": "tiny",
+                "seed": 1, "render": False}
+        for k_max in (4, 2, 3, 6, 7):
+            status, _ = service.handle("/v1/analyze",
+                                       dict(body, k_max=k_max))
+            assert status == 200
+        artifacts = service.stats()["artifacts"]
+        assert "stage_cache" not in artifacts
+        assert artifacts["stores"] == (
+            artifacts["stages"]["collect_computed"]
+            + artifacts["stages"]["eipv_computed"])
 
 
 class TestStatsUnderPrune:
@@ -455,8 +476,8 @@ class TestStatsUnderPrune:
             service.handle("/analyze", dict(TINY))
             self.prune_mid_walk(monkeypatch)
             stats = service.stats()
-            assert stats["cache"]["entries"] == 4
-            assert sum(stats["cache"]["by_kind"].values()) == 4
+            assert stats["cache"]["entries"] == 2
+            assert sum(stats["cache"]["by_kind"].values()) == 2
         finally:
             service.close()
 

@@ -1,6 +1,8 @@
 """The sweep engine's contract: resume with zero recomputation, merge
 byte-identically, steal work across skewed shards."""
 
+import json
+
 import pytest
 
 from repro.runtime.cache import ResultCache
@@ -9,6 +11,7 @@ from repro.runtime.jobs import JobSpec
 from repro.runtime.metrics import MetricsRegistry
 from repro.sweep import (SweepError, SweepInterrupted, SweepSpace,
                          SweepStateError, SweepTable, run_sweep)
+from repro.sweep.manifest import MANIFEST_NAME
 
 SPACE = SweepSpace(workloads=("spec.gzip", "spec.art", "spec.mcf"),
                    interval_instructions=(2_000_000, 5_000_000),
@@ -78,6 +81,23 @@ class TestResume:
         assert again.n_shards_resumed == 3
         assert again.n_executed == again.n_cached == 0
         assert "sweep.point_executed" not in metrics.snapshot()["counters"]
+
+    def test_sweep_dir_with_a_completed_map_resumes(self, tmp_path):
+        # Manifests once also listed finished shards in a ``completed``
+        # map; the partials alone say which shards are done, and such a
+        # directory still resumes.
+        sweep_dir = tmp_path / "sweep"
+        first = run_sweep(SPACE, sweep_dir, shards=3)
+        path = sweep_dir / MANIFEST_NAME
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert "completed" not in data
+        data["completed"] = {str(shard): f"shards/shard-{shard:04d}.json"
+                             for shard in range(3)}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        again = run_sweep(SPACE, sweep_dir, shards=3)
+        assert again.n_shards_resumed == 3
+        assert again.n_executed == again.n_cached == 0
+        assert again.report == first.report
 
     def test_resume_keeps_the_manifest_shard_layout(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -63,8 +63,7 @@ class TestPartials:
 class TestManifest:
     def manifest(self):
         return SweepManifest(space={"kind": "sweep-space"}, space_key="a" * 64,
-                             n_points=10, bounds=shard_bounds(10, 3),
-                             completed={1: "shards/shard-0001.json"})
+                             n_points=10, bounds=shard_bounds(10, 3))
 
     def test_save_load_round_trip(self, tmp_path):
         manifest = self.manifest()

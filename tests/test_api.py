@@ -131,3 +131,40 @@ class TestFacade:
     def test_facade_exports_are_importable(self):
         for name in api.__all__:
             assert getattr(api, name) is not None
+
+
+def refuse_simulation(monkeypatch) -> None:
+    """Make every path into the simulator fail the test."""
+    from repro.runtime import stages
+    from repro.workloads import system
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused request reached simulation")
+
+    monkeypatch.setattr(stages, "_simulate", refuse)
+    monkeypatch.setattr(system, "SimulatedSystem", refuse)
+
+
+class TestZeroIntervalsRefused:
+    """Only ``n_intervals=None`` means a workload's default length: 0 is
+    a value the analysis cannot use, refused before anything is
+    simulated, as the CLI and the daemon refuse it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: api.collect("spec.gzip", n_intervals=0, scale="tiny"),
+        lambda: api.analyze("spec.gzip", n_intervals=0, scale="tiny"),
+        lambda: api.profile("spec.gzip", n_intervals=0, scale="tiny"),
+        lambda: api.census(["spec.gzip"], n_intervals=0),
+    ], ids=["collect", "analyze", "profile", "census"])
+    def test_zero_intervals_raise(self, monkeypatch, call):
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match="n_intervals"):
+            call()
+
+    def test_collect_to_store_refuses_zero_intervals(self, monkeypatch,
+                                                     tmp_path):
+        refuse_simulation(monkeypatch)
+        with pytest.raises(ValueError, match="n_intervals"):
+            api.collect_to_store("spec.gzip", tmp_path / "trace",
+                                 n_intervals=0, scale="tiny")
+        assert not (tmp_path / "trace").exists()

@@ -142,11 +142,15 @@ class TestRuntimeCommands:
         headers = []
         for name in ("one", "two"):
             assert main(argv + ["--cache-dir", str(tmp_path / name)]) == 0
-            results = tmp_path / name / "store" / "result"
-            headers.append({path.parent.name: path.read_bytes()
-                            for path in results.glob("*/meta.json")})
+            store = tmp_path / name / "store"
+            headers.append({path.relative_to(store).as_posix():
+                            path.read_bytes()
+                            for path in store.glob("*/*/meta.json")})
         capsys.readouterr()
-        assert len(headers[0]) == 3  # collect, eipv, the analysis
+        # One entry per product: the trace, the EIPV dataset and the
+        # analysis result.
+        assert sorted(path.split("/")[0] for path in headers[0]) \
+            == ["eipv", "result", "trace"]
         assert headers[0] == headers[1]
 
     def test_analyze_jobs_output_identical(self, capsys):
@@ -244,14 +248,13 @@ class TestRuntimeCommands:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "entries" in out and str(tmp_path) in out
-        # One table for the one store: three result entries (collect +
-        # eipv stage summaries + the analysis), the trace and the EIPV
-        # dataset.
+        # One table for the one store: the analysis result, the trace
+        # and the EIPV dataset.
         assert out.count("store at") == 1
         assert "kind result" in out and "kind trace" in out
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert out == f"removed 5 entries from {tmp_path}\n"
+        assert out == f"removed 3 entries from {tmp_path}\n"
 
     def test_no_cache_creates_no_directories(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
