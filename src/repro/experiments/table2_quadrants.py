@@ -17,7 +17,7 @@ manifest (wall times, hit counts, worker ids) differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
 from repro.core.predictability import PredictabilityResult
@@ -29,8 +29,8 @@ from repro.runtime.cache import store_scope
 from repro.runtime.graph import submit_graph
 from repro.runtime.jobs import JobSpec
 from repro.runtime.manifest import RunManifest
-from repro.workloads.registry import get_workload, workload_names
-from repro.workloads.scale import DEFAULT
+from repro.runtime.metrics import METRICS
+from repro.workloads.registry import paper_quadrant, workload_names
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,9 @@ class Table2Result:
     match_count: int
     counts: dict
     manifest: RunManifest | None = None
+    #: Stage-graph counters of this run (see
+    #: :class:`repro.runtime.stages.StageCounters`).
+    stage_stats: dict = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -69,12 +72,14 @@ def census_specs(workloads=None, seed: int = 11, k_max: int = 50,
 
 def run(workloads=None, seed: int = 11, k_max: int = 50,
         n_intervals: int | None = None, jobs: int = 1,
-        store=None, timeout: float | None = None) -> Table2Result:
+        store=None, timeout: float | None = None,
+        metrics=METRICS) -> Table2Result:
     """Run the census.  ``workloads`` defaults to the full 50.
 
     Serial, uncached and unbounded by default.  Pass a
     :class:`~repro.runtime.cache.ResultCache` to reuse results and
-    stage artifacts across processes.
+    stage artifacts across processes.  The scheduler counts its jobs
+    in ``metrics``.
     """
     specs = census_specs(workloads, seed=seed, k_max=k_max,
                          n_intervals=n_intervals)
@@ -87,10 +92,12 @@ def run(workloads=None, seed: int = 11, k_max: int = 50,
     with store_scope(store) as scoped:
         graph = stages.analysis_graph(specs, store=scoped)
         graph_outcomes = submit_graph(graph, jobs=jobs, store=scoped,
-                                      timeout=timeout)
-    # Stage outcomes stay internal: the census result and its manifest
-    # describe analyses, exactly as before the pipeline split.
-    by_key = {outcome.key: outcome for outcome in graph_outcomes}
+                                      timeout=timeout, metrics=metrics)
+    # Stage outcomes are tallied apart: the census entries and the
+    # manifest describe analyses, exactly as before the pipeline split.
+    stage_counters = stages.StageCounters()
+    by_key = {outcome.key: outcome for outcome in graph_outcomes
+              if not stage_counters.observe(outcome)}
     outcomes = [by_key[spec.key] for spec in specs]
     manifest = RunManifest.from_outcomes(
         outcomes, command="census", jobs=jobs,
@@ -103,13 +110,11 @@ def run(workloads=None, seed: int = 11, k_max: int = 50,
         raise RuntimeError(
             f"{len(failed)}/{len(outcomes)} census jobs failed:\n{details}")
 
-    entries = []
-    for outcome in outcomes:
-        paper = get_workload(outcome.spec.workload,
-                             DEFAULT).metadata["paper_quadrant"]
-        entries.append(CensusEntry(workload=outcome.spec.workload,
-                                   result=outcome.result.to_result(),
-                                   paper_quadrant=paper))
+    entries = [CensusEntry(workload=outcome.spec.workload,
+                           result=outcome.result.to_result(),
+                           paper_quadrant=paper_quadrant(
+                               outcome.spec.workload))
+               for outcome in outcomes]
     counts = {q.value: 0 for q in Quadrant}
     for entry in entries:
         counts[entry.result.quadrant.value] += 1
@@ -118,6 +123,7 @@ def run(workloads=None, seed: int = 11, k_max: int = 50,
         match_count=sum(entry.matches for entry in entries),
         counts=counts,
         manifest=manifest,
+        stage_stats=stage_counters.to_dict(),
     )
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import ClassVar
 
@@ -72,7 +72,7 @@ class JobResult:
     n_eips: int
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        data = field_dict(self)
         data["re"] = list(self.re)
         return data
 
@@ -194,7 +194,7 @@ class JobSpec:
 
     def canonical(self) -> dict:
         """JSON-safe dict with a stable field set — the hashed identity."""
-        return asdict(self)
+        return field_dict(self)
 
     @cached_property
     def key(self) -> str:
@@ -295,6 +295,13 @@ def put_result(store, spec: JobSpec, result: JobResult) -> None:
         store.put(spec.key, result.to_dict(), spec=spec.canonical())
     except OSError:
         store.metrics.inc("cache.store_failed")
+
+
+def field_dict(obj) -> dict:
+    """A dataclass's fields as a dict: :func:`dataclasses.asdict` without
+    its deep copy of every value, which the scalar fields of specs and
+    results do not need."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def spec_key(canonical: dict) -> str:

@@ -47,7 +47,7 @@ Two design rules keep every path byte-identical:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.obs import span
 from repro.runtime.cache import RESULT, ResultCache
-from repro.runtime.jobs import CODE_VERSION, JobSpec, spec_key
+from repro.runtime.jobs import CODE_VERSION, JobSpec, field_dict, spec_key
 from repro.sparse import CSRMatrix, is_sparse
 from repro.trace.eipv import EIPVDataset, build_eipvs
 from repro.trace.events import SampleTrace
@@ -104,7 +104,7 @@ class CollectSpec:
     code_version: str = CODE_VERSION
 
     def canonical(self) -> dict:
-        data = asdict(self)
+        data = field_dict(self)
         data["kind"] = self.kind
         return data
 
@@ -161,7 +161,7 @@ class EipvSpec:
                            code_version=self.code_version)
 
     def canonical(self) -> dict:
-        data = asdict(self)
+        data = field_dict(self)
         data["kind"] = self.kind
         return data
 
@@ -443,11 +443,11 @@ class StageCounters:
     found the entry — never from process-local metrics.
     """
 
-    failed: int = 0
     collect_computed: int = 0
-    collect_artifact: int = 0
+    collect_artifact_hits: int = 0
     eipv_computed: int = 0
-    eipv_artifact: int = 0
+    eipv_artifact_hits: int = 0
+    failed: int = 0
 
     def observe(self, outcome) -> bool:
         """Tally a stage outcome; ``False`` if it was not a stage node."""
@@ -458,22 +458,19 @@ class StageCounters:
             self.failed += 1
         elif outcome.result.source == "artifact":
             if kind == "collect":
-                self.collect_artifact += 1
+                self.collect_artifact_hits += 1
             else:
-                self.eipv_artifact += 1
+                self.eipv_artifact_hits += 1
         elif kind == "collect":
             self.collect_computed += 1
         else:
             self.eipv_computed += 1
         return True
 
+    def add(self, stats: dict) -> None:
+        """Add another tally's :meth:`to_dict` to this one."""
+        for name, value in stats["stages"].items():
+            setattr(self, name, getattr(self, name) + value)
+
     def to_dict(self) -> dict:
-        return {
-            "stages": {
-                "collect_computed": self.collect_computed,
-                "collect_artifact_hits": self.collect_artifact,
-                "eipv_computed": self.eipv_computed,
-                "eipv_artifact_hits": self.eipv_artifact,
-                "failed": self.failed,
-            },
-        }
+        return {"stages": field_dict(self)}

@@ -27,11 +27,11 @@ the server should answer with; nothing here ever touches the network.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.experiments.common import default_intervals
-from repro.runtime.jobs import JobSpec, spec_key
+from repro.runtime.jobs import JobSpec, field_dict, spec_key
 from repro.workloads.registry import workload_names
 
 #: Scales/machines the CLI exposes; requests are validated to the same set.
@@ -150,8 +150,10 @@ class AnalyzeRequest:
             deadline_s=_deadline_field(body),
         )
 
-    def to_spec(self) -> JobSpec:
-        """The content-hashed job this request denotes (CLI-identical)."""
+    @cached_property
+    def spec(self) -> JobSpec:
+        """The content-hashed job this request denotes (CLI-identical),
+        built once per request."""
         return JobSpec(workload=self.workload, n_intervals=self.n_intervals,
                        seed=self.seed, machine=self.machine,
                        scale=self.scale, k_max=self.k_max)
@@ -159,7 +161,7 @@ class AnalyzeRequest:
     @property
     def key(self) -> str:
         """Coalesce/dedup identity — the spec's own key, reused."""
-        return self.to_spec().key
+        return self.spec.key
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ class CensusRequest:
         and the envelope, not the computed result, so requests differing
         only there still coalesce.
         """
-        data = asdict(self)
+        data = field_dict(self)
         data.pop("deadline_s")
         data.pop("render")
         data["workloads"] = list(self.workloads)
@@ -253,7 +255,7 @@ class ProfileRequest:
         asked the same question); only the deterministic structure is
         promised to be stable across runs.
         """
-        data = asdict(self)
+        data = field_dict(self)
         data.pop("deadline_s")
         data["workloads"] = list(self.workloads)
         return spec_key({"endpoint": self.endpoint, **data})
@@ -326,8 +328,10 @@ class SweepRequest:
                    render=render,
                    deadline_s=_deadline_field(body))
 
-    def to_space(self):
-        """The content-hashed sweep space this request denotes."""
+    @cached_property
+    def space(self):
+        """The content-hashed sweep space this request denotes, built
+        once per request."""
         from repro.sweep import DEFAULT_INTERVALS, SweepSpace
         return SweepSpace(
             workloads=self.workloads or tuple(workload_names()),
@@ -349,7 +353,7 @@ class SweepRequest:
         granularity, the envelope and the wait — not the result — so
         requests differing only there still coalesce.
         """
-        return self.to_space().key
+        return self.space.key
 
 
 #: endpoint path -> request parser, the daemon's POST routing table

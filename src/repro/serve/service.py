@@ -84,7 +84,7 @@ class ServeConfig:
     #: close instead of the disk cache (repeats still answer warm).
     no_cache: bool = False
     #: Bound on store entries of all kinds together; pruned after each
-    #: store (0 = unbounded).
+    #: request that computed a job (0 = unbounded).
     cache_max_entries: int = 4096
     #: Worker processes for census fan-out (1 = in-process).
     census_jobs: int = 1
@@ -268,7 +268,7 @@ class AnalysisService:
     # -- analyze ----------------------------------------------------------
     def _handle_analyze(self, req: AnalyzeRequest,
                         deadline: float | None) -> tuple[int, dict]:
-        spec = req.to_spec()
+        spec = req.spec
         key = spec.key
         warm = self._cached_result(key)
         if warm is not None:
@@ -394,11 +394,14 @@ class AnalysisService:
                         workloads=list(req.workloads) or None,
                         seed=req.seed, k_max=req.k_max,
                         jobs=self.config.census_jobs, store=self.store,
-                        timeout=self._remaining(deadline))
+                        timeout=self._remaining(deadline),
+                        metrics=self.metrics)
                 except RuntimeError as exc:
                     return 500, self._error_body(
                         "census", f"census failed: {exc}", key=req.key)
-            self._after_store()
+            manifest = result.manifest
+            self._after_run(result.stage_stats,
+                            manifest.n_jobs - manifest.n_cache_hits)
             return 200, {
                 "protocol": PROTOCOL_VERSION,
                 "schema": PROTOCOL_VERSION,
@@ -431,7 +434,7 @@ class AnalysisService:
         """
         from repro.sweep import (DEFAULT_SHARDS, SweepError, SweepStateError,
                                  run_sweep)
-        space = req.to_space()
+        space = req.space
 
         def compute() -> tuple[int, dict]:
             with self.admission.admit(deadline):
@@ -445,11 +448,12 @@ class AnalysisService:
                         jobs=self.config.sweep_jobs,
                         shards=req.shards or DEFAULT_SHARDS,
                         store=self.store,
-                        timeout=self._remaining(deadline))
+                        timeout=self._remaining(deadline),
+                        metrics=self.metrics)
                 except (SweepError, SweepStateError) as exc:
                     return 500, self._error_body(
                         "sweep", f"sweep failed: {exc}", key=req.key)
-            self._after_store()
+            self._after_run(outcome.stage_stats, outcome.n_executed)
             return 200, {
                 "protocol": PROTOCOL_VERSION,
                 "schema": PROTOCOL_VERSION,
@@ -557,6 +561,21 @@ class AnalysisService:
         if remaining is None:
             return timeout
         return min(timeout, remaining)
+
+    def _after_run(self, stage_stats: dict, executed: int) -> None:
+        """Fold a census's or sweep's stage tally into the daemon's, and
+        bound the store if the run computed a stage or ``executed``
+        analyses: only a computed job stores anything.
+
+        Decided from the run's outcomes, not from store counters: a
+        pool worker stores from its own process.
+        """
+        with self._stage_lock:
+            self.stage_counters.add(stage_stats)
+        computed = stage_stats["stages"]
+        if (executed or computed["collect_computed"]
+                or computed["eipv_computed"]):
+            self._after_store()
 
     def _after_store(self) -> None:
         """Post-store housekeeping: bound the store, disk or temporary."""

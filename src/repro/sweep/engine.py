@@ -16,9 +16,13 @@ Resumability is layered, cheapest first:
   every point that finished before the kill comes back as a cache hit
   (each analysis job stores its own result as it finishes, not per
   wave).
-* **the merge is a replay** — the merged table and report are always
-  rebuilt from the partials on disk, so a resumed sweep's outputs are
-  byte-identical to an uninterrupted single-process run.
+* **the merge is a replay** — a run that computed anything, or finds
+  the table or report not whole, rebuilds both from the partials on
+  disk, so a resumed sweep's outputs are byte-identical to an
+  uninterrupted single-process run.
+* **a finished sweep is read** — when every shard has its partial, the
+  table is this space's finalized table and the report is present, the
+  stored report is returned and nothing is merged, rendered or written.
 
 Nothing in this module reads the wall clock and the report contains no
 timing, so the rendered report is a pure function of (space, code
@@ -41,6 +45,7 @@ from repro.sweep.manifest import (
     MANIFEST_NAME,
     SweepManifest,
     SweepStateError,
+    atomic_write,
     load_manifest,
     read_partial,
     shard_bounds,
@@ -97,7 +102,7 @@ class SweepOutcome:
     notes: tuple = ()
     #: Stage-graph counters for *this* run (see
     #: :class:`repro.runtime.stages.StageCounters`) — all zero when the
-    #: sweep fully resumed.
+    #: sweep fully resumed, and so for a finished sweep read back.
     stage_stats: dict = field(default_factory=dict)
 
 
@@ -117,11 +122,16 @@ def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
     sweep mid-run deterministically.  ``store`` is the run's
     :class:`~repro.runtime.cache.ResultCache` (a temporary one when
     omitted).
+
+    A finished sweep — every shard's partial valid, ``table/`` this
+    space's finalized table and ``report.txt`` present — is read, not
+    rebuilt: the stored report comes back and nothing in ``sweep_dir``
+    is written, so ``runtime_stats.json`` stays as the run that
+    computed wrote it.
     """
     sweep_dir = Path(sweep_dir)
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    specs = space.specs()
-    total = len(specs)
+    total = space.size
     notes = []
 
     manifest = load_manifest(sweep_dir)
@@ -156,33 +166,35 @@ def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
 
     counters = {"cached": 0, "executed": 0, "failed": 0}
     stage_counters = stages.StageCounters()
-    with store_scope(store) as scoped:
-        try:
-            if pending:
-                _run_pending(specs, manifest, pending, sweep_dir,
-                             jobs=jobs, store=scoped, timeout=timeout,
-                             stop_after=stop_after, metrics=metrics,
-                             counters=counters,
-                             stage_counters=stage_counters)
-        finally:
-            # Persisted even for an interrupted run, so crash drills and
-            # CI can assert on what this run reused vs. recomputed.
-            # Counters only — no wall times — so the file is
-            # deterministic.  A store this run made itself is not
-            # described: its root is random and it is gone when the run
-            # ends.
-            _write_runtime_stats(sweep_dir, space, counters,
-                                 stage_counters,
-                                 scoped if scoped is store else None)
-    if counters["failed"]:
-        raise SweepError(
-            f"{counters['failed']} of {total} sweep points failed; "
-            "completed shards are persisted — fix the failure and rerun "
-            "to resume")
-
-    table_path, report = _merge(space, specs, manifest, sweep_dir)
     report_path = sweep_dir / REPORT_NAME
-    report_path.write_text(report, encoding="utf-8")
+    report = None if pending else _finished_report(space, sweep_dir)
+    if report is None:
+        specs = space.specs()
+        with store_scope(store) as scoped:
+            try:
+                if pending:
+                    _run_pending(specs, manifest, pending, sweep_dir,
+                                 jobs=jobs, store=scoped, timeout=timeout,
+                                 stop_after=stop_after, metrics=metrics,
+                                 counters=counters,
+                                 stage_counters=stage_counters)
+            finally:
+                # Persisted even for an interrupted run, so crash drills
+                # and CI can assert on what this run reused vs.
+                # recomputed.  Counters only — no wall times — so the
+                # file is deterministic.  A store this run made itself
+                # is not described: its root is random and it is gone
+                # when the run ends.
+                _write_runtime_stats(sweep_dir, space, counters,
+                                     stage_counters,
+                                     scoped if scoped is store else None)
+        if counters["failed"]:
+            raise SweepError(
+                f"{counters['failed']} of {total} sweep points failed; "
+                "completed shards are persisted — fix the failure and "
+                "rerun to resume")
+        report = _merge(space, specs, manifest, sweep_dir)
+        atomic_write(report_path, report)
     return SweepOutcome(
         space_key=space.key,
         n_points=total,
@@ -192,7 +204,7 @@ def run_sweep(space: SweepSpace, sweep_dir, jobs: int = 1,
         n_executed=counters["executed"],
         report=report,
         sweep_dir=str(sweep_dir),
-        table_path=str(table_path),
+        table_path=str(sweep_dir / TABLE_DIR),
         report_path=str(report_path),
         manifest_path=str(sweep_dir / MANIFEST_NAME),
         notes=tuple(notes),
@@ -217,11 +229,8 @@ def _write_runtime_stats(sweep_dir: Path, space: SweepSpace, counters,
             "quarantined": store_stats.quarantined,
         }),
     }
-    path = sweep_dir / RUNTIME_STATS_NAME
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(stats, sort_keys=True, indent=1),
-                   encoding="utf-8")
-    tmp.replace(path)
+    atomic_write(sweep_dir / RUNTIME_STATS_NAME,
+                 json.dumps(stats, sort_keys=True, indent=1))
 
 
 def _result_row(point_index: int, result) -> list:
@@ -303,8 +312,25 @@ def _run_pending(specs, manifest: SweepManifest, pending, sweep_dir,
                  metrics=metrics, on_outcome=consume)
 
 
+def _finished_report(space: SweepSpace, sweep_dir: Path) -> str | None:
+    """The stored report of a finished sweep, or ``None``.
+
+    Finished means ``table/`` opens as this space's finalized table and
+    ``report.txt`` exists.  :func:`_merge` drops the table header before
+    it rebuilds and the report is renamed into place whole, so a merge
+    killed half way never reads as finished.
+    """
+    try:
+        table = SweepTable.open(sweep_dir / TABLE_DIR)
+        if table.space_key != space.key or table.n_points != space.size:
+            return None
+        return (sweep_dir / REPORT_NAME).read_text(encoding="utf-8")
+    except (OSError, ValueError, KeyError):
+        return None
+
+
 def _merge(space: SweepSpace, specs, manifest: SweepManifest,
-           sweep_dir: Path):
+           sweep_dir: Path) -> str:
     """Replay the partials into the merged table; render the report.
 
     Always rebuilt from disk — never from in-memory results — so a
@@ -346,8 +372,7 @@ def _merge(space: SweepSpace, specs, manifest: SweepManifest,
                 flush()
     flush()
     table.finalize(space_key=space.key, n_points=len(specs))
-    return table_root, render_sweep_report(space, specs,
-                                           SweepTable.open(table_root))
+    return render_sweep_report(space, specs, SweepTable.open(table_root))
 
 
 def render_sweep_report(space: SweepSpace, specs,

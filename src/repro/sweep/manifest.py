@@ -60,7 +60,9 @@ def shard_bounds(total: int, shards: int) -> list:
     return bounds
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` under a temporary name, then rename it
+    into place: a reader sees the old file or the whole new one."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -95,7 +97,7 @@ class SweepManifest:
 
     def save(self, sweep_dir: Path) -> Path:
         path = Path(sweep_dir) / MANIFEST_NAME
-        _atomic_write(path, json.dumps(self.to_dict(), sort_keys=True,
+        atomic_write(path, json.dumps(self.to_dict(), sort_keys=True,
                                        indent=1))
         return path
 
@@ -143,7 +145,7 @@ def write_partial(sweep_dir: Path, shard: int, lo: int, hi: int,
     name = SweepManifest.partial_name(shard)
     path = Path(sweep_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, json.dumps({
+    atomic_write(path, json.dumps({
         "kind": "sweep-shard",
         "schema": MANIFEST_SCHEMA,
         "shard": shard,

@@ -32,6 +32,9 @@ from repro.workloads.thread_model import WorkloadThread
 #: Paper-reported unique EIP samples for SjAS in a 60 s window.
 PAPER_UNIQUE_EIPS = 31_478
 
+#: SjAS's quadrant in the paper's census (Table 2).
+PAPER_QUADRANT = "Q-III"
+
 #: Application-code region groups: (name, mix weight, start->end drift).
 #: Interpreter/JIT regions shrink as compiled code takes over.
 APP_REGIONS = (
@@ -134,6 +137,6 @@ def sjas_workload(scale: WorkloadScale = DEFAULT,
             "paper_context_switches_per_s": 5000,
             "paper_cpi_variance": 0.044,
             "paper_re_kopt": 0.8,
-            "paper_quadrant": "Q-III",
+            "paper_quadrant": PAPER_QUADRANT,
         },
     )

@@ -36,6 +36,9 @@ from repro.workloads.thread_model import WorkloadThread
 #: Paper-reported unique EIP samples for ODB-C in a 60 s window.
 PAPER_UNIQUE_EIPS = 23_891
 
+#: ODB-C's quadrant in the paper's census (Table 2).
+PAPER_QUADRANT = "Q-I"
+
 #: Transaction mix of an order-entry workload (name, mix weight, CPI tilt).
 #: The tilt scales the region's data intensity: new-order and delivery are
 #: heavier than stock-level lookups.
@@ -146,6 +149,6 @@ def odbc_workload(scale: WorkloadScale = DEFAULT,
             "paper_context_switches_per_s": 2600,
             "paper_os_share": 0.15,
             "paper_cpi_variance": 0.01,
-            "paper_quadrant": "Q-I",
+            "paper_quadrant": PAPER_QUADRANT,
         },
     )

@@ -8,16 +8,20 @@ Names:
 * ``"spec.gzip"`` etc. — the 26 SPEC CPU2K benchmarks (Section 7).
 
 :func:`get_workload` builds a fresh workload instance;
-:func:`workload_names` enumerates the full census used for Table 2.
+:func:`paper_quadrant` names its quadrant in the paper's census without
+building it; :func:`workload_names` enumerates the full census used for
+Table 2.
 """
 
 from __future__ import annotations
 
+from repro.workloads.appserver import PAPER_QUADRANT as SJAS_QUADRANT
 from repro.workloads.appserver import sjas_workload
-from repro.workloads.dss import QUERY_NAMES, odbh_query_workload
+from repro.workloads.dss import QUERY_NAMES, odbh_query_workload, query_spec
+from repro.workloads.oltp import PAPER_QUADRANT as ODBC_QUADRANT
 from repro.workloads.oltp import odbc_workload
 from repro.workloads.scale import DEFAULT, WorkloadScale
-from repro.workloads.spec import SPEC_NAMES, spec_workload
+from repro.workloads.spec import SPEC_NAMES, spec_spec, spec_workload
 from repro.workloads.system import Workload
 
 
@@ -51,6 +55,20 @@ def get_workload(name: str, scale: WorkloadScale = DEFAULT) -> Workload:
     raise KeyError(f"unknown workload {name!r}; known: {known}")
 
 
-def paper_quadrant(workload: Workload) -> str:
-    """The paper's (reconstructed) quadrant label for a built workload."""
-    return workload.metadata["paper_quadrant"]
+def paper_quadrant(name: str) -> str:
+    """The paper's (reconstructed) quadrant label for the named
+    workload: the constant or spec-table entry its factory puts in
+    ``metadata["paper_quadrant"]``, looked up without building it.
+
+    Raises ``KeyError`` for unknown names, like :func:`get_workload`.
+    """
+    if name == "odbc":
+        return ODBC_QUADRANT
+    if name == "sjas":
+        return SJAS_QUADRANT
+    if name.startswith("odbh."):
+        return query_spec(name.split(".", 1)[1].upper()).quadrant
+    if name.startswith("spec."):
+        return spec_spec(name.split(".", 1)[1]).quadrant
+    known = ", ".join(workload_names())
+    raise KeyError(f"unknown workload {name!r}; known: {known}")

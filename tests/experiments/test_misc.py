@@ -5,7 +5,8 @@ import pytest
 from repro.analysis.threading_stats import threading_row
 from repro.experiments.runner import main as runner_main
 from repro.trace.threads import ThreadingStats
-from repro.workloads.registry import get_workload, paper_quadrant
+from repro.workloads.registry import (get_workload, paper_quadrant,
+                                      workload_names)
 from repro.workloads.scale import TINY
 
 
@@ -47,11 +48,23 @@ class TestThreadingRow:
 
 class TestRegistryHelpers:
     def test_paper_quadrant(self):
-        workload = get_workload("odbc", TINY)
-        assert paper_quadrant(workload) == "Q-I"
+        assert paper_quadrant("odbc") == "Q-I"
+        assert paper_quadrant("sjas") == "Q-III"
 
     def test_all_metadata_has_quadrants(self):
-        from repro.workloads.registry import workload_names
-        valid = {"Q-I", "Q-II", "Q-III", "Q-IV"}
-        for name in workload_names():
-            assert paper_quadrant(get_workload(name, TINY)) in valid
+        # The census reads each label by name; it must be the label the
+        # workload's factory puts in its metadata, for all 50.
+        names = workload_names()
+        assert len(names) == 50
+        for name in names:
+            assert paper_quadrant(name) == \
+                get_workload(name, TINY).metadata["paper_quadrant"]
+        assert {paper_quadrant(name) for name in names} == \
+            {"Q-I", "Q-II", "Q-III", "Q-IV"}
+
+    def test_unknown_name_raises_like_get_workload(self):
+        for name in ("nope", "spec.nope", "odbh.q99"):
+            with pytest.raises(KeyError):
+                get_workload(name, TINY)
+            with pytest.raises(KeyError):
+                paper_quadrant(name)

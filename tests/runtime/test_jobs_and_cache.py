@@ -1,5 +1,6 @@
 """Job hashing, result serialization, and store robustness."""
 
+import dataclasses
 import json
 import pickle
 
@@ -12,6 +13,7 @@ from repro.runtime import cache as cache_mod
 from repro.runtime.cache import SCHEMA_VERSION, ResultCache, default_cache_dir
 from repro.runtime.jobs import JobResult, JobSpec
 from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.stages import collect_spec_for, eipv_spec_for
 from repro.workloads.scale import TINY, get_scale
 from tests.runtime.test_artifacts import (ENTRIES, KEY, ResultEntry,
                                           new_store, same_key_race)
@@ -100,6 +102,23 @@ class TestJobSpec:
         spec = JobSpec(workload="odbc")
         assert spec.key is spec.key  # cached_property: one digest, reused
 
+    def test_keys_are_pinned(self):
+        # Every stored entry is addressed by these hashes of each spec's
+        # canonical dict: however that dict is built, they must not
+        # move, or every existing store reads as misses.
+        assert TINY_SPEC.key == (
+            "65ade7f1672e625e829e3778eb6d9ac98313cfa5d0b556fad210a8b4556f187e")
+        assert collect_spec_for(TINY_SPEC).key == (
+            "77975c1675fb558ee21ad1b2cbef26140c10abb686b2aa8962791a67d0b771c6")
+        assert eipv_spec_for(TINY_SPEC).key == (
+            "914d5249790dbdf0f287fb9efcdf6fa703a56023d507616b80fbd4fd7d2c3b94")
+        for spec in (TINY_SPEC, collect_spec_for(TINY_SPEC),
+                     eipv_spec_for(TINY_SPEC)):
+            expected = dataclasses.asdict(spec)
+            if spec.kind != "analysis":
+                expected["kind"] = spec.kind
+            assert list(spec.canonical().items()) == list(expected.items())
+
 
 class TestJobResult:
     def test_execute_matches_direct_pipeline(self):
@@ -121,6 +140,17 @@ class TestJobResult:
         assert restored.re_kopt == job.re_kopt
         assert restored.cpi_variance == job.cpi_variance
         assert restored.to_result().summary() == job.to_result().summary()
+
+    def test_to_dict_is_asdict_with_re_as_a_list(self):
+        result = JobResult(key="k", workload="spec.gzip", re=(1.0, 0.25),
+                           k_opt=2, re_kopt=0.25, re_inf=0.25,
+                           total_variance=0.5, n_points=12,
+                           cpi_variance=0.01, cpi_mean=1.5, n_intervals=12,
+                           n_eips=40)
+        expected = dataclasses.asdict(result)
+        expected["re"] = [1.0, 0.25]
+        assert list(result.to_dict().items()) == list(expected.items())
+        assert json.dumps(result.to_dict()) == json.dumps(expected)
 
     def test_pickle_round_trip_is_lossless(self):
         # What a pool worker sends back: the result object itself.

@@ -28,7 +28,7 @@ class TestAnalyzeRequest:
         spec = JobSpec(workload="spec.gzip", n_intervals=12, seed=7,
                        scale="tiny", k_max=5)
         assert request.key == spec.key
-        assert request.to_spec() == spec
+        assert request.spec == spec
 
     def test_render_and_deadline_do_not_change_key(self):
         base = AnalyzeRequest.from_body({"workload": "odbc"})

@@ -14,6 +14,9 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.scheduler import JobOutcome
 from repro.serve import service as service_module
 from repro.serve.service import AnalysisService, ServeConfig
+from repro.sweep import SweepManifest, SweepTable
+from repro.sweep.engine import RUNTIME_STATS_NAME
+from repro.workloads.system import Workload
 
 TINY = {"workload": "spec.gzip", "intervals": 12, "seed": 7,
         "scale": "tiny", "k_max": 5}
@@ -37,6 +40,19 @@ def _without_served(body: dict) -> dict:
     data = dict(body)
     data.pop("served", None)
     return data
+
+
+def _sweep_dir(tmp_path, body):
+    """Where a ``_make`` daemon keeps the state of the sweep ``body``
+    answered."""
+    return tmp_path / "cache" / "sweeps" / body["space_key"][:16]
+
+
+def _refuse(monkeypatch, owner, name: str) -> None:
+    """Make ``owner.name`` raise: a warm answer must not reach it."""
+    def refused(*_args, **_kwargs):
+        raise AssertionError(f"a warm answer called {name}")
+    monkeypatch.setattr(owner, name, refused)
 
 
 class TestAnalyze:
@@ -450,8 +466,8 @@ class TestStageCountersUnderPrune:
 class TestStatsUnderPrune:
     """An entry removed between the store walk's listing and its sizing
     (a prune on another request thread) is left out of the numbers: it
-    never fails ``/v1/stats``, nor a sweep, whose ``runtime_stats.json``
-    sizes the store even when every shard resumes."""
+    never fails ``/v1/stats``, nor a resumed sweep, whose
+    ``runtime_stats.json`` sizes the store."""
 
     SWEEP = {"workloads": ["spec.gzip"], "machines": ["itanium2"],
              "seeds": [7], "interval_sizes": [10_000_000], "intervals": 8,
@@ -487,10 +503,119 @@ class TestStatsUnderPrune:
         try:
             status, first = service.handle("/v1/sweep", dict(self.SWEEP))
             assert status == 200
+            # A finished sweep is read back without sizing the store; a
+            # lost partial makes the rerun resume, merge and size it.
+            sweep_dir = _sweep_dir(tmp_path, first)
+            (sweep_dir / SweepManifest.partial_name(0)).unlink()
             self.prune_mid_walk(monkeypatch)
             status, resumed = service.handle("/v1/sweep", dict(self.SWEEP))
             assert status == 200, resumed
             assert resumed["report"] == first["report"]
+            stats = json.loads((sweep_dir / RUNTIME_STATS_NAME).read_text())
+            # Trace, EIPV dataset and result, less the one pruned.
+            assert stats["store"]["entries"] == 2
+        finally:
+            service.close()
+
+
+class TestWarmAnswersDoNoPipelineWork:
+    """A warm answer reads its stored product and renders it: a finished
+    sweep serves its report, a census builds no workload, an analysis
+    builds its job spec once, and none of them walks the store."""
+
+    CENSUS = {"workloads": ["spec.gzip", "spec.art"], "seed": 3, "k_max": 5}
+
+    def test_finished_sweep_serves_its_report(self, tmp_path, monkeypatch):
+        service = _make(tmp_path)
+        try:
+            status, first = service.handle(
+                "/v1/sweep", dict(TestStatsUnderPrune.SWEEP))
+            assert status == 200, first
+            sweep_dir = _sweep_dir(tmp_path, first)
+
+            def files() -> dict:
+                return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                        for path in sorted(sweep_dir.rglob("*"))
+                        if path.is_file()}
+
+            before = files()
+            assert sweep_dir / "report.txt" in before
+            _refuse(monkeypatch, ResultCache, "stats")
+            _refuse(monkeypatch, ResultCache, "prune")
+            _refuse(monkeypatch, SweepTable, "create")
+            status, again = service.handle(
+                "/v1/sweep", dict(TestStatsUnderPrune.SWEEP))
+            assert status == 200, again
+            assert _without_served(again) == _without_served(first)
+            assert files() == before
+        finally:
+            service.close()
+
+    def test_warm_census_builds_no_workload(self, tmp_path, monkeypatch):
+        service = _make(tmp_path)
+        try:
+            status, first = service.handle("/v1/census", dict(self.CENSUS))
+            assert status == 200, first
+            _refuse(monkeypatch, Workload, "__post_init__")
+            _refuse(monkeypatch, ResultCache, "prune")
+            status, again = service.handle("/v1/census", dict(self.CENSUS))
+            assert status == 200, again
+            assert _without_served(again) == _without_served(first)
+        finally:
+            service.close()
+
+    def test_warm_analyze_builds_one_job_spec(self, tmp_path, monkeypatch):
+        service = _make(tmp_path)
+        try:
+            service.handle("/v1/analyze", dict(TINY))
+            built = []
+            real = JobSpec.__post_init__
+
+            def counted(spec) -> None:
+                built.append(spec)
+                real(spec)
+
+            monkeypatch.setattr(JobSpec, "__post_init__", counted)
+            _refuse(monkeypatch, ResultCache, "prune")
+            status, warm = service.handle("/v1/analyze", dict(TINY))
+            assert status == 200
+            assert warm["served"]["cache_hit"] is True
+            assert len(built) == 1
+        finally:
+            service.close()
+
+
+class TestCensusAndSweepCounters:
+    """A census's and a sweep's jobs and stages reach the daemon's own
+    counters, as an analysis's do."""
+
+    @staticmethod
+    def assert_counted(service, executed: int, stages: int) -> None:
+        stats = service.stats()
+        assert stats["jobs"]["executed"] == executed
+        counted = stats["artifacts"]["stages"]
+        assert counted["collect_computed"] == stages
+        assert counted["eipv_computed"] == stages
+        assert stats["artifacts"]["stores"] == (
+            counted["collect_computed"] + counted["eipv_computed"])
+
+    def test_census_counts_its_jobs_and_stages(self, tmp_path):
+        service = _make(tmp_path)
+        try:
+            status, body = service.handle(
+                "/v1/census", dict(TestWarmAnswersDoNoPipelineWork.CENSUS))
+            assert status == 200, body
+            self.assert_counted(service, executed=6, stages=2)
+        finally:
+            service.close()
+
+    def test_sweep_counts_its_jobs_and_stages(self, tmp_path):
+        service = _make(tmp_path)
+        try:
+            status, body = service.handle(
+                "/v1/sweep", dict(TestStatsUnderPrune.SWEEP))
+            assert status == 200, body
+            self.assert_counted(service, executed=3, stages=1)
         finally:
             service.close()
 

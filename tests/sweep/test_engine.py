@@ -82,6 +82,20 @@ class TestResume:
         assert again.n_executed == again.n_cached == 0
         assert "sweep.point_executed" not in metrics.snapshot()["counters"]
 
+    def test_torn_merge_is_rebuilt_not_read(self, tmp_path):
+        # A finished sweep's report is read back only while its table is
+        # this space's finalized table and the report exists; otherwise
+        # the rerun merges and renders again, to the same bytes.
+        sweep_dir = tmp_path / "sweep"
+        first = run_sweep(SPACE, sweep_dir, shards=3)
+        for torn in ("report.txt", "table/header.json"):
+            (sweep_dir / torn).unlink()
+            again = run_sweep(SPACE, sweep_dir, shards=3)
+            assert again.report == first.report
+            assert (sweep_dir / "report.txt").read_text(
+                encoding="utf-8") == first.report
+            assert SweepTable.open(sweep_dir / "table").space_key == SPACE.key
+
     def test_sweep_dir_with_a_completed_map_resumes(self, tmp_path):
         # Manifests once also listed finished shards in a ``completed``
         # map; the partials alone say which shards are done, and such a
