@@ -170,7 +170,6 @@ def collect_to_store(workload: str, store_path, *,
 def analyze_store(store, *, workload: str | None = None,
                   config: AnalysisConfig | None = None,
                   interval_instructions: int = INTERVAL,
-                  sparse: bool = False,
                   jobs: int = 1) -> PredictabilityResult:
     """The Section-4 analysis over an on-disk trace store.
 
@@ -185,7 +184,7 @@ def analyze_store(store, *, workload: str | None = None,
     if not hasattr(store, "column"):
         store = TraceStore.open(store)
     dataset = EIPVDataset.from_store(
-        store, interval_instructions=interval_instructions, sparse=sparse)
+        store, interval_instructions=interval_instructions)
     if workload is not None:
         dataset.workload_name = workload
     return analyze_dataset(dataset, config=config or AnalysisConfig(seed=11),

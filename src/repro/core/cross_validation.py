@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import UNSET, AnalysisConfig, resolve_config
 from repro.core.regression_tree import RegressionTreeSequence
 from repro.obs import span
-from repro.sparse import is_sparse
+from repro.sparse import as_csr
 
 #: The paper's tolerance: RE_kopt approximates RE_inf if within 0.5%.
 KOPT_TOLERANCE = 0.005
@@ -129,12 +129,12 @@ def cross_validated_sse(matrix: np.ndarray, y: np.ndarray,
     The partition is drawn first, so an impossible one raises the same
     ``ValueError`` at any ``jobs``, and the serial-vs-parallel rule
     (:func:`repro.runtime.pool.use_pool`) is checked before the dataset
-    is written for any worker.
+    is written for any worker.  A dense ``matrix`` is converted to CSR
+    here, once for all folds.
     """
     config = resolve_config(config, k_max, folds, seed, min_leaf,
                             caller="cross_validated_sse")
-    if not is_sparse(matrix):
-        matrix = np.asarray(matrix)
+    matrix = as_csr(matrix)
     y = np.asarray(y, dtype=np.float64)
     partition = fold_indices(len(y), config.folds,
                              np.random.default_rng(config.seed))

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sparse import as_dense
+
 #: SimPoint's random-projection dimension.
 DEFAULT_PROJECTION_DIM = 15
 
@@ -123,11 +125,15 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
                         n_iterations=iteration)
 
 
-def prepare_eipvs(matrix: np.ndarray, rng: np.random.Generator,
+def prepare_eipvs(matrix, rng: np.random.Generator,
                   projection_dim: int | None = DEFAULT_PROJECTION_DIM
                   ) -> np.ndarray:
-    """The SimPoint preprocessing: L1-normalize then random-project."""
-    normalized = l1_normalize(matrix)
+    """The SimPoint preprocessing: L1-normalize then random-project.
+
+    ``matrix`` is CSR or dense; clustering needs dense rows, so it is
+    densified here.
+    """
+    normalized = l1_normalize(as_dense(matrix))
     if projection_dim is None:
         return normalized
     return random_projection(normalized, projection_dim, rng)

@@ -19,7 +19,10 @@ Design notes:
 * **Sparsity.** An EIPV holds at most ``samples_per_interval`` non-zero
   counts out of N unique EIPs, so columns are overwhelmingly zero.  The
   split search keeps per-feature non-zero lists and treats the zero block
-  in closed form; the store ingests dense or CSR matrices identically.
+  in closed form.  The store and the prediction router read CSR only; a
+  caller's dense matrix is converted once, where :meth:`fit`,
+  :meth:`predict` and :meth:`predict_all_k` are entered.  The test suite
+  keeps the dense store as its oracle (``tests/core/reference_tree.py``).
 
 * **Node-local search.** Each frontier node carries the indices of its own
   triplets, partitioned from its parent when a split is applied.  A node's
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import span
-from repro.sparse import is_sparse
+from repro.sparse import CSRMatrix, as_csr
 
 #: A split's CPI-variance reduction must exceed this to be applied
 #: (guards against floating-point noise producing spurious splits).
@@ -83,24 +86,15 @@ class _FeatureStore:
 
     One lexicographic sort at fit time lets every node's exact split search
     run as a handful of segmented-prefix-sum numpy operations over just the
-    node's non-zero entries.  Accepts a dense matrix or a
-    :class:`~repro.sparse.CSRMatrix`; CSR triplets export in row-major
-    order — the same order ``np.nonzero`` yields — so the stable sort (and
-    hence the fitted tree) is identical either way.
+    node's non-zero entries.  CSR triplets export in row-major order —
+    the same order ``np.nonzero`` yields — so the stable sort (and hence
+    the fitted tree) equals a dense matrix's.
     """
 
-    def __init__(self, matrix) -> None:
-        if is_sparse(matrix):
-            self.n_rows, self.n_features = matrix.shape
-            rows, features, values = matrix.triplets()
-            values = values.astype(np.float64)
-        else:
-            matrix = np.asarray(matrix)
-            if matrix.ndim != 2:
-                raise ValueError("feature matrix must be 2-D")
-            self.n_rows, self.n_features = matrix.shape
-            rows, features = np.nonzero(matrix)
-            values = matrix[rows, features].astype(np.float64)
+    def __init__(self, matrix: CSRMatrix) -> None:
+        self.n_rows, self.n_features = matrix.shape
+        rows, features, values = matrix.triplets()
+        values = values.astype(np.float64)
         order = np.lexsort((values, features))
         self.feat = features[order].astype(np.int64)
         self.row = rows[order].astype(np.int64)
@@ -112,30 +106,25 @@ class _FeatureStore:
 
 
 class _ColumnAccessor:
-    """Per-feature column reads for prediction routing, dense or CSR.
+    """Per-feature column reads of a CSR matrix for prediction routing.
 
-    For CSR input the triplets are re-sorted by column once; a reusable
-    scratch array then turns each node visit into two scatter/gather
-    passes over just that column's non-zeros.
+    The triplets are re-sorted by column once; a reusable scratch array
+    then turns each node visit into two scatter/gather passes over just
+    that column's non-zeros.
     """
 
-    def __init__(self, matrix) -> None:
-        if is_sparse(matrix):
-            self._dense = None
-            rows, cols, vals = matrix.triplets()
-            order = np.lexsort((rows, cols))
-            self._rows = rows[order]
-            self._vals = vals[order].astype(np.float64)
-            self._offsets = np.searchsorted(cols[order],
-                                            np.arange(matrix.shape[1] + 1))
-            self._scratch = np.zeros(matrix.shape[0])
-        else:
-            self._dense = np.asarray(matrix)
+    def __init__(self, matrix: CSRMatrix) -> None:
+        self.n_rows = matrix.shape[0]
+        rows, cols, vals = matrix.triplets()
+        order = np.lexsort((rows, cols))
+        self._rows = rows[order]
+        self._vals = vals[order].astype(np.float64)
+        self._offsets = np.searchsorted(cols[order],
+                                        np.arange(matrix.shape[1] + 1))
+        self._scratch = np.zeros(matrix.shape[0])
 
     def get(self, feature: int, rows: np.ndarray) -> np.ndarray:
         """Values of ``matrix[rows, feature]`` (zeros where absent)."""
-        if self._dense is not None:
-            return self._dense[rows, feature]
         lo, hi = self._offsets[feature], self._offsets[feature + 1]
         col_rows = self._rows[lo:hi]
         self._scratch[col_rows] = self._vals[lo:hi]
@@ -167,20 +156,25 @@ class RegressionTreeSequence:
     def fit(self, matrix, y: np.ndarray) -> "RegressionTreeSequence":
         """Grow the tree family on (EIPV matrix, CPI vector)."""
         with span("fit.tree") as fit_span:
-            self._fit(matrix, y)
+            self._fit(self._feature_store(matrix), y)
             fit_span.inc("splits", self.n_splits)
             fit_span.inc("points", len(y))
         return self
 
-    def _fit(self, matrix, y: np.ndarray) -> None:
-        if not is_sparse(matrix):
-            matrix = np.asarray(matrix)
+    def _feature_store(self, matrix) -> _FeatureStore:
+        """The split search's store over ``matrix``, dense or CSR."""
+        return _FeatureStore(as_csr(matrix))
+
+    def _columns(self, matrix) -> _ColumnAccessor:
+        """Prediction's column reader over ``matrix``, dense or CSR."""
+        return _ColumnAccessor(as_csr(matrix))
+
+    def _fit(self, store: _FeatureStore, y: np.ndarray) -> None:
         y = np.asarray(y, dtype=np.float64)
-        if matrix.shape[0] != len(y):
+        if store.n_rows != len(y):
             raise ValueError("matrix rows must match y length")
         if len(y) == 0:
             raise ValueError("cannot fit on an empty dataset")
-        store = _FeatureStore(matrix)
         self._store = store
         self._y = y
         # Reusable scratch, indexed by dataset row (reset after each use).
@@ -400,11 +394,9 @@ class RegressionTreeSequence:
             k = self.max_k()
         if k < 1:
             raise ValueError("k must be at least 1")
-        if not is_sparse(matrix):
-            matrix = np.asarray(matrix)
-        columns = _ColumnAccessor(matrix)
-        out = np.empty(matrix.shape[0])
-        stack = [(self.root, np.arange(matrix.shape[0], dtype=np.int64))]
+        columns = self._columns(matrix)
+        out = np.empty(columns.n_rows)
+        stack = [(self.root, np.arange(columns.n_rows, dtype=np.int64))]
         while stack:
             node, rows = stack.pop()
             if node.split_rank is not None and node.split_rank <= k - 2:
@@ -427,12 +419,10 @@ class RegressionTreeSequence:
         """
         if self.root is None:
             raise RuntimeError("tree is not fitted")
-        if not is_sparse(matrix):
-            matrix = np.asarray(matrix)
         k_max = self.max_k()
-        columns = _ColumnAccessor(matrix)
-        out = np.empty((matrix.shape[0], k_max))
-        stack = [(self.root, np.arange(matrix.shape[0], dtype=np.int64), 0)]
+        columns = self._columns(matrix)
+        out = np.empty((columns.n_rows, k_max))
+        stack = [(self.root, np.arange(columns.n_rows, dtype=np.int64), 0)]
         while stack:
             node, rows, low = stack.pop()
             if node.split_rank is None:

@@ -45,7 +45,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import CODE_VERSION, spec_key
 from repro.runtime.metrics import METRICS, MetricsRegistry
 from repro.runtime.stages import load_matrix, save_matrix
-from repro.sparse import is_sparse
+from repro.sparse import CSRMatrix
 
 #: Entry kind of a fold dataset in its temporary store.
 FOLDS_KIND = "folds"
@@ -58,11 +58,11 @@ FOLDS_KEY = "dataset"
 FOLDS_DIR_PREFIX = "repro-folds-"
 
 
-def _put_dataset(store: ResultCache, matrix, y: np.ndarray) -> None:
+def _put_dataset(store: ResultCache, matrix: CSRMatrix,
+                 y: np.ndarray) -> None:
     """Write (matrix, y) as the store's ``folds`` entry, in the EIPV
     entry's matrix layout."""
-    meta = {"sparse": is_sparse(matrix),
-            "shape": [int(dim) for dim in matrix.shape]}
+    meta = {"shape": [int(dim) for dim in matrix.shape]}
     with store.publish(FOLDS_KIND, FOLDS_KEY, meta) as staging:
         np.save(staging / "y.npy", y)
         save_matrix(staging, matrix)
@@ -136,7 +136,7 @@ class FoldSpec:
                           reached=reached)
 
 
-def run_parallel_folds(matrix, y: np.ndarray, config, jobs: int,
+def run_parallel_folds(matrix: CSRMatrix, y: np.ndarray, config, jobs: int,
                        timeout: float | None = None) -> np.ndarray:
     """Fan the folds of one cross-validation across worker processes.
 

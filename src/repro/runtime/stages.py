@@ -16,7 +16,8 @@ ordinary scheduler as job kinds ``"collect"`` and ``"eipv"`` (each spec
 runs as ``spec.execute``), with their bulky products persisted as
 entries of the run's :class:`~repro.runtime.cache.ResultCache` — a trace
 entry *is* a :class:`~repro.trace.storage.TraceStore` directory, an EIPV
-entry holds the dataset's raw arrays — and reloaded zero-copy via
+entry holds the dataset's raw arrays, its matrix as the CSR triplet
+(:func:`save_matrix`) — and reloaded zero-copy via
 ``np.load(mmap_mode="r")``.  That entry is a stage's only record: the
 scheduler's probe (``spec.stored``) reads the stage's summary from its
 header.
@@ -57,7 +58,7 @@ import numpy as np
 from repro.obs import span
 from repro.runtime.cache import RESULT, ResultCache
 from repro.runtime.jobs import CODE_VERSION, JobSpec, field_dict, spec_key
-from repro.sparse import CSRMatrix, is_sparse
+from repro.sparse import CSRMatrix
 from repro.trace.eipv import EIPVDataset, build_eipvs
 from repro.trace.events import SampleTrace
 from repro.trace.storage import TraceStore
@@ -151,7 +152,6 @@ class EipvSpec:
     scale: str
     total_instructions: int
     interval_instructions: int
-    sparse: bool = False
     code_version: str = CODE_VERSION
 
     def collect_spec(self) -> CollectSpec:
@@ -280,20 +280,16 @@ def stored_trace(store: ResultCache, spec: CollectSpec) -> SampleTrace:
         return _fresh_trace(store, spec)
 
 
-def save_matrix(staging: Path, matrix) -> None:
-    """Write a dense or CSR matrix into an artifact's staging directory.
+def save_matrix(staging: Path, matrix: CSRMatrix) -> None:
+    """Write a CSR matrix into an artifact's staging directory.
 
-    The one place the matrix layout lives: ``matrix.npy``, or the
+    The one place the matrix layout lives: the
     ``matrix_indptr``/``matrix_indices``/``matrix_data`` triplet.  The
-    artifact's meta must carry ``sparse`` and ``shape`` for
-    :func:`load_matrix`.
+    artifact's meta must carry ``shape`` for :func:`load_matrix`.
     """
-    if is_sparse(matrix):
-        np.save(staging / "matrix_indptr.npy", matrix.indptr)
-        np.save(staging / "matrix_indices.npy", matrix.indices)
-        np.save(staging / "matrix_data.npy", matrix.data)
-    else:
-        np.save(staging / "matrix.npy", matrix)
+    np.save(staging / "matrix_indptr.npy", matrix.indptr)
+    np.save(staging / "matrix_indices.npy", matrix.indices)
+    np.save(staging / "matrix_data.npy", matrix.data)
 
 
 def _load_arrays(store: ResultCache, kind: str, key: str, names):
@@ -309,27 +305,28 @@ def _load_arrays(store: ResultCache, kind: str, key: str, names):
     return views
 
 
-def load_matrix(store: ResultCache, kind: str, key: str, meta: dict):
-    """The matrix :func:`save_matrix` wrote, as read-only views, or
+def load_matrix(store: ResultCache, kind: str, key: str,
+                meta: dict) -> CSRMatrix | None:
+    """The matrix :func:`save_matrix` wrote, over read-only views, or
     ``None`` when an array cannot be read."""
-    sparse = meta.get("sparse")
     views = _load_arrays(store, kind, key,
-                         ("matrix_indptr", "matrix_indices", "matrix_data")
-                         if sparse else ("matrix",))
+                         ("matrix_indptr", "matrix_indices", "matrix_data"))
     if views is None:
         return None
-    if sparse:
-        return CSRMatrix(indptr=views[0], indices=views[1], data=views[2],
-                         shape=tuple(meta["shape"]))
-    return views[0]
+    return CSRMatrix(indptr=views[0], indices=views[1], data=views[2],
+                     shape=tuple(meta["shape"]))
 
 
 def put_eipv(store: ResultCache, key: str, dataset: EIPVDataset) -> None:
-    """Publish an EIPV artifact (raw arrays, dense or CSR-native)."""
+    """Publish an EIPV artifact: raw arrays, the matrix CSR-native.
+
+    An entry holds a merged (all-thread) dataset, the only kind the
+    eipv stage builds, so it stores no ``thread_ids``: every interval's
+    is -1, which :class:`EIPVDataset` fills in on load.
+    """
     meta = {
         "interval_instructions": int(dataset.interval_instructions),
         "workload_name": dataset.workload_name,
-        "sparse": bool(dataset.is_sparse),
         "shape": [int(dim) for dim in dataset.matrix.shape],
         "n_intervals": int(dataset.n_intervals),
         "n_eips": int(dataset.n_eips),
@@ -337,7 +334,6 @@ def put_eipv(store: ResultCache, key: str, dataset: EIPVDataset) -> None:
     with store.publish("eipv", key, meta) as staging:
         np.save(staging / "cpis.npy", dataset.cpis)
         np.save(staging / "eip_index.npy", dataset.eip_index)
-        np.save(staging / "thread_ids.npy", dataset.thread_ids)
         save_matrix(staging, dataset.matrix)
 
 
@@ -352,17 +348,15 @@ def load_eipv_dataset(store: ResultCache, key: str) -> EIPVDataset | None:
     if meta is None:
         return None
     try:
-        base = _load_arrays(store, "eipv", key,
-                            ("cpis", "eip_index", "thread_ids"))
+        base = _load_arrays(store, "eipv", key, ("cpis", "eip_index"))
         matrix = load_matrix(store, "eipv", key, meta) if base else None
         if matrix is None:
             return None
-        cpis, eip_index, thread_ids = base
+        cpis, eip_index = base
         dataset = EIPVDataset(
             matrix=matrix, cpis=cpis, eip_index=eip_index,
             interval_instructions=int(meta["interval_instructions"]),
-            workload_name=str(meta.get("workload_name", "")),
-            thread_ids=thread_ids)
+            workload_name=str(meta.get("workload_name", "")))
     except (ValueError, KeyError, TypeError):
         store.quarantine("eipv", key)
         return None
@@ -379,15 +373,14 @@ def _build_dataset(store: ResultCache, spec: EipvSpec) -> EIPVDataset:
     if trace_store is not None:
         try:
             dataset = EIPVDataset.from_store(
-                trace_store, interval_instructions=spec.interval_instructions,
-                sparse=spec.sparse)
+                trace_store, interval_instructions=spec.interval_instructions)
         except (OSError, ValueError, EOFError):
             # Torn column file: quarantine the trace artifact and heal
             # by recomputing it below.
             store.quarantine("trace", collect.key)
     if dataset is None:
         dataset = build_eipvs(_fresh_trace(store, collect),
-                              spec.interval_instructions, sparse=spec.sparse)
+                              spec.interval_instructions)
     dataset.workload_name = spec.workload
     _publish(put_eipv, store, spec.key, dataset)
     return dataset

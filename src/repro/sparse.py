@@ -1,20 +1,21 @@
-"""A minimal CSR sparse matrix — no scipy dependency.
+"""A minimal CSR sparse matrix — no scipy dependency; the EIPV layout.
 
-Huge-footprint workloads (ODB-C-style, ~10^4 unique EIPs) make dense
-EIPV matrices the dominant memory cost of the pipeline: an interval holds
-at most ``samples_per_interval`` non-zero counts, so the dense matrix is
-overwhelmingly zeros.  :class:`CSRMatrix` stores only the non-zeros in
-the classic compressed-sparse-row layout and implements exactly the
-operations the pipeline needs — row subsetting (cross-validation folds),
-column selection (feature pruning), axis sums, vertical stacking
-(per-thread datasets) and triplet export (the regression tree's feature
-store) — so EIPV datasets can stay sparse from ``bincount`` to tree fit
-without ever densifying.
+An interval holds at most ``samples_per_interval`` non-zero counts out
+of up to ~10^4 unique EIPs (ODB-C-style footprints), so a dense EIPV
+matrix is overwhelmingly zeros.  :class:`CSRMatrix` stores only the
+non-zeros in the classic compressed-sparse-row layout and implements
+exactly the operations the pipeline needs — row subsetting
+(cross-validation folds), column selection (feature pruning), axis
+sums, vertical stacking (per-thread datasets) and triplet export (the
+regression tree's feature store).  A caller's dense matrix enters
+through :func:`as_csr`; k-means, which needs dense rows, leaves through
+:func:`as_dense`.
 
 Invariants: ``indices`` are strictly increasing within each row (no
 duplicates), so ``toarray`` round-trips exactly and triplet export is in
 row-major order — the same order ``np.nonzero`` yields for a dense
-matrix, which keeps sparse- and dense-built trees bit-identical.
+matrix, which keeps trees fitted on a converted dense matrix
+bit-identical to trees fitted on the CSR build.
 """
 
 from __future__ import annotations
@@ -210,13 +211,16 @@ class CSRMatrix:
         return self.shape[0]
 
 
-def is_sparse(matrix) -> bool:
-    """True when ``matrix`` is a :class:`CSRMatrix`."""
-    return isinstance(matrix, CSRMatrix)
+def as_csr(matrix) -> CSRMatrix:
+    """``matrix`` as a :class:`CSRMatrix`: CSR input is returned as is,
+    anything else goes through :meth:`CSRMatrix.from_dense`."""
+    if isinstance(matrix, CSRMatrix):
+        return matrix
+    return CSRMatrix.from_dense(matrix)
 
 
 def as_dense(matrix) -> np.ndarray:
-    """The dense ``np.ndarray`` view of a dense-or-CSR matrix."""
-    if is_sparse(matrix):
+    """The dense ``np.ndarray`` of a dense-or-CSR matrix."""
+    if isinstance(matrix, CSRMatrix):
         return matrix.toarray()
     return np.asarray(matrix)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sparse import CSRMatrix
 from repro.trace.eipv import EIPVDataset
 from repro.trace.events import SampleTrace
 
@@ -47,8 +48,8 @@ def build_bbvs(trace: SampleTrace,
     unique_blocks, codes = np.unique(blocks, return_inverse=True)
     rows = np.repeat(np.arange(n_intervals), samples_per_interval)
 
-    matrix = np.zeros((n_intervals, len(unique_blocks)), dtype=np.int32)
-    np.add.at(matrix, (rows, codes), 1)
+    matrix = CSRMatrix.from_codes(rows, codes,
+                                  shape=(n_intervals, len(unique_blocks)))
     cycles = np.zeros(n_intervals)
     instructions = np.zeros(n_intervals)
     np.add.at(cycles, rows, trace.cycles[:used])

@@ -8,12 +8,11 @@ sampling period an EIPV aggregates 100 consecutive samples.
 
 :class:`EIPVDataset` is the (EIPV matrix, CPI vector) pair every analysis
 in the paper consumes — the regression tree, k-means, and the quadrant
-classifier all start here.  The matrix may be dense (``np.ndarray``) or a
+classifier all start here.  The matrix is always a
 :class:`~repro.sparse.CSRMatrix`: an interval holds at most
 ``samples_per_interval`` non-zero counts, so huge-footprint workloads
-(ODB-C-style, ~10^4 unique EIPs) are overwhelmingly zeros and the sparse
-representation cuts the O(intervals × eips) memory to O(nnz).  Both forms
-feed the regression tree identically (bit-identical fits).
+(ODB-C-style, ~10^4 unique EIPs) are overwhelmingly zeros, and CSR keeps
+the memory at O(nnz) instead of O(intervals × eips).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import span
-from repro.sparse import CSRMatrix, is_sparse
+from repro.sparse import CSRMatrix, as_csr
 from repro.trace.events import SampleTrace
 
 #: The paper's interval size in retired instructions.
@@ -37,14 +36,15 @@ CHUNK_INTERVALS = 256
 class EIPVDataset:
     """EIPVs plus per-interval CPI for one run.
 
-    ``matrix[j, i]`` is how many times unique EIP ``eip_index[i]`` was
-    sampled during interval ``j``; ``cpis[j]`` is that interval's
-    instantaneous CPI.  ``thread_ids[j]`` is the owning thread for
-    per-thread datasets (-1 when intervals mix threads).  ``matrix`` is
-    either a dense ``np.ndarray`` or a :class:`~repro.sparse.CSRMatrix`.
+    Entry ``(j, i)`` of ``matrix`` is how many times unique EIP
+    ``eip_index[i]`` was sampled during interval ``j``; ``cpis[j]`` is
+    that interval's instantaneous CPI.  ``thread_ids[j]`` is the owning
+    thread for per-thread datasets (-1 when intervals mix threads).
+    ``matrix`` is a :class:`~repro.sparse.CSRMatrix`; a dense array
+    passed in is stored as :func:`~repro.sparse.as_csr` of it.
     """
 
-    matrix: np.ndarray | CSRMatrix
+    matrix: CSRMatrix
     cpis: np.ndarray
     eip_index: np.ndarray
     interval_instructions: int
@@ -52,8 +52,7 @@ class EIPVDataset:
     thread_ids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.matrix.ndim != 2:
-            raise ValueError("EIPV matrix must be 2-D")
+        self.matrix = as_csr(self.matrix)
         m, n = self.matrix.shape
         if len(self.cpis) != m:
             raise ValueError("cpis length must match interval count")
@@ -73,11 +72,6 @@ class EIPVDataset:
     @property
     def n_eips(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def is_sparse(self) -> bool:
-        """True when the EIPV matrix is CSR-backed."""
-        return is_sparse(self.matrix)
 
     @property
     def cpi_variance(self) -> float:
@@ -123,7 +117,6 @@ class EIPVDataset:
     @classmethod
     def from_store(cls, store,
                    interval_instructions: int = DEFAULT_INTERVAL,
-                   sparse: bool = False,
                    chunk_intervals: int = CHUNK_INTERVALS) -> "EIPVDataset":
         """Build merged (all-thread) EIPVs a chunk of intervals at a time.
 
@@ -157,8 +150,7 @@ class EIPVDataset:
                 vocabulary = np.union1d(vocabulary,
                                         np.asarray(eips[start:stop]))
             matrix, cpis = _histograms(store, vocabulary, n_intervals,
-                                       samples_per_interval, sparse,
-                                       chunk_intervals)
+                                       samples_per_interval, chunk_intervals)
             build_span.inc("intervals", n_intervals)
             build_span.inc("eips", len(vocabulary))
         return cls(
@@ -167,32 +159,6 @@ class EIPVDataset:
             eip_index=vocabulary,
             interval_instructions=interval_instructions,
             workload_name=store.workload_name,
-        )
-
-    def to_sparse(self) -> "EIPVDataset":
-        """The same dataset with a CSR-backed matrix (no-op if sparse)."""
-        if self.is_sparse:
-            return self
-        return EIPVDataset(
-            matrix=CSRMatrix.from_dense(self.matrix),
-            cpis=self.cpis,
-            eip_index=self.eip_index,
-            interval_instructions=self.interval_instructions,
-            workload_name=self.workload_name,
-            thread_ids=self.thread_ids,
-        )
-
-    def to_dense(self) -> "EIPVDataset":
-        """The same dataset with a dense matrix (no-op if already dense)."""
-        if not self.is_sparse:
-            return self
-        return EIPVDataset(
-            matrix=self.matrix.toarray(),
-            cpis=self.cpis,
-            eip_index=self.eip_index,
-            interval_instructions=self.interval_instructions,
-            workload_name=self.workload_name,
-            thread_ids=self.thread_ids,
         )
 
 
@@ -208,7 +174,7 @@ def _chunks(n_intervals: int, samples_per_interval: int,
 
 
 def _histograms(trace, vocabulary: np.ndarray, n_intervals: int,
-                samples_per_interval: int, sparse: bool,
+                samples_per_interval: int,
                 chunk_intervals: int = CHUNK_INTERVALS):
     """Per-interval EIP histograms over ``vocabulary``, and interval CPIs.
 
@@ -216,30 +182,23 @@ def _histograms(trace, vocabulary: np.ndarray, n_intervals: int,
     ``chunk_intervals`` at a time; every EIP must be in ``vocabulary``.
     Chunks end on interval boundaries and ``bincount`` adds each
     interval's weights in sample order, so every CPI is the same float
-    at any chunk size.  Returns ``(matrix, cpis)``; the matrix is dense
-    ``int32`` or, with ``sparse``, a :class:`~repro.sparse.CSRMatrix`
-    built without the dense intermediate.
+    at any chunk size.  Returns ``(matrix, cpis)``: the matrix is a
+    :class:`~repro.sparse.CSRMatrix` counted straight from the sample
+    codes, never densified.
     """
     n_eips = len(vocabulary)
     eips = trace.column("eips")
     cycles = trace.column("cycles")
     instructions = trace.column("instructions")
     cpis = np.empty(n_intervals, dtype=np.float64)
-    dense = (None if sparse
-             else np.empty((n_intervals, n_eips), dtype=np.int32))
-    csr_parts = []
+    parts = []
     for start, stop in _chunks(n_intervals, samples_per_interval,
                                chunk_intervals):
         k = (stop - start) // samples_per_interval
         first_row = start // samples_per_interval
         rows = np.repeat(np.arange(k), samples_per_interval)
         codes = np.searchsorted(vocabulary, np.asarray(eips[start:stop]))
-        if sparse:
-            csr_parts.append(CSRMatrix.from_codes(rows, codes,
-                                                  shape=(k, n_eips)))
-        else:
-            flat = np.bincount(rows * n_eips + codes, minlength=k * n_eips)
-            dense[first_row:first_row + k] = flat.reshape(k, n_eips)
+        parts.append(CSRMatrix.from_codes(rows, codes, shape=(k, n_eips)))
         interval_cycles = np.bincount(
             rows, weights=np.asarray(cycles[start:stop]), minlength=k)
         interval_instructions = np.bincount(
@@ -248,27 +207,21 @@ def _histograms(trace, vocabulary: np.ndarray, n_intervals: int,
             minlength=k)
         cpis[first_row:first_row + k] = (
             interval_cycles / np.maximum(interval_instructions, 1))
-    return (CSRMatrix.vstack(csr_parts) if sparse else dense), cpis
+    return CSRMatrix.vstack(parts), cpis
 
 
 def build_eipvs(trace: SampleTrace,
-                interval_instructions: int = DEFAULT_INTERVAL,
-                sparse: bool = False) -> EIPVDataset:
+                interval_instructions: int = DEFAULT_INTERVAL) -> EIPVDataset:
     """Build merged (all-thread) EIPVs, the paper's default pipeline.
 
     :meth:`EIPVDataset.from_store` over the trace's columns.
-    ``sparse=True`` builds a CSR-backed matrix directly from the sample
-    codes without densifying; downstream analyses produce identical
-    results either way.
     """
-    return EIPVDataset.from_store(trace, interval_instructions,
-                                  sparse=sparse)
+    return EIPVDataset.from_store(trace, interval_instructions)
 
 
 def build_per_thread_eipvs(
         trace: SampleTrace,
-        interval_instructions: int = DEFAULT_INTERVAL,
-        sparse: bool = False) -> EIPVDataset:
+        interval_instructions: int = DEFAULT_INTERVAL) -> EIPVDataset:
     """Per-thread EIPVs (Section 5.2's thread-separated analysis).
 
     Samples are first split by thread tag; each thread's sample stream is
@@ -290,16 +243,14 @@ def build_per_thread_eipvs(
         if n_intervals < 1:
             continue
         matrix, cpis = _histograms(sub, union_eips, n_intervals,
-                                   samples_per_interval, sparse)
+                                   samples_per_interval)
         matrices.append(matrix)
         cpi_parts.append(cpis)
         owners.append(np.full(n_intervals, thread_id, dtype=np.int32))
     if not matrices:
         raise ValueError("no thread has enough samples for one interval")
-    stacked = (CSRMatrix.vstack(matrices) if sparse
-               else np.vstack(matrices))
     return EIPVDataset(
-        matrix=stacked,
+        matrix=CSRMatrix.vstack(matrices),
         cpis=np.concatenate(cpi_parts),
         eip_index=union_eips,
         interval_instructions=interval_instructions,

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.comparison import compare_methods, kmeans_relative_errors
+from repro.sparse import CSRMatrix, as_dense
 from repro.trace.eipv import EIPVDataset
 
 
@@ -49,6 +50,16 @@ class TestComparison:
                                         [2, 4], folds=5, seed=0)
         assert set(errors) == {2, 4}
         assert all(v >= 0 for v in errors.values())
+
+    def test_kmeans_on_csr_equals_dense(self):
+        """A dataset's CSR matrix gives k-means the errors its dense
+        array does, the way compare_methods passes it."""
+        dataset = cpi_driven_dataset()
+        dense = as_dense(dataset.matrix)
+        on_csr = kmeans_relative_errors(CSRMatrix.from_dense(dense),
+                                        dataset.cpis, [2, 4], folds=5, seed=0)
+        assert on_csr == kmeans_relative_errors(dense, dataset.cpis, [2, 4],
+                                                folds=5, seed=0)
 
     def test_kmeans_zero_variance_target(self):
         dataset = cpi_driven_dataset()

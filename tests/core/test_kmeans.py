@@ -12,6 +12,7 @@ from repro.core.kmeans import (
     prepare_eipvs,
     random_projection,
 )
+from repro.sparse import CSRMatrix
 
 
 def blobs(k=3, per=20, dim=5, spread=0.05, seed=0):
@@ -59,6 +60,18 @@ class TestNormalization:
         assert points.shape == (12, 15)
         assert prepare_eipvs(matrix, rng, projection_dim=None).shape \
             == (12, 200)
+
+    @pytest.mark.parametrize("projection_dim", [15, None])
+    def test_prepare_eipvs_reads_csr(self, projection_dim):
+        """An EIPV dataset's CSR matrix prepares like its dense array."""
+        rng = np.random.default_rng(2)
+        matrix = rng.integers(0, 40, (12, 200)).astype(np.int32)
+        matrix[rng.random(matrix.shape) < 0.8] = 0
+        csr = prepare_eipvs(CSRMatrix.from_dense(matrix),
+                            np.random.default_rng(5), projection_dim)
+        dense = prepare_eipvs(matrix, np.random.default_rng(5),
+                              projection_dim)
+        assert np.array_equal(csr, dense)
 
 
 class TestKMeans:

@@ -12,7 +12,7 @@ from repro.experiments.example_tree import (
     TABLE1_CPIS,
     TABLE1_EIPVS,
 )
-from tests.core.reference_tree import FullScanTree
+from tests.core.reference_tree import DenseStoreTree, FullScanTree
 
 
 class TestWorkedExample:
@@ -240,7 +240,7 @@ def _tree_signature(tree):
 
 
 class TestSearchModesAndSparse:
-    """Node-local, full-scan and CSR-input fits are bit-identical."""
+    """Node-local, full-scan, CSR and dense-store fits are bit-identical."""
 
     def random_data(self, seed, m=45, n=25, density=0.3):
         rng = np.random.default_rng(seed)
@@ -258,21 +258,28 @@ class TestSearchModesAndSparse:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_csr_input_matches_dense(self, seed):
+        """The CSR fit equals the dense-store oracle's, and a dense
+        caller's matrix, converted at entry, gives the same tree."""
         matrix, y = self.random_data(seed + 100)
-        dense = RegressionTreeSequence(k_max=12).fit(matrix, y)
+        dense = DenseStoreTree(k_max=12).fit(matrix, y)
         sparse = RegressionTreeSequence(k_max=12).fit(
             CSRMatrix.from_dense(matrix), y)
+        converted = RegressionTreeSequence(k_max=12).fit(matrix, y)
         assert _tree_signature(dense) == _tree_signature(sparse)
+        assert _tree_signature(dense) == _tree_signature(converted)
 
     def test_predict_matches_on_csr_input(self):
         matrix, y = self.random_data(7)
-        tree = RegressionTreeSequence(k_max=10).fit(matrix, y)
+        tree = RegressionTreeSequence(k_max=10).fit(
+            CSRMatrix.from_dense(matrix), y)
+        oracle = DenseStoreTree(k_max=10).fit(matrix, y)
         probe, _ = self.random_data(8, m=30)
-        dense_all = tree.predict_all_k(probe)
-        sparse_all = tree.predict_all_k(CSRMatrix.from_dense(probe))
-        assert np.array_equal(dense_all, sparse_all)
-        assert np.array_equal(tree.predict(probe, 4),
-                              tree.predict(CSRMatrix.from_dense(probe), 4))
+        csr_probe = CSRMatrix.from_dense(probe)
+        dense_all = oracle.predict_all_k(probe)
+        assert np.array_equal(tree.predict_all_k(csr_probe), dense_all)
+        assert np.array_equal(tree.predict_all_k(probe), dense_all)
+        assert np.array_equal(tree.predict(csr_probe, 4),
+                              oracle.predict(probe, 4))
 
     def test_predict_all_k_matches_leaf_walk(self):
         matrix, y = self.random_data(9)

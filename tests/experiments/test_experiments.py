@@ -55,7 +55,8 @@ class TestCommon:
         for name in ("eips", "cycles", "instructions"):
             np.testing.assert_array_equal(getattr(second[0], name),
                                           getattr(first[0], name))
-        np.testing.assert_array_equal(second[1].matrix, first[1].matrix)
+        np.testing.assert_array_equal(second[1].matrix.toarray(),
+                                      first[1].matrix.toarray())
         np.testing.assert_array_equal(second[1].cpis, first[1].cpis)
         assert not second[1].cpis.flags.writeable
 

@@ -81,5 +81,5 @@ class TestPipelineCoherence:
     def test_seeded_pipeline_is_reproducible(self):
         _, d1, r1 = analyze("spec.gcc", 30, seed=13)
         _, d2, r2 = analyze("spec.gcc", 30, seed=13)
-        assert np.array_equal(d1.matrix, d2.matrix)
+        assert np.array_equal(d1.matrix.toarray(), d2.matrix.toarray())
         assert r1.re_kopt == pytest.approx(r2.re_kopt)

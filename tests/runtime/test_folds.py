@@ -38,6 +38,13 @@ def small_dataset(m=40, n=6, seed=0):
     return matrix.astype(float), y
 
 
+def small_csr_dataset(seed=0):
+    """``small_dataset`` with its matrix in the pipeline's CSR layout,
+    the only one ``run_parallel_folds`` takes."""
+    matrix, y = small_dataset(seed=seed)
+    return CSRMatrix.from_dense(matrix), y
+
+
 def make_spec(root, y, fold_index=0, folds=5, seed=3, k_max=6):
     return FoldSpec(root=str(root), fold_index=fold_index,
                     n_points=len(y), folds=folds, seed=seed,
@@ -46,7 +53,8 @@ def make_spec(root, y, fold_index=0, folds=5, seed=3, k_max=6):
 
 def put_dataset(root, matrix, y) -> None:
     """Write a fold dataset the way ``run_parallel_folds`` does."""
-    folds_mod._put_dataset(ResultCache(root), matrix, y)
+    folds_mod._put_dataset(ResultCache(root), CSRMatrix.from_dense(matrix),
+                           y)
 
 
 class TestFoldSpec:
@@ -102,7 +110,7 @@ class TestExecuteFold:
 
 class TestRunParallelFolds:
     def test_serial_and_parallel_identical(self):
-        matrix, y = small_dataset()
+        matrix, y = small_csr_dataset()
         config = AnalysisConfig(k_max=6, folds=5, seed=3)
         one = run_parallel_folds(matrix, y, config, jobs=1)
         four = run_parallel_folds(matrix, y, config, jobs=4)
@@ -175,8 +183,7 @@ class TestTransportEquivalence:
 
     def test_csr_dataset_identical(self, fold_tmp, fold_outcomes):
         self.check_against_serial(
-            [(CSRMatrix.from_dense(matrix), y)
-             for matrix, y in (small_dataset(seed=1), small_dataset())],
+            [small_csr_dataset(seed=1), small_csr_dataset()],
             fold_outcomes)
 
 
@@ -238,7 +245,7 @@ class TestFailurePaths:
         def refuse(self, kind, key, name):
             raise OSError("artifact vanished")
 
-        matrix, y = small_dataset()
+        matrix, y = small_csr_dataset()
         config = AnalysisConfig(k_max=6, folds=5, seed=3)
         serial = cross_validated_sse(matrix, y, config=config, jobs=1)
         # Patched before the pool forks (the parent never maps its own
@@ -262,7 +269,7 @@ class TestFailurePaths:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(ResultCache, "publish", full_disk)
-        matrix, y = small_dataset()
+        matrix, y = small_csr_dataset()
         config = AnalysisConfig(k_max=5, folds=4, seed=3)
         before = {name: METRICS.count(name)
                   for name in ("folds.store_failed", "pool.spawns")}
@@ -276,7 +283,7 @@ class TestFailurePaths:
         assert fold_dirs(fold_tmp) == []
 
     def test_no_fold_files_left_after_a_run(self, fold_tmp):
-        matrix, y = small_dataset()
+        matrix, y = small_csr_dataset()
         config = AnalysisConfig(k_max=5, folds=4, seed=3)
         run_parallel_folds(matrix, y, config, jobs=2)
         assert fold_dirs(fold_tmp) == []
@@ -286,7 +293,7 @@ class TestFailurePaths:
         an error naming the fold, with the job's traceback."""
         monkeypatch.setattr(cv_mod, "RegressionTreeSequence",
                             _ExplodingTree)
-        matrix, y = small_dataset()
+        matrix, y = small_csr_dataset()
         config = AnalysisConfig(k_max=5, folds=4, seed=3)
         with pytest.raises(RuntimeError,
                            match="(?s)fold 0 failed.*fit exploded"):
@@ -301,7 +308,7 @@ class TestFailurePaths:
             raise RuntimeError("scheduler died")
 
         monkeypatch.setattr(scheduler, "run_jobs", explode)
-        matrix, y = small_dataset()
+        matrix, y = small_csr_dataset()
         config = AnalysisConfig(k_max=4, folds=4, seed=3)
         with pytest.raises(RuntimeError, match="scheduler died"):
             run_parallel_folds(matrix, y, config, jobs=4)

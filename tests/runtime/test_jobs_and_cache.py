@@ -105,13 +105,16 @@ class TestJobSpec:
     def test_keys_are_pinned(self):
         # Every stored entry is addressed by these hashes of each spec's
         # canonical dict: however that dict is built, they must not
-        # move, or every existing store reads as misses.
+        # move, or every existing store reads as misses.  The EIPV key
+        # moves only with its product's layout: it was re-pinned when
+        # ``sparse`` left EipvSpec and entries became CSR-only, so an
+        # old dense entry is never read as CSR.
         assert TINY_SPEC.key == (
             "65ade7f1672e625e829e3778eb6d9ac98313cfa5d0b556fad210a8b4556f187e")
         assert collect_spec_for(TINY_SPEC).key == (
             "77975c1675fb558ee21ad1b2cbef26140c10abb686b2aa8962791a67d0b771c6")
         assert eipv_spec_for(TINY_SPEC).key == (
-            "914d5249790dbdf0f287fb9efcdf6fa703a56023d507616b80fbd4fd7d2c3b94")
+            "8e250671ba16e5b5c86bfe90b4e2d9b418f5b878cd8d432541d0330e559999c9")
         for spec in (TINY_SPEC, collect_spec_for(TINY_SPEC),
                      eipv_spec_for(TINY_SPEC)):
             expected = dataclasses.asdict(spec)

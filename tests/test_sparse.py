@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparse import CSRMatrix, as_dense, is_sparse
+from repro.sparse import CSRMatrix, as_csr, as_dense
 
 
 def _random_dense(rng, n_rows=7, n_cols=11, density=0.3, dtype=np.int32):
@@ -179,10 +179,17 @@ class TestVstack:
 
 
 class TestHelpers:
-    def test_is_sparse_and_as_dense(self):
+    def test_as_csr_and_as_dense(self):
         dense = np.eye(3, dtype=np.int32)
         csr = CSRMatrix.from_dense(dense)
-        assert is_sparse(csr) and not is_sparse(dense)
+        assert as_csr(csr) is csr
+        converted = as_csr(dense)
+        assert isinstance(converted, CSRMatrix)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(converted, part),
+                                          getattr(csr, part))
+        with pytest.raises(ValueError):
+            as_csr(np.arange(3))
         np.testing.assert_array_equal(as_dense(csr), dense)
         assert as_dense(dense) is not None
         np.testing.assert_array_equal(as_dense(dense), dense)

@@ -38,13 +38,13 @@ class TestBuildBBVs:
         eipv = build_eipvs(trace, 10_000)
         bbv = build_bbvs(trace, 10_000, block_bytes=1)
         assert np.array_equal(bbv.eip_index, eipv.eip_index)
-        assert np.array_equal(bbv.matrix, eipv.matrix)
+        assert np.array_equal(bbv.matrix.toarray(), eipv.matrix.toarray())
 
     def test_huge_blocks_collapse_to_one_feature(self):
         trace = synthetic_trace(60)
         bbv = build_bbvs(trace, 10_000, block_bytes=1 << 40)
         assert bbv.n_eips == 1
-        assert (bbv.matrix == 10).all()
+        assert (bbv.matrix.toarray() == 10).all()
 
     def test_validation(self):
         trace = synthetic_trace(60)
@@ -59,8 +59,9 @@ def test_aggregation_sums_member_eips():
     trace = synthetic_trace(100, n_eips=32)
     eipv = build_eipvs(trace, 10_000)
     bbv = build_bbvs(trace, 10_000, block_bytes=128)
+    bbv_matrix, eipv_matrix = bbv.matrix.toarray(), eipv.matrix.toarray()
     for b, block in enumerate(bbv.eip_index):
         members = ((eipv.eip_index >= block)
                    & (eipv.eip_index < block + 128))
-        assert np.array_equal(bbv.matrix[:, b],
-                              eipv.matrix[:, members].sum(axis=1))
+        assert np.array_equal(bbv_matrix[:, b],
+                              eipv_matrix[:, members].sum(axis=1))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparse import CSRMatrix
+from repro.trace.bbv import build_bbvs
 from repro.trace.eipv import (
     CHUNK_INTERVALS,
     EIPVDataset,
@@ -12,7 +14,11 @@ from repro.trace.eipv import (
     build_per_thread_eipvs,
 )
 from repro.trace.events import SampleTrace
-from tests.trace.reference_eipvs import build_per_thread_eipvs_reference
+from repro.trace.storage import TraceStore
+from tests.trace.reference_eipvs import (
+    build_eipvs_reference,
+    build_per_thread_eipvs_reference,
+)
 
 
 def synthetic_trace(n_samples, period=1_000, n_threads=2, n_eips=20,
@@ -37,16 +43,19 @@ def synthetic_trace(n_samples, period=1_000, n_threads=2, n_eips=20,
 
 
 def _assert_datasets_identical(got, expected):
-    """Bit-for-bit dataset equality: same dtypes, same bytes."""
-    if expected.is_sparse:
-        assert got.is_sparse
-        for part in ("indptr", "indices", "data"):
-            x, y = getattr(got.matrix, part), getattr(expected.matrix, part)
-            assert x.dtype == y.dtype, part
-            np.testing.assert_array_equal(x, y)
-    else:
-        assert got.matrix.dtype == expected.matrix.dtype
-        np.testing.assert_array_equal(got.matrix, expected.matrix)
+    """Bit-for-bit dataset equality: same dtypes, same bytes.
+
+    The matrices are compared dense, through ``toarray()``, and as CSR
+    triplets, whose order the tree's bit-identity depends on.
+    """
+    assert isinstance(got.matrix, CSRMatrix)
+    dense, expected_dense = got.matrix.toarray(), expected.matrix.toarray()
+    assert dense.dtype == expected_dense.dtype
+    np.testing.assert_array_equal(dense, expected_dense)
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(got.matrix, part), getattr(expected.matrix, part)
+        assert x.dtype == y.dtype, part
+        np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(got.cpis, expected.cpis)
     np.testing.assert_array_equal(got.eip_index, expected.eip_index)
     np.testing.assert_array_equal(got.thread_ids, expected.thread_ids)
@@ -80,10 +89,11 @@ class TestBuildEIPVs:
     def test_histogram_counts_correct(self):
         trace = synthetic_trace(20, period=1_000, n_eips=3)
         dataset = build_eipvs(trace, interval_instructions=10_000)
+        matrix = dataset.matrix.toarray()
         for j in range(dataset.n_intervals):
             window = trace.eips[j * 10:(j + 1) * 10]
             for i, eip in enumerate(dataset.eip_index):
-                assert dataset.matrix[j, i] == (window == eip).sum()
+                assert matrix[j, i] == (window == eip).sum()
 
     def test_interval_shorter_than_period_rejected(self):
         trace = synthetic_trace(10, period=1_000)
@@ -132,16 +142,21 @@ class TestPerThread:
                                           interval_instructions=10_000)
         assert set(threaded.eip_index) >= set(merged.eip_index)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_identical_to_whole_trace_reference(self, sparse):
-        """More than one chunk of intervals per thread, and a tail."""
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_identical_to_whole_trace_reference(self, tmp_path, on_disk):
+        """More than one chunk of intervals per thread, and a tail.
+
+        ``on_disk`` builds from the trace read back from a
+        :class:`TraceStore`; the reference is always built in memory.
+        """
         trace = synthetic_trace(6_005, period=1_000, n_threads=3,
                                 n_eips=300)
         assert len(trace) // 3 // 7 > CHUNK_INTERVALS
-        got = build_per_thread_eipvs(trace, 7_000, sparse=sparse)
+        source = (TraceStore.from_trace(trace, tmp_path / "store").as_trace()
+                  if on_disk else trace)
+        got = build_per_thread_eipvs(source, 7_000)
         _assert_datasets_identical(
-            got, build_per_thread_eipvs_reference(trace, 7_000,
-                                                  sparse=sparse))
+            got, build_per_thread_eipvs_reference(trace, 7_000))
 
 
 class TestDataset:
@@ -200,24 +215,28 @@ def test_eipv_invariants(n_samples, samples_per_interval):
 
 
 class TestSparseBuilds:
+    def test_every_builder_returns_csr(self, tmp_path):
+        trace = synthetic_trace(200, period=1_000, n_threads=2)
+        store = TraceStore.from_trace(trace, tmp_path / "store")
+        for dataset in (build_eipvs(trace, 10_000),
+                        EIPVDataset.from_store(store, 10_000),
+                        build_per_thread_eipvs(trace, 10_000),
+                        build_bbvs(trace, 10_000)):
+            assert isinstance(dataset.matrix, CSRMatrix)
+            assert dataset.matrix.dtype == np.int32
+
     def test_sparse_build_matches_dense(self):
         trace = synthetic_trace(200, period=1_000)
-        dense = build_eipvs(trace, interval_instructions=10_000)
-        sparse = build_eipvs(trace, interval_instructions=10_000,
-                             sparse=True)
-        assert sparse.is_sparse and not dense.is_sparse
-        np.testing.assert_array_equal(sparse.matrix.toarray(), dense.matrix)
-        np.testing.assert_array_equal(sparse.cpis, dense.cpis)
-        np.testing.assert_array_equal(sparse.eip_index, dense.eip_index)
+        dense = build_eipvs_reference(trace, interval_instructions=10_000)
+        sparse = build_eipvs(trace, interval_instructions=10_000)
+        _assert_datasets_identical(sparse, dense)
 
     def test_sparse_per_thread_matches_dense(self):
         trace = synthetic_trace(400, period=1_000, n_threads=3)
-        dense = build_per_thread_eipvs(trace, interval_instructions=10_000)
-        sparse = build_per_thread_eipvs(trace, interval_instructions=10_000,
-                                        sparse=True)
-        np.testing.assert_array_equal(sparse.matrix.toarray(), dense.matrix)
-        np.testing.assert_array_equal(sparse.cpis, dense.cpis)
-        np.testing.assert_array_equal(sparse.thread_ids, dense.thread_ids)
+        dense = build_per_thread_eipvs_reference(trace,
+                                                 interval_instructions=10_000)
+        sparse = build_per_thread_eipvs(trace, interval_instructions=10_000)
+        _assert_datasets_identical(sparse, dense)
 
     def test_interval_cpis_match_add_at(self):
         """bincount-with-weights accumulates like the old np.add.at."""
@@ -228,27 +247,17 @@ class TestSparseBuilds:
         np.add.at(cycles, rows, trace.cycles[:100])
         np.testing.assert_array_equal(dataset.cpis, cycles / 10_000)
 
-    def test_round_trip_conversions(self):
-        trace = synthetic_trace(100, period=1_000)
-        dataset = build_eipvs(trace, interval_instructions=10_000)
-        sparse = dataset.to_sparse()
-        assert sparse.is_sparse
-        assert sparse.to_sparse() is sparse
-        back = sparse.to_dense()
-        assert dataset.to_dense() is dataset
-        np.testing.assert_array_equal(back.matrix, dataset.matrix)
-        np.testing.assert_array_equal(back.thread_ids, dataset.thread_ids)
-
     def test_sparse_subset_and_prune(self):
         trace = synthetic_trace(200, period=1_000)
-        dense = build_eipvs(trace, interval_instructions=10_000)
-        sparse = dense.to_sparse()
+        dataset = build_eipvs(trace, interval_instructions=10_000)
+        dense = build_eipvs_reference(trace, 10_000).matrix.toarray()
         rows = np.array([1, 3, 17])
-        np.testing.assert_array_equal(sparse.subset(rows).matrix.toarray(),
-                                      dense.subset(rows).matrix)
         np.testing.assert_array_equal(
-            sparse.prune_features(5).matrix.toarray(),
-            dense.prune_features(5).matrix)
+            dataset.subset(rows).matrix.toarray(), dense[rows])
+        totals = dense.sum(axis=0)
+        hottest = np.sort(np.lexsort((np.arange(len(totals)), -totals))[:5])
+        np.testing.assert_array_equal(
+            dataset.prune_features(5).matrix.toarray(), dense[:, hottest])
 
     def test_prune_tie_break_is_lowest_column(self):
         """Equal-count columns: the earlier column index wins."""
@@ -260,8 +269,20 @@ class TestSparseBuilds:
                               interval_instructions=1_000)
         pruned = dataset.prune_features(2)
         np.testing.assert_array_equal(pruned.eip_index, [10, 20])
-        sparse_pruned = dataset.to_sparse().prune_features(2)
-        np.testing.assert_array_equal(sparse_pruned.eip_index, [10, 20])
+        np.testing.assert_array_equal(pruned.matrix.toarray(), matrix[:, :2])
+
+    def test_dense_matrix_is_stored_as_csr(self):
+        matrix = np.array([[0, 3, 0],
+                           [1, 0, 0]], dtype=np.int32)
+        dataset = EIPVDataset(matrix=matrix, cpis=np.ones(2),
+                              eip_index=np.array([1, 2, 3]),
+                              interval_instructions=1_000)
+        expected = CSRMatrix.from_dense(matrix)
+        assert isinstance(dataset.matrix, CSRMatrix)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(dataset.matrix, part),
+                                          getattr(expected, part))
+        assert dataset.matrix.shape == expected.shape
 
     def test_thread_ids_default_none_fills_untagged(self):
         dataset = EIPVDataset(matrix=np.ones((3, 2), dtype=np.int32),

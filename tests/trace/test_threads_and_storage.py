@@ -88,10 +88,15 @@ class TestStorage:
         store = ResultCache(tmp_path)
         put_eipv(store, "k" * 64, dataset)
         loaded = load_eipv_dataset(store, "k" * 64)
-        for name in ("matrix", "cpis", "eip_index", "thread_ids"):
-            column, again = getattr(dataset, name), getattr(loaded, name)
+        stored = [(name, getattr(dataset, name), getattr(loaded, name))
+                  for name in ("cpis", "eip_index")]
+        stored += [(f"matrix.{part}", getattr(dataset.matrix, part),
+                    getattr(loaded.matrix, part))
+                   for part in ("indptr", "indices", "data")]
+        for name, column, again in stored:
             assert again.dtype == column.dtype, name
             np.testing.assert_array_equal(again, column, err_msg=name)
             assert not again.flags.writeable, name
+        np.testing.assert_array_equal(loaded.thread_ids, dataset.thread_ids)
         assert loaded.interval_instructions == dataset.interval_instructions
         assert loaded.workload_name == "spec.art"

@@ -16,7 +16,6 @@ import pytest
 
 from repro.runtime.cache import ResultCache
 from repro.runtime.stages import load_eipv_dataset, put_eipv
-from repro.sparse import CSRMatrix
 from repro.trace.eipv import EIPVDataset, build_eipvs
 from repro.trace.events import TRACE_COLUMNS, SampleTrace
 from repro.trace.sampler import CHUNK_SAMPLES, SamplingDriver
@@ -127,24 +126,27 @@ class TestStreamingCollect:
 
 
 class TestFromStore:
-    @pytest.mark.parametrize("sparse", [False, True])
+    """``on_disk`` picks the source: the on-disk store, or the in-memory
+    trace (which ``build_eipvs`` reads)."""
+
+    @pytest.mark.parametrize("on_disk", [False, True])
     @pytest.mark.parametrize("chunk_intervals", [1, 3, 1000])
-    def test_identical_to_build_eipvs(self, tmp_path, sparse,
+    def test_identical_to_build_eipvs(self, tmp_path, on_disk,
                                       chunk_intervals):
         trace, store = collect_both(lambda: _randomized_system(2),
                                     1_050_000, 37, tmp_path)
         interval = trace.sample_period * 7
-        expected = build_eipvs_reference(trace, interval, sparse=sparse)
-        for source in (store, trace):
-            _assert_datasets_identical(
-                EIPVDataset.from_store(source, interval, sparse=sparse,
-                                       chunk_intervals=chunk_intervals),
-                expected)
+        expected = build_eipvs_reference(trace, interval)
         _assert_datasets_identical(
-            build_eipvs(trace, interval, sparse=sparse), expected)
+            EIPVDataset.from_store(store if on_disk else trace, interval,
+                                   chunk_intervals=chunk_intervals),
+            expected)
+        if not on_disk:
+            _assert_datasets_identical(build_eipvs(trace, interval),
+                                       expected)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_tail_samples_stay_out_of_vocabulary(self, tmp_path, sparse):
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_tail_samples_stay_out_of_vocabulary(self, tmp_path, on_disk):
         """Samples past the last whole interval add no EIP column, even
         when the chunk reaches past them."""
         n = 23  # 4 intervals of 5 samples, then a 3-sample tail
@@ -159,12 +161,13 @@ class TestFromStore:
             exe_cycles=0 * cycles, other_cycles=0 * cycles,
             processes=("app",), sample_period=1_000, frequency_mhz=900,
             workload_name="tail")
-        store = TraceStore.from_trace(trace, tmp_path / "store")
-        expected = build_eipvs_reference(trace, 5_000, sparse=sparse)
+        source = (TraceStore.from_trace(trace, tmp_path / "store")
+                  if on_disk else trace)
+        expected = build_eipvs_reference(trace, 5_000)
         assert 0x999 not in expected.eip_index
         for chunk_intervals in (1, 3, 1000):
             _assert_datasets_identical(
-                EIPVDataset.from_store(store, 5_000, sparse=sparse,
+                EIPVDataset.from_store(source, 5_000,
                                        chunk_intervals=chunk_intervals),
                 expected)
 
@@ -184,22 +187,28 @@ class TestEipvPersistenceFormats:
 
     def test_sparse_round_trips_as_csr(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
-        dataset = build_eipvs(trace, trace.sample_period * 5, sparse=True)
+        dataset = build_eipvs(trace, trace.sample_period * 5)
         store = ResultCache(tmp_path)
         put_eipv(store, "s" * 64, dataset)
-        again = load_eipv_dataset(store, "s" * 64)
-        assert again.is_sparse
-        assert isinstance(again.matrix, CSRMatrix)
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(again.matrix, part),
-                                          getattr(dataset.matrix, part))
-        np.testing.assert_array_equal(again.cpis, dataset.cpis)
-        np.testing.assert_array_equal(again.eip_index, dataset.eip_index)
-        assert again.interval_instructions == dataset.interval_instructions
+        # thread_ids included: a merged dataset's are all -1, and the
+        # entry stores none.
+        _assert_datasets_identical(load_eipv_dataset(store, "s" * 64),
+                                   dataset)
+
+    def test_entry_holds_only_the_merged_dataset_arrays(self, tmp_path):
+        trace = SamplingDriver(make_system()).collect(500_000)
+        store = ResultCache(tmp_path)
+        put_eipv(store, "s" * 64,
+                 build_eipvs(trace, trace.sample_period * 5))
+        names = {path.name
+                 for path in store.entry_dir("eipv", "s" * 64).iterdir()}
+        assert names == {"cpis.npy", "eip_index.npy", "matrix_data.npy",
+                         "matrix_indices.npy", "matrix_indptr.npy",
+                         "meta.json"}
 
     def test_sparse_file_contains_no_pickled_objects(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
-        dataset = build_eipvs(trace, trace.sample_period * 5, sparse=True)
+        dataset = build_eipvs(trace, trace.sample_period * 5)
         store = ResultCache(tmp_path)
         put_eipv(store, "s" * 64, dataset)
         # allow_pickle=False: loading every array proves the artifact
