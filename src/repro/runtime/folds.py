@@ -21,11 +21,12 @@ Three properties keep a parallel run bit-identical to the serial loop:
 
 A fold job reads its dataset like every other job reads its inputs:
 from its spec.  The parent writes (matrix, y) once as the only
-``folds`` entry (the matrix layout ``put_eipv`` uses) of a temporary
-:class:`~repro.runtime.cache.ResultCache` and names that store's root
-in every :class:`FoldSpec`; :meth:`FoldSpec.execute` maps the arrays
-read-only, runs the fold and drops them when it returns, so a warm
-worker keeps nothing between jobs.  The page cache shares the mapped
+``folds`` entry (one file: ``y`` and the CSR triplet ``put_eipv``
+stores) of a temporary :class:`~repro.runtime.cache.ResultCache` and
+names that store's root in every :class:`FoldSpec`;
+:meth:`FoldSpec.execute` maps the entry read-only, runs the fold and
+drops the views when it returns, so a warm worker keeps nothing between
+jobs.  The page cache shares the mapped
 bytes across workers.  Fold jobs run with no store and are never
 cached: a fold is an internal slice of one analysis, meaningless
 outside it, so its key only has to be unique within one CV.
@@ -62,26 +63,24 @@ def _put_dataset(store: ResultCache, matrix: CSRMatrix,
                  y: np.ndarray) -> None:
     """Write (matrix, y) as the store's ``folds`` entry, in the EIPV
     entry's matrix layout."""
-    meta = {"shape": [int(dim) for dim in matrix.shape]}
-    with store.publish(FOLDS_KIND, FOLDS_KEY, meta) as staging:
-        np.save(staging / "y.npy", y)
-        save_matrix(staging, matrix)
+    store.publish(FOLDS_KIND, FOLDS_KEY,
+                  {"shape": [int(dim) for dim in matrix.shape]},
+                  arrays={"y": y, **save_matrix(matrix)})
 
 
 def _load_dataset(root: str):
-    """(matrix, y) as read-only memmap views of the store at ``root``.
+    """(matrix, y) as read-only views of the mapped entry in the store
+    at ``root``.
 
     A missing or unreadable entry raises; the parent then recomputes the
     fold from its own arrays.
     """
     store = ResultCache(root, metrics=MetricsRegistry())
-    meta = store.open_meta(FOLDS_KIND, FOLDS_KEY)
-    y = store.load_array(FOLDS_KIND, FOLDS_KEY, "y") if meta else None
-    matrix = (load_matrix(store, FOLDS_KIND, FOLDS_KEY, meta)
-              if y is not None else None)
-    if matrix is None:
+    loaded = store.load_arrays(FOLDS_KIND, FOLDS_KEY)
+    if loaded is None:
         raise RuntimeError(f"fold dataset in {root} is unreadable")
-    return matrix, np.asarray(y)
+    meta, views = loaded
+    return load_matrix(views, meta), views["y"]
 
 
 @dataclass(frozen=True)

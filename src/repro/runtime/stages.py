@@ -14,13 +14,13 @@ content-hashed stage specs derived from a final :class:`JobSpec`
 (:func:`collect_spec_for` / :func:`eipv_spec_for`), executed through the
 ordinary scheduler as job kinds ``"collect"`` and ``"eipv"`` (each spec
 runs as ``spec.execute``), with their bulky products persisted as
-entries of the run's :class:`~repro.runtime.cache.ResultCache` — a trace
-entry *is* a :class:`~repro.trace.storage.TraceStore` directory, an EIPV
-entry holds the dataset's raw arrays, its matrix as the CSR triplet
-(:func:`save_matrix`) — and reloaded zero-copy via
-``np.load(mmap_mode="r")``.  That entry is a stage's only record: the
-scheduler's probe (``spec.stored``) reads the stage's summary from its
-header.
+one-file entries of the run's :class:`~repro.runtime.cache.ResultCache`
+— a trace entry holds the nine trace columns (:func:`put_trace`), an
+EIPV entry the dataset's ``cpis``, ``eip_index`` and its matrix as the
+CSR triplet (:data:`MATRIX_COLUMNS`) — and reloaded zero-copy as
+read-only views of the mapped file.  That entry is a stage's only
+record: the scheduler's probe (``spec.stored``) reads the stage's
+summary from its header.
 
 Every run holds one store (:func:`~repro.runtime.cache.store_scope`):
 the disk cache, or a temporary store removed when the scope exits.  The
@@ -41,16 +41,15 @@ Two design rules keep every path byte-identical:
   :func:`eipv_dataset`, which falls back to the eipv stage's own build.
   ``build_eipvs`` is ``EIPVDataset.from_store`` over an in-memory
   trace, so a dataset streamed from the trace artifact equals one built
-  from a fresh simulation, and raw ``.npy`` persistence preserves every
-  float bit, so every path feeds ``analyze_predictability`` the same
-  bytes.
+  from a fresh simulation, and an entry stores every column's raw bytes,
+  preserving every float bit, so every path feeds
+  ``analyze_predictability`` the same bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -60,8 +59,7 @@ from repro.runtime.cache import RESULT, ResultCache
 from repro.runtime.jobs import CODE_VERSION, JobSpec, field_dict, spec_key
 from repro.sparse import CSRMatrix
 from repro.trace.eipv import EIPVDataset, build_eipvs
-from repro.trace.events import SampleTrace
-from repro.trace.storage import TraceStore
+from repro.trace.events import TRACE_COLUMNS, TRACE_DTYPES, SampleTrace
 
 # -- stage results ----------------------------------------------------------
 
@@ -231,20 +229,34 @@ def _simulate(spec: CollectSpec):
 
 
 def put_trace(store: ResultCache, key: str, trace) -> None:
-    """Publish a trace artifact (a :class:`TraceStore` directory)."""
-    with store.publish("trace", key,
-                       {"n_samples": len(trace)}) as staging:
-        TraceStore.from_trace(trace, staging)
+    """Publish a trace artifact: the nine trace columns, its header
+    fields in ``meta``."""
+    meta = {"n_samples": len(trace), "processes": list(trace.processes),
+            "sample_period": trace.sample_period,
+            "frequency_mhz": trace.frequency_mhz,
+            "workload_name": trace.workload_name,
+            "metadata": trace.metadata}
+    store.publish("trace", key, meta, arrays={
+        name: np.asarray(trace.column(name), dtype=TRACE_DTYPES[name])
+        for name in TRACE_COLUMNS})
 
 
-def open_trace(store: ResultCache, key: str) -> TraceStore | None:
-    """The trace artifact as an open store, or ``None`` (quarantining)."""
-    meta = store.open_meta("trace", key)
-    if meta is None:
+def open_trace(store: ResultCache, key: str) -> SampleTrace | None:
+    """The trace artifact over read-only views, or ``None``
+    (quarantining a damaged one)."""
+    loaded = store.load_arrays("trace", key)
+    if loaded is None:
         return None
+    meta, views = loaded
     try:
-        return TraceStore.open(store.entry_dir("trace", key))
-    except (OSError, ValueError, KeyError):
+        return SampleTrace(
+            **{name: views[name] for name in TRACE_COLUMNS},
+            processes=tuple(meta["processes"]),
+            sample_period=int(meta["sample_period"]),
+            frequency_mhz=int(meta["frequency_mhz"]),
+            workload_name=str(meta["workload_name"]),
+            metadata=dict(meta["metadata"]))
+    except (KeyError, TypeError, ValueError):
         store.quarantine("trace", key)
         return None
 
@@ -267,58 +279,38 @@ def _fresh_trace(store: ResultCache, spec: CollectSpec) -> SampleTrace:
 
 
 def stored_trace(store: ResultCache, spec: CollectSpec) -> SampleTrace:
-    """``spec``'s trace, materialized from its artifact; a missing or
-    torn artifact is simulated and published, as the collect stage
-    does."""
-    trace_store = open_trace(store, spec.key)
-    if trace_store is not None:
-        try:
-            return trace_store.as_trace()
-        except (OSError, ValueError, EOFError):
-            store.quarantine("trace", spec.key)
+    """``spec``'s trace in writable memory, copied from its artifact; a
+    missing or damaged artifact is simulated and published, as the
+    collect stage does."""
+    trace = open_trace(store, spec.key)
+    if trace is not None:
+        return replace(trace, **{name: np.array(trace.column(name))
+                                 for name in TRACE_COLUMNS})
     with span("stage.collect", workload=spec.workload, seed=spec.seed):
         return _fresh_trace(store, spec)
 
 
-def save_matrix(staging: Path, matrix: CSRMatrix) -> None:
-    """Write a CSR matrix into an artifact's staging directory.
-
-    The one place the matrix layout lives: the
-    ``matrix_indptr``/``matrix_indices``/``matrix_data`` triplet.  The
-    artifact's meta must carry ``shape`` for :func:`load_matrix`.
-    """
-    np.save(staging / "matrix_indptr.npy", matrix.indptr)
-    np.save(staging / "matrix_indices.npy", matrix.indices)
-    np.save(staging / "matrix_data.npy", matrix.data)
+#: Column names of a stored CSR matrix (an EIPV or fold entry), whose
+#: ``meta`` carries its ``shape``.
+MATRIX_COLUMNS = ("matrix_indptr", "matrix_indices", "matrix_data")
 
 
-def _load_arrays(store: ResultCache, kind: str, key: str, names):
-    """Read-only memmap views of the named arrays, with the
-    ``np.memmap`` subclass dropped, or ``None`` when one cannot be read
-    (the store quarantines the artifact)."""
-    views = []
-    for name in names:
-        view = store.load_array(kind, key, name)
-        if view is None:
-            return None
-        views.append(np.asarray(view))
-    return views
+def save_matrix(matrix: CSRMatrix) -> dict:
+    """The columns an entry stores ``matrix`` as."""
+    return dict(zip(MATRIX_COLUMNS,
+                    (matrix.indptr, matrix.indices, matrix.data)))
 
 
-def load_matrix(store: ResultCache, kind: str, key: str,
-                meta: dict) -> CSRMatrix | None:
-    """The matrix :func:`save_matrix` wrote, over read-only views, or
-    ``None`` when an array cannot be read."""
-    views = _load_arrays(store, kind, key,
-                         ("matrix_indptr", "matrix_indices", "matrix_data"))
-    if views is None:
-        return None
-    return CSRMatrix(indptr=views[0], indices=views[1], data=views[2],
+def load_matrix(views: dict, meta: dict) -> CSRMatrix:
+    """The matrix :func:`save_matrix` stored, over its entry's views
+    (validated like any caller's arrays)."""
+    return CSRMatrix(*(views[name] for name in MATRIX_COLUMNS),
                      shape=tuple(meta["shape"]))
 
 
 def put_eipv(store: ResultCache, key: str, dataset: EIPVDataset) -> None:
-    """Publish an EIPV artifact: raw arrays, the matrix CSR-native.
+    """Publish an EIPV artifact: ``cpis``, ``eip_index`` and the CSR
+    matrix.
 
     An entry holds a merged (all-thread) dataset, the only kind the
     eipv stage builds, so it stores no ``thread_ids``: every interval's
@@ -331,36 +323,31 @@ def put_eipv(store: ResultCache, key: str, dataset: EIPVDataset) -> None:
         "n_intervals": int(dataset.n_intervals),
         "n_eips": int(dataset.n_eips),
     }
-    with store.publish("eipv", key, meta) as staging:
-        np.save(staging / "cpis.npy", dataset.cpis)
-        np.save(staging / "eip_index.npy", dataset.eip_index)
-        save_matrix(staging, dataset.matrix)
+    store.publish("eipv", key, meta, arrays={
+        "cpis": dataset.cpis, "eip_index": dataset.eip_index,
+        **save_matrix(dataset.matrix)})
 
 
 def load_eipv_dataset(store: ResultCache, key: str) -> EIPVDataset | None:
     """Reconstruct an EIPV dataset zero-copy from its artifact.
 
-    Every array is a read-only memmap view over the stored ``.npy``
-    bytes — identical bits to the arrays that were saved, which is why
-    an analysis over a loaded dataset equals one over a fresh build.
+    Every array is a read-only view of the mapped entry file —
+    identical bits to the arrays that were saved, which is why an
+    analysis over a loaded dataset equals one over a fresh build.
     """
-    meta = store.open_meta("eipv", key)
-    if meta is None:
+    loaded = store.load_arrays("eipv", key)
+    if loaded is None:
         return None
+    meta, views = loaded
     try:
-        base = _load_arrays(store, "eipv", key, ("cpis", "eip_index"))
-        matrix = load_matrix(store, "eipv", key, meta) if base else None
-        if matrix is None:
-            return None
-        cpis, eip_index = base
-        dataset = EIPVDataset(
-            matrix=matrix, cpis=cpis, eip_index=eip_index,
+        return EIPVDataset(
+            matrix=load_matrix(views, meta), cpis=views["cpis"],
+            eip_index=views["eip_index"],
             interval_instructions=int(meta["interval_instructions"]),
             workload_name=str(meta.get("workload_name", "")))
     except (ValueError, KeyError, TypeError):
         store.quarantine("eipv", key)
         return None
-    return dataset
 
 
 def _build_dataset(store: ResultCache, spec: EipvSpec) -> EIPVDataset:
@@ -369,13 +356,13 @@ def _build_dataset(store: ResultCache, spec: EipvSpec) -> EIPVDataset:
     publish both."""
     collect = spec.collect_spec()
     dataset = None
-    trace_store = open_trace(store, collect.key)
-    if trace_store is not None:
+    trace = open_trace(store, collect.key)
+    if trace is not None:
         try:
             dataset = EIPVDataset.from_store(
-                trace_store, interval_instructions=spec.interval_instructions)
-        except (OSError, ValueError, EOFError):
-            # Torn column file: quarantine the trace artifact and heal
+                trace, interval_instructions=spec.interval_instructions)
+        except ValueError:
+            # A stored trace the build refuses: quarantine it and heal
             # by recomputing it below.
             store.quarantine("trace", collect.key)
     if dataset is None:

@@ -25,6 +25,20 @@ COUNTER_FIELDS = (
 #: Every column of a trace, in storage order.
 TRACE_COLUMNS = ("eips", "thread_ids", "process_ids") + COUNTER_FIELDS
 
+#: Stored dtypes of the trace columns (little-endian, matching what the
+#: sampling driver produces in memory).
+TRACE_DTYPES = {
+    "eips": "<i8",
+    "thread_ids": "<i4",
+    "process_ids": "<i2",
+    "instructions": "<i8",
+    "cycles": "<f8",
+    "work_cycles": "<f8",
+    "fe_cycles": "<f8",
+    "exe_cycles": "<f8",
+    "other_cycles": "<f8",
+}
+
 
 @dataclass(frozen=True)
 class Sample:

@@ -1,16 +1,18 @@
-"""Columnar on-disk trace storage.
+"""Columnar on-disk trace storage that a collection streams into.
 
-Collected traces are expensive relative to the analyses run on them, so
-they persist as a :class:`TraceStore`: a columnar on-disk layout (one
-``.npy`` file per trace column plus a ``header.json``) written
-incrementally by
+A :class:`TraceStore` is a directory with one ``.npy`` file per trace
+column plus a ``header.json``, written incrementally by
 :meth:`~repro.trace.sampler.SamplingDriver.collect_to_store` and read
 back as ``np.memmap`` views, so a multi-billion-instruction trace is
 consumed chunk-by-chunk without ever being resident.  The column files
 are plain ``.npy`` (readable by ``np.load``); the store reserves a
 fixed-size header in each so the final sample count can be patched in
-when the stream ends.  A trace artifact of the stage pipeline
-(:mod:`repro.runtime.stages`) is one such directory.
+when the stream ends.
+
+It is the one appendable store: ``repro analyze --trace-store`` and
+:func:`repro.api.collect_to_store` write it.  A trace artifact of the
+stage pipeline is a one-file store entry instead
+(:func:`repro.runtime.stages.put_trace`).
 """
 
 from __future__ import annotations
@@ -21,21 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.trace.events import TRACE_COLUMNS, SampleTrace
-
-#: On-disk dtypes of the trace columns (little-endian, matching what the
-#: sampling driver produces in memory).
-_COLUMN_DTYPES = {
-    "eips": "<i8",
-    "thread_ids": "<i4",
-    "process_ids": "<i2",
-    "instructions": "<i8",
-    "cycles": "<f8",
-    "work_cycles": "<f8",
-    "fe_cycles": "<f8",
-    "exe_cycles": "<f8",
-    "other_cycles": "<f8",
-}
+from repro.trace.events import TRACE_COLUMNS, TRACE_DTYPES
 
 #: Version of the :class:`TraceStore` directory layout.
 STORE_FORMAT = 1
@@ -216,15 +204,13 @@ class TraceStore(ColumnStore):
     :class:`~repro.trace.events.SampleTrace` exactly, and both read a
     column as ``column(name)``, so
     :meth:`~repro.trace.eipv.EIPVDataset.from_store` builds EIPVs from
-    either.  :meth:`as_trace` materializes one (small stores only) and
-    :meth:`from_trace` spills one to disk, an exact round trip of every
-    column, dtype and metadata field.
+    either.
     """
 
     KIND = "trace-store"
     FORMAT = STORE_FORMAT
     COLUMNS = TRACE_COLUMNS
-    DTYPES = _COLUMN_DTYPES
+    DTYPES = TRACE_DTYPES
 
     @classmethod
     def create(cls, path, identity: dict | None = None) -> "TraceStore":
@@ -274,36 +260,3 @@ class TraceStore(ColumnStore):
     @property
     def metadata(self) -> dict:
         return dict(self._meta("metadata"))
-
-    # -- conversions -----------------------------------------------------
-
-    def as_trace(self) -> SampleTrace:
-        """Materialize the whole store as an in-memory trace."""
-        columns = {name: np.array(self.column(name))
-                   for name in TRACE_COLUMNS}
-        return SampleTrace(
-            processes=self.processes,
-            sample_period=self.sample_period,
-            frequency_mhz=self.frequency_mhz,
-            workload_name=self.workload_name,
-            metadata=self.metadata,
-            **columns,
-        )
-
-    @classmethod
-    def from_trace(cls, trace: SampleTrace, path) -> "TraceStore":
-        """Spill an in-memory trace to a store at ``path``."""
-        store = cls.create(path)
-        try:
-            store.append({name: getattr(trace, name)
-                          for name in TRACE_COLUMNS})
-        except BaseException:
-            store.close()
-            raise
-        return store.finalize(
-            processes=trace.processes,
-            sample_period=trace.sample_period,
-            frequency_mhz=trace.frequency_mhz,
-            workload_name=trace.workload_name,
-            metadata=trace.metadata,
-        )

@@ -122,7 +122,9 @@ class ServedFractions:
 
     def __post_init__(self) -> None:
         total = self.l1 + self.l2 + self.l3 + self.memory
-        if not np.isclose(total, 1.0, atol=1e-9):
+        # np.isclose(total, 1.0, atol=1e-9) on one scalar, without its
+        # array machinery (NaN and infinities fail alike).
+        if not abs(total - 1.0) <= 1e-9 + 1e-5:
             raise ValueError(f"served fractions must sum to 1, got {total}")
 
 

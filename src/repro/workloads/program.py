@@ -38,7 +38,9 @@ class ChunkPlan:
         if not self.parts:
             raise ValueError("a chunk plan needs at least one region")
         total = sum(weight for _, weight in self.parts)
-        if not np.isclose(total, 1.0, atol=1e-9):
+        # np.isclose(total, 1.0, atol=1e-9) on one scalar, without its
+        # array machinery (NaN and infinities fail alike).
+        if not abs(total - 1.0) <= 1e-9 + 1e-5:
             raise ValueError(f"chunk plan weights must sum to 1, got {total}")
         for _, weight in self.parts:
             if weight <= 0:

@@ -121,9 +121,9 @@ class TestManifestSpans:
         with obs.capture():
             traced, = run_jobs([self.SPECS[0]], store=traced_store)
         plain, = run_jobs([self.SPECS[0]], store=plain_store)
-        entry = traced_store.entry_dir(RESULT, traced.key) / "meta.json"
-        assert entry.read_bytes() == (plain_store.entry_dir(
-            RESULT, plain.key) / "meta.json").read_bytes()
+        entry = traced_store.entry_path(RESULT, traced.key)
+        assert entry.read_bytes() == plain_store.entry_path(
+            RESULT, plain.key).read_bytes()
         warm, = run_jobs([self.SPECS[0]], store=traced_store)
         assert warm.cache_hit and warm.result == traced.result
 

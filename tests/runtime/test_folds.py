@@ -242,7 +242,7 @@ class TestFailurePaths:
         """A worker that cannot map the dataset fails its fold job; the
         parent recomputes those folds from its own arrays — without
         poisoning the healthy pool — and the floats stay identical."""
-        def refuse(self, kind, key, name):
+        def refuse(self, kind, key):
             raise OSError("artifact vanished")
 
         matrix, y = small_csr_dataset()
@@ -250,7 +250,7 @@ class TestFailurePaths:
         serial = cross_validated_sse(matrix, y, config=config, jobs=1)
         # Patched before the pool forks (the parent never maps its own
         # dataset).
-        monkeypatch.setattr(ResultCache, "load_array", refuse)
+        monkeypatch.setattr(ResultCache, "load_arrays", refuse)
         respawns = METRICS.count("pool.respawns")
         result = run_parallel_folds(matrix, y, config, jobs=2)
         assert serial.tobytes() == result.tobytes()
@@ -265,7 +265,7 @@ class TestFailurePaths:
     def test_unwritable_store_runs_in_process(self, fold_tmp, monkeypatch):
         """A store that cannot be written runs the folds here: same
         floats, the fallback counted, no pool spawned."""
-        def full_disk(self, kind, key, meta, spec=None):
+        def full_disk(self, kind, key, meta, spec=None, arrays=()):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(ResultCache, "publish", full_disk)

@@ -16,7 +16,9 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.stages import collect_spec_for, eipv_spec_for
 from repro.workloads.scale import TINY, get_scale
 from tests.runtime.test_artifacts import (ENTRIES, KEY, ResultEntry,
-                                          new_store, same_key_race)
+                                          edit_header, new_store,
+                                          same_key_race, set_field,
+                                          write_entry)
 
 TINY_SPEC = JobSpec(workload="spec.gzip", n_intervals=12, seed=7,
                     scale="tiny", k_max=5)
@@ -193,8 +195,8 @@ class TestResultCache:
         for entry in ENTRIES:
             store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
-            (store.entry_dir(entry.kind, KEY) / "meta.json").write_text(
-                "{not json at all", encoding="utf-8")
+            write_entry(store.entry_path(entry.kind, KEY),
+                        b"{not json at all")
             assert entry.read(store, KEY) is None
             assert not store.entry_dir(entry.kind, KEY).exists()
             assert store.stats().quarantined == 1
@@ -211,10 +213,8 @@ class TestResultCache:
         for entry in ENTRIES:
             store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
-            path = store.entry_dir(entry.kind, KEY) / "meta.json"
-            header = json.loads(path.read_text(encoding="utf-8"))
-            header["schema_version"] = SCHEMA_VERSION - 1
-            path.write_text(json.dumps(header), encoding="utf-8")
+            edit_header(store, entry.kind, KEY, lambda header: set_field(
+                header, "schema_version", SCHEMA_VERSION - 1))
             assert entry.read(store, KEY) is None
             assert store.stats().quarantined == 1
 
@@ -232,7 +232,7 @@ class TestResultCache:
         for entry in ENTRIES:
             store = new_store(tmp_path / entry.kind)
             entry.put(store, KEY)
-            (store.entry_dir(entry.kind, KEY) / "meta.json").write_text(
+            store.entry_path(entry.kind, KEY).write_text(
                 "garbage", encoding="utf-8")
             assert entry.read(store, KEY) is None
             entry.put(store, KEY, value=2.0)

@@ -69,7 +69,7 @@ class TestCacheIntegration:
     def test_corrupted_entry_recomputed_transparently(self, tmp_path):
         cache = ResultCache(tmp_path)
         primed, = run_jobs([SPECS[0]], store=cache)
-        (cache.entry_dir(RESULT, primed.key) / "meta.json").write_text(
+        cache.entry_path(RESULT, primed.key).write_text(
             "garbage", encoding="utf-8")
         recomputed, = run_jobs([SPECS[0]], store=cache)
         assert recomputed.ok and not recomputed.cache_hit

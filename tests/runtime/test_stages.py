@@ -29,6 +29,7 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.scheduler import run_jobs
 from repro.sweep import SweepInterrupted, SweepSpace, run_sweep
 from repro.sweep.engine import RUNTIME_STATS_NAME
+from tests.runtime.test_artifacts import write_entry
 
 
 def tiny_spec(interval: int = 2_000_000, n_intervals: int = 12,
@@ -201,10 +202,11 @@ class TestStagedByteIdentity:
         cache = ResultCache(tmp_path)
         reference = self.run_staged(cache, spec)[-1].result.to_dict()
 
-        # Tear the trace artifact, drop everything downstream of it.
+        # Tear the trace artifact inside its columns, drop everything
+        # downstream of it.
         collect_key = stages.collect_spec_for(spec).key
-        column = cache.entry_dir("trace", collect_key) / "eips.npy"
-        column.write_bytes(column.read_bytes()[:16])
+        entry = cache.entry_path("trace", collect_key)
+        entry.write_bytes(entry.read_bytes()[:-16])
         shutil.rmtree(cache.entry_dir("eipv", stages.eipv_spec_for(spec).key))
         drop_results(cache)
 
@@ -225,8 +227,8 @@ class TestStagedByteIdentity:
         # Corrupt the trace, remove the eipv artifact, then run *only*
         # the eipv stage: it must quarantine the bad trace, re-simulate
         # in-stage, and republish both artifacts.
-        column = store.entry_dir("trace", collect_key) / "eips.npy"
-        column.write_bytes(b"\x93NUMPY garbage")
+        write_entry(store.entry_path("trace", collect_key),
+                    b"\x93NUMPY garbage")
         shutil.rmtree(store.entry_dir("eipv", eipv_key))
         result = stages.eipv_spec_for(spec).execute(store=store)
         assert result.source == "computed"

@@ -205,8 +205,7 @@ class TestDerivedAnalyses:
         assert computed.metrics.count("serve.curve_derived") == 0
         key = JobSpec(workload="spec.gzip", n_intervals=12, seed=7,
                       scale="tiny", k_max=4).key
-        entries = [(service.store.entry_dir(RESULT, key)
-                    / "meta.json").read_bytes()
+        entries = [service.store.entry_path(RESULT, key).read_bytes()
                    for service in (derived, computed)]
         assert entries[0] == entries[1]
 

@@ -135,7 +135,7 @@ class TestRuntimeCommands:
         assert "1 cache hits (100%)" in captured.err
 
     def test_cold_runs_store_identical_result_bytes(self, capsys, tmp_path):
-        """A stored result is a function of its spec: two cold runs into
+        """A stored entry is a function of its spec: two cold runs into
         two caches write the same bytes (no wall-clock field)."""
         argv = ["analyze", "spec.gzip", "--intervals", "12", "--k-max", "5",
                 "--scale", "tiny"]
@@ -145,7 +145,7 @@ class TestRuntimeCommands:
             store = tmp_path / name / "store"
             headers.append({path.relative_to(store).as_posix():
                             path.read_bytes()
-                            for path in store.glob("*/*/meta.json")})
+                            for path in store.glob("*/*/entry")})
         capsys.readouterr()
         # One entry per product: the trace, the EIPV dataset and the
         # analysis result.
@@ -229,10 +229,10 @@ class TestRuntimeCommands:
     def test_analyze_trace_store_without_identity_is_refused(
             self, capsys, tmp_path):
         from repro.runtime import stages
-        from repro.trace.storage import TraceStore
+        from tests.trace.store_helpers import trace_to_store
         spec = stages.collect_spec_for(
             JobSpec(workload="spec.gzip", n_intervals=12, scale="tiny"))
-        TraceStore.from_trace(stages._simulate(spec), tmp_path / "store")
+        trace_to_store(stages._simulate(spec), tmp_path / "store")
         assert main(["analyze", "spec.gzip", "--intervals", "12",
                      "--scale", "tiny", "--k-max", "5", "--trace-store",
                      str(tmp_path / "store")]) == 1

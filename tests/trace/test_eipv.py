@@ -14,11 +14,11 @@ from repro.trace.eipv import (
     build_per_thread_eipvs,
 )
 from repro.trace.events import SampleTrace
-from repro.trace.storage import TraceStore
 from tests.trace.reference_eipvs import (
     build_eipvs_reference,
     build_per_thread_eipvs_reference,
 )
+from tests.trace.store_helpers import store_to_trace, trace_to_store
 
 
 def synthetic_trace(n_samples, period=1_000, n_threads=2, n_eips=20,
@@ -152,7 +152,7 @@ class TestPerThread:
         trace = synthetic_trace(6_005, period=1_000, n_threads=3,
                                 n_eips=300)
         assert len(trace) // 3 // 7 > CHUNK_INTERVALS
-        source = (TraceStore.from_trace(trace, tmp_path / "store").as_trace()
+        source = (store_to_trace(trace_to_store(trace, tmp_path / "store"))
                   if on_disk else trace)
         got = build_per_thread_eipvs(source, 7_000)
         _assert_datasets_identical(
@@ -217,7 +217,7 @@ def test_eipv_invariants(n_samples, samples_per_interval):
 class TestSparseBuilds:
     def test_every_builder_returns_csr(self, tmp_path):
         trace = synthetic_trace(200, period=1_000, n_threads=2)
-        store = TraceStore.from_trace(trace, tmp_path / "store")
+        store = trace_to_store(trace, tmp_path / "store")
         for dataset in (build_eipvs(trace, 10_000),
                         EIPVDataset.from_store(store, 10_000),
                         build_per_thread_eipvs(trace, 10_000),

@@ -20,8 +20,10 @@ from repro.trace.eipv import EIPVDataset, build_eipvs
 from repro.trace.events import TRACE_COLUMNS, SampleTrace
 from repro.trace.sampler import CHUNK_SAMPLES, SamplingDriver
 from repro.trace.storage import TraceStore
+from tests.runtime.test_artifacts import split_entry
 from tests.trace.reference_eipvs import build_eipvs_reference
 from tests.trace.reference_sampler import collect_reference
+from tests.trace.store_helpers import store_to_trace, trace_to_store
 from tests.trace.test_eipv import _assert_datasets_identical
 from tests.trace.test_sampler import (
     _assert_traces_identical,
@@ -43,14 +45,14 @@ def collect_both(system_factory, total, chunk_samples, tmp_path):
 class TestStoreLifecycle:
     def test_round_trip_from_trace(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
-        TraceStore.from_trace(trace, tmp_path / "store")
+        trace_to_store(trace, tmp_path / "store")
         store = TraceStore.open(tmp_path / "store")
         assert len(store) == len(trace)
-        _assert_traces_identical(store.as_trace(), trace)
+        _assert_traces_identical(store_to_trace(store), trace)
 
     def test_columns_are_plain_npy_memmaps(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
-        TraceStore.from_trace(trace, tmp_path / "store")
+        trace_to_store(trace, tmp_path / "store")
         store = TraceStore.open(tmp_path / "store")
         eips = store.column("eips")
         assert isinstance(eips, np.memmap)
@@ -71,7 +73,7 @@ class TestStoreLifecycle:
 
     def test_newer_format_refused(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
-        TraceStore.from_trace(trace, tmp_path / "store")
+        trace_to_store(trace, tmp_path / "store")
         header_path = tmp_path / "store" / "header.json"
         header = json.loads(header_path.read_text())
         header["format"] = 99
@@ -81,7 +83,7 @@ class TestStoreLifecycle:
 
     def test_unknown_column_rejected(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
-        TraceStore.from_trace(trace, tmp_path / "store")
+        trace_to_store(trace, tmp_path / "store")
         store = TraceStore.open(tmp_path / "store")
         with pytest.raises(KeyError):
             store.column("no_such_column")
@@ -92,7 +94,7 @@ class TestStreamingCollect:
     def test_identical_to_in_memory_collect(self, tmp_path, chunk_samples):
         trace, store = collect_both(make_system, 503_331, chunk_samples,
                                     tmp_path)
-        _assert_traces_identical(store.as_trace(), trace)
+        _assert_traces_identical(store_to_trace(store), trace)
         _assert_traces_identical(
             SamplingDriver(make_system()).collect(503_331), trace)
 
@@ -101,7 +103,7 @@ class TestStreamingCollect:
         """Multi-part plans, modulators, several processes, split slices."""
         trace, store = collect_both(lambda: _randomized_system(seed),
                                     1_050_000, 13, tmp_path)
-        _assert_traces_identical(store.as_trace(), trace)
+        _assert_traces_identical(store_to_trace(store), trace)
 
     def test_in_memory_collect_spans_chunks(self):
         """A run longer than one chunk: ``collect`` concatenates chunks."""
@@ -161,7 +163,7 @@ class TestFromStore:
             exe_cycles=0 * cycles, other_cycles=0 * cycles,
             processes=("app",), sample_period=1_000, frequency_mhz=900,
             workload_name="tail")
-        source = (TraceStore.from_trace(trace, tmp_path / "store")
+        source = (trace_to_store(trace, tmp_path / "store")
                   if on_disk else trace)
         expected = build_eipvs_reference(trace, 5_000)
         assert 0x999 not in expected.eip_index
@@ -200,21 +202,45 @@ class TestEipvPersistenceFormats:
         store = ResultCache(tmp_path)
         put_eipv(store, "s" * 64,
                  build_eipvs(trace, trace.sample_period * 5))
-        names = {path.name
-                 for path in store.entry_dir("eipv", "s" * 64).iterdir()}
-        assert names == {"cpis.npy", "eip_index.npy", "matrix_data.npy",
-                         "matrix_indices.npy", "matrix_indptr.npy",
-                         "meta.json"}
+        names = [path.name
+                 for path in store.entry_dir("eipv", "s" * 64).iterdir()]
+        assert names == ["entry"]
+        assert set(store.header("eipv", "s" * 64)["columns"]) == {
+            "cpis", "eip_index", "matrix_data", "matrix_indices",
+            "matrix_indptr"}
+
+    @pytest.mark.parametrize("column, value", [
+        ("matrix_indices", 10**9),   # a column index past the last EIP
+        ("matrix_indptr", -1),       # a row pointer that goes backwards
+    ])
+    def test_damaged_matrix_quarantines_the_entry(self, tmp_path, column,
+                                                  value):
+        """Arrays read from an entry are validated like a caller's: a
+        triplet that breaks a CSR invariant inside a sound file reads as
+        a miss and moves the entry aside."""
+        trace = SamplingDriver(make_system()).collect(500_000)
+        store = ResultCache(tmp_path)
+        put_eipv(store, "s" * 64,
+                 build_eipvs(trace, trace.sample_period * 5))
+        path = store.entry_path("eipv", "s" * 64)
+        header, columns = split_entry(path)
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - len(columns) + header["columns"][column]["offset"]
+        raw[at + 8:at + 16] = np.int64(value).tobytes()
+        path.write_bytes(bytes(raw))
+        assert load_eipv_dataset(store, "s" * 64) is None
+        assert store.has("eipv", "s" * 64) is False
+        assert len(store.quarantined()) == 1
 
     def test_sparse_file_contains_no_pickled_objects(self, tmp_path):
         trace = SamplingDriver(make_system()).collect(500_000)
         dataset = build_eipvs(trace, trace.sample_period * 5)
         store = ResultCache(tmp_path)
         put_eipv(store, "s" * 64, dataset)
-        # allow_pickle=False: loading every array proves the artifact
-        # holds only plain arrays.
-        files = sorted(store.entry_dir("eipv", "s" * 64).glob("*.npy"))
-        for path in files:
-            np.load(path, allow_pickle=False)
-        assert {"matrix_indptr.npy", "matrix_indices.npy",
-                "matrix_data.npy"} <= {path.name for path in files}
+        # Every column is a plain numeric array: none holds objects, so
+        # none could unpickle anything.
+        columns = store.header("eipv", "s" * 64)["columns"]
+        for name, column in columns.items():
+            assert not np.dtype(column["dtype"]).hasobject, name
+        assert {"matrix_indptr", "matrix_indices",
+                "matrix_data"} <= set(columns)
